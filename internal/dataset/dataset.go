@@ -214,8 +214,7 @@ type ManifoldConfig struct {
 // random sinusoids, x_j = sin(f_j·u + φ_j) + ε. Real image descriptors
 // (GIST/SIFT) concentrate near such manifolds, and this generator reproduces
 // the regime where learned binary autoencoders match or beat the PCA-based
-// hashes — the comparison regime of the paper's Fig. 12 (see EXPERIMENTS.md
-// for the honest caveat about baseline margins on synthetic data).
+// hashes — the comparison regime of the paper's Fig. 12.
 func Manifold(cfg ManifoldConfig) *Dataset {
 	if cfg.Latent <= 0 {
 		cfg.Latent = 3

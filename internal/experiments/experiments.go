@@ -1,11 +1,11 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§5 examples and §8). Each driver regenerates the
-// corresponding rows/series as plain-text tables; EXPERIMENTS.md records how
-// the outputs compare to the paper, and cmd/parmac-bench and the root bench
-// suite invoke the same drivers.
+// corresponding rows/series as plain-text tables; cmd/parmac-figures prints
+// them.
 //
-// Workloads use the synthetic dataset substitutes documented in DESIGN.md §1
-// at scaled-down sizes (the scale used is printed in each table's notes).
+// Workloads use the synthetic dataset substitutes documented in
+// internal/dataset at scaled-down sizes (the scale used is printed in each
+// table's notes).
 package experiments
 
 import (

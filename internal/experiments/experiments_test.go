@@ -17,8 +17,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %s not registered", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Fatalf("registry has %d experiments, want >= %d", len(All()), len(want))
+	if len(All()) != len(want) {
+		t.Fatalf("registry has %d experiments, want exactly the %d paper artefacts", len(All()), len(want))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // learnWorkload is a scaled stand-in for one of the paper's image-retrieval
-// benchmarks (DESIGN.md §1 documents the substitution).
+// benchmarks (internal/dataset documents the substitution).
 type learnWorkload struct {
 	name     string
 	n, d, l  int

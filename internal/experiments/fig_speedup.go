@@ -138,7 +138,7 @@ func init() {
 			t.AddRow("per-iteration speed (fitted)", "1x", "~4.4x")
 			t.Notes = append(t.Notes,
 				"paper reports the shared-memory system 3-4x faster end to end (§8.1, §8.4); constants fitted to its measured hours",
-				"original Table 1 lists Xeon E5-2670 vs E5-2699v3 hardware we do not have; see DESIGN.md §1")
+				"original Table 1 lists Xeon E5-2670 vs E5-2699v3 hardware we do not have")
 			return []*Table{t}
 		},
 	})

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -282,22 +283,36 @@ func BenchmarkMIHBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkLinearVsMIH is the linear-scan vs MIH crossover grid behind the
+// README "Retrieval" table: N × k × index kind, over one rotating stream of
+// 64 queries so neither side profits from a lucky query. Both sides return
+// tie-exact identical neighbours; only the ns/op differ.
 func BenchmarkLinearVsMIH(b *testing.B) {
-	base := benchCodes(100000, 64, 64)
-	ix, err := NewMIHIndex(base, 0)
-	if err != nil {
-		b.Fatal(err)
+	const nq = 64
+	queries := benchCodes(nq, 64, 65)
+	for _, n := range []int{50000, 200000, 1000000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			if testing.Short() && n > 200000 {
+				b.Skip("1M-code build skipped under -short")
+			}
+			base := benchCodes(n, 64, 64)
+			ix, err := NewMIHIndex(base, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := ix.NewSearcher()
+			for _, k := range []int{1, 10, 100} {
+				b.Run(fmt.Sprintf("k=%d/linear", k), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						TopKHammingDist(base, queries.Code(i%nq), k)
+					}
+				})
+				b.Run(fmt.Sprintf("k=%d/mih", k), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						s.Search(queries.Code(i%nq), k)
+					}
+				})
+			}
+		})
 	}
-	query := benchCodes(1, 64, 65).Code(0)
-	b.Run("linear", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			TopKHammingDist(base, query, 10)
-		}
-	})
-	b.Run("mih", func(b *testing.B) {
-		s := ix.NewSearcher()
-		for i := 0; i < b.N; i++ {
-			s.Search(query, 10)
-		}
-	})
 }

@@ -1,10 +1,11 @@
 // Package sim is a discrete-event simulator of the ParMAC schedule under the
 // cost model of §5.1. It replaces the paper's physical clusters (Table 1):
-// this reproduction runs on a single CPU, so wall-clock scaling measurements
-// are impossible — instead we execute the actual asynchronous W-step queue
-// discipline (each machine: receive a submodel, train it on the local shard,
-// send it to the successor) and the embarrassingly parallel Z step in virtual
-// time, parameterised by the same constants the paper's model uses:
+// the repository benchmark (bench/README.md) measures wall-clock S(P) only up
+// to the host's CPUs, so the simulator extrapolates beyond them — it executes
+// the actual asynchronous W-step queue discipline (each machine: receive a
+// submodel, train it on the local shard, send it to the successor) and the
+// embarrassingly parallel Z step in virtual time, parameterised by the same
+// constants the paper's model uses:
 //
 //	t_r^W  computation time per submodel and data point in the W step
 //	t_c^W  communication time per submodel hop

@@ -20,8 +20,8 @@
 //	})
 //	codes := result.Model.Encode(ds)   // packed binary codes for retrieval
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured results.
+// See README.md ("Layout") for the system inventory and bench/README.md for
+// the measured results.
 package parmac
 
 import (
