@@ -199,21 +199,18 @@ func engineConfig(o *options) core.Config {
 }
 
 // reportFailures surfaces machine deaths from an iteration's run report.
+// Every death the engine knows is transport-detected, hence "unannounced".
 func reportFailures(res core.IterationResult) {
 	for _, ev := range res.Failures {
-		kind := "announced"
-		if ev.Unannounced {
-			kind = "unannounced"
-		}
 		switch {
 		case ev.LostToken >= 0 && ev.FromRank >= 0:
-			fmt.Fprintf(os.Stderr, "iter %d: machine %d died (%s); submodel %d restored from machine %d\n",
-				res.Iter, ev.Rank, kind, ev.LostToken, ev.FromRank)
+			fmt.Fprintf(os.Stderr, "iter %d: machine %d died (unannounced); submodel %d restored from machine %d\n",
+				res.Iter, ev.Rank, ev.LostToken, ev.FromRank)
 		case ev.LostToken >= 0:
-			fmt.Fprintf(os.Stderr, "iter %d: machine %d died (%s); submodel %d restarted from the coordinator copy\n",
-				res.Iter, ev.Rank, kind, ev.LostToken)
+			fmt.Fprintf(os.Stderr, "iter %d: machine %d died (unannounced); submodel %d restarted from the coordinator copy\n",
+				res.Iter, ev.Rank, ev.LostToken)
 		default:
-			fmt.Fprintf(os.Stderr, "iter %d: machine %d died (%s)\n", res.Iter, ev.Rank, kind)
+			fmt.Fprintf(os.Stderr, "iter %d: machine %d died (unannounced)\n", res.Iter, ev.Rank)
 		}
 	}
 	if res.DroppedFrames > 0 {

@@ -286,9 +286,8 @@ func (m *Model) FitDecoderExactParallel(pts sgd.Points, z *retrieval.Codes, lamb
 
 // FitDecoderExactDense is the pre-WKernel reference implementation of the
 // exact decoder fit: materialise Z as a 0/1 float matrix and X as a dense
-// matrix, then solve via linreg.FitExact. Kept as the parity oracle for the
-// popcount-Gram kernel and as the baseline the perf harness measures the
-// kernel against.
+// matrix, then solve via linreg.FitExact. Kept as the dense oracle the
+// popcount-Gram kernel tests compare against.
 func (m *Model) FitDecoderExactDense(pts sgd.Points, z *retrieval.Codes, lambda float64) error {
 	n := pts.NumPoints()
 	zm := vec.NewMatrix(n, m.L())

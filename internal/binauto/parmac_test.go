@@ -3,6 +3,8 @@ package binauto
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/cluster/chaos"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/retrieval"
@@ -189,14 +191,25 @@ func TestParMACMoreEpochsNotWorse(t *testing.T) {
 
 func TestParMACWithFaultInjection(t *testing.T) {
 	prob, _ := buildProblem(200, 6, 4, 4, 10)
-	eng := core.New(prob, core.Config{
-		P: 4, Epochs: 2, Replicas: true, Seed: 10,
-		Fail: core.FailureInjection{Mode: core.FailDropToken, Rank: 2, Iteration: 1, AfterTok: 5},
-	})
+	// Machine 2 is killed by the transport at its sixth token forward of
+	// iteration 1: nothing announces the death, as with a SIGKILL.
+	fab, err := chaos.New(cluster.NewNetwork(5), chaos.Options{Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewOn(prob, core.Config{P: 4, Epochs: 2, Replicas: true, Seed: 10}, fab)
 	defer eng.Shutdown()
-	res := eng.Run(4)
-	if len(res[1].Failures) != 1 || !res[1].Failures[0].Recovered {
-		t.Fatalf("failure not recovered: %+v", res[1].Failures)
+	res := eng.Run(1)
+	fab.Arm(chaos.KillSpec{Rank: 2, Tag: chaos.AnyTag, AfterSends: 5})
+	res = append(res, eng.Run(3)...)
+	var died, recovered bool
+	for _, ev := range res[1].Failures {
+		died = died || (ev.Rank == 2 && ev.LostToken < 0)
+		recovered = recovered || (ev.Rank == 2 && ev.LostToken >= 0 && ev.Recovered)
+	}
+	if len(res[0].Failures) != 0 || !died || !recovered {
+		t.Fatalf("want machine 2 dead with a recovered submodel in iteration 1: %+v then %+v",
+			res[0].Failures, res[1].Failures)
 	}
 	if res[3].AliveMachines != 3 {
 		t.Fatalf("alive = %d", res[3].AliveMachines)

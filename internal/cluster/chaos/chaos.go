@@ -2,7 +2,8 @@
 // It interposes on another fabric's raw endpoints and injects seeded,
 // reproducible faults — message delay, duplicate delivery (back-to-back, so
 // per-sender FIFO order is preserved), and rank kills at configurable
-// protocol points (the Nth send of a given tag) or on demand via Kill. With
+// protocol points (the Nth send of a given tag, scheduled up front or armed
+// mid-run with Arm) or on demand via Kill. With
 // zero fault probabilities it is a transparent proxy, which is exactly how
 // it registers in the transport registry ("chaos", over inproc): the
 // cross-backend conformance suite then holds the wrapper to the same
@@ -16,6 +17,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -28,6 +30,13 @@ const AnyTag = cluster.AnyTag
 // unannounced just before performing its (AfterSends+1)-th Deliver of a
 // message matching Tag (AnyTag for all). The triggering message is lost with
 // the process, like a SIGKILL between receiving and forwarding.
+//
+// Packages outside internal/core cannot name the engine's tags; for them
+// AnyTag is exact during a healthy ParMAC W step: between WStartMsg and the
+// end-of-step drain a worker sends nothing but token forwards and finishes,
+// so a spec with AnyTag that is in place when the W step opens (scheduled at
+// construction for iteration 0, or armed between iterations) kills the rank
+// at its (AfterSends+1)-th token forward.
 type KillSpec struct {
 	Rank       int
 	Tag        int // AnyTag or a specific application tag
@@ -77,15 +86,24 @@ func New(inner cluster.Fabric, o Options) (*Fabric, error) {
 			opts:  o,
 			rng:   rand.New(rand.NewSource(o.Seed ^ int64(r+1)*0x9e3779b97f4a7c)),
 		}
-		for i := range o.Kills {
-			if o.Kills[i].Rank == r {
-				ep.kills = append(ep.kills, &killState{spec: o.Kills[i]})
-			}
-		}
 		f.eps[r] = ep
 		f.comms[r] = cluster.NewComm(ep)
 	}
+	for _, k := range o.Kills {
+		f.Arm(k)
+	}
 	return f, nil
+}
+
+// Arm schedules one more kill while the fabric is in use; the spec's send
+// count starts now. It may be called from any goroutine — typically between
+// two engine iterations, while the rank is parked in a receive — which is
+// how a drill places a death in a later iteration.
+func (f *Fabric) Arm(k KillSpec) {
+	ep := f.eps[k.Rank]
+	ep.mu.Lock()
+	ep.kills = append(ep.kills, &killState{spec: k})
+	ep.mu.Unlock()
 }
 
 // Size implements cluster.Fabric.
@@ -131,27 +149,38 @@ type endpoint struct {
 	inner cluster.Endpoint
 	opts  Options
 	rng   *rand.Rand
+
+	mu    sync.Mutex // guards kills: Arm runs on another goroutine
 	kills []*killState
 }
 
 func (e *endpoint) Rank() int { return e.inner.Rank() }
 func (e *endpoint) Size() int { return e.inner.Size() }
 
-// Deliver injects the configured faults around the inner delivery. Like the
-// Comm above it, an endpoint is driven by a single goroutine, so the rng and
-// kill counters need no locking.
-func (e *endpoint) Deliver(to int, m cluster.Message) {
+// killedBy counts m against every armed spec and reports whether one fires.
+func (e *endpoint) killedBy(m cluster.Message) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, k := range e.kills {
 		if k.spec.Tag != AnyTag && k.spec.Tag != m.Tag {
 			continue
 		}
-		if k.sent == k.spec.AfterSends {
-			k.sent++ // fire once
-			// Die before the send: the message is lost with the process.
-			e.inner.Abort()
-			return
-		}
 		k.sent++
+		if k.sent == k.spec.AfterSends+1 { // fires once: sent only grows
+			return true
+		}
+	}
+	return false
+}
+
+// Deliver injects the configured faults around the inner delivery. Like the
+// Comm above it, an endpoint is driven by a single goroutine, so the rng
+// needs no locking.
+func (e *endpoint) Deliver(to int, m cluster.Message) {
+	if e.killedBy(m) {
+		// Die before the send: the message is lost with the process.
+		e.inner.Abort()
+		return
 	}
 	if e.opts.DelayProb > 0 && e.rng.Float64() < e.opts.DelayProb && e.opts.MaxDelay > 0 {
 		time.Sleep(time.Duration(1 + e.rng.Int63n(int64(e.opts.MaxDelay))))

@@ -119,3 +119,39 @@ func TestSeedDeterminism(t *testing.T) {
 		t.Fatal("DupProb 0.5 over 50 sends injected no duplicates")
 	}
 }
+
+// TestArmedKill: a spec armed mid-run counts sends from the moment of
+// arming, not from construction, and fires exactly once. Rank 0 runs on its
+// own goroutine and is parked in a receive whenever Arm is called.
+func TestArmedKill(t *testing.T) {
+	fab := newChaos(t, 2, chaos.Options{Seed: 9})
+	c0, c1 := fab.Comm(0), fab.Comm(1)
+	done := make(chan struct{})
+	go func() { // rank 0: answer every request until its link dies
+		defer close(done)
+		for {
+			if _, err := c0.RecvEvent(1, 1, -1); err != nil {
+				return
+			}
+			c0.Send(1, 5, "reply", 0)
+		}
+	}()
+	ask := func() (cluster.Message, error) {
+		c1.Send(0, 1, "request", 0)
+		return c1.RecvEvent(cluster.AnySource, cluster.AnyTag, 5*time.Second)
+	}
+	for i := 0; i < 2; i++ { // two tag-5 sends before arming: not counted
+		if _, err := ask(); err != nil {
+			t.Fatalf("unarmed reply %d: %v", i, err)
+		}
+	}
+	fab.Arm(chaos.KillSpec{Rank: 0, Tag: 5, AfterSends: 1})
+	if m, err := ask(); err != nil || m.Payload != "reply" {
+		t.Fatalf("first send after arming must pass: %v %v", m, err)
+	}
+	var pd *cluster.PeerDownError
+	if _, err := ask(); !errors.As(err, &pd) || pd.Rank != 0 {
+		t.Fatalf("second send after arming: %v, want PeerDown(0)", err)
+	}
+	<-done
+}

@@ -14,9 +14,9 @@
 // The engine is split along the paper's deployment boundary: the Engine is
 // the coordinator, machines run RunWorker (worker.go), and the two sides
 // speak exclusively through the pluggable fabric of internal/cluster — Go
-// channels in-process (Engine.New spawns the workers itself) or TCP between
-// OS processes (NewDistributed drives externally launched workers, with
-// submodels gob-serialized on the wire). The engine supports the ParMAC
+// channels in-process (New and NewOn spawn the workers themselves) or TCP
+// between OS processes (NewDistributed drives externally launched workers,
+// with submodels gob-serialized on the wire). The engine supports the ParMAC
 // extensions of §4.3: per-epoch ring shuffling, load balancing via unequal
 // shards, streaming (machines can be added and retired between iterations)
 // and fault tolerance (a machine can die mid-W-step; lost submodels are
@@ -95,38 +95,6 @@ type ModelSyncHook interface {
 	OnModelSync(model []Submodel)
 }
 
-// FailMode selects how an injected failure behaves.
-type FailMode int
-
-const (
-	// FailNone disables failure injection.
-	FailNone FailMode = iota
-	// FailDropToken kills the machine while it is training a submodel: the
-	// machine's memory (including that submodel's current state) is lost and
-	// the submodel must be recovered from the redundant copy held by its
-	// predecessor in the ring (§4.3 "revert to the previously updated copy").
-	FailDropToken
-	// FailUnannounced is FailDropToken without the courtesy: the machine
-	// severs its fabric link with the token in memory and says nothing, like
-	// a SIGKILL. The coordinator must detect the death via the transport's
-	// peer-down signal and reconstruct the lost-token inventory from the
-	// survivors' replica traces.
-	FailUnannounced
-	// FailRescueAbort makes the machine die unannounced the moment it is
-	// asked to serve a rescue — the re-entrant failure: a rescuer dying
-	// during the rescue it was performing.
-	FailRescueAbort
-)
-
-// FailureInjection schedules a machine death for tests and the
-// fault-tolerance experiments.
-type FailureInjection struct {
-	Mode      FailMode
-	Rank      int // machine to kill
-	Iteration int // iteration (0-based) during whose W step it dies
-	AfterTok  int // die when about to process its AfterTok-th token
-}
-
 // Config parameterises the engine.
 type Config struct {
 	P       int  // initial number of machines
@@ -155,11 +123,6 @@ type Config struct {
 	// retry doubling the previous wait (exponential backoff). A machine
 	// still silent after the last retry is declared dead. <= 0 means 3.
 	RescueRetries int
-
-	// Fail schedules a single failure injection (kept for compatibility);
-	// Fails schedules any number. They are merged.
-	Fail  FailureInjection
-	Fails []FailureInjection
 }
 
 // DefaultRescueTimeout is the default per-wait bound for failure detection
@@ -185,29 +148,16 @@ func (c *Config) fillDefaults() {
 	if c.RescueRetries <= 0 {
 		c.RescueRetries = 3
 	}
-	if c.Fail.Mode != FailNone {
-		c.Fails = append(c.Fails, c.Fail)
-		c.Fail = FailureInjection{}
-	}
-	for _, f := range c.Fails {
-		if f.Mode != FailNone && !c.Replicas {
-			panic("core: fault tolerance requires Config.Replicas")
-		}
-	}
 }
 
-// FailureEvent records a machine death (and, when LostToken >= 0, the
-// recovery of a submodel that died with it).
+// FailureEvent records a machine death, detected via the transport
+// (connection loss, SIGKILL): one event for the death itself (LostToken -1)
+// and one per lost token recovered by the probe sweep (LostToken >= 0).
 type FailureEvent struct {
 	Rank      int
-	LostToken int // submodel ID being trained when the machine died, -1 if none
+	LostToken int // submodel ID lost with the machine, -1 for the death itself
 	Recovered bool
 	FromRank  int // machine whose replica restored the lost submodel, -1
-	// Unannounced marks a death detected via the transport (connection loss,
-	// SIGKILL) rather than a DeathNotice from the dying machine itself. An
-	// unannounced death yields one event for the death and one per lost
-	// token recovered by the probe sweep.
-	Unannounced bool
 }
 
 // IterationResult summarises one ParMAC iteration (one W step + one Z step).
@@ -230,7 +180,6 @@ const (
 	tagWStart = iota
 	tagToken
 	tagFinished
-	tagDead
 	tagBounced
 	tagRescue
 	tagRescueReply
@@ -241,7 +190,7 @@ const (
 	tagZDone
 	tagShutdown
 	tagShutdownAck
-	tagDeadRanks
+	tagRanksDead
 	tagProbe
 	tagProbeReply
 )
@@ -253,7 +202,7 @@ type Engine struct {
 	cfg  Config
 	prob Problem
 
-	net   *cluster.Network // in-process shape only: the fabric we own
+	fab   cluster.Fabric // in-process shape only: the fabric the workers run on
 	coord *cluster.Comm
 
 	occupied []bool // rank has a (possibly dead) worker attached
@@ -274,7 +223,7 @@ type Engine struct {
 	coordBytes int64
 
 	// statsFn supplies fabric-level counters for DroppedFrames reporting
-	// (the in-process engine wires its own Network; distributed coordinators
+	// (the in-process engine wires its own fabric; distributed coordinators
 	// call SetStatsSource).
 	statsFn     func() cluster.Stats
 	lastDropped int64
@@ -292,13 +241,25 @@ type Engine struct {
 // prob.Shard(i). prob.NumShards() must be >= cfg.P.
 func New(prob Problem, cfg Config) *Engine {
 	cfg.fillDefaults()
+	return NewOn(prob, cfg, cluster.NewNetwork(cfg.MaxMachines+1))
+}
+
+// NewOn is New over a fabric the caller built (and closes): machines are
+// still goroutines of this process sharing prob, but their messages cross
+// fab — a chaos wrapper that kills ranks, a loopback TCP fabric. fab needs
+// one rank per machine slot plus the coordinator's, which is the last.
+func NewOn(prob Problem, cfg Config, fab cluster.Fabric) *Engine {
+	cfg.fillDefaults()
 	if prob.NumShards() < cfg.P {
 		panic(fmt.Sprintf("core: %d shards for %d machines", prob.NumShards(), cfg.P))
 	}
-	net := cluster.NewNetwork(cfg.MaxMachines + 1)
-	e := newEngine(prob, cfg, net.Comm(cfg.MaxMachines))
-	e.net = net
-	e.statsFn = net.Stats
+	if fab.Size() != cfg.MaxMachines+1 {
+		panic(fmt.Sprintf("core: %d machine slots need a %d-rank fabric, got %d ranks",
+			cfg.MaxMachines, cfg.MaxMachines+1, fab.Size()))
+	}
+	e := newEngine(prob, cfg, fab.Comm(cfg.MaxMachines))
+	e.fab = fab
+	e.statsFn = fab.Stats
 	for r := 0; r < cfg.P; r++ {
 		e.spawnMachine(r, r)
 	}
@@ -309,7 +270,7 @@ func New(prob Problem, cfg Config) *Engine {
 // cluster): comm must be the fabric's last rank, and cfg.P workers —
 // launched separately with RunWorker, each owning its Problem instance —
 // occupy ranks 0..P-1. Streaming (AddMachine) is not available in this
-// shape; fault injection and recovery are.
+// shape; fault recovery is.
 func NewDistributed(prob Problem, cfg Config, comm *cluster.Comm) *Engine {
 	cfg.MaxMachines = cfg.P // streaming needs worker spawning; no spare ranks here
 	cfg.fillDefaults()
@@ -353,7 +314,7 @@ func (e *Engine) SetStatsSource(fn func() cluster.Stats) { e.statsFn = fn }
 func (e *Engine) spawnMachine(rank, shard int) {
 	e.occupied[rank] = true
 	e.alive[rank] = true
-	go RunWorker(e.net.Comm(rank), e.prob, shard, WorkerOptions{
+	go RunWorker(e.fab.Comm(rank), e.prob, shard, WorkerOptions{
 		Seed:          WorkerSeed(e.cfg.Seed, rank),
 		SharedProblem: true,
 	})
@@ -381,7 +342,7 @@ func (e *Engine) AliveRanks() []int {
 // topology simply requires connecting it between any two machines" (§4.3).
 // Call between iterations. In-process engines only.
 func (e *Engine) AddMachine(shard int) int {
-	if e.net == nil {
+	if e.fab == nil {
 		panic("core: AddMachine requires the in-process engine")
 	}
 	for r := range e.occupied {
@@ -483,15 +444,11 @@ func (e *Engine) Iterate() IterationResult {
 		sent:   make([]coordSend, m),
 	}
 
-	// Start the W step on all alive machines, arming failure injection where
-	// scheduled.
+	// Start the W step on all alive machines.
 	for _, r := range aliveList {
-		failAfter, abrupt, onRescue := e.injectionFor(r)
 		e.coordSendTo(r, tagWStart, WStartMsg{
 			Iter: e.iter, Train: trainVisits, Within: e.cfg.Within,
-			Shuffle: e.cfg.Shuffle, Replicas: e.cfg.Replicas,
-			M: m, FailAfter: failAfter,
-			FailUnannounced: abrupt, FailRescueAbort: onRescue,
+			Shuffle: e.cfg.Shuffle, Replicas: e.cfg.Replicas, M: m,
 		})
 	}
 	// Inject the initial tokens at their home machines.
@@ -524,29 +481,8 @@ func (e *Engine) Iterate() IterationResult {
 	return res
 }
 
-// injectionFor resolves the failure injection armed for rank this iteration.
-func (e *Engine) injectionFor(rank int) (failAfter int, abrupt, onRescue bool) {
-	failAfter = -1
-	for _, f := range e.cfg.Fails {
-		if f.Rank != rank || f.Iteration != e.iter {
-			continue
-		}
-		switch f.Mode {
-		case FailDropToken:
-			failAfter = f.AfterTok
-		case FailUnannounced:
-			failAfter = f.AfterTok
-			abrupt = true
-		case FailRescueAbort:
-			onRescue = true
-		}
-	}
-	return failAfter, abrupt, onRescue
-}
-
-// supervise waits until every token has finished, converting transport
-// peer-down events into synthetic death handling and re-probing after
-// silence whenever failures have already happened. No wait here is
+// supervise waits until every token has finished, turning transport
+// peer-down events into death handling and re-probing after silence whenever failures have already happened. No wait here is
 // unbounded once a failure is in play.
 func (e *Engine) supervise(st *wState) {
 	for st.finished < len(e.submodels) {
@@ -592,11 +528,6 @@ func (e *Engine) superviseMsg(msg cluster.Message, st *wState) {
 			return // a superseded duplicate survived; drop it
 		}
 		e.finishToken(tok, st)
-	case tagDead:
-		n := msg.Payload.(DeathNotice)
-		ev := e.handleDeath(n, st)
-		st.res.Failures = append(st.res.Failures, ev)
-		e.broadcastDead()
 	case tagBounced:
 		tok := msg.Payload.(*Token)
 		if tok.Incarnation != e.incarnation[tok.ID] || st.done[tok.ID] {
@@ -630,7 +561,7 @@ func (e *Engine) markDead(rank int, res *IterationResult) bool {
 	}
 	e.alive[rank] = false
 	res.Failures = append(res.Failures, FailureEvent{
-		Rank: rank, LostToken: -1, FromRank: -1, Unannounced: true,
+		Rank: rank, LostToken: -1, FromRank: -1,
 	})
 	e.broadcastDead()
 	return true
@@ -647,7 +578,7 @@ func (e *Engine) broadcastDead() {
 	}
 	msg := DeadRanksMsg{Dead: dead}
 	for _, r := range e.AliveRanks() {
-		e.coordSendTo(r, tagDeadRanks, msg)
+		e.coordSendTo(r, tagRanksDead, msg)
 	}
 }
 
@@ -720,61 +651,6 @@ func (e *Engine) buildRoutes(alive []int, trainVisits int) [][]int {
 	return routes
 }
 
-// handleDeath processes an announced machine failure: mark it dead, reroute
-// the bounced token if intact, or recover the lost submodel from its
-// predecessor's replica (§4.3 "revert to the previously updated copy").
-// Every rescue wait is bounded; a rescuer that itself dies mid-rescue fails
-// over to the next replica upstream, ultimately to the authoritative
-// pre-iteration state.
-func (e *Engine) handleDeath(n DeathNotice, st *wState) FailureEvent {
-	e.alive[n.Rank] = false
-	// The dead machine will never ack, so its traffic counters arrive here.
-	e.coordHops += n.Hops
-	e.coordBytes += n.Bytes
-	ev := FailureEvent{Rank: n.Rank, LostToken: n.LostID, FromRank: -1}
-	if tok := n.Tok; tok != nil {
-		// Intact token bounced by the dying machine.
-		if tok.Incarnation == e.incarnation[tok.ID] && !st.done[tok.ID] {
-			if !e.forwardFromCoord(tok, st) {
-				e.finishToken(tok, st)
-			}
-		}
-	}
-	if n.LostTok != nil {
-		tok := n.LostTok
-		// Find the most recent previous alive machine on its route and ask
-		// for its replica of the submodel.
-		rescued := false
-		for pos := tok.Step - 1; pos >= 0 && !rescued; pos-- {
-			r := tok.Route[pos]
-			if r == n.Rank || !e.alive[r] {
-				continue
-			}
-			reply, ok := e.requestReplica(r, tok.ID)
-			if ok && reply.OK {
-				tok.SM = reply.SM
-				tok.Version = reply.Version
-				rescued = true
-				ev.Recovered = true
-				ev.FromRank = r
-			}
-		}
-		if !rescued {
-			// No replica anywhere upstream: restart from the authoritative
-			// pre-iteration state.
-			tok.SM = e.submodels[tok.ID].Clone()
-			tok.Version = e.versions[tok.ID]
-			ev.Recovered = true
-			ev.FromRank = -1
-		}
-		// Resume the itinerary past the dead machine.
-		if !e.forwardFromCoord(tok, st) {
-			e.finishToken(tok, st)
-		}
-	}
-	return ev
-}
-
 // traceCand is one account of a token's whereabouts during the probe sweep:
 // "machine from sent it toward position entry.Step, holding a replica at
 // entry.Version". from -1 is the coordinator's own last send.
@@ -783,16 +659,18 @@ type traceCand struct {
 	entry TraceEntry
 }
 
-// sweep reconstructs the state of every unfinished token after an
-// unannounced death, from the survivors' records instead of the dead
-// machine's report: probe all live machines for their last-forward traces,
-// find each token's most advanced account, and resurrect the tokens whose
-// last known holder is dead (§4.3 without the DeathNotice). Sound for a
+// sweep reconstructs the state of every unfinished token after a machine
+// death from the survivors' records, since the dead machine reports nothing:
+// probe all live machines for their last-forward traces, find each token's
+// most advanced account, and resurrect the tokens whose last known holder is
+// dead (§4.3 "revert to the previously updated copy"). Sound for a
 // single concurrent failure because the transport delivers a dead peer's
 // final forwards before its down event, so a probe sent after the down
 // event is answered only after those forwards were processed; overlapping
 // failures are handled best-effort (training completes, every death is
-// recorded, but a token caught between two deaths may lose a visit).
+// recorded, but a token caught between two deaths may lose or repeat
+// visits: a machine that dies mid-sweep leaves the accounts of what it
+// forwarded stale).
 func (e *Engine) sweep(st *wState) {
 	if st.finished >= len(e.submodels) {
 		return
@@ -872,15 +750,15 @@ func (e *Engine) sweep(st *wState) {
 	}
 }
 
-// resurrect rebuilds a token lost in an unannounced death and re-injects it
-// at the position it died, under a bumped incarnation so any surviving
-// duplicate of the old copy is dropped on arrival. The replica walk visits
-// the same machines in the same order as the announced-death rescue, so the
-// recovered state — and therefore the final model — is bit-identical to
-// what an announced death of the same machine would have produced.
+// resurrect rebuilds a token lost with a dead machine and re-injects it at
+// the position it died, under a bumped incarnation so any surviving
+// duplicate of the old copy is dropped on arrival. The replica walk goes
+// from the most advanced surviving account backwards: the ring predecessor's
+// copy first, older copies if that rescuer dies or is silent, ultimately the
+// authoritative pre-iteration state.
 func (e *Engine) resurrect(id int, cands []traceCand, st *wState) {
 	top := cands[0]
-	ev := FailureEvent{Rank: top.entry.To, LostToken: id, FromRank: -1, Unannounced: true}
+	ev := FailureEvent{Rank: top.entry.To, LostToken: id, FromRank: -1}
 	tok := &Token{ID: id, Route: st.routes[id], Train: st.train, Step: top.entry.Step}
 	recovered := false
 	for _, c := range cands {

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cluster"
 )
 
 // ---------------------------------------------------------------------------
@@ -318,44 +320,6 @@ func TestRoutesStructure(t *testing.T) {
 	}
 }
 
-func TestFaultRecoveryMidWStep(t *testing.T) {
-	const P, M = 3, 6
-	p := newToyProblem(P, 4, M)
-	e := New(p, Config{
-		P: P, Epochs: 2, Replicas: true, Seed: 12,
-		Fail: FailureInjection{Mode: FailDropToken, Rank: 1, Iteration: 0, AfterTok: 3},
-	})
-	defer e.Shutdown()
-	res := e.Iterate()
-	if len(res.Failures) != 1 {
-		t.Fatalf("failures = %+v", res.Failures)
-	}
-	ev := res.Failures[0]
-	if ev.Rank != 1 || !ev.Recovered {
-		t.Fatalf("failure event = %+v", ev)
-	}
-	if res.AliveMachines != P-1 {
-		t.Fatalf("alive = %d, want %d", res.AliveMachines, P-1)
-	}
-	// Training must still complete: every submodel finished its itinerary
-	// (possibly skipping the dead machine) and the surviving shards ran
-	// their Z steps consistently.
-	if p.shards[0].z[0] != p.shards[2].z[0] {
-		t.Fatal("surviving shards disagree after recovery")
-	}
-	// The engine must keep working after the failure.
-	res2 := e.Iterate()
-	if res2.AliveMachines != P-1 {
-		t.Fatalf("alive after second iteration = %d", res2.AliveMachines)
-	}
-	for _, sub := range p.subs {
-		// Second iteration: each submodel visits the 2 survivors twice.
-		if len(sub.visits) == 0 {
-			t.Fatalf("submodel %d never trained", sub.id)
-		}
-	}
-}
-
 func TestStreamingAddAndRetire(t *testing.T) {
 	p := newToyProblem(3, 4, 4) // 3 shards available, start with 2 machines
 	e := New(p, Config{P: 2, Epochs: 1, Seed: 13, MaxMachines: 3})
@@ -411,13 +375,13 @@ func TestLoadBalancedShards(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	p := newToyProblem(1, 2, 1)
+	p := newToyProblem(2, 2, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic: fault injection without replicas")
+			t.Fatal("expected panic: fabric without a rank for the coordinator")
 		}
 	}()
-	New(p, Config{P: 1, Fail: FailureInjection{Mode: FailDropToken}})
+	NewOn(p, Config{P: 2}, cluster.NewNetwork(2))
 }
 
 func TestTooFewShardsPanics(t *testing.T) {
@@ -428,46 +392,6 @@ func TestTooFewShardsPanics(t *testing.T) {
 		}
 	}()
 	New(p, Config{P: 3})
-}
-
-func TestRescueFallsBackToAuthoritativeCopy(t *testing.T) {
-	// Kill a machine on its very first token of the iteration: upstream
-	// replicas may not exist yet, so recovery must restart the lost
-	// submodel from the pre-iteration authoritative state.
-	p := newToyProblem(3, 4, 3)
-	e := New(p, Config{
-		P: 3, Epochs: 1, Replicas: true, Seed: 20,
-		Fail: FailureInjection{Mode: FailDropToken, Rank: 0, Iteration: 0, AfterTok: 0},
-	})
-	defer e.Shutdown()
-	res := e.Iterate()
-	if len(res.Failures) != 1 || !res.Failures[0].Recovered {
-		t.Fatalf("failure not recovered: %+v", res.Failures)
-	}
-	// All submodels must still have finished training on the survivors.
-	for _, sub := range p.subs {
-		if sub.count == 0 {
-			t.Fatalf("submodel %d never trained", sub.id)
-		}
-	}
-}
-
-func TestFailureOnLaterIterationOnly(t *testing.T) {
-	p := newToyProblem(2, 3, 2)
-	e := New(p, Config{
-		P: 2, Epochs: 1, Replicas: true, Seed: 21,
-		Fail: FailureInjection{Mode: FailDropToken, Rank: 1, Iteration: 2, AfterTok: 1},
-	})
-	defer e.Shutdown()
-	r0 := e.Iterate()
-	r1 := e.Iterate()
-	if len(r0.Failures)+len(r1.Failures) != 0 {
-		t.Fatal("failure fired too early")
-	}
-	r2 := e.Iterate()
-	if len(r2.Failures) != 1 {
-		t.Fatalf("failure did not fire at iteration 2: %+v", r2)
-	}
 }
 
 func TestAddMachineRejectsBadShard(t *testing.T) {

@@ -4,74 +4,59 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster/chaos"
 	"repro/internal/core"
 )
 
-// The unannounced-death acceptance test on the TCP backend: a worker process
-// severs its connection mid-W-step (the in-process stand-in for a SIGKILL —
-// the real-process variant lives in cmd/parmac-train's e2e test), and the
-// coordinator must finish training on the survivors with a model
-// bit-identical to the announced-death path for the same survivor set.
-func TestDistributedUnannouncedMatchesAnnounced(t *testing.T) {
-	const P, M, shards, points, iters = 3, 6, 3, 4, 2
-	base := core.Config{
+// Fault recovery over real sockets: a worker's connection drops mid-W-step
+// without a goodbye (the in-process stand-in for a SIGKILL — the real-process
+// variant lives in cmd/parmac-train's e2e test), every lost submodel is
+// rescued over the wire (RescueReply), and the coordinator finishes on the
+// survivors. Checked by the same schedule-independent invariant as the
+// in-process drills, on the wire problem's visit logs.
+
+// killWorker1 runs two iterations of a 3-worker TCP cluster in which worker
+// 1 dies just before its (afterSends+1)-th send of the first W step. External
+// packages cannot name the token tag; AnyTag is exact here (see KillSpec).
+func killWorker1(t *testing.T, afterSends int) {
+	t.Helper()
+	const P, M, shards, points = 3, 6, 3, 4
+	cfg := core.Config{
 		P: P, Epochs: 2, Replicas: true, Seed: 12,
 		RescueTimeout: 2 * time.Second, RescueRetries: 2,
 	}
-	ann := base
-	ann.Fail = core.FailureInjection{Mode: core.FailDropToken, Rank: 1, Iteration: 0, AfterTok: 3}
-	una := base
-	una.Fail = core.FailureInjection{Mode: core.FailUnannounced, Rank: 1, Iteration: 0, AfterTok: 3}
+	coord, workers, res := runDistributed(t, cfg, 2, shards, points, M,
+		chaos.KillSpec{Rank: 1, Tag: chaos.AnyTag, AfterSends: afterSends})
 
-	coordA, workersA, resA := runDistributed(t, ann, iters, shards, points, M)
-	coordU, workersU, resU := runDistributed(t, una, iters, shards, points, M)
+	recovered := false
+	for _, ev := range res[0].Failures {
+		recovered = recovered || (ev.Rank == 1 && ev.LostToken >= 0)
+	}
+	if !recovered {
+		t.Errorf("no lost token recorded: %+v", res[0].Failures)
+	}
+	subs := make([]core.SubLog, M)
+	for i, s := range coord.subs {
+		subs[i] = core.SubLog{Visits: s.Visits, Sum: s.Sum, Count: s.Count}
+	}
+	core.CheckVisitLogs(t, core.Drill{
+		Epochs: 2, Points: points, Results: res, Subs: subs,
+		// Each surviving worker's own shard-local Z state.
+		SurvivorZ: []float64{workers[0].shards[0].z[0], workers[2].shards[2].z[0]},
+		Iters:     []core.RingIter{{Alive: []int{0, 1, 2}, Died: []int{1}}, {Alive: []int{0, 2}}},
+	})
+}
 
-	for i := range coordA.subs {
-		a, u := coordA.subs[i], coordU.subs[i]
-		if a.Sum != u.Sum || a.Count != u.Count {
-			t.Fatalf("submodel %d diverged: announced(sum=%v,count=%d) unannounced(sum=%v,count=%d)",
-				i, a.Sum, a.Count, u.Sum, u.Count)
-		}
-		if len(a.Visits) != len(u.Visits) {
-			t.Fatalf("submodel %d visit logs differ: %v vs %v", i, a.Visits, u.Visits)
-		}
-		for j := range a.Visits {
-			if a.Visits[j] != u.Visits[j] {
-				t.Fatalf("submodel %d visit %d differs: %v vs %v", i, j, a.Visits, u.Visits)
-			}
-		}
-	}
-	// Survivors' shard-local Z state must agree across the two failure modes.
-	for _, r := range []int{0, 2} {
-		if za, zu := workersA[r].shards[r].z[0], workersU[r].shards[r].z[0]; za != zu {
-			t.Fatalf("worker %d Z state diverged: announced %v, unannounced %v", r, za, zu)
-		}
-	}
+func TestDistributedFaultRecovery(t *testing.T) { killWorker1(t, 3) }
 
-	if len(resA[0].Failures) != 1 || resA[0].Failures[0].Unannounced {
-		t.Fatalf("announced run events = %+v", resA[0].Failures)
-	}
-	var sawDeath, sawRecovery bool
-	for _, ev := range resU[0].Failures {
-		if ev.Rank == 1 && ev.Unannounced && ev.LostToken == -1 {
-			sawDeath = true
+// TestDistributedDeathAcrossWStep moves the kill point across the W step:
+// worker 1 sends 16 tokens in it (14 forwards, 2 finishes), so these are its
+// first send, the turn of the epochs, and its last.
+func TestDistributedDeathAcrossWStep(t *testing.T) {
+	for _, k := range []int{0, 8, 15} {
+		killWorker1(t, k)
+		if t.Failed() {
+			t.Fatalf("kill before send %d broke the invariant", k)
 		}
-		if ev.Rank == 1 && ev.Unannounced && ev.LostToken >= 0 && ev.Recovered {
-			sawRecovery = true
-		}
-	}
-	if !sawDeath || !sawRecovery {
-		t.Fatalf("unannounced run events = %+v, want death + recovered token", resU[0].Failures)
-	}
-	for it := 0; it < iters; it++ {
-		if resA[it].AliveMachines != P-1 || resU[it].AliveMachines != P-1 {
-			t.Fatalf("iteration %d alive: announced %d, unannounced %d",
-				it, resA[it].AliveMachines, resU[it].AliveMachines)
-		}
-	}
-	// The TCP hub must have counted (not delivered, not crashed on) frames
-	// addressed to the departed worker.
-	if resU[0].DroppedFrames == 0 && resU[1].DroppedFrames == 0 {
-		t.Log("no frames dropped toward the dead worker (timing-dependent; not an error)")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -8,25 +10,183 @@ import (
 	"repro/internal/cluster/chaos"
 )
 
-// Tests for surviving unannounced worker death: the machine severs its fabric
-// link mid-W-step (a SIGKILL, in effect) and the coordinator must detect it
-// through the transport, reconstruct the lost-token inventory from the
-// survivors' records, and finish training with a model bit-identical to the
-// announced-death path.
+// Fault drills. The engine knows one kind of death — a machine's fabric link
+// severs with whatever it held, like a SIGKILL — so every drill kills through
+// the chaos transport (or the fabric's Kill) and the coordinator must detect
+// the death via the transport, reconstruct the lost tokens from the
+// survivors' records and finish on the survivors.
+//
+// Which tokens a dying machine holds depends on arrival order, so no drill
+// compares against a reference run. checkVisitLogs pins what every schedule
+// must satisfy instead.
 
 // fastRescue keeps failure-era waits short in tests without weakening them.
 const fastRescue = 2 * time.Second
 
-func runWithFailures(t *testing.T, fails []FailureInjection, iters int) (*toyProblem, []IterationResult) {
+// ringIter is one iteration as checkVisitLogs sees it: the ranks in the ring
+// when its W step opened and the ranks whose death it reports (during the W
+// step if in Alive, found dead before it opened otherwise), both ascending.
+type ringIter struct{ Alive, Died []int }
+
+// subLog is a submodel's observable history (toySub here, WireSub on TCP).
+type subLog struct {
+	Visits []int // shard ids in training order, all iterations
+	Sum    float64
+	Count  int
+}
+
+// drill is a finished run handed to checkVisitLogs. Machine r must serve
+// shard r, whose Points values are r·Points, r·Points+1, … (the toy and wire
+// problems), and the run must not shuffle.
+type drill struct {
+	Epochs, Points int
+	Iters          []ringIter
+	Results        []IterationResult
+	Subs           []subLog
+	SurvivorZ      []float64 // one Z value per surviving shard
+}
+
+// checkVisitLogs asserts the schedule-independent recovery invariant. Without
+// shuffling, submodel id's training itinerary in an iteration is the ring
+// walked Epochs times from its home; its visit log must be an in-order
+// subsequence of that itinerary, so no position is trained twice, and a
+// position may be missing only if a machine that died in that iteration held
+// it, or if it is part of the contiguous block in front of two such
+// positions in a row (the rescuer died too and recovery fell back to an older
+// copy). A dead machine's own visit may or may not have survived: its last
+// forward is not assumed to have arrived. The submodel's sum and count must
+// be exactly what its log implies, the survivors' Z state must agree, and
+// every iteration must report exactly its deaths, each lost token recovered
+// from a machine that was alive.
+func checkVisitLogs(t testing.TB, d drill) {
 	t.Helper()
-	p := newToyProblem(3, 4, 6)
-	e := New(p, Config{
-		P: 3, Epochs: 2, Replicas: true, Seed: 12,
-		RescueTimeout: fastRescue, RescueRetries: 2,
-		Fails: fails,
-	})
-	defer e.Shutdown()
-	return p, e.Run(iters)
+	for id, sub := range d.Subs {
+		var route []int
+		var deadHeld []bool
+		for _, it := range d.Iters {
+			p := len(it.Alive)
+			for v := 0; v < d.Epochs*p; v++ {
+				r := it.Alive[(id%p+v)%p]
+				route = append(route, r)
+				deadHeld = append(deadHeld, slices.Contains(it.Died, r))
+			}
+		}
+		missing := make([]bool, len(route))
+		next := 0
+		for pos, r := range route {
+			if next < len(sub.Visits) && sub.Visits[next] == r {
+				next++
+			} else {
+				missing[pos] = true
+			}
+		}
+		if next != len(sub.Visits) {
+			t.Errorf("submodel %d: visit log %v is not an in-order subsequence of its itinerary %v",
+				id, sub.Visits, route)
+			continue
+		}
+		for pos := range route {
+			if !missing[pos] || deadHeld[pos] {
+				continue
+			}
+			q := pos
+			for q < len(route) && missing[q] && !deadHeld[q] {
+				q++
+			}
+			if q+1 >= len(route) || !missing[q] || !deadHeld[q] || !missing[q+1] || !deadHeld[q+1] {
+				t.Errorf("submodel %d: lost its visit to live machine %d (position %d of %v, log %v)",
+					id, route[pos], pos, route, sub.Visits)
+				break
+			}
+		}
+		var sum float64
+		count := 0
+		for _, shard := range sub.Visits {
+			for i := 0; i < d.Points; i++ {
+				sum += float64(shard*d.Points + i)
+				count++
+			}
+		}
+		if sum != sub.Sum || count != sub.Count {
+			t.Errorf("submodel %d: sum=%v count=%d, but its visit log %v implies sum=%v count=%d",
+				id, sub.Sum, sub.Count, sub.Visits, sum, count)
+		}
+	}
+	for i, z := range d.SurvivorZ {
+		if z != d.SurvivorZ[0] {
+			t.Errorf("survivor %d Z state %v, survivor 0 has %v", i, z, d.SurvivorZ[0])
+		}
+	}
+	for i, it := range d.Iters {
+		res := d.Results[i]
+		want := len(it.Alive)
+		for _, r := range it.Died {
+			if slices.Contains(it.Alive, r) {
+				want--
+			}
+		}
+		if res.AliveMachines != want {
+			t.Errorf("iteration %d: %d machines alive, want %d (failures %+v)", i, res.AliveMachines, want, res.Failures)
+		}
+		var died []int
+		for _, ev := range res.Failures {
+			switch {
+			case ev.LostToken < 0:
+				died = append(died, ev.Rank)
+			case !ev.Recovered || !slices.Contains(it.Died, ev.Rank) || ev.FromRank == ev.Rank ||
+				(ev.FromRank >= 0 && !slices.Contains(it.Alive, ev.FromRank)):
+				t.Errorf("iteration %d: malformed lost-token event %+v", i, ev)
+			}
+		}
+		sort.Ints(died)
+		if !slices.Equal(died, it.Died) {
+			t.Errorf("iteration %d: deaths recorded %v, want %v (failures %+v)", i, died, it.Died, res.Failures)
+		}
+	}
+}
+
+// The TCP drills live in package core_test; hand them the checker.
+type (
+	RingIter = ringIter
+	SubLog   = subLog
+	Drill    = drill
+)
+
+var CheckVisitLogs = checkVisitLogs
+
+func toyLogs(p *toyProblem) []subLog {
+	out := make([]subLog, len(p.subs))
+	for i, s := range p.subs {
+		out[i] = subLog{Visits: s.visits, Sum: s.sum, Count: s.count}
+	}
+	return out
+}
+
+func toyZ(p *toyProblem, survivors ...int) []float64 {
+	var out []float64
+	for _, s := range survivors {
+		out = append(out, p.shards[s].z[0])
+	}
+	return out
+}
+
+// chaosEngine runs the in-process engine on a chaos-wrapped channel fabric
+// with the given kills scheduled, replicas on and short rescue waits.
+func chaosEngine(t *testing.T, prob Problem, cfg Config, o chaos.Options) (*Engine, *chaos.Fabric) {
+	t.Helper()
+	cfg.Replicas = true
+	cfg.RescueTimeout, cfg.RescueRetries = fastRescue, 2
+	fab, err := chaos.New(cluster.NewNetwork(cfg.P+1), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewOn(prob, cfg, fab)
+	t.Cleanup(e.Shutdown)
+	return e, fab
+}
+
+func killAt(rank, tag, afterSends int) chaos.Options {
+	return chaos.Options{Seed: 7, Kills: []chaos.KillSpec{{Rank: rank, Tag: tag, AfterSends: afterSends}}}
 }
 
 func hasEvent(evs []FailureEvent, match func(FailureEvent) bool) bool {
@@ -38,87 +198,90 @@ func hasEvent(evs []FailureEvent, match func(FailureEvent) bool) bool {
 	return false
 }
 
-// TestUnannouncedDeathMatchesAnnounced is the core bit-parity claim: killing
-// a machine without a DeathNotice must produce exactly the model the
-// announced death of the same machine at the same protocol point produces.
-// The recovery walk visits the same replicas in the same order, so every
-// surviving submodel — sums, counts and visit logs — must agree bit for bit.
-func TestUnannouncedDeathMatchesAnnounced(t *testing.T) {
-	inj := func(mode FailMode) []FailureInjection {
-		return []FailureInjection{{Mode: mode, Rank: 1, Iteration: 0, AfterTok: 3}}
-	}
-	pa, ra := runWithFailures(t, inj(FailDropToken), 2)
-	pu, ru := runWithFailures(t, inj(FailUnannounced), 2)
-
-	for i := range pa.subs {
-		a, u := pa.subs[i], pu.subs[i]
-		if a.sum != u.sum || a.count != u.count {
-			t.Fatalf("submodel %d diverged: announced(sum=%v,count=%d) unannounced(sum=%v,count=%d)",
-				i, a.sum, a.count, u.sum, u.count)
-		}
-		if len(a.visits) != len(u.visits) {
-			t.Fatalf("submodel %d visit logs differ: %v vs %v", i, a.visits, u.visits)
-		}
-		for j := range a.visits {
-			if a.visits[j] != u.visits[j] {
-				t.Fatalf("submodel %d visit %d differs: %v vs %v", i, j, a.visits, u.visits)
+// TestFaultRecoveryMidWStep is the paper's case (§4.3 "revert to the
+// previously updated copy"): machine 2 homes no submodel, so every token it
+// loses arrived from machine 1 and must be restored from machine 1's replica.
+func TestFaultRecoveryMidWStep(t *testing.T) {
+	p := newToyProblem(3, 4, 2)
+	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 12}, killAt(2, tagToken, 1))
+	res := e.Run(2) // the engine must keep working after the failure
+	lost := 0
+	for _, ev := range res[0].Failures {
+		if ev.LostToken >= 0 {
+			lost++
+			if ev.FromRank != 1 {
+				t.Errorf("token %d restored from %d, want the predecessor's replica (machine 1)", ev.LostToken, ev.FromRank)
 			}
 		}
 	}
-	for s := range pa.shards {
-		if s == 1 {
-			continue // the dead machine's shard is untouched after the death
-		}
-		if pa.shards[s].z[0] != pu.shards[s].z[0] {
-			t.Fatalf("shard %d Z state diverged: %v vs %v", s, pa.shards[s].z[0], pu.shards[s].z[0])
-		}
+	if lost == 0 {
+		t.Errorf("no lost token recorded: %+v", res[0].Failures)
 	}
+	checkVisitLogs(t, drill{
+		Epochs: 2, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0, 1),
+		Iters: []ringIter{{Alive: []int{0, 1, 2}, Died: []int{2}}, {Alive: []int{0, 1}}},
+	})
+}
 
-	if len(ra[0].Failures) != 1 || ra[0].Failures[0].Unannounced {
-		t.Fatalf("announced run events = %+v", ra[0].Failures)
-	}
-	// The unannounced run records the death itself plus every token the sweep
-	// had to resurrect — at minimum the one the machine held when it died.
-	if !hasEvent(ru[0].Failures, func(ev FailureEvent) bool {
-		return ev.Rank == 1 && ev.LostToken == -1 && ev.Unannounced
+// TestRescueFallsBackToAuthoritativeCopy: machine 0 dies on its very first
+// send. That is submodel 0, fresh from the coordinator — nothing else can be
+// in machine 0's inbox ahead of it — so no machine holds a replica and
+// recovery must restart it from the coordinator's copy.
+func TestRescueFallsBackToAuthoritativeCopy(t *testing.T) {
+	p := newToyProblem(3, 4, 3)
+	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 1, Seed: 20}, killAt(0, tagToken, 0))
+	res := e.Run(1)
+	if !hasEvent(res[0].Failures, func(ev FailureEvent) bool {
+		return ev.Rank == 0 && ev.LostToken == 0 && ev.Recovered && ev.FromRank == -1
 	}) {
-		t.Fatalf("unannounced death not recorded: %+v", ru[0].Failures)
+		t.Errorf("submodel 0 not restarted from the coordinator's copy: %+v", res[0].Failures)
 	}
-	if !hasEvent(ru[0].Failures, func(ev FailureEvent) bool {
-		return ev.Rank == 1 && ev.LostToken >= 0 && ev.Recovered && ev.Unannounced
-	}) {
-		t.Fatalf("no recovered lost token recorded: %+v", ru[0].Failures)
-	}
-	for it := 0; it < 2; it++ {
-		if ra[it].AliveMachines != 2 || ru[it].AliveMachines != 2 {
-			t.Fatalf("iteration %d alive: announced %d, unannounced %d",
-				it, ra[it].AliveMachines, ru[it].AliveMachines)
+	checkVisitLogs(t, drill{
+		Epochs: 1, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 1, 2),
+		Iters: []ringIter{{Alive: []int{0, 1, 2}, Died: []int{0}}},
+	})
+}
+
+// TestDeathAtEveryForward sweeps the kill point over every token forward
+// machine 1 makes in a W step (14 with P=3, e=2, M=6): whichever tokens it
+// holds at that moment, recovery must keep the invariant, and the next
+// iteration must run clean on the survivors.
+func TestDeathAtEveryForward(t *testing.T) {
+	for k := 0; k < 14; k++ {
+		p := newToyProblem(3, 4, 6)
+		e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 12}, killAt(1, tagToken, k))
+		res := e.Run(2)
+		if !hasEvent(res[0].Failures, func(ev FailureEvent) bool { return ev.Rank == 1 && ev.LostToken >= 0 }) {
+			t.Errorf("kill at forward %d: no lost token recorded: %+v", k, res[0].Failures)
+		}
+		checkVisitLogs(t, drill{
+			Epochs: 2, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0, 2),
+			Iters: []ringIter{{Alive: []int{0, 1, 2}, Died: []int{1}}, {Alive: []int{0, 2}}},
+		})
+		if t.Failed() {
+			t.Fatalf("kill at forward %d broke the invariant", k)
 		}
 	}
 }
 
-// TestTwoUnannouncedDeathsSameWStep: overlapping unannounced failures are
-// best-effort — training must still complete on the survivors with both
-// deaths recorded, and the engine must keep iterating afterwards.
+// TestTwoUnannouncedDeathsSameWStep: overlapping failures are best-effort.
+// The second machine dies while the first death's probe sweep is collecting,
+// so the sweep can act on a stale account and resurrect a token that was
+// still circulating — visits may be lost or repeated, which is why this
+// drill does not go through checkVisitLogs. Training must still complete on
+// the survivors with both deaths recorded, and the engine keeps iterating.
 func TestTwoUnannouncedDeathsSameWStep(t *testing.T) {
 	p := newToyProblem(4, 3, 5)
-	e := New(p, Config{
-		P: 4, Epochs: 2, Replicas: true, Seed: 33,
-		RescueTimeout: fastRescue, RescueRetries: 2,
-		Fails: []FailureInjection{
-			{Mode: FailUnannounced, Rank: 1, Iteration: 0, AfterTok: 2},
-			{Mode: FailUnannounced, Rank: 3, Iteration: 0, AfterTok: 2},
-		},
-	})
-	defer e.Shutdown()
+	e, _ := chaosEngine(t, p, Config{P: 4, Epochs: 2, Seed: 33}, chaos.Options{Seed: 7, Kills: []chaos.KillSpec{
+		{Rank: 1, Tag: tagToken, AfterSends: 2},
+		{Rank: 3, Tag: tagToken, AfterSends: 2},
+	}})
 	res := e.Iterate()
 	if res.AliveMachines != 2 {
 		t.Fatalf("alive = %d, want 2 (failures: %+v)", res.AliveMachines, res.Failures)
 	}
 	for _, rank := range []int{1, 3} {
-		if !hasEvent(res.Failures, func(ev FailureEvent) bool {
-			return ev.Rank == rank && ev.Unannounced && ev.LostToken == -1
-		}) {
+		if !hasEvent(res.Failures, func(ev FailureEvent) bool { return ev.Rank == rank && ev.LostToken == -1 }) {
 			t.Fatalf("death of rank %d not recorded: %+v", rank, res.Failures)
 		}
 	}
@@ -133,37 +296,24 @@ func TestTwoUnannouncedDeathsSameWStep(t *testing.T) {
 	}
 }
 
-// TestRescuerDiesDuringRescue: rank 1 dies announced, losing a token; rank 0
-// — its ring predecessor and therefore the replica holder asked first — dies
-// unannounced the moment the rescue request arrives. The coordinator must
-// fail over to the next replica upstream (or the authoritative copy) and
-// finish on the lone survivor.
+// TestRescuerDiesDuringRescue: machine 2 dies holding a token that came from
+// machine 1 (it homes none), and machine 1 — the replica holder asked first
+// — dies the moment it answers the rescue request. The coordinator must fail
+// over to an older copy and finish on the lone survivor.
 func TestRescuerDiesDuringRescue(t *testing.T) {
-	p, res := runWithFailures(t, []FailureInjection{
-		{Mode: FailDropToken, Rank: 1, Iteration: 0, AfterTok: 3},
-		{Mode: FailRescueAbort, Rank: 0, Iteration: 0},
-	}, 2)
-	if res[0].AliveMachines != 1 {
-		t.Fatalf("alive = %d, want 1 (failures: %+v)", res[0].AliveMachines, res[0].Failures)
+	p := newToyProblem(3, 4, 2)
+	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 12}, chaos.Options{Seed: 7, Kills: []chaos.KillSpec{
+		{Rank: 2, Tag: tagToken, AfterSends: 1},
+		{Rank: 1, Tag: tagRescueReply, AfterSends: 0},
+	}})
+	res := e.Run(2)
+	if !hasEvent(res[0].Failures, func(ev FailureEvent) bool { return ev.Rank == 2 && ev.LostToken >= 0 }) {
+		t.Errorf("no lost token recorded: %+v", res[0].Failures)
 	}
-	if !hasEvent(res[0].Failures, func(ev FailureEvent) bool {
-		return ev.Rank == 1 && !ev.Unannounced && ev.Recovered
-	}) {
-		t.Fatalf("announced death of rank 1 not recovered: %+v", res[0].Failures)
-	}
-	if !hasEvent(res[0].Failures, func(ev FailureEvent) bool {
-		return ev.Rank == 0 && ev.Unannounced
-	}) {
-		t.Fatalf("rescuer death not recorded: %+v", res[0].Failures)
-	}
-	for _, sub := range p.subs {
-		if sub.count == 0 {
-			t.Fatalf("submodel %d never trained", sub.id)
-		}
-	}
-	if res[1].AliveMachines != 1 {
-		t.Fatalf("second iteration alive = %d, want 1", res[1].AliveMachines)
-	}
+	checkVisitLogs(t, drill{
+		Epochs: 2, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0),
+		Iters: []ringIter{{Alive: []int{0, 1, 2}, Died: []int{1, 2}}, {Alive: []int{0}}},
+	})
 }
 
 // TestDeathBetweenIterations: a machine killed after its Z ack but before
@@ -171,74 +321,46 @@ func TestRescuerDiesDuringRescue(t *testing.T) {
 // so the iteration runs clean on the survivors with no token ever lost.
 func TestDeathBetweenIterations(t *testing.T) {
 	p := newToyProblem(3, 4, 4)
-	e := New(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: fastRescue})
+	net := cluster.NewNetwork(4)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: fastRescue}, net)
 	defer e.Shutdown()
 	r0 := e.Iterate()
-	if r0.AliveMachines != 3 || len(r0.Failures) != 0 {
-		t.Fatalf("healthy iteration: %+v", r0)
-	}
-	e.net.Kill(1)
+	net.Kill(1)
 	r1 := e.Iterate()
-	if r1.AliveMachines != 2 {
-		t.Fatalf("alive = %d, want 2", r1.AliveMachines)
+	if len(r1.Failures) != 1 {
+		t.Errorf("failures = %+v, want one clean death", r1.Failures)
 	}
-	if len(r1.Failures) != 1 || r1.Failures[0].Rank != 1 ||
-		!r1.Failures[0].Unannounced || r1.Failures[0].LostToken != -1 {
-		t.Fatalf("failures = %+v, want one clean unannounced death", r1.Failures)
-	}
-	for _, sub := range p.subs {
-		if sub.count == 0 {
-			t.Fatalf("submodel %d never trained", sub.id)
-		}
-	}
+	checkVisitLogs(t, drill{
+		Epochs: 1, Points: 4, Results: []IterationResult{r0, r1}, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0, 2),
+		Iters: []ringIter{{Alive: []int{0, 1, 2}}, {Alive: []int{0, 2}, Died: []int{1}}},
+	})
 }
 
-// TestEngineUnderChaosKill drives the full engine over a chaos-wrapped
-// fabric: the chaos layer kills rank 1 at a deterministic protocol point
-// (its third token forward), unannounced, with the in-flight token lost.
-// The run must complete on the survivors and record the death.
-func TestEngineUnderChaosKill(t *testing.T) {
-	const P, M = 3, 5
-	prob := newToyProblem(P, 4, M)
-	inner := cluster.NewNetwork(P + 1)
-	fab, err := chaos.New(inner, chaos.Options{
-		Seed:  7,
-		Kills: []chaos.KillSpec{{Rank: 1, Tag: tagToken, AfterSends: 2}},
+// TestFailureOnLaterIterationOnly arms the kill between iterations: two
+// healthy iterations, then machine 1 dies at its second forward of the third.
+func TestFailureOnLaterIterationOnly(t *testing.T) {
+	p := newToyProblem(2, 3, 2)
+	e, fab := chaosEngine(t, p, Config{P: 2, Epochs: 1, Seed: 21}, chaos.Options{Seed: 7})
+	res := e.Run(2)
+	fab.Arm(chaos.KillSpec{Rank: 1, Tag: tagToken, AfterSends: 1})
+	res = append(res, e.Iterate())
+	checkVisitLogs(t, drill{
+		Epochs: 1, Points: 3, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0),
+		Iters: []ringIter{{Alive: []int{0, 1}}, {Alive: []int{0, 1}}, {Alive: []int{0, 1}, Died: []int{1}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	for r := 0; r < P; r++ {
-		go RunWorker(fab.Comm(r), prob, r, WorkerOptions{
-			Seed:          WorkerSeed(99, r),
-			SharedProblem: true,
-		})
-	}
-	cfg := Config{
-		P: P, Epochs: 2, Replicas: true, Seed: 99,
-		RescueTimeout: fastRescue, RescueRetries: 2,
-	}
-	e := NewDistributed(prob, cfg, fab.Comm(P))
-	e.SetStatsSource(fab.Stats)
-	defer e.Shutdown()
+}
 
-	res := e.Iterate()
-	if res.AliveMachines != P-1 {
-		t.Fatalf("alive = %d, want %d (failures: %+v)", res.AliveMachines, P-1, res.Failures)
-	}
-	if !hasEvent(res.Failures, func(ev FailureEvent) bool {
-		return ev.Rank == 1 && ev.Unannounced
-	}) {
-		t.Fatalf("chaos kill not recorded: %+v", res.Failures)
-	}
-	for _, sub := range prob.subs {
-		if sub.count == 0 {
-			t.Fatalf("submodel %d never trained", sub.id)
-		}
-	}
-	res2 := e.Iterate()
-	if res2.AliveMachines != P-1 || len(res2.Failures) != 0 {
-		t.Fatalf("second iteration after chaos kill: %+v", res2)
-	}
+// TestEngineUnderChaosKill adds schedule noise to the kill: every message is
+// delayed at random, so tokens reach the dying machine in orders the other
+// drills never see.
+func TestEngineUnderChaosKill(t *testing.T) {
+	p := newToyProblem(3, 4, 5)
+	o := killAt(1, tagToken, 2)
+	o.DelayProb, o.MaxDelay = 0.5, 200*time.Microsecond
+	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 99}, o)
+	res := e.Run(2)
+	checkVisitLogs(t, drill{
+		Epochs: 2, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0, 2),
+		Iters: []ringIter{{Alive: []int{0, 1, 2}, Died: []int{1}}, {Alive: []int{0, 2}}},
+	})
 }

@@ -22,7 +22,7 @@ type Token struct {
 	Route   []int
 	Train   int
 	// Incarnation counts coordinator resurrections of this submodel after
-	// unannounced deaths. A finished or bounced token whose incarnation is
+	// machine deaths. A finished or bounced token whose incarnation is
 	// stale is a surviving duplicate of a copy already given up on, and is
 	// dropped. Old wire bytes decode with 0, matching never-resurrected.
 	Incarnation int
@@ -30,33 +30,12 @@ type Token struct {
 
 // WStartMsg opens one iteration's W step on a machine.
 type WStartMsg struct {
-	Iter      int
-	Train     int // training visit count e·P_alive
-	Within    int
-	Shuffle   bool
-	Replicas  bool
-	M         int // total submodel count (for the machine's Z-step assembly)
-	FailAfter int // injected failure: die at this token, -1 to stay alive
-	// FailUnannounced makes the injected death unannounced: the machine
-	// severs its fabric link (no DeathNotice), like a SIGKILL.
-	FailUnannounced bool
-	// FailRescueAbort makes the machine die unannounced upon its next rescue
-	// request — the "rescuer dies during the rescue" re-entry case.
-	FailRescueAbort bool
-}
-
-// DeathNotice is the metadata a dying machine manages to emit: an intact
-// token being bounced, or the itinerary of the token whose parameters died
-// with the machine's memory — plus the traffic counters it can no longer
-// report through a WAckMsg, so the iteration's communication accounting
-// stays exact under failures.
-type DeathNotice struct {
-	Rank    int
-	Tok     *Token // intact token being bounced, nil when lost
-	LostID  int    // submodel ID lost with the machine's memory, -1 if none
-	LostTok *Token // itinerary metadata of the lost token (parameters gone)
-	Hops    int64  // token forwards performed before dying
-	Bytes   int64  // bytes of model parameters moved before dying
+	Iter     int
+	Train    int // training visit count e·P_alive
+	Within   int
+	Shuffle  bool
+	Replicas bool
+	M        int // total submodel count (for the machine's Z-step assembly)
 }
 
 // AckEntry reports one locally held submodel copy. Version -1 marks an
@@ -95,8 +74,8 @@ type RescueReply struct {
 }
 
 // DeadRanksMsg tells every surviving machine which ranks have left the ring
-// mid-W-step (announced or not), so token forwards skip them instead of
-// sending into a dead inbox.
+// mid-W-step, so token forwards skip them instead of sending into a dead
+// inbox.
 type DeadRanksMsg struct {
 	Dead []int
 }
@@ -105,8 +84,8 @@ type DeadRanksMsg struct {
 // after processing it, the machine sent the token toward itinerary position
 // Step, to rank To, holding a local replica at Version. The coordinator's
 // probe sweep aggregates these to reconstruct where each token was when a
-// machine died unannounced — the replica inventory stands in for the dead
-// machine's report (§4.3 without a DeathNotice).
+// machine died — the replica inventory stands in for the report a dead
+// machine cannot make (§4.3).
 type TraceEntry struct {
 	ID      int
 	Step    int // itinerary position the token was sent toward
@@ -123,7 +102,6 @@ type ProbeReply struct {
 func init() {
 	gob.Register(&Token{})
 	gob.Register(WStartMsg{})
-	gob.Register(DeathNotice{})
 	gob.Register(WAckMsg{})
 	gob.Register(ZDoneMsg{})
 	gob.Register(FixMsg{})

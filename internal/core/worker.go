@@ -12,8 +12,8 @@ import (
 // The machine side of the ParMAC protocol. A worker talks to the coordinator
 // and its ring neighbours exclusively through its communicator — it shares
 // no memory with the Engine — so the same loop serves both deployment
-// shapes: a goroutine per machine over the in-process fabric (Engine.New
-// spawns these) and one OS process per machine over the TCP fabric
+// shapes: a goroutine per machine over the in-process fabric (New and NewOn
+// spawn these) and one OS process per machine over the TCP fabric
 // (cmd/parmac-train -worker runs this as its main loop).
 
 // WorkerOptions configures RunWorker.
@@ -48,7 +48,6 @@ func RunWorker(comm *cluster.Comm, prob Problem, shard int, opt WorkerOptions) {
 		deadRanks: make(map[int]bool),
 		traces:    make(map[int]TraceEntry),
 		rng:       rand.New(rand.NewSource(opt.Seed)),
-		failAfter: -1,
 	}
 	w.run()
 }
@@ -72,15 +71,10 @@ type worker struct {
 	rng       *rand.Rand
 
 	// per-iteration state, armed by WStartMsg
-	m          int
-	replicas   bool
-	hops       int64
-	bytes      int64
-	failAfter  int // -1: never
-	processed  int
-	dead       bool
-	failAbrupt bool // injected death is unannounced (no DeathNotice)
-	failRescue bool // die unannounced upon the next rescue request
+	m        int
+	replicas bool
+	hops     int64
+	bytes    int64
 }
 
 // recv is the worker's failure-aware receive. Peer-down events observed on
@@ -125,10 +119,8 @@ func (w *worker) run() {
 			// A token raced a shutdown/retire; bounce it to the coordinator.
 			w.comm.Send(w.coordRank, tagBounced, msg.Payload, 0)
 		case tagRescue:
-			if w.handleRescue(msg.Payload.(int)) {
-				return
-			}
-		case tagDeadRanks:
+			w.handleRescue(msg.Payload.(int))
+		case tagRanksDead:
 			w.mergeDeadRanks(msg.Payload.(DeadRanksMsg))
 		case tagProbe:
 			w.sendProbeReply()
@@ -149,9 +141,8 @@ func (w *worker) mergeDeadRanks(m DeadRanksMsg) {
 	}
 }
 
-// isDeadRank combines coordinator knowledge (DeadRanksMsg, which includes
-// announced deaths) with transport knowledge (peer-down events this worker
-// has drained itself).
+// isDeadRank combines coordinator knowledge (DeadRanksMsg) with transport
+// knowledge (peer-down events this worker has drained itself).
 func (w *worker) isDeadRank(r int) bool {
 	return w.deadRanks[r] || w.comm.Down(r)
 }
@@ -174,20 +165,13 @@ func (w *worker) ackShutdown() {
 	w.comm.Send(w.coordRank, tagShutdownAck, nil, 0)
 }
 
-// handleRescue answers a replica request. It returns true when the worker
-// died instead (the injected rescuer-dies-during-rescue failure).
-func (w *worker) handleRescue(id int) bool {
-	if w.failRescue {
-		w.failRescue = false
-		w.comm.Abort()
-		return true
-	}
+// handleRescue answers a replica request.
+func (w *worker) handleRescue(id int) {
 	if entry, ok := w.local[id]; ok {
 		w.comm.Send(w.coordRank, tagRescueReply, RescueReply{SM: entry.sm, Version: entry.version, OK: true}, 0)
 	} else {
 		w.comm.Send(w.coordRank, tagRescueReply, RescueReply{}, 0)
 	}
-	return false
 }
 
 // runWStep is the paper's asynchronous W-step loop: "extract a submodel from
@@ -197,10 +181,6 @@ func (w *worker) handleRescue(id int) bool {
 func (w *worker) runWStep(cfg WStartMsg) bool {
 	w.m = cfg.M
 	w.replicas = cfg.Replicas
-	w.failAfter = cfg.FailAfter
-	w.failAbrupt = cfg.FailUnannounced
-	w.failRescue = cfg.FailRescueAbort
-	w.processed = 0
 	w.hops, w.bytes = 0, 0
 	w.traces = make(map[int]TraceEntry)
 	if !w.shared {
@@ -219,37 +199,10 @@ func (w *worker) runWStep(cfg WStartMsg) bool {
 		}
 		switch msg.Tag {
 		case tagToken:
-			tok := msg.Payload.(*Token)
-			if w.dead {
-				w.comm.Send(w.coordRank, tagBounced, tok, 0)
-				continue
-			}
-			if w.failAfter >= 0 && w.processed >= w.failAfter {
-				if w.failAbrupt {
-					// Unannounced death: sever the fabric link with the token
-					// in memory, exactly like a SIGKILL between receive and
-					// forward. Nothing escapes; the coordinator must detect
-					// and reconstruct (§4.3 without the DeathNotice).
-					w.comm.Abort()
-					return true
-				}
-				// The machine dies now. Its memory — including the submodel
-				// it was about to train — is gone; only the failure
-				// detection metadata escapes.
-				w.dead = true
-				meta := *tok
-				meta.SM = nil
-				w.comm.Send(w.coordRank, tagDead,
-					DeathNotice{Rank: w.rank, LostID: tok.ID, LostTok: &meta,
-						Hops: w.hops, Bytes: w.bytes}, 0)
-				continue
-			}
-			w.processToken(tok, shard, cfg)
+			w.processToken(msg.Payload.(*Token), shard, cfg)
 		case tagRescue:
-			if w.handleRescue(msg.Payload.(int)) {
-				return true
-			}
-		case tagDeadRanks:
+			w.handleRescue(msg.Payload.(int))
+		case tagRanksDead:
 			w.mergeDeadRanks(msg.Payload.(DeadRanksMsg))
 		case tagProbe:
 			w.sendProbeReply()
@@ -275,15 +228,13 @@ func (w *worker) processToken(tok *Token, shard Shard, cfg WStartMsg) {
 		tok.Version++
 	}
 	tok.Step++
-	w.processed++
 	w.record(tok)
 	// Forward along the itinerary, skipping positions held by machines known
 	// to be dead (DeadRanksMsg from the coordinator, peer-down events from
 	// the transport) — the same next-alive-position rule the coordinator
-	// applies when rerouting, so the training sequence is identical whether
-	// the death was announced or not. A death this machine has not heard of
-	// yet still bounces (announced) or is reconstructed by the coordinator's
-	// probe sweep (unannounced).
+	// applies when rerouting. A token forwarded to a machine whose death
+	// this one has not heard of yet is dropped by the transport and
+	// reconstructed by the coordinator's probe sweep.
 	next := tok.Step
 	for next < len(tok.Route) && w.isDeadRank(tok.Route[next]) {
 		next++

@@ -36,7 +36,7 @@ type (
 	// Engine runs ParMAC iterations over a Problem.
 	Engine = core.Engine
 	// Config parameterises the engine (machines, epochs, shuffling,
-	// replicas, failure injection).
+	// replicas, rescue deadlines).
 	Config = core.Config
 	// Problem adapts a MAC algorithm to the engine.
 	Problem = core.Problem
@@ -46,14 +46,6 @@ type (
 	Shard = core.Shard
 	// IterationResult summarises one W+Z iteration.
 	IterationResult = core.IterationResult
-	// FailureInjection schedules a machine death for fault-tolerance runs.
-	FailureInjection = core.FailureInjection
-)
-
-// Failure modes for Config.Fail.
-const (
-	FailNone      = core.FailNone
-	FailDropToken = core.FailDropToken
 )
 
 // New creates a ParMAC engine for the problem.
