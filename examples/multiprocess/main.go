@@ -1,7 +1,7 @@
 // examples/multiprocess demonstrates ParMAC's deployment claim end to end:
 // the same binary autoencoder trains once with machines as goroutines
 // (in-process transport) and once with machines as separate OS processes
-// exchanging gob frames over TCP — and, with a fixed seed and no ring
+// exchanging binary frames over TCP — and, with a fixed seed and no ring
 // shuffling, reaches the identical nested error, because the engine and both
 // transports honour the same conformance contract.
 //

@@ -4,7 +4,7 @@
 // core.ClampWorkers/core.Cores, worker-count-invariant float reductions,
 // atomic fields never accessed plainly, decode-sized allocations bounded by a
 // budget, injected seeded randomness in deterministic kernels, and
-// golden-tested gob wire types.
+// golden-tested wire codecs.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API (Analyzer,
 // Pass, Diagnostic) but is self-hosted on the standard library only: packages
@@ -93,7 +93,7 @@ func All() []*Analyzer {
 		AtomicFieldAnalyzer,
 		BoundedMakeAnalyzer,
 		DetRandAnalyzer,
-		GobWireAnalyzer,
+		WireCodecAnalyzer,
 	}
 }
 

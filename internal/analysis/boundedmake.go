@@ -6,8 +6,9 @@ import (
 )
 
 // BoundedMakeAnalyzer generalizes the hardened-LoadCodes pattern from PR 6:
-// an allocation whose size comes from decoded input (gob/json/binary.Read, a
-// byte-order header read, or a parsed request parameter) must be preceded by
+// an allocation whose size comes from decoded input (json/binary.Read, a
+// byte-order header read, an int read off the cluster wire, or a parsed
+// request parameter) must be preceded by
 // a bound check, or an attacker-controlled header sizes the allocation. The
 // taint analysis is intraprocedural and string-keyed: a value is tainted by
 // flowing (through assignments and conversions) from a decode source, and
@@ -33,7 +34,6 @@ type taintSource struct {
 }
 
 var taintSources = []taintSource{
-	{"encoding/gob", "Decode", 0},     // (*Decoder).Decode(&v)
 	{"encoding/json", "Decode", 0},    // (*Decoder).Decode(&v)
 	{"encoding/json", "Unmarshal", 1}, // json.Unmarshal(b, &v)
 	{"encoding/binary", "Read", 2},    // binary.Read(r, order, &v)
@@ -42,6 +42,7 @@ var taintSources = []taintSource{
 	{"encoding/binary", "Uint64", -1},
 	{"encoding/binary", "ReadUvarint", -1},
 	{"encoding/binary", "ReadVarint", -1},
+	{"cluster", "Int", -1}, // (*WireReader).Int; counts go through WireReader.Len
 	{"strconv", "Atoi", -1},
 	{"strconv", "ParseInt", -1},
 	{"strconv", "ParseUint", -1},

@@ -100,6 +100,6 @@ func TestDetRandFixture(t *testing.T) {
 	testFixture(t, DetRandAnalyzer, "./testdata/src/detrand/...")
 }
 
-func TestGobWireFixture(t *testing.T) {
-	testFixture(t, GobWireAnalyzer, "./testdata/src/gobwire")
+func TestWireCodecFixture(t *testing.T) {
+	testFixture(t, WireCodecAnalyzer, "./testdata/src/wirecodec")
 }

@@ -5,14 +5,16 @@ package boundedmake
 
 import (
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"strconv"
+
+	"repro/internal/cluster"
 )
 
 const maxElems = 1 << 20
 
-func unbounded(dec *gob.Decoder) ([]float64, error) {
+func unbounded(dec *json.Decoder) ([]float64, error) {
 	var n int
 	if err := dec.Decode(&n); err != nil {
 		return nil, err
@@ -20,7 +22,7 @@ func unbounded(dec *gob.Decoder) ([]float64, error) {
 	return make([]float64, n), nil // want `make sized by "n", which flows from decoded input`
 }
 
-func bounded(dec *gob.Decoder) ([]float64, error) {
+func bounded(dec *json.Decoder) ([]float64, error) {
 	var n int
 	if err := dec.Decode(&n); err != nil {
 		return nil, err
@@ -38,7 +40,7 @@ func unboundedHeader(b []byte) []byte {
 
 // taintThroughArithmetic follows the value through assignments and
 // conversions: words derives from the decoded count.
-func taintThroughArithmetic(dec *gob.Decoder) ([]uint64, error) {
+func taintThroughArithmetic(dec *json.Decoder) ([]uint64, error) {
 	var rows int
 	if err := dec.Decode(&rows); err != nil {
 		return nil, err
@@ -73,7 +75,7 @@ const maxTableBits = 16
 // dense substring table sized 1<<bits where bits came off the wire. A lying
 // header turns this into a multi-gigabyte allocation before the first id is
 // even read.
-func postingTablesUnbounded(dec *gob.Decoder) ([][]int32, error) {
+func postingTablesUnbounded(dec *json.Decoder) ([][]int32, error) {
 	var bits int
 	if err := dec.Decode(&bits); err != nil {
 		return nil, err
@@ -84,7 +86,7 @@ func postingTablesUnbounded(dec *gob.Decoder) ([][]int32, error) {
 // postingTablesBounded is the accepted shape (retrieval.NewMIHIndex): the
 // substring width is range-checked against the block-width cap before the
 // dense table is allocated.
-func postingTablesBounded(dec *gob.Decoder) ([][]int32, error) {
+func postingTablesBounded(dec *json.Decoder) ([][]int32, error) {
 	var bits int
 	if err := dec.Decode(&bits); err != nil {
 		return nil, err
@@ -93,4 +95,16 @@ func postingTablesBounded(dec *gob.Decoder) ([][]int32, error) {
 		return nil, errors.New("table width out of range")
 	}
 	return make([][]int32, 1<<uint(bits)), nil
+}
+
+// wireIntUnbounded sizes a slice by an int read off the cluster wire.
+func wireIntUnbounded(r *cluster.WireReader) []float64 {
+	n := r.Int()
+	return make([]float64, n) // want `make sized by "n", which flows from decoded input`
+}
+
+// wireLenBounded is the accepted shape: WireReader.Len checks a count
+// against the bytes left before returning it.
+func wireLenBounded(r *cluster.WireReader) []float64 {
+	return make([]float64, r.Len(8))
 }

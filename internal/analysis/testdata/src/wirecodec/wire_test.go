@@ -1,8 +1,8 @@
-package gobwire
+package wirecodec
 
 import "testing"
 
-// TestCoveredGolden stands in for a golden-file decode test: it mentions the
+// TestCoveredGolden stands in for a golden-file test: it mentions the
 // Covered identifier and the file contains the word "golden", which is the
 // coverage convention the analyzer checks for.
 func TestCoveredGolden(t *testing.T) {

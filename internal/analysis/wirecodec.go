@@ -6,26 +6,26 @@ import (
 	"go/types"
 )
 
-// GobWireAnalyzer enforces the wire-format discipline from PR 1: every
-// locally declared type registered with gob.Register crosses the cluster
+// WireCodecAnalyzer enforces the wire-format discipline: every locally
+// declared type registered with cluster.RegisterWire crosses the cluster
 // fabric, so its byte format is a compatibility contract between worker and
 // coordinator processes of different builds. The repo's mechanism for
-// keeping that contract is a golden-file decode test (serialize_test.go
-// style): committed bytes that must keep decoding. A registered type no
-// golden test references can drift silently — exactly the regression this
-// analyzer makes impossible.
+// keeping that contract is a byte-exact golden-file test (serialize_test.go
+// style): the committed bytes are what the codec must produce and decode. A
+// registered type no golden test references can drift silently — exactly
+// the regression this analyzer makes impossible.
 //
 // A type counts as covered when some _test.go file of the package both
 // mentions the type identifier and contains the string "golden" (the
 // checkGolden helper convention).
-var GobWireAnalyzer = &Analyzer{
-	Name: "gobwire",
-	Doc: "every locally declared type passed to gob.Register must be " +
-		"referenced by a golden-file decode test",
-	Run: runGobWire,
+var WireCodecAnalyzer = &Analyzer{
+	Name: "wirecodec",
+	Doc: "every locally declared type passed to cluster.RegisterWire must be " +
+		"referenced by a golden-file test",
+	Run: runWireCodec,
 }
 
-func runGobWire(pass *Pass) error {
+func runWireCodec(pass *Pass) error {
 	// Which test files look like golden-file tests, and which identifiers
 	// does each test file mention?
 	type testFile struct {
@@ -58,24 +58,17 @@ func runGobWire(pass *Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || len(call.Args) < 2 || !isPkgFunc(calleeFunc(pass.Info, call), "cluster", "RegisterWire") {
 				return true
 			}
-			f := calleeFunc(pass.Info, call)
-			if len(call.Args) == 0 || (!isPkgFunc(f, "encoding/gob", "Register") &&
-				!isPkgFunc(f, "encoding/gob", "RegisterName")) {
-				return true
-			}
-			arg := call.Args[len(call.Args)-1]
-			tn := namedTypeOf(pass, arg)
-			// Builtin and foreign registrations (gob.Register(int(0)) in the
-			// transport) are not this package's wire contract.
+			// Types from other packages are their own package's contract.
+			tn := namedTypeOf(pass, call.Args[1])
 			if tn == nil || tn.Obj().Pkg() != pass.Pkg {
 				return true
 			}
 			if !covered(tn.Obj().Name()) {
 				pass.Reportf(call.Pos(),
-					"wire type %s is gob-registered but no golden-file decode test references it; pin its byte format (see binauto/serialize_test.go)",
+					"wire type %s is registered with cluster.RegisterWire but no golden-file test references it; pin its byte format (see binauto/serialize_test.go)",
 					tn.Obj().Name())
 			}
 			return true

@@ -2,7 +2,6 @@ package binauto
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"flag"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sgd"
@@ -116,38 +116,27 @@ func fixedDecoderSub() *decoderSub {
 	return d
 }
 
-func TestSubmodelGobRoundTrip(t *testing.T) {
-	// Submodels travel as core.Submodel interface values inside tokens, so
-	// the round trip must go through the interface machinery (registration +
-	// GobEncode/GobDecode), exactly as the TCP transport does.
-	subs := []core.Submodel{fixedEncoderSub(), fixedDecoderSub()}
-	for _, orig := range subs {
-		var buf bytes.Buffer
-		src := orig
-		if err := gob.NewEncoder(&buf).Encode(&src); err != nil {
-			t.Fatalf("%T: encode: %v", orig, err)
-		}
-		var back core.Submodel
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
-			t.Fatalf("%T: decode: %v", orig, err)
-		}
-		if !reflect.DeepEqual(orig, back) {
+// roundTrip sends sm through the cluster wire codec as the TCP transport
+// does: kind and body out, registry-dispatched decode back.
+func roundTrip(t *testing.T, sm core.Submodel) core.Submodel {
+	t.Helper()
+	back, err := cluster.DecodePayload(cluster.AppendPayload(nil, sm))
+	if err != nil {
+		t.Fatalf("%T: decode: %v", sm, err)
+	}
+	return back.(core.Submodel)
+}
+
+func TestSubmodelWireRoundTrip(t *testing.T) {
+	for _, orig := range []core.Submodel{fixedEncoderSub(), fixedDecoderSub()} {
+		if back := roundTrip(t, orig); !reflect.DeepEqual(orig, back) {
 			t.Fatalf("%T: round trip lost state:\norig %#v\nback %#v", orig, orig, back)
 		}
 	}
 }
 
-func TestSubmodelGobCarriesOptimiserState(t *testing.T) {
-	var buf bytes.Buffer
-	var src core.Submodel = fixedEncoderSub()
-	if err := gob.NewEncoder(&buf).Encode(&src); err != nil {
-		t.Fatal(err)
-	}
-	var back core.Submodel
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	e := back.(*encoderSub)
+func TestSubmodelWireCarriesOptimiserState(t *testing.T) {
+	e := roundTrip(t, fixedEncoderSub()).(*encoderSub)
 	if !e.tuned {
 		t.Fatal("auto-tune flag lost: the submodel would re-tune on the next machine")
 	}
@@ -156,65 +145,47 @@ func TestSubmodelGobCarriesOptimiserState(t *testing.T) {
 	}
 }
 
-// TestSubmodelWireGolden decodes byte streams committed when the wire format
-// was defined. Gob descriptor IDs are assigned in process-global first-use
-// order, so encoded bytes are not stable across runs — but decodability of
-// old bytes is exactly the compatibility that matters: a worker built today
-// must understand tokens from the committed format. -update re-captures the
-// current encoding.
+// TestSubmodelWireGolden pins each submodel's wire payload (kind and body)
+// byte for byte: encoding the fixed value must reproduce the committed
+// bytes, and decoding them must give the value back. -update re-captures
+// the encoding; flag any regeneration in the PR, because old workers cannot
+// talk to new coordinators across a format change.
 func TestSubmodelWireGolden(t *testing.T) {
 	cases := []struct {
 		file string
 		want core.Submodel
-		into core.Submodel
 	}{
-		{"encoder_sub.golden.hex", fixedEncoderSub(), &encoderSub{}},
-		{"decoder_sub.golden.hex", fixedDecoderSub(), &decoderSub{}},
+		{"encoder_sub.golden.hex", fixedEncoderSub()},
+		{"decoder_sub.golden.hex", fixedDecoderSub()},
 	}
 	for _, c := range cases {
-		if *update {
-			raw, err := c.want.(gob.GobEncoder).GobEncode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, c.file, []byte(hex.EncodeToString(raw)+"\n"))
-			continue
-		}
-		hexBytes, err := os.ReadFile(filepath.Join("testdata", c.file))
+		raw := cluster.AppendPayload(nil, c.want)
+		checkGolden(t, c.file, []byte(hex.EncodeToString(raw)+"\n"))
+		got, err := cluster.DecodePayload(raw)
 		if err != nil {
-			t.Fatalf("missing golden file (run go test -run %s -update): %v", t.Name(), err)
+			t.Fatalf("%s: committed wire bytes do not decode: %v", c.file, err)
 		}
-		raw, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.into.(gob.GobDecoder).GobDecode(raw); err != nil {
-			t.Fatalf("%s: committed wire bytes no longer decode — the format drifted incompatibly: %v", c.file, err)
-		}
-		if !reflect.DeepEqual(c.into, c.want) {
-			t.Fatalf("%s: committed wire bytes decode to different state:\ngot  %#v\nwant %#v", c.file, c.into, c.want)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: committed wire bytes decode to different state:\ngot  %#v\nwant %#v", c.file, got, c.want)
 		}
 	}
 }
 
 func TestSubmodelDecodeRejectsMalformed(t *testing.T) {
-	bad := decoderWire{ID: 3, Dims: []int{0, 2}, L: 2, W: []float64{1}, C: []float64{0, 0}, Eta0: 0.01}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&bad); err != nil {
-		t.Fatal(err)
+	badDec := fixedDecoderSub()
+	badDec.w.Data = badDec.w.Data[:1] // 1 weight for L=3 rows × 2 dims
+	badEnc := fixedEncoderSub()
+	badEnc.svm.Sched = &sgd.Schedule{} // eta0 0
+	for _, bad := range []core.Submodel{badDec, badEnc} {
+		if _, err := cluster.DecodePayload(cluster.AppendPayload(nil, bad)); err == nil {
+			t.Fatalf("malformed %T decoded", bad)
+		}
 	}
-	var d decoderSub
-	if err := d.GobDecode(buf.Bytes()); err == nil {
-		t.Fatal("inconsistent decoder shape must not decode")
-	}
-	var e encoderSub
-	badEnc := encoderWire{ID: 0, W: []float64{1}, Eta0: 0}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&badEnc); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.GobDecode(buf.Bytes()); err == nil {
-		t.Fatal("invalid schedule must not decode")
+	raw := cluster.AppendPayload(nil, fixedEncoderSub())
+	for _, cut := range [][]byte{raw[:len(raw)-1], append(raw[:len(raw):len(raw)], 0)} {
+		if _, err := cluster.DecodePayload(cut); err == nil {
+			t.Fatalf("%d of %d bytes decoded", len(cut), len(raw))
+		}
 	}
 }
 

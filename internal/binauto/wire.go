@@ -1,10 +1,7 @@
 package binauto
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
+	"repro/internal/cluster"
 	"repro/internal/sgd"
 	"repro/internal/svm"
 	"repro/internal/vec"
@@ -12,108 +9,89 @@ import (
 
 // Wire encoding of the BA's circulating submodels, used when ParMAC runs
 // across OS processes (cluster/tcp): instead of passing pointers, the fabric
-// gob-serializes tokens, and the submodels inside them serialize through
-// these GobEncoder/GobDecoder implementations. The encoding must carry the
-// full training state — parameters AND optimiser state (SGD schedule
-// position, the per-iteration auto-tune flag) — so a submodel resumes on the
-// next machine exactly where it left off, byte-for-byte equal to the
-// in-process run. Wire structs are versioned by shape: changing them breaks
-// the golden-file tests in serialize_test.go, which is the point.
+// encodes tokens in the cluster wire codec, and the submodels inside them
+// nest as payloads of the kinds below. The encoding must carry the full
+// training state — parameters AND optimiser state (SGD schedule position,
+// the per-iteration auto-tune flag) — so a submodel resumes on the next
+// machine exactly where it left off, byte-for-byte equal to the in-process
+// run. Changing a layout breaks the byte-exact golden tests in
+// serialize_test.go, which is the point.
 
-// encoderWire is the on-the-wire form of encoderSub.
-type encoderWire struct {
-	ID, Bit     int
-	W           []float64
-	B           float64
-	Lambda      float64
-	Eta0        float64
-	SchedLambda float64
-	Steps       float64
-	Tuned       bool
+// Wire kinds (cluster reserves 32–47 for binauto).
+const (
+	wireEncoderSub uint16 = 32 + iota
+	wireDecoderSub
+)
+
+// AppendWire appends the submodel's wire body: ID, Bit, W, B, Lambda, Eta0,
+// SchedLambda, Steps, Tuned.
+func (e *encoderSub) AppendWire(b []byte) []byte {
+	b = cluster.AppendInt(b, e.id)
+	b = cluster.AppendInt(b, e.bit)
+	b = cluster.AppendFloat64s(b, e.svm.W)
+	b = cluster.AppendFloat64(b, e.svm.B)
+	b = cluster.AppendFloat64(b, e.svm.Lambda)
+	b = cluster.AppendFloat64(b, e.svm.Sched.Eta0)
+	b = cluster.AppendFloat64(b, e.svm.Sched.Lambda)
+	b = cluster.AppendFloat64(b, e.svm.Sched.Steps())
+	return cluster.AppendBool(b, e.tuned)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (e *encoderSub) GobEncode() ([]byte, error) {
-	w := encoderWire{
-		ID: e.id, Bit: e.bit,
-		W: e.svm.W, B: e.svm.B, Lambda: e.svm.Lambda,
-		Eta0: e.svm.Sched.Eta0, SchedLambda: e.svm.Sched.Lambda, Steps: e.svm.Sched.Steps(),
-		Tuned: e.tuned,
+func decodeEncoderSub(r *cluster.WireReader) any {
+	id, bit, w := r.Int(), r.Int(), r.Float64s()
+	b, lambda := r.Float64(), r.Float64()
+	eta0, schedLambda, steps := r.Float64(), r.Float64(), r.Float64()
+	tuned := r.Bool()
+	if !(eta0 > 0) {
+		r.Failf("binauto: encoder submodel %d has invalid schedule eta0 %v", id, eta0)
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("binauto: encode encoder submodel: %w", err)
-	}
-	return buf.Bytes(), nil
+	lin := &svm.Linear{W: w, B: b, Lambda: lambda, Sched: sgd.NewSchedule(eta0, schedLambda)}
+	lin.Sched.SetSteps(steps)
+	return &encoderSub{id: id, bit: bit, svm: lin, tuned: tuned}
 }
 
-// GobDecode implements gob.GobDecoder.
-func (e *encoderSub) GobDecode(b []byte) error {
-	var w encoderWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return fmt.Errorf("binauto: decode encoder submodel: %w", err)
-	}
-	if w.Eta0 <= 0 {
-		return fmt.Errorf("binauto: encoder submodel %d has invalid schedule eta0 %v", w.ID, w.Eta0)
-	}
-	lin := &svm.Linear{W: w.W, B: w.B, Lambda: w.Lambda, Sched: sgd.NewSchedule(w.Eta0, w.SchedLambda)}
-	lin.Sched.SetSteps(w.Steps)
-	*e = encoderSub{id: w.ID, bit: w.Bit, svm: lin, tuned: w.Tuned}
-	return nil
+// AppendWire appends the submodel's wire body: ID, Dims, L (rows of the
+// weight matrix), W, C, Lambda, Eta0, SchedLambda, Steps, Tuned.
+func (d *decoderSub) AppendWire(b []byte) []byte {
+	b = cluster.AppendInt(b, d.id)
+	b = cluster.AppendInts(b, d.dims)
+	b = cluster.AppendInt(b, d.w.Rows)
+	b = cluster.AppendFloat64s(b, d.w.Data)
+	b = cluster.AppendFloat64s(b, d.c)
+	b = cluster.AppendFloat64(b, d.lambda)
+	b = cluster.AppendFloat64(b, d.sched.Eta0)
+	b = cluster.AppendFloat64(b, d.sched.Lambda)
+	b = cluster.AppendFloat64(b, d.sched.Steps())
+	return cluster.AppendBool(b, d.tuned)
 }
 
-// decoderWire is the on-the-wire form of decoderSub.
-type decoderWire struct {
-	ID          int
-	Dims        []int
-	L           int // rows of the weight matrix
-	W           []float64
-	C           []float64
-	Lambda      float64
-	Eta0        float64
-	SchedLambda float64
-	Steps       float64
-	Tuned       bool
-}
-
-// GobEncode implements gob.GobEncoder.
-func (d *decoderSub) GobEncode() ([]byte, error) {
-	w := decoderWire{
-		ID: d.id, Dims: d.dims, L: d.w.Rows, W: d.w.Data, C: d.c, Lambda: d.lambda,
-		Eta0: d.sched.Eta0, SchedLambda: d.sched.Lambda, Steps: d.sched.Steps(),
-		Tuned: d.tuned,
+func decodeDecoderSub(r *cluster.WireReader) any {
+	id, dims, l := r.Int(), r.Ints(), r.Int()
+	w, c, lambda := r.Float64s(), r.Float64s(), r.Float64()
+	eta0, schedLambda, steps := r.Float64(), r.Float64(), r.Float64()
+	tuned := r.Bool()
+	// len(w) == l·len(dims), checked by division so a huge l cannot wrap.
+	shaped := len(dims) == 0 && len(w) == 0 || len(dims) > 0 && len(w)%len(dims) == 0 && len(w)/len(dims) == l
+	if l <= 0 || !shaped || len(c) != len(dims) {
+		r.Failf("binauto: decoder submodel %d has inconsistent shape (L=%d dims=%d w=%d c=%d)",
+			id, l, len(dims), len(w), len(c))
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("binauto: encode decoder submodel: %w", err)
+	if !(eta0 > 0) {
+		r.Failf("binauto: decoder submodel %d has invalid schedule eta0 %v", id, eta0)
+		return nil
 	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (d *decoderSub) GobDecode(b []byte) error {
-	var w decoderWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return fmt.Errorf("binauto: decode decoder submodel: %w", err)
+	sched := sgd.NewSchedule(eta0, schedLambda)
+	sched.SetSteps(steps)
+	return &decoderSub{
+		id: id, dims: dims,
+		w: &vec.Matrix{Rows: l, Cols: len(dims), Data: w},
+		c: c, lambda: lambda, sched: sched, tuned: tuned,
 	}
-	if w.L <= 0 || len(w.W) != w.L*len(w.Dims) || len(w.C) != len(w.Dims) {
-		return fmt.Errorf("binauto: decoder submodel %d has inconsistent shape (L=%d dims=%d w=%d c=%d)",
-			w.ID, w.L, len(w.Dims), len(w.W), len(w.C))
-	}
-	if w.Eta0 <= 0 {
-		return fmt.Errorf("binauto: decoder submodel %d has invalid schedule eta0 %v", w.ID, w.Eta0)
-	}
-	sched := sgd.NewSchedule(w.Eta0, w.SchedLambda)
-	sched.SetSteps(w.Steps)
-	*d = decoderSub{
-		id: w.ID, dims: w.Dims,
-		w: &vec.Matrix{Rows: w.L, Cols: len(w.Dims), Data: w.W},
-		c: w.C, lambda: w.Lambda, sched: sched, tuned: w.Tuned,
-	}
-	return nil
 }
 
 func init() {
-	gob.Register(&encoderSub{})
-	gob.Register(&decoderSub{})
+	cluster.RegisterWire(wireEncoderSub, &encoderSub{}, decodeEncoderSub)
+	cluster.RegisterWire(wireDecoderSub, &decoderSub{}, decodeDecoderSub)
 }

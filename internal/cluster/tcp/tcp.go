@@ -1,12 +1,13 @@
 // Package tcp is the multi-process transport backend for internal/cluster:
-// each rank runs in its own OS process and exchanges length-prefixed gob
-// frames over TCP. A Hub plays the role of the cluster's rendezvous point
-// and message router: every rank dials the hub, claims its rank with a hello
-// frame, and blocks until all ranks have joined (the rendezvous phase); the
-// hub then releases everyone and routes data frames between ranks with
-// per-sender FIFO ordering, exactly the delivery contract the in-process
-// backend provides — the conformance suite in internal/cluster holds both to
-// it.
+// each rank runs in its own OS process and exchanges length-prefixed binary
+// frames over TCP, payloads in the cluster wire codec (frame.go). A Hub
+// plays the role of the cluster's rendezvous point and message router: every
+// rank dials the hub, claims its rank with a hello frame naming its wire
+// version, and blocks until all ranks have joined (the rendezvous phase); the
+// hub then releases everyone and routes data frames between ranks — reading
+// only their headers and forwarding their bytes untouched — with per-sender
+// FIFO ordering, exactly the delivery contract the in-process backend
+// provides. The conformance suite in internal/cluster holds both to it.
 //
 // Backpressure is physical: a rank that stops draining its inbox stops
 // reading its socket, TCP flow control stalls the hub's writes to it, and
@@ -58,42 +59,36 @@ type hubPeer struct {
 	br   *bufio.Reader
 
 	wmu  sync.Mutex
-	bw   *bufio.Writer
 	gone bool
 }
 
-// send routes one frame to this peer, preserving the caller's order. Frames
-// to a departed peer are dropped and counted (the rank said bye or its
-// connection died). It returns false when the frame was not delivered.
-func (p *hubPeer) send(f *frame) bool {
+// send writes one encoded frame to this peer, preserving the caller's order.
+// Frames to a departed peer are dropped and counted (the rank said bye or
+// its connection died).
+func (p *hubPeer) send(raw []byte) {
 	p.wmu.Lock()
 	if p.gone {
 		p.wmu.Unlock()
-		p.hub.noteDrop(f)
-		return false
+		p.hub.noteDrop(raw)
+		return
 	}
-	err := writeFrame(p.bw, f)
-	if err == nil {
-		err = p.bw.Flush()
-	}
-	if err != nil {
+	if _, err := p.conn.Write(raw); err != nil {
 		p.gone = true
 		p.wmu.Unlock()
 		p.conn.Close()
-		p.hub.noteDrop(f)
+		p.hub.noteDrop(raw)
 		// A write failure means the connection died under us — unannounced.
 		p.hub.peerGone(p, false)
-		return false
+		return
 	}
 	p.wmu.Unlock()
-	return true
 }
 
 // noteDrop counts an undeliverable application frame. Control frames (down
 // notifications racing a second departure) are not traffic and stay out of
 // the counter.
-func (h *Hub) noteDrop(f *frame) {
-	if f.Kind == frameData {
+func (h *Hub) noteDrop(raw []byte) {
+	if frameKind(raw[4]) == frameData {
 		h.dropped.Add(1)
 	}
 }
@@ -132,8 +127,9 @@ func (h *Hub) peerGone(p *hubPeer, graceful bool) {
 		}
 	}
 	h.mu.Unlock()
+	down := appendFrame(nil, &frame{Kind: frameDown, Rank: p.rank})
 	for _, q := range survivors {
-		q.send(&frame{Kind: frameDown, Rank: p.rank})
+		q.send(down)
 	}
 }
 
@@ -216,13 +212,19 @@ func (h *Hub) acceptLoop() {
 }
 
 // admit performs the hub side of the rendezvous for one connection: read the
-// hello, claim the rank, and — once the cluster is complete — release every
-// rank with a start frame and begin routing.
+// hello, refuse a foreign wire version, claim the rank, and — once the
+// cluster is complete — release every rank with a start frame and begin
+// routing.
 func (h *Hub) admit(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(rendezvousTimeout))
-	p := &hubPeer{hub: h, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	p := &hubPeer{hub: h, conn: conn, br: bufio.NewReader(conn)}
 	hello, err := readFrame(p.br)
 	if err != nil || hello.Kind != frameHello {
+		conn.Close()
+		return
+	}
+	if hello.Version != wireVersion {
+		writeFrame(conn, &frame{Kind: frameRefuse, Version: wireVersion})
 		conn.Close()
 		return
 	}
@@ -246,7 +248,7 @@ func (h *Hub) admit(conn net.Conn) {
 
 	if complete {
 		for r, peer := range h.peers {
-			peer.send(&frame{Kind: frameStart, Rank: r, Size: h.size})
+			peer.send(appendFrame(nil, &frame{Kind: frameStart, Rank: r, Size: h.size}))
 		}
 	}
 	h.servePeer(p, rank)
@@ -275,9 +277,17 @@ func (h *Hub) servePeer(p *hubPeer, rank int) {
 }
 
 // route forwards one peer's outgoing frames to their destinations, in order.
+// A data frame is routed on its header and forwarded as the bytes read; the
+// read buffer is reused because send has written them before it returns.
 func (h *Hub) route(p *hubPeer) {
+	var buf []byte
 	for {
-		f, err := readFrame(p.br)
+		raw, err := readRawFrame(p.br, buf)
+		buf = raw
+		var f frame
+		if err == nil {
+			f, err = parseFrame(raw)
+		}
 		if err != nil {
 			p.markGone(false)
 			return
@@ -292,10 +302,10 @@ func (h *Hub) route(p *hubPeer) {
 			started := h.started
 			h.mu.Unlock()
 			if dst == nil || !started {
-				h.noteDrop(f) // unclaimed rank, or data jumped the rendezvous
+				h.noteDrop(raw) // unclaimed rank, or data jumped the rendezvous
 				continue
 			}
-			dst.send(f)
+			dst.send(raw)
 		case frameBye:
 			p.markGone(true)
 			return
@@ -312,8 +322,8 @@ type Endpoint struct {
 	rank, size int
 	conn       net.Conn
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	wbuf []byte // frame encode buffer, reused by every Deliver
 
 	inbox  chan cluster.Message
 	failed chan struct{} // closed when the read loop dies
@@ -324,20 +334,22 @@ type Endpoint struct {
 }
 
 // Dial connects rank to the hub at addr and blocks until every rank has
-// joined (the rendezvous phase), then returns the live endpoint.
+// joined (the rendezvous phase), then returns the live endpoint. A hub
+// speaking another wire version refuses the rank with an error naming both
+// versions.
 func Dial(addr string, rank int, opts ...cluster.Option) (*Endpoint, error) {
+	return dial(addr, rank, wireVersion, opts...)
+}
+
+// dial is Dial claiming to speak the given wire version.
+func dial(addr string, rank, version int, opts ...cluster.Option) (*Endpoint, error) {
 	o := cluster.ResolveOptions(opts...)
 	conn, err := net.DialTimeout("tcp", addr, rendezvousTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: dial hub %s: %w", addr, err)
 	}
 	conn.SetDeadline(time.Now().Add(rendezvousTimeout))
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, &frame{Kind: frameHello, Rank: rank}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("tcp: hello: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := writeFrame(conn, &frame{Kind: frameHello, Rank: rank, Version: version}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("tcp: hello: %w", err)
 	}
@@ -347,13 +359,17 @@ func Dial(addr string, rank int, opts ...cluster.Option) (*Endpoint, error) {
 		conn.Close()
 		return nil, fmt.Errorf("tcp: rendezvous (is the hub up and every rank joining?): %w", err)
 	}
+	if start.Kind == frameRefuse {
+		conn.Close()
+		return nil, fmt.Errorf("tcp: hub speaks wire v%d, this binary v%d", start.Version, version)
+	}
 	if start.Kind != frameStart || start.Rank != rank {
 		conn.Close()
 		return nil, fmt.Errorf("tcp: bad rendezvous release %+v for rank %d", start, rank)
 	}
 	conn.SetDeadline(time.Time{})
 	ep := &Endpoint{
-		rank: rank, size: start.Size, conn: conn, bw: bw,
+		rank: rank, size: start.Size, conn: conn,
 		inbox:  make(chan cluster.Message, o.InboxCapacity),
 		failed: make(chan struct{}),
 		done:   make(chan struct{}),
@@ -372,10 +388,18 @@ func Connect(addr string, rank int, opts ...cluster.Option) (*cluster.Comm, erro
 	return cluster.NewComm(ep), nil
 }
 
+// readLoop decodes each frame straight from one reused read buffer; decoded
+// payloads never alias it.
 func (ep *Endpoint) readLoop(br *bufio.Reader) {
 	defer close(ep.failed)
+	var buf []byte
 	for {
-		f, err := readFrame(br)
+		raw, err := readRawFrame(br, buf)
+		buf = raw
+		var f frame
+		if err == nil {
+			f, err = parseFrame(raw)
+		}
 		if err != nil {
 			ep.readErr = err
 			return
@@ -383,7 +407,7 @@ func (ep *Endpoint) readLoop(br *bufio.Reader) {
 		var m cluster.Message
 		switch f.Kind {
 		case frameData:
-			payload, err := decodePayload(f.Payload)
+			payload, err := cluster.DecodePayload(f.Payload)
 			if err != nil {
 				ep.readErr = err
 				return
@@ -410,24 +434,17 @@ func (ep *Endpoint) Rank() int { return ep.rank }
 // Size implements cluster.Endpoint.
 func (ep *Endpoint) Size() int { return ep.size }
 
-// Deliver implements cluster.Endpoint: the message is gob-encoded and framed
-// to the hub, which routes it to rank `to`. A write failure is NOT fatal: the
-// connection is closed and the loss surfaces as a LinkError from Next, so a
-// surviving worker never crashes because the hub (or its own link) died
-// mid-send. Encoding failures are still programmer errors and panic.
+// Deliver implements cluster.Endpoint: the message is encoded into the
+// endpoint's reused frame buffer and written to the hub, which routes it to
+// rank `to`. A write failure is NOT fatal: the connection is closed and the
+// loss surfaces as a LinkError from Next, so a surviving worker never
+// crashes because the hub (or its own link) died mid-send. A payload type
+// with no wire codec is a programming error and panics.
 func (ep *Endpoint) Deliver(to int, m cluster.Message) {
-	payload, err := encodePayload(m.Payload)
-	if err != nil {
-		panic(err.Error())
-	}
-	f := &frame{Kind: frameData, From: m.From, To: to, Tag: m.Tag, Bytes: m.Bytes, Payload: payload}
 	ep.wmu.Lock()
-	err = writeFrame(ep.bw, f)
-	if err == nil {
-		err = ep.bw.Flush()
-	}
-	ep.wmu.Unlock()
-	if err != nil {
+	defer ep.wmu.Unlock()
+	ep.wbuf = appendDataFrame(ep.wbuf[:0], to, m)
+	if _, err := ep.conn.Write(ep.wbuf); err != nil {
 		// Kill the socket; the read loop notices and closes ep.failed.
 		ep.conn.Close()
 	}
@@ -492,9 +509,7 @@ func (ep *Endpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.done)
 		ep.wmu.Lock()
-		if writeFrame(ep.bw, &frame{Kind: frameBye, From: ep.rank}) == nil {
-			ep.bw.Flush()
-		}
+		writeFrame(ep.conn, &frame{Kind: frameBye})
 		ep.wmu.Unlock()
 		ep.conn.Close()
 	})
@@ -515,8 +530,8 @@ type fabric struct {
 
 // NewLoopbackFabric assembles a complete p-rank cluster over loopback TCP in
 // one process: a hub plus one dialled endpoint per rank. Every message still
-// crosses real sockets and the full gob wire format; only process isolation
-// is elided. It backs the "tcp" entry in the transport registry so the
+// crosses real sockets and the full wire format; only process isolation is
+// elided. It backs the "tcp" entry in the transport registry so the
 // conformance suite exercises the wire path.
 func NewLoopbackFabric(p int, opts ...cluster.Option) (cluster.Fabric, error) {
 	hub, err := NewHub("127.0.0.1:0", p)

@@ -2,11 +2,7 @@ package tcp
 
 import (
 	"bytes"
-	"encoding/hex"
 	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -94,8 +90,7 @@ func TestHubDroppedFramesAccessor(t *testing.T) {
 // kind introduced for unannounced death signaling.
 func TestFrameDownRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	want := &frame{Kind: frameDown, Rank: 4}
-	if err := writeFrame(&buf, want); err != nil {
+	if err := writeFrame(&buf, &frame{Kind: frameDown, Rank: 4}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readFrame(&buf)
@@ -107,37 +102,8 @@ func TestFrameDownRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameDownGolden pins the wire encoding of the new frame kind, the same
-// back-compat contract as TestFrameGolden: committed bytes must keep
-// decoding, or mixed-version clusters stop talking.
+// TestFrameDownGolden pins the frameDown encoding byte for byte, the same
+// contract as TestFrameGolden.
 func TestFrameDownGolden(t *testing.T) {
-	path := filepath.Join("testdata", "down_frame.golden.hex")
-	if *update {
-		raw, err := encodeFrame(&frame{Kind: frameDown, Rank: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(hex.EncodeToString(raw)+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	hexBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run go test -run TestFrameDownGolden -update): %v", err)
-	}
-	raw, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("committed frameDown no longer decodes: %v", err)
-	}
-	if f.Kind != frameDown || f.Rank != 2 {
-		t.Fatalf("committed frameDown decodes to %+v", f)
-	}
+	checkFrameGolden(t, "down_frame.golden.hex", &frame{Kind: frameDown, Rank: 2})
 }

@@ -2,11 +2,15 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
+	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,15 +25,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // ---------------------------------------------------------------------------
 
 func TestFrameRoundTrip(t *testing.T) {
-	payload, err := encodePayload([]float64{1.5, -2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []*frame{
-		{Kind: frameHello, Rank: 3},
+		{Kind: frameHello, Rank: 3, Version: wireVersion},
 		{Kind: frameStart, Rank: 3, Size: 8},
-		{Kind: frameData, From: 1, To: 2, Tag: 7, Bytes: 24, Payload: payload},
-		{Kind: frameBye, From: 5},
+		{Kind: frameData, From: 1, To: 2, Tag: 7, Bytes: 24, Payload: cluster.AppendPayload(nil, []float64{1.5, -2, 0})},
+		{Kind: frameData, From: 0, To: 1, Tag: math.MinInt, Payload: cluster.AppendPayload(nil, nil)},
+		{Kind: frameBye},
+		{Kind: frameRefuse, Version: 9},
 	}
 	var buf bytes.Buffer
 	for _, f := range cases {
@@ -42,9 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Kind != want.Kind || got.From != want.From || got.To != want.To ||
-			got.Tag != want.Tag || got.Bytes != want.Bytes || got.Rank != want.Rank ||
-			got.Size != want.Size || !bytes.Equal(got.Payload, want.Payload) {
+		if !reflect.DeepEqual(&got, want) {
 			t.Fatalf("frame round trip: got %+v want %+v", got, want)
 		}
 	}
@@ -54,54 +54,41 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestPayloadRoundTrip(t *testing.T) {
-	for _, v := range []any{nil, 42, "hello", []int{1, 2, 3}, []float64{0.5}, true} {
-		b, err := encodePayload(v)
+	for _, v := range []any{nil, 42, -1, "hello", "", []int{1, 2, 3}, []float64{0.5}} {
+		raw := appendDataFrame(nil, 1, cluster.Message{From: 0, Tag: 3, Payload: v, Bytes: 8})
+		f, err := readFrame(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%T: %v", v, err)
 		}
-		back, err := decodePayload(b)
+		back, err := cluster.DecodePayload(f.Payload)
 		if err != nil {
 			t.Fatalf("%T: %v", v, err)
 		}
-		switch want := v.(type) {
-		case []int:
-			got := back.([]int)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("slice payload corrupted: %v vs %v", got, want)
-				}
-			}
-		case []float64:
-			if back.([]float64)[0] != want[0] {
-				t.Fatalf("payload corrupted: %v", back)
-			}
-		default:
-			if back != v {
-				t.Fatalf("payload %T round trip: got %v want %v", v, back, v)
-			}
+		if !reflect.DeepEqual(back, v) {
+			t.Fatalf("payload %T round trip: got %v want %v", v, back, v)
 		}
 	}
 }
 
-// TestFrameGolden decodes a data frame captured when the wire format was
-// defined. Gob descriptor IDs are assigned in process-global first-use
-// order, so encoded bytes are not byte-stable across runs — what must hold
-// is that today's binary still decodes the committed frame: that is what
-// keeps mixed-version clusters talking. -update re-captures the frame.
-func TestFrameGolden(t *testing.T) {
-	path := filepath.Join("testdata", "data_frame.golden.hex")
+// TestUnregisteredPayloadPanics pins Deliver's contract for a payload type
+// with no wire codec: a panic naming the type, before anything is written.
+func TestUnregisteredPayloadPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no wire codec for bool") {
+			t.Fatalf("recovered %v, want a no-wire-codec panic", r)
+		}
+	}()
+	appendDataFrame(nil, 0, cluster.Message{Payload: true})
+}
+
+// checkFrameGolden pins a frame byte for byte: encoding want must reproduce
+// the committed bytes and parsing them must give want back. -update
+// re-captures the encoding.
+func checkFrameGolden(t *testing.T, file string, want *frame) {
+	t.Helper()
+	raw := appendFrame(nil, want)
+	path := filepath.Join("testdata", file)
 	if *update {
-		payload, err := encodePayload("token")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := encodeFrame(&frame{Kind: frameData, From: 1, To: 2, Tag: 9, Bytes: 40, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(hex.EncodeToString(raw)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -109,32 +96,56 @@ func TestFrameGolden(t *testing.T) {
 	}
 	hexBytes, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run go test -run TestFrameGolden -update): %v", err)
+		t.Fatalf("missing golden file (run go test -run %s -update): %v", t.Name(), err)
 	}
-	raw, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
+	committed, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(bytes.NewReader(raw))
+	if !bytes.Equal(raw, committed) {
+		t.Fatalf("%s: frame encoding drifted from the committed bytes:\ngot  %x\nwant %x", file, raw, committed)
+	}
+	got, err := readFrame(bytes.NewReader(committed))
 	if err != nil {
-		t.Fatalf("committed frame no longer decodes — the wire format drifted incompatibly: %v", err)
+		t.Fatalf("%s: committed frame does not parse: %v", file, err)
 	}
-	if f.Kind != frameData || f.From != 1 || f.To != 2 || f.Tag != 9 || f.Bytes != 40 {
-		t.Fatalf("committed frame decodes to different envelope: %+v", f)
-	}
-	v, err := decodePayload(f.Payload)
-	if err != nil {
-		t.Fatalf("committed payload no longer decodes: %v", err)
-	}
-	if v != "token" {
-		t.Fatalf("committed payload decodes to %v", v)
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("%s: committed frame parses to %+v, want %+v", file, got, want)
 	}
 }
 
+// TestFrameGolden pins a data frame carrying a string payload; a frame's
+// bytes are the wire contract between processes of different builds.
+func TestFrameGolden(t *testing.T) {
+	checkFrameGolden(t, "data_frame.golden.hex", &frame{Kind: frameData, From: 1, To: 2, Tag: 9, Bytes: 40,
+		Payload: cluster.AppendPayload(nil, "token")})
+}
+
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
-	raw := []byte{0xff, 0xff, 0xff, 0xff}
+	raw := appendFrame(nil, &frame{Kind: frameBye})
+	binary.LittleEndian.PutUint32(raw, math.MaxUint32)
 	if _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("oversized frame length must be rejected")
+	}
+}
+
+// TestReadFrameRejectsMalformed: truncated frames, unknown kinds and control
+// frames with the wrong arguments are errors, never panics.
+func TestReadFrameRejectsMalformed(t *testing.T) {
+	hello := appendFrame(nil, &frame{Kind: frameHello, Rank: 1, Version: wireVersion})
+	unknown := append([]byte(nil), hello...)
+	unknown[4] = 0xee
+	shortArgs := appendFrame(nil, &frame{Kind: frameDown, Rank: 1})
+	shortArgs[4] = byte(frameStart) // a start frame needs two arguments
+	for name, raw := range map[string][]byte{
+		"truncated header":  hello[:headerLen-1],
+		"truncated payload": hello[:len(hello)-1],
+		"unknown kind":      unknown,
+		"wrong arguments":   shortArgs,
+	} {
+		if _, err := readFrame(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: parsed", name)
+		}
 	}
 }
 
@@ -196,7 +207,7 @@ func TestRendezvousRecoversFromEarlyDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, &frame{Kind: frameHello, Rank: 0}); err != nil {
+	if err := writeFrame(conn, &frame{Kind: frameHello, Rank: 0, Version: wireVersion}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let the hub register the claim
@@ -222,6 +233,42 @@ func TestRendezvousRecoversFromEarlyDisconnect(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("cluster wedged: dead rendezvous claim was never released")
+		}
+	}
+}
+
+// TestRendezvousRefusesWireVersionMismatch: a rank speaking another wire
+// version is refused at rendezvous with an error naming both versions, and
+// the rank it tried to claim stays free for a matching binary.
+func TestRendezvousRefusesWireVersionMismatch(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	_, err = dial(hub.Addr(), 0, wireVersion-1)
+	want := fmt.Sprintf("tcp: hub speaks wire v%d, this binary v%d", wireVersion, wireVersion-1)
+	if err == nil || err.Error() != want {
+		t.Fatalf("mismatched dial: err = %v, want %q", err, want)
+	}
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func(r int) {
+			ep, err := Dial(hub.Addr(), r)
+			if err == nil {
+				defer ep.Close()
+			}
+			errs <- err
+		}(r)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("rendezvous after a refused hello: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("refused hello left its rank claimed")
 		}
 	}
 }

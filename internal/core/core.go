@@ -16,7 +16,7 @@
 // speak exclusively through the pluggable fabric of internal/cluster — Go
 // channels in-process (New and NewOn spawn the workers themselves) or TCP
 // between OS processes (NewDistributed drives externally launched workers,
-// with submodels gob-serialized on the wire). The engine supports the ParMAC
+// with submodels encoded in the cluster wire codec). The engine supports the ParMAC
 // extensions of §4.3: per-epoch ring shuffling, load balancing via unequal
 // shards, streaming (machines can be added and retired between iterations)
 // and fault tolerance (a machine can die mid-W-step; lost submodels are
@@ -44,7 +44,7 @@ type Shard interface {
 // group, a hidden unit's weight vector...). Submodels own their parameters
 // and any optimiser state (e.g. SGD schedules), which therefore circulate
 // with them. Concrete types used across process boundaries must additionally
-// be gob-encodable (including optimiser state) and gob-registered.
+// have a wire codec carrying that state (cluster.RegisterWire).
 type Submodel interface {
 	// ID identifies the submodel; IDs must be 0..M-1.
 	ID() int

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"encoding/gob"
 	"sync"
 	"testing"
 
@@ -13,11 +12,11 @@ import (
 
 // The distributed shape of the engine: coordinator and workers share no
 // memory, each worker owns its Problem instance, and every token crosses a
-// real TCP socket as gob frames. The runs below must match the in-process
+// real TCP socket in the cluster wire codec. The runs below must match the in-process
 // engine exactly — that is the transport-independence claim of the Transport
 // refactor, at the engine level rather than the fabric level.
 
-// WireSub is a gob-serializable toy submodel: it accumulates the sum and
+// WireSub is a toy submodel with a wire codec: it accumulates the sum and
 // count of every value it sees, so divergence anywhere (a lost visit, stale
 // state after deserialization) shows up in the final model.
 type WireSub struct {
@@ -46,7 +45,19 @@ func (s *WireSub) Clone() core.Submodel {
 
 func (s *WireSub) Bytes() int { return 16 }
 
-func init() { gob.Register(&WireSub{}) }
+// AppendWire appends Id, Sum, Count, Visits.
+func (s *WireSub) AppendWire(b []byte) []byte {
+	b = cluster.AppendInt(b, s.Id)
+	b = cluster.AppendFloat64(b, s.Sum)
+	b = cluster.AppendInt(b, s.Count)
+	return cluster.AppendInts(b, s.Visits)
+}
+
+func init() {
+	cluster.RegisterWire(1000, &WireSub{}, func(r *cluster.WireReader) any {
+		return &WireSub{Id: r.Int(), Sum: r.Float64(), Count: r.Int(), Visits: r.Ints()}
+	})
+}
 
 type wireShard struct {
 	id   int

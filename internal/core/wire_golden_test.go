@@ -1,8 +1,7 @@
-package core
+package core_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"flag"
 	"os"
@@ -10,58 +9,51 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// wireBox mirrors the TCP transport's payloadBox: protocol messages cross the
-// fabric as gob interface values, so the golden bytes must exercise the same
-// registration machinery the transport relies on.
-type wireBox struct{ V any }
-
-// fixedWireMessages returns one deterministic instance per gob-registered
-// protocol type. Submodel fields stay nil — core defines only the interface;
+// fixedWireMessages returns one deterministic instance per protocol message
+// type. Submodels are the test's WireSub — core defines only the interface;
 // the concrete carriers pin their own formats (binauto, macnet golden tests).
 func fixedWireMessages() []struct {
 	file string
 	msg  any
 } {
+	sub := &WireSub{Id: 3, Sum: 7.5, Count: 4, Visits: []int{0, 2}}
 	return []struct {
 		file string
 		msg  any
 	}{
-		{"token.golden.hex", &Token{ID: 3, Step: 2, Version: 1, Route: []int{0, 2, 1, 0}, Train: 3}},
-		// Recorded when WStartMsg still carried three failure-injection
-		// fields (one of them set, to -1). Not regenerated: a worker without
-		// them must keep decoding a coordinator that sends them.
-		{"wstart.golden.hex", WStartMsg{Iter: 4, Train: 6, Within: 2, Shuffle: true, Replicas: true, M: 8}},
-		{"wack.golden.hex", WAckMsg{Entries: []AckEntry{{ID: 0, Version: 2}, {ID: 3, Version: -1}}, Hops: 9, Bytes: 1024}},
-		{"zdone.golden.hex", ZDoneMsg{Changed: 17}},
-		{"fix.golden.hex", FixMsg{ID: 6}},
-		{"rescue_reply.golden.hex", RescueReply{Version: 4, OK: true}},
-		{"dead_ranks.golden.hex", DeadRanksMsg{Dead: []int{1, 3}}},
-		{"probe_reply.golden.hex", ProbeReply{Entries: []TraceEntry{
+		{"token.golden.hex", &core.Token{SM: sub, ID: 3, Step: 2, Version: 1, Route: []int{0, 2, 1, 0}, Train: 3, Incarnation: 1}},
+		{"wstart.golden.hex", core.WStartMsg{Iter: 4, Train: 6, Within: 2, Shuffle: true, Replicas: true, M: 8}},
+		{"wack.golden.hex", core.WAckMsg{Entries: []core.AckEntry{{ID: 0, Version: 2}, {ID: 3, Version: -1}}, Hops: 9, Bytes: 1024}},
+		{"zdone.golden.hex", core.ZDoneMsg{Changed: 17}},
+		{"fix.golden.hex", core.FixMsg{ID: 6, SM: sub}},
+		{"rescue_reply.golden.hex", core.RescueReply{SM: sub, Version: 4, OK: true}},
+		{"rescue_miss.golden.hex", core.RescueReply{}},
+		{"dead_ranks.golden.hex", core.DeadRanksMsg{Dead: []int{1, 3}}},
+		{"probe_reply.golden.hex", core.ProbeReply{Entries: []core.TraceEntry{
 			{ID: 2, Step: 4, To: 1, Version: 3},
 			{ID: 5, Step: 7, To: 3, Version: 6},
 		}}},
 	}
 }
 
-// TestProtocolWireGolden decodes byte streams committed when each protocol
-// message's wire format was defined. As in binauto/serialize_test.go, the
-// check is decodability plus state equality — a worker built today must still
-// understand frames from the committed format. -update re-captures the
-// current encoding; flag any regeneration in the PR, because old workers
-// cannot talk to new coordinators across a format change.
+// TestProtocolWireGolden pins every protocol message's wire payload (kind and
+// body) byte for byte: encoding the fixed message must reproduce the
+// committed bytes, and decoding them must give the message back. -update
+// re-captures the encoding; flag any regeneration in the PR, because old
+// workers cannot talk to new coordinators across a format change.
 func TestProtocolWireGolden(t *testing.T) {
 	for _, c := range fixedWireMessages() {
+		raw := cluster.AppendPayload(nil, c.msg)
 		path := filepath.Join("testdata", c.file)
 		if *update {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&wireBox{V: c.msg}); err != nil {
-				t.Fatalf("%s: encode: %v", c.file, err)
-			}
-			if err := os.WriteFile(path, []byte(hex.EncodeToString(buf.Bytes())+"\n"), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(hex.EncodeToString(raw)+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -70,16 +62,29 @@ func TestProtocolWireGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden file (run go test -run %s -update): %v", t.Name(), err)
 		}
-		raw, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
+		committed, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back wireBox
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&back); err != nil {
-			t.Fatalf("%s: committed wire bytes no longer decode — the format drifted incompatibly: %v", c.file, err)
+		if !bytes.Equal(raw, committed) {
+			t.Fatalf("%s: encoding drifted from the committed bytes:\ngot  %x\nwant %x", c.file, raw, committed)
 		}
-		if !reflect.DeepEqual(back.V, c.msg) {
-			t.Fatalf("%s: committed wire bytes decode to different state:\ngot  %#v\nwant %#v", c.file, back.V, c.msg)
+		back, err := cluster.DecodePayload(committed)
+		if err != nil {
+			t.Fatalf("%s: committed wire bytes do not decode: %v", c.file, err)
+		}
+		if !reflect.DeepEqual(back, c.msg) {
+			t.Fatalf("%s: committed wire bytes decode to different state:\ngot  %#v\nwant %#v", c.file, back, c.msg)
+		}
+	}
+}
+
+// TestProtocolDecodeRejectsMissingSubmodel: a token or repair must carry a
+// submodel; only a rescue reply may come back empty-handed.
+func TestProtocolDecodeRejectsMissingSubmodel(t *testing.T) {
+	for _, msg := range []any{&core.Token{Route: []int{0}}, core.FixMsg{ID: 1}} {
+		if _, err := cluster.DecodePayload(cluster.AppendPayload(nil, msg)); err == nil {
+			t.Errorf("%T without a submodel decoded", msg)
 		}
 	}
 }

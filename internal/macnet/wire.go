@@ -1,48 +1,36 @@
 package macnet
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "repro/internal/cluster"
 
 // Wire encoding of the deep net's circulating submodels (one unit's weight
-// vector each), mirroring binauto/wire.go: the TCP fabric gob-serializes
-// tokens, so unit submodels carry their complete state — weights plus the
-// fixed step size — across process boundaries.
+// vector each), mirroring binauto/wire.go: the TCP fabric encodes tokens in
+// the cluster wire codec, so unit submodels carry their complete state —
+// weights plus the fixed step size — across process boundaries.
 
-// unitWire is the on-the-wire form of unitSub.
-type unitWire struct {
-	ID  int
-	Ref UnitRef
-	W   []float64
-	K   int
-	Eta float64
+// wireUnitSub is unitSub's wire kind (cluster reserves 48–63 for macnet).
+const wireUnitSub uint16 = 48
+
+// AppendWire appends the submodel's wire body: ID, Ref.Layer, Ref.Unit, W,
+// K, Eta.
+func (u *unitSub) AppendWire(b []byte) []byte {
+	b = cluster.AppendInt(b, u.id)
+	b = cluster.AppendInt(b, u.ref.Layer)
+	b = cluster.AppendInt(b, u.ref.Unit)
+	b = cluster.AppendFloat64s(b, u.w)
+	b = cluster.AppendInt(b, u.k)
+	return cluster.AppendFloat64(b, u.eta)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (u *unitSub) GobEncode() ([]byte, error) {
-	w := unitWire{ID: u.id, Ref: u.ref, W: u.w, K: u.k, Eta: u.eta}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("macnet: encode unit submodel: %w", err)
+func decodeUnitSub(r *cluster.WireReader) any {
+	u := &unitSub{id: r.Int(), ref: UnitRef{Layer: r.Int(), Unit: r.Int()},
+		w: r.Float64s(), k: r.Int(), eta: r.Float64()}
+	if len(u.w) == 0 {
+		r.Failf("macnet: unit submodel %d has no weights", u.id)
+		return nil
 	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (u *unitSub) GobDecode(b []byte) error {
-	var w unitWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return fmt.Errorf("macnet: decode unit submodel: %w", err)
-	}
-	if len(w.W) == 0 {
-		return fmt.Errorf("macnet: unit submodel %d has no weights", w.ID)
-	}
-	*u = unitSub{id: w.ID, ref: w.Ref, w: w.W, k: w.K, eta: w.Eta}
-	return nil
+	return u
 }
 
 func init() {
-	gob.Register(&unitSub{})
+	cluster.RegisterWire(wireUnitSub, &unitSub{}, decodeUnitSub)
 }

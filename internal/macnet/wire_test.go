@@ -2,7 +2,6 @@ package macnet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"flag"
 	"os"
@@ -11,61 +10,47 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 )
 
-func TestUnitSubGobRoundTrip(t *testing.T) {
-	var orig core.Submodel = &unitSub{
+func fixedUnitSub() *unitSub {
+	return &unitSub{
 		id:  4,
 		ref: UnitRef{Layer: 1, Unit: 2},
 		w:   []float64{0.5, -1, 0.25, 2},
 		k:   2,
 		eta: 0.3,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&orig); err != nil {
+}
+
+func TestUnitSubWireRoundTrip(t *testing.T) {
+	orig := fixedUnitSub()
+	back, err := cluster.DecodePayload(cluster.AppendPayload(nil, orig))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back core.Submodel
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(orig, back) {
+	if !reflect.DeepEqual(back, orig) {
 		t.Fatalf("unit submodel round trip lost state:\norig %#v\nback %#v", orig, back)
 	}
 }
 
 func TestUnitSubDecodeRejectsEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&unitWire{ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var u unitSub
-	if err := u.GobDecode(buf.Bytes()); err == nil {
+	if _, err := cluster.DecodePayload(cluster.AppendPayload(nil, &unitSub{id: 1})); err == nil {
 		t.Fatal("weightless unit must not decode")
 	}
 }
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestUnitSubWireGolden decodes unit-submodel bytes committed when the wire
-// format was defined (binauto/serialize_test.go convention): decodability of
-// old bytes is the compatibility the TCP fabric depends on. -update
-// re-captures the current encoding; flag any regeneration in the PR.
+// TestUnitSubWireGolden pins the unit submodel's wire payload byte for byte
+// (the binauto/serialize_test.go convention): encoding the fixed value must
+// reproduce the committed bytes and decoding them must give it back. -update
+// re-captures the encoding; flag any regeneration in the PR.
 func TestUnitSubWireGolden(t *testing.T) {
-	want := &unitSub{
-		id:  4,
-		ref: UnitRef{Layer: 1, Unit: 2},
-		w:   []float64{0.5, -1, 0.25, 2},
-		k:   2,
-		eta: 0.3,
-	}
+	want := fixedUnitSub()
+	raw := cluster.AppendPayload(nil, want)
 	path := filepath.Join("testdata", "unit_sub.golden.hex")
 	if *update {
-		raw, err := want.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(hex.EncodeToString(raw)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -75,13 +60,16 @@ func TestUnitSubWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run go test -run %s -update): %v", t.Name(), err)
 	}
-	raw, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
+	committed, err := hex.DecodeString(strings.TrimSpace(string(hexBytes)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := &unitSub{}
-	if err := got.GobDecode(raw); err != nil {
-		t.Fatalf("committed wire bytes no longer decode — the format drifted incompatibly: %v", err)
+	if !bytes.Equal(raw, committed) {
+		t.Fatalf("unit submodel encoding drifted from the committed bytes:\ngot  %x\nwant %x", raw, committed)
+	}
+	got, err := cluster.DecodePayload(committed)
+	if err != nil {
+		t.Fatalf("committed wire bytes do not decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("committed wire bytes decode to different state:\ngot  %#v\nwant %#v", got, want)
