@@ -105,7 +105,7 @@ func main() {
 	ds, qs := buildDatasets(o)
 	// -cores drives the evaluation scans too: ground truth, encoding and the
 	// Hamming retrieval are all query/point-parallel.
-	truth := retrieval.GroundTruthParallel(ds, qs, 50, o.cores)
+	truth := retrieval.GroundTruth(ds, qs, 50, o.cores)
 
 	var model *binauto.Model
 	if o.load != "" {
@@ -127,8 +127,8 @@ func main() {
 		}
 	}
 
-	base := model.EncodeParallel(ds, o.cores)
-	qc := model.EncodeParallel(qs, o.cores)
+	base := model.Encode(ds, o.cores)
+	qc := model.Encode(qs, o.cores)
 	retr := retrieval.AllTopKHamming(base, qc, 50, o.cores)
 	fmt.Printf("retrieval precision (K=k=50): %.3f\n", retrieval.Precision(truth, retr))
 

@@ -1,12 +1,16 @@
 package parmac
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,12 +50,67 @@ func TestDocPointersResolve(t *testing.T) {
 		check(doc, string(data))
 	}
 
+	walkGoSources(t, func(path string, f *ast.File) {
+		for _, group := range f.Comments {
+			check(path, group.Text())
+		}
+	})
+}
+
+// twinNameRE matches the names of second bodies for one operation: serial
+// references, dense or brute-force oracles and parallel variants.
+var twinNameRE = regexp.MustCompile(`^BruteForce|(Serial|Dense|Oracle|Parallel)$`)
+
+// twinAllowlist names the twins production code may keep.
+var twinAllowlist = map[string]bool{
+	// An alias of Encode, called by the benchmark module (bench/serve.go);
+	// a benchmark-only change retires it.
+	"(*binauto.Model).EncodeParallel": true,
+}
+
+// TestNoTwinsInProductionCode fails on a top-level function or method of
+// non-test code (outside bench/) whose name marks it as a second body for
+// one operation. Each operation has one function that takes a worker count
+// (core.Cores semantics); reference implementations live in _test.go files
+// next to the tests that use them.
+func TestNoTwinsInProductionCode(t *testing.T) {
+	walkGoSources(t, func(path string, f *ast.File) {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || !twinNameRE.MatchString(fd.Name.Name) {
+				continue
+			}
+			if name := qualifiedName(f.Name.Name, fd); !twinAllowlist[name] {
+				t.Errorf("%s: %s is a second body for one operation; fold it into one function that takes a worker count, or move it into a _test.go file", path, name)
+			}
+		}
+	}, "bench")
+}
+
+// qualifiedName renders fd as pkg.Func, (pkg.T).Method or (*pkg.T).Method.
+func qualifiedName(pkg string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return pkg + "." + fd.Name.Name
+	}
+	recv, ptr := types.ExprString(fd.Recv.List[0].Type), ""
+	if r, ok := strings.CutPrefix(recv, "*"); ok {
+		recv, ptr = r, "*"
+	}
+	return fmt.Sprintf("(%s%s.%s).%s", ptr, pkg, recv, fd.Name.Name)
+}
+
+// walkGoSources parses every non-test .go file under the module root,
+// comments included, and hands it to fn. It skips testdata, hidden
+// directories and the top-level directories named in skip.
+func walkGoSources(t *testing.T, fn func(path string, f *ast.File), skip ...string) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || (path != "." && strings.HasPrefix(name, ".")) {
+			name := d.Name()
+			if name == "testdata" || (path != "." && strings.HasPrefix(name, ".")) || slices.Contains(skip, path) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -63,9 +122,7 @@ func TestDocPointersResolve(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, group := range f.Comments {
-			check(path, group.Text())
-		}
+		fn(path, f)
 		return nil
 	})
 	if err != nil {

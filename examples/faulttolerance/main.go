@@ -62,8 +62,8 @@ func main() {
 
 	// The model is complete and usable despite losing a quarter of the data.
 	model := prob.AssembleModel()
-	base := model.Encode(ds)
-	qc := model.Encode(queries)
+	base := model.Encode(ds, 1)
+	qc := model.Encode(queries, 1)
 	fmt.Printf("\nmodel intact after failure: L=%d, index=%d bytes, %d queries encoded\n",
 		model.L(), base.MemoryBytes(), qc.N)
 }

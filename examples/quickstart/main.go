@@ -28,14 +28,14 @@ func main() {
 		last.ZChanged, last.ModelBytes)
 
 	// Index the dataset: 16-bit codes, 8 bytes per point → N×8 bytes total.
-	base := res.Model.Encode(ds)
+	base := res.Model.Encode(ds, 1)
 	fmt.Printf("index size: %d bytes packed (raw floats would be %d)\n",
 		base.MemoryBytes(), ds.N*ds.D*8)
 
 	// Retrieve with Hamming distance and score against exact Euclidean
 	// ground truth.
-	truth := retrieval.GroundTruth(ds, queries, 50)
-	qc := res.Model.Encode(queries)
+	truth := retrieval.GroundTruth(ds, queries, 50, 1)
+	qc := res.Model.Encode(queries, 1)
 	retr := make([][]int, queries.N)
 	for q := 0; q < queries.N; q++ {
 		retr[q] = retrieval.TopKHamming(base, qc.Code(q), 50)

@@ -9,7 +9,6 @@ import (
 	parmac "repro"
 	"repro/internal/pca"
 	"repro/internal/retrieval"
-	"repro/internal/sgd"
 )
 
 func main() {
@@ -25,7 +24,7 @@ func main() {
 	// concentrate near a smooth low-dimensional manifold, the regime where
 	// learned hashes are competitive with PCA-based ones.
 	base, queries := parmac.ManifoldBenchmark(nBase, nQuery, dim, 7)
-	truth := retrieval.GroundTruth(base, queries, kTrue)
+	truth := retrieval.GroundTruth(base, queries, kTrue, 1)
 
 	precisionOf := func(baseCodes, queryCodes *retrieval.Codes) float64 {
 		retr := make([][]int, queries.N)
@@ -34,26 +33,20 @@ func main() {
 		}
 		return retrieval.Precision(truth, retr)
 	}
-	encodeWith := func(h interface {
-		Encode(pts sgd.Points) *retrieval.Codes
-	}) float64 {
-		return precisionOf(h.Encode(base), h.Encode(queries))
-	}
-
 	// Baseline 1: truncated PCA (also the BA's initialisation).
 	tp := pca.FitTPCA(base, bits)
-	fmt.Printf("tPCA precision:      %.3f\n", encodeWith(tp))
+	fmt.Printf("tPCA precision:      %.3f\n", precisionOf(tp.Encode(base), tp.Encode(queries)))
 
 	// Baseline 2: iterative quantisation (ITQ).
 	itq := pca.FitITQ(base, bits, 30, 7)
-	fmt.Printf("ITQ precision:       %.3f\n", encodeWith(itq))
+	fmt.Printf("ITQ precision:       %.3f\n", precisionOf(itq.Encode(base), itq.Encode(queries)))
 
 	// The binary autoencoder trained with ParMAC on 8 machines.
 	res := parmac.TrainBinaryAutoencoder(base, parmac.BAOptions{
 		Bits: bits, Machines: 8, Epochs: 2, Iterations: 12, Shuffle: true, Seed: 7,
 		ApproxZ: true,
 	})
-	fmt.Printf("ParMAC BA precision: %.3f\n", encodeWith(res.Model))
+	fmt.Printf("ParMAC BA precision: %.3f\n", precisionOf(res.Model.Encode(base, 1), res.Model.Encode(queries, 1)))
 
 	var bytes int64
 	for _, h := range res.History {
@@ -62,5 +55,5 @@ func main() {
 	fmt.Printf("\ntotal model traffic over %d iterations: %d bytes "+
 		"(no data or coordinates ever moved)\n", len(res.History), bytes)
 	fmt.Printf("search memory: %d bytes for %d points (%d-bit codes)\n",
-		res.Model.Encode(base).MemoryBytes(), base.N, bits)
+		res.Model.Encode(base, 1).MemoryBytes(), base.N, bits)
 }

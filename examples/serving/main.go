@@ -46,7 +46,7 @@ func main() {
 		modelPath = filepath.Join(dir, name+".json")
 		f, err := os.Create(indexPath)
 		check(err)
-		check(res.Model.Encode(base).Save(f))
+		check(res.Model.Encode(base, 1).Save(f))
 		check(f.Close())
 		f, err = os.Create(modelPath)
 		check(err)

@@ -25,6 +25,41 @@ func randomModel(d, l int, seed int64) *Model {
 	return m
 }
 
+// PointObjective evaluates ‖x − f(z_i)‖² + μ‖z_i − h(x)‖² directly, in
+// O(L·D): the oracle for the solvers' incrementally accumulated objective.
+func PointObjective(m *Model, x []float64, z *retrieval.Codes, i int, mu float64) float64 {
+	rec := m.Dec.Reconstruct(z, i, nil)
+	obj := vec.SqDist(x, rec)
+	for l := range m.Enc {
+		if z.Bit(i, l) != m.Enc[l].Predict(x) {
+			obj += mu
+		}
+	}
+	return obj
+}
+
+// BruteForceZ solves one point by explicit search over all 2^L codes: the
+// oracle for the Gray-code enumeration.
+func BruteForceZ(m *Model, x []float64, mu float64) (uint64, float64) {
+	l := m.L()
+	if l > 20 {
+		panic("binauto: BruteForceZ limited to small L")
+	}
+	z := retrieval.NewCodes(1, l)
+	best := uint64(0)
+	bestObj := math.Inf(1)
+	for code := uint64(0); code < 1<<uint(l); code++ {
+		for b := 0; b < l; b++ {
+			z.SetBit(0, b, code&(1<<uint(b)) != 0)
+		}
+		if obj := PointObjective(m, x, z, 0, mu); obj < bestObj {
+			bestObj = obj
+			best = code
+		}
+	}
+	return best, bestObj
+}
+
 func TestDecoderReconstruct(t *testing.T) {
 	m := NewModel(2, 2, 0)
 	m.Dec.W.Set(0, 0, 1) // B_0 = (1,0)
@@ -42,7 +77,7 @@ func TestDecoderReconstruct(t *testing.T) {
 func TestEncodeMatchesEncodePoint(t *testing.T) {
 	ds := dataset.GISTLike(30, 5, 3, 1)
 	m := randomModel(5, 6, 2)
-	codes := m.Encode(ds)
+	codes := m.Encode(ds, 1)
 	bits := make([]bool, 6)
 	for i := 0; i < ds.N; i++ {
 		m.EncodePoint(ds.Point(i, nil), bits)
@@ -57,7 +92,7 @@ func TestEncodeMatchesEncodePoint(t *testing.T) {
 func TestEQEqualsEBAWhenZIsHash(t *testing.T) {
 	ds := dataset.GISTLike(40, 4, 3, 3)
 	m := randomModel(4, 5, 4)
-	z := m.Encode(ds)
+	z := m.Encode(ds, 1)
 	eq := m.EQ(ds, z, 7.5)
 	eba := m.EBA(ds)
 	if math.Abs(eq-eba) > 1e-9 {
@@ -68,14 +103,14 @@ func TestEQEqualsEBAWhenZIsHash(t *testing.T) {
 func TestEQPenaltyCountsHamming(t *testing.T) {
 	ds := dataset.GISTLike(10, 3, 2, 5)
 	m := randomModel(3, 4, 6)
-	z := m.Encode(ds)
+	z := m.Encode(ds, 1)
 	base := m.EQ(ds, z, 2.0)
 	z.SetBit(0, 1, !z.Bit(0, 1)) // one bit of disagreement
 	withFlip := m.EQ(ds, z, 2.0)
 	// The reconstruction term changes too; isolate the penalty by μ=0 diff.
-	z2 := m.Encode(ds)
+	z2 := m.Encode(ds, 1)
 	z2.SetBit(0, 1, !z2.Bit(0, 1))
-	recDelta := m.EQ(ds, z2, 0) - m.EQ(ds, m.Encode(ds), 0)
+	recDelta := m.EQ(ds, z2, 0) - m.EQ(ds, m.Encode(ds, 1), 0)
 	if math.Abs((withFlip-base)-(recDelta+2.0)) > 1e-9 {
 		t.Fatalf("penalty accounting wrong: %v vs %v", withFlip-base, recDelta+2.0)
 	}
@@ -184,13 +219,13 @@ func TestRunZStepReportsChanges(t *testing.T) {
 	m := randomModel(5, 6, 600)
 	ds := dataset.GISTLike(20, 5, 2, 601)
 	z := retrieval.NewCodes(ds.N, 6) // all zeros: certainly changes
-	changed := RunZStep(m, ds, z, 0.5, ZEnumerate)
+	changed := RunZStep(m, ds, z, 0.5, ZEnumerate, 1)
 	if changed == 0 {
 		t.Fatal("expected changes from all-zero init")
 	}
 	// Second run from the optimum must change nothing (enumeration is exact
 	// and deterministic).
-	if again := RunZStep(m, ds, z, 0.5, ZEnumerate); again != 0 {
+	if again := RunZStep(m, ds, z, 0.5, ZEnumerate, 1); again != 0 {
 		t.Fatalf("re-solve changed %d codes; enumeration must be idempotent", again)
 	}
 }
@@ -200,9 +235,9 @@ func TestZStepDecreasesEQ(t *testing.T) {
 	f := func(seed int64) bool {
 		m := randomModel(4, 5, seed)
 		ds := dataset.GISTLike(10, 4, 2, seed+1)
-		z := m.Encode(ds) // start from h(X)
+		z := m.Encode(ds, 1) // start from h(X)
 		before := m.EQ(ds, z, 0.7)
-		RunZStep(m, ds, z, 0.7, ZEnumerate)
+		RunZStep(m, ds, z, 0.7, ZEnumerate, 1)
 		after := m.EQ(ds, z, 0.7)
 		return after <= before+1e-9
 	}
@@ -214,8 +249,8 @@ func TestZStepDecreasesEQ(t *testing.T) {
 func TestFitDecoderExactMinimises(t *testing.T) {
 	ds := dataset.GISTLike(60, 4, 3, 700)
 	m := randomModel(4, 6, 701)
-	z := m.Encode(ds)
-	if err := m.FitDecoderExact(ds, z, 0); err != nil {
+	z := m.Encode(ds, 1)
+	if err := m.FitDecoderExact(ds, z, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	opt := m.EQ(ds, z, 0)
@@ -314,7 +349,7 @@ func TestMACPrecisionBeatsInitTPCA(t *testing.T) {
 
 	cfg := MACConfig{L: 10, Mu0: 1e-4, MuFactor: 2, Iters: 12, SVMEpochs: 3, Seed: 1201}
 	m, _, _ := RunMAC(ds, cfg)
-	macScore := val.Score(m)
+	macScore := val.Score(m, 1)
 
 	// tPCA baseline score via an encoder-less comparison: build codes from
 	// the same initialisation path.

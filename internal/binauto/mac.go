@@ -33,9 +33,8 @@ type MACConfig struct {
 	// Parallel is the number of goroutines each step of RunMAC uses: the
 	// fused W step fans bit groups and the decoder normal equations over it,
 	// the Z step chunks the shard scan, and validation scoring pools its
-	// encode and retrieval scans (unless Validation.Parallel overrides). 0
-	// or 1 runs serially, < 0 uses every core. With Shuffle false the
-	// trained model is bit-identical for any value.
+	// encode and retrieval scans. 0 or 1 runs serially, < 0 uses every core.
+	// With Shuffle false the trained model is bit-identical for any value.
 	Parallel int
 
 	// Optional validation-based early stopping (§3.1: "we stop iterating for
@@ -89,51 +88,22 @@ type Validation struct {
 	// UseRecall switches the score to recall@K with Truth[q][0] as the true
 	// nearest neighbour (the SIFT-1B protocol, §8.4).
 	UseRecall bool
-
-	// Parallel is the goroutine pool for scoring — base/query encoding and
-	// the Hamming scans. 0 inherits the MACConfig.Parallel of the RunMAC
-	// call (or runs serially when used standalone); otherwise core.Cores
-	// semantics. Scores are identical for any value.
-	Parallel int
 }
 
-// Score computes the configured retrieval quality of the model's hash.
-func (v *Validation) Score(m *Model) float64 {
-	return v.score(m, core.Cores(v.Parallel))
-}
-
-// score is Score with an explicit resolved worker count.
-func (v *Validation) score(m *Model, workers int) float64 {
-	base := m.EncodeParallel(v.Base, workers)
-	qc := m.EncodeParallel(v.Queries, workers)
+// Score computes the configured retrieval quality of the model's hash, with
+// the base/query encoding and the Hamming scans on workers goroutines
+// (core.Cores semantics). The score is identical for any worker count.
+func (v *Validation) Score(m *Model, workers int) float64 {
+	base := m.Encode(v.Base, workers)
+	qc := m.Encode(v.Queries, workers)
 	if v.UseRecall {
 		trueNN := make([]int, len(v.Truth))
 		for q := range v.Truth {
 			trueNN[q] = v.Truth[q][0]
 		}
-		return retrieval.RecallAtRParallel(base, qc, trueNN, []int{v.K}, workers)[0]
+		return retrieval.RecallAtR(base, qc, trueNN, []int{v.K}, workers)[0]
 	}
 	return retrieval.Precision(v.Truth, retrieval.AllTopKHamming(base, qc, v.K, workers))
-}
-
-// TrainWStepSerial performs the serial W step of Fig. 1 on (pts, z): each of
-// the L per-bit SVMs is auto-tuned and trained for cfg.SVMEpochs SGD passes,
-// and the decoder is replaced by the exact least-squares fit. This is the
-// reference implementation — L+1 full passes over the data per epoch round,
-// dense decoder normal equations — kept bit-for-bit as the oracle and
-// baseline for TrainWStepFused, which RunMAC uses.
-func TrainWStepSerial(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfig, rng *rand.Rand) error {
-	n := pts.NumPoints()
-	buf := make([]float64, m.D())
-	for l := 0; l < m.L(); l++ {
-		label := bitLabel(z, l)
-		e := m.Enc[l]
-		e.AutoTune(pts, label)
-		for ep := 0; ep < cfg.SVMEpochs; ep++ {
-			e.TrainPass(pts, label, sgd.Order(n, cfg.Shuffle, rng), buf)
-		}
-	}
-	return m.FitDecoderExactDense(pts, z, cfg.DecLambda)
 }
 
 // bitLabel returns the ±1 label view of bit l of z.
@@ -152,14 +122,11 @@ func bitLabel(z *retrieval.Codes, l int) func(i int) float64 {
 // Z = h(X) (the constraints are satisfied, so the finite-μ fixed point has
 // been reached), or when validation precision drops below its best value.
 //
-// The W step runs fused (TrainWStepFused) and the Z step reports the
-// Z = h(X) check it computes anyway (ZKernel.RunStats), so one iteration
-// makes SVMEpochs+calibration passes over the data instead of per-bit ones
-// and never re-encodes the dataset just for the stopping test. With
-// cfg.Shuffle false the encoders are bit-for-bit the historical serial loop
-// and the decoder fit matches it to summation rounding (bitwise when N fits
-// one accumulation chunk — see crossChunk); with Shuffle set, the fused W
-// step shares one permutation per epoch across bits (see TrainWStepFused).
+// The W step runs fused (TrainWStep) and the Z step reports the Z = h(X)
+// check it computes anyway (ZKernel.RunStats), so one iteration makes
+// SVMEpochs+calibration passes over the data instead of per-bit ones and
+// never re-encodes the dataset just for the stopping test. cfg.Parallel
+// sizes the pool of every step, validation scoring included.
 func RunMAC(pts sgd.Points, cfg MACConfig) (*Model, *retrieval.Codes, []IterStats) {
 	cfg.fillDefaults()
 	d := len(pts.Point(0, nil))
@@ -178,7 +145,7 @@ func RunMAC(pts sgd.Points, cfg MACConfig) (*Model, *retrieval.Codes, []IterStat
 	bestScore := -1.0
 	mu := cfg.Mu0
 	for it := 0; it < cfg.Iters; it++ {
-		if err := TrainWStepFused(m, pts, z, &cfg, rng, workers); err != nil {
+		if err := TrainWStep(m, pts, z, &cfg, rng, workers); err != nil {
 			panic("binauto: decoder fit failed: " + err.Error())
 		}
 		zres := NewZKernel(m, mu, cfg.ZMethod).RunStats(pts, z, workers)
@@ -187,11 +154,7 @@ func RunMAC(pts sgd.Points, cfg MACConfig) (*Model, *retrieval.Codes, []IterStat
 		st.EQ = m.EQ(pts, z, mu)
 		st.EBA = m.EBA(pts)
 		if cfg.Validation != nil {
-			vw := workers
-			if cfg.Validation.Parallel != 0 {
-				vw = core.Cores(cfg.Validation.Parallel)
-			}
-			st.Precision = cfg.Validation.score(m, vw)
+			st.Precision = cfg.Validation.Score(m, workers)
 		}
 		// Stop when Z is a fixed point and satisfies the constraints (the
 		// Z step just verified z == h(X) point by point, so no re-encode).
@@ -215,20 +178,6 @@ func RunMAC(pts sgd.Points, cfg MACConfig) (*Model, *retrieval.Codes, []IterStat
 		mu *= cfg.MuFactor
 	}
 	return m, z, stats
-}
-
-// codesEqualHash reports whether z equals h(X) everywhere — one packed-word
-// compare per point (L <= 64 is guaranteed by the Z step that ran before).
-// RunMAC no longer calls it (ZStepResult.HashEqual folds the check into the
-// Z step); it remains the independent oracle the fold is tested against.
-func codesEqualHash(m *Model, pts sgd.Points, z *retrieval.Codes) bool {
-	buf := make([]float64, m.D())
-	for i := 0; i < pts.NumPoints(); i++ {
-		if z.Word64(i) != m.EncodePointWord(pts.Point(i, buf)) {
-			return false
-		}
-	}
-	return true
 }
 
 // initCodesTPCA builds the paper's initial codes: truncated PCA fit on a

@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/linreg"
 	"repro/internal/retrieval"
 	"repro/internal/sgd"
 	"repro/internal/svm"
@@ -127,40 +126,14 @@ func (m *Model) EncodePointWord(x []float64) uint64 {
 }
 
 // Encode hashes every point of pts into packed codes, one word store per
-// point when L <= 64.
-func (m *Model) Encode(pts sgd.Points) *retrieval.Codes {
+// point when L <= 64, with the point loop chunked over workers goroutines
+// (core.Cores semantics). Points hash independently, so the codes are
+// bit-identical for any worker count.
+func (m *Model) Encode(pts sgd.Points, workers int) *retrieval.Codes {
 	n := pts.NumPoints()
-	codes := retrieval.NewCodes(n, m.L())
-	buf := make([]float64, m.D())
-	if m.L() <= 64 {
-		for i := 0; i < n; i++ {
-			codes.SetWord64(i, m.EncodePointWord(pts.Point(i, buf)))
-		}
-		return codes
-	}
-	for i := 0; i < n; i++ {
-		x := pts.Point(i, buf)
-		for l := range m.Enc {
-			codes.SetBit(i, l, m.Enc[l].Predict(x))
-		}
-	}
-	return codes
-}
-
-// EncodeParallel is Encode with the point loop chunked over workers
-// goroutines (0/1 serial, < 0 every core). Points hash independently, so the
-// codes are bit-identical to Encode for any worker count. This is the
-// encoding path of Validation.Score, where hashing the base set is the
-// largest single cost at large N.
-func (m *Model) EncodeParallel(pts sgd.Points, workers int) *retrieval.Codes {
-	n := pts.NumPoints()
-	workers = core.ClampWorkers(n, core.Cores(workers))
-	if workers <= 1 {
-		return m.Encode(pts)
-	}
 	codes := retrieval.NewCodes(n, m.L())
 	packed := m.L() <= 64
-	core.ParallelChunks(n, workers, func(_, lo, hi int) {
+	core.ParallelChunks(n, core.ClampWorkers(n, core.Cores(workers)), func(_, lo, hi int) {
 		buf := make([]float64, m.D())
 		for i := lo; i < hi; i++ {
 			x := pts.Point(i, buf)
@@ -174,6 +147,12 @@ func (m *Model) EncodeParallel(pts sgd.Points, workers int) *retrieval.Codes {
 		}
 	})
 	return codes
+}
+
+// EncodeParallel is Encode. It remains only because the benchmark module
+// calls it (bench/serve.go); a benchmark-only change retires it.
+func (m *Model) EncodeParallel(pts sgd.Points, workers int) *retrieval.Codes {
+	return m.Encode(pts, workers)
 }
 
 // EBA computes the nested binary-autoencoder error of eq. (1):
@@ -261,50 +240,17 @@ func (c CodesPoints) Point(i int, dst []float64) []float64 {
 }
 
 // FitDecoderExact replaces the decoder with the exact least-squares fit of
-// (Z, X), the serial W step of Fig. 1 ("f ← least-squares fit to (Z,X)"). It
-// runs the popcount-Gram WKernel serially; see FitDecoderExactParallel for
-// the pooled version and FitDecoderExactDense for the dense reference.
-func (m *Model) FitDecoderExact(pts sgd.Points, z *retrieval.Codes, lambda float64) error {
-	return m.FitDecoderExactParallel(pts, z, lambda, 1)
-}
-
-// FitDecoderExactParallel is FitDecoderExact through the popcount-Gram
-// WKernel, with up to workers goroutines (0/1 serial, < 0 every core) for
-// the cross-product accumulation. The accumulation granule is fixed (see
-// crossChunk), so the fitted decoder is bit-for-bit identical for every
-// worker count; against the dense reference it is bitwise equal for
-// N ≤ crossChunk and within summation rounding (≪ 1e-9 at benchmark
-// scales) beyond.
-func (m *Model) FitDecoderExactParallel(pts sgd.Points, z *retrieval.Codes, lambda float64, workers int) error {
+// (Z, X), the serial W step of Fig. 1 ("f ← least-squares fit to (Z,X)"),
+// through the popcount-Gram WKernel with up to workers goroutines
+// (core.Cores semantics) for the cross-product accumulation. The
+// accumulation granule is fixed (see crossChunk), so the fitted decoder is
+// bit-for-bit identical for every worker count.
+func (m *Model) FitDecoderExact(pts sgd.Points, z *retrieval.Codes, lambda float64, workers int) error {
 	dec, err := NewWKernel(z).FitDecoder(pts, m.D(), lambda, workers)
 	if err != nil {
 		return err
 	}
 	m.Dec = dec
-	return nil
-}
-
-// FitDecoderExactDense is the pre-WKernel reference implementation of the
-// exact decoder fit: materialise Z as a 0/1 float matrix and X as a dense
-// matrix, then solve via linreg.FitExact. Kept as the dense oracle the
-// popcount-Gram kernel tests compare against.
-func (m *Model) FitDecoderExactDense(pts sgd.Points, z *retrieval.Codes, lambda float64) error {
-	n := pts.NumPoints()
-	zm := vec.NewMatrix(n, m.L())
-	cp := CodesPoints{z}
-	for i := 0; i < n; i++ {
-		cp.Point(i, zm.Row(i))
-	}
-	xm := vec.NewMatrix(n, m.D())
-	for i := 0; i < n; i++ {
-		pts.Point(i, xm.Row(i))
-	}
-	fit, err := linreg.FitExact(zm, xm, lambda)
-	if err != nil {
-		return err
-	}
-	m.Dec.W = fit.W
-	m.Dec.C = fit.C
 	return nil
 }
 

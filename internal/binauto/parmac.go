@@ -107,7 +107,7 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 
 	initZ := cfg.InitZ
 	if initZ == nil {
-		initZ, _ = initialCodesForParMAC(ds, cfg.L, cfg.Seed)
+		initZ = initCodesTPCA(ds, cfg.L, cfg.Seed)
 	}
 
 	p := &ParMACProblem{cfg: cfg, d: ds.D, mu: cfg.Mu0}
@@ -297,11 +297,6 @@ func assembleModel(l, d int, model []core.Submodel) *Model {
 	return m
 }
 
-// initialCodesForParMAC mirrors the serial initialisation.
-func initialCodesForParMAC(ds *dataset.Dataset, l int, seed int64) (*retrieval.Codes, struct{}) {
-	return initCodesTPCA(ds, l, seed), struct{}{}
-}
-
 // ---------------------------------------------------------------------------
 // encoder submodel: one per-bit linear SVM (hash function h_l)
 // ---------------------------------------------------------------------------
@@ -479,13 +474,6 @@ func dimOf(p sgd.Points) int {
 		return 0
 	}
 	return len(p.Point(0, nil))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // GatherCodes concatenates all shard codes back into one set, ordered shard

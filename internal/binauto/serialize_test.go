@@ -34,7 +34,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("shape lost")
 	}
 	// The loaded model must produce identical codes and reconstructions.
-	a, b := m.Encode(ds), back.Encode(ds)
+	a, b := m.Encode(ds, 1), back.Encode(ds, 1)
 	if !a.Equal(b) {
 		t.Fatal("codes differ after round trip")
 	}

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/core"
-	"repro/internal/linreg"
 	"repro/internal/retrieval"
 	"repro/internal/sgd"
 	"repro/internal/vec"
@@ -31,12 +30,11 @@ import (
 //     core.ParallelChunks pool with per-goroutine partial matrices reduced
 //     in worker order.
 //
-// The solve itself goes through linreg.SolveNormal, the factorisation path
-// FitExact uses, and the cross-products accumulate on a fixed chunk grid
-// (crossChunk), so the fitted decoder is bit-for-bit identical for every
-// worker count — and bit-for-bit the dense materialise-and-solve reference
-// whenever N fits one chunk. A kernel is immutable after construction; Cross
-// may be called concurrently.
+// The solve goes through solveNormal, and the cross-products accumulate on a
+// fixed chunk grid (crossChunk), so the fitted decoder is bit-for-bit
+// identical for every worker count — and bit-for-bit the dense
+// materialise-and-solve reference whenever N fits one chunk. A kernel is
+// immutable after construction; Cross may be called concurrently.
 type WKernel struct {
 	L, N int
 	z    *retrieval.Codes // row-major codes (borrowed; not mutated)
@@ -126,7 +124,7 @@ func (k *WKernel) accumulateCross(pts sgd.Points, lo, hi int, acc *vec.Matrix, b
 func (k *WKernel) FitDecoder(pts sgd.Points, d int, lambda float64, workers int) (*Decoder, error) {
 	gram := k.Gram()
 	cross := k.Cross(pts, d, workers)
-	sol, err := linreg.SolveNormal(gram, cross, lambda, k.N)
+	sol, err := solveNormal(gram, cross, lambda, k.N)
 	if err != nil {
 		return nil, err
 	}
@@ -138,14 +136,20 @@ func (k *WKernel) FitDecoder(pts sgd.Points, d int, lambda float64, workers int)
 	return dec, nil
 }
 
-// NormalStats writes the kernel's flattened Gram ((L+1)² entries) and
-// cross-products ((L+1)·d entries) into dst, the wire layout the distributed
-// fit AllReduce-sums across shards. dst must have gram+cross length.
-func (k *WKernel) NormalStats(pts sgd.Points, d, workers int, dst []float64) {
-	gramLen := (k.L + 1) * (k.L + 1)
-	if len(dst) != gramLen+(k.L+1)*d {
-		panic("binauto: NormalStats length mismatch")
+// solveNormal solves the ridge normal equations (G + λI)·W̃ = R for W̃, where
+// G is the (L+1)×(L+1) bias-augmented Gram matrix Z̃ᵀZ̃ and R = Z̃ᵀX. lambda
+// is added to every diagonal entry, bias included; a singular system is
+// retried once with a 1e-8·n jitter, n being the row count G was accumulated
+// over. G is clobbered by the factorisation.
+func solveNormal(gram, rhs *vec.Matrix, lambda float64, n int) (*vec.Matrix, error) {
+	gram.AddScaledIdentity(lambda)
+	ch, err := vec.NewCholesky(gram)
+	if err != nil {
+		gram.AddScaledIdentity(1e-8 * float64(n))
+		ch, err = vec.NewCholesky(gram)
+		if err != nil {
+			return nil, err
+		}
 	}
-	copy(dst[:gramLen], k.Gram().Data)
-	copy(dst[gramLen:], k.Cross(pts, d, workers).Data)
+	return ch.SolveMatrix(rhs), nil
 }

@@ -10,35 +10,34 @@ import (
 	"repro/internal/vec"
 )
 
-// This file is the fused W step: the production replacement for
-// TrainWStepSerial (which is kept as the bit-for-bit reference). The serial
-// W step makes L+... full passes over the data — one per bit-SVM per epoch,
-// plus the η0 calibration trials — reading every point L times per pass
-// round. The fused trainer inverts the loop nest: one pts.Point read per
-// point visit feeds the updates of every bit, the η0 ladder is evaluated for
-// all bits inside one shared pass per candidate, and the per-step SVM update
-// uses svm.StepFused (scale and margin dot in a single walk over w).
+// This file is the W step of Fig. 1, fused. Done per bit, the W step makes
+// one full pass over the data per bit-SVM per epoch, plus the η0
+// calibration trials — reading every point L times per pass round. The
+// fused trainer inverts the loop nest: one pts.Point read per point visit
+// feeds the updates of every bit, the η0 ladder is evaluated for all bits
+// inside one shared pass per candidate, and the per-step SVM update uses
+// svm.StepFused (scale and margin dot in a single walk over w).
 //
 // Equivalence contract: each bit's sequence of (sample, label, η) updates is
-// exactly the serial one, so the trained encoders are bit-for-bit identical
-// to TrainWStepSerial whenever the per-bit sample orders coincide — always
-// for the calibration passes (deterministic leading sample) and for training
-// passes when cfg.Shuffle is false. With cfg.Shuffle set, the fused step
-// draws ONE permutation per epoch shared by every bit (the serial reference
-// draws a fresh permutation per bit per epoch); both are valid stochastic
-// orders, but the realisations differ.
+// exactly the per-bit loop's (svm.Linear.AutoTune, then TrainPass per
+// epoch), so the trained encoders are bit-for-bit that loop's whenever the
+// per-bit sample orders coincide — always for the calibration passes
+// (deterministic leading sample) and for training passes when cfg.Shuffle is
+// false. With cfg.Shuffle set, the fused step draws ONE permutation per epoch
+// shared by every bit (a per-bit loop would draw a fresh permutation per bit
+// per epoch); both are valid stochastic orders, but the realisations differ.
+// The per-bit reference lives in the tests (TrainWStepSerial).
 //
 // Parallelism: bits are split into contiguous groups over cfg-many
 // goroutines, each with its own point buffer and scratch; bits never share
-// mutable state, so the result is bit-identical to the fused serial pass for
-// any worker count. The decoder fit runs on the popcount-Gram WKernel with
-// the same worker budget.
+// mutable state, so the result is bit-identical for any worker count. The
+// decoder fit runs on the popcount-Gram WKernel with the same worker budget.
 
-// TrainWStepFused performs the serial W step of Fig. 1 — auto-tune and train
-// the L per-bit SVMs, then refit the decoder exactly — as a fused single
-// pass per epoch over the data, with up to workers goroutines (0/1 serial,
-// < 0 every core) over bit groups.
-func TrainWStepFused(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfig, rng *rand.Rand, workers int) error {
+// TrainWStep performs the W step of Fig. 1 — auto-tune and train the L
+// per-bit SVMs, then refit the decoder exactly — as a fused single pass per
+// epoch over the data, with up to workers goroutines (core.Cores semantics)
+// over bit groups.
+func TrainWStep(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfig, rng *rand.Rand, workers int) error {
 	n := pts.NumPoints()
 	l := m.L()
 	// Orders are drawn up front on the caller's goroutine: one per epoch,
@@ -60,7 +59,7 @@ func TrainWStepFused(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfi
 			trainPassFusedBits(m, pts, z, lo, hi, order, buf)
 		}
 	})
-	return m.FitDecoderExactParallel(pts, z, cfg.DecLambda, workers)
+	return m.FitDecoderExact(pts, z, cfg.DecLambda, workers)
 }
 
 // trainPassFusedBits runs one SGD pass of bits [lo, hi) over the given

@@ -10,6 +10,42 @@ import (
 	"repro/internal/sgd"
 )
 
+// sweepWorkers are the worker counts every pooled entry point is checked at:
+// serial, small, odd, more than the chunk count allows, and every core.
+var sweepWorkers = []int{1, 2, 3, 8, -1}
+
+// TrainWStepSerial is the per-bit reference W step of Fig. 1 on (pts, z):
+// each of the L per-bit SVMs is auto-tuned and trained for cfg.SVMEpochs SGD
+// passes, and the decoder is replaced by the dense exact least-squares fit —
+// L+1 full passes over the data per epoch round. TrainWStep must reproduce
+// it bit for bit whenever the per-bit sample orders coincide.
+func TrainWStepSerial(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfig, rng *rand.Rand) error {
+	n := pts.NumPoints()
+	buf := make([]float64, m.D())
+	for l := 0; l < m.L(); l++ {
+		label := bitLabel(z, l)
+		e := m.Enc[l]
+		e.AutoTune(pts, label)
+		for ep := 0; ep < cfg.SVMEpochs; ep++ {
+			e.TrainPass(pts, label, sgd.Order(n, cfg.Shuffle, rng), buf)
+		}
+	}
+	return m.FitDecoderExactDense(pts, z, cfg.DecLambda)
+}
+
+// codesEqualHash reports whether z equals h(X) everywhere by re-encoding
+// every point: the independent oracle for the z == h(X) check the Z step
+// folds into its pass (ZStepResult.HashEqual).
+func codesEqualHash(m *Model, pts sgd.Points, z *retrieval.Codes) bool {
+	buf := make([]float64, m.D())
+	for i := 0; i < pts.NumPoints(); i++ {
+		if z.Word64(i) != m.EncodePointWord(pts.Point(i, buf)) {
+			return false
+		}
+	}
+	return true
+}
+
 // encodersEqualBitwise demands bitwise-equal encoder weights, biases and
 // schedule state (η0 selection and step counts), plus a bitwise decoder.
 func encodersEqualBitwise(t *testing.T, a, b *Model, context string) {
@@ -26,8 +62,8 @@ func encodersEqualBitwise(t *testing.T, a, b *Model, context string) {
 	}
 }
 
-// TestTrainWStepFusedMatchesSerialBitForBit: at Parallel=1 and Shuffle=false
-// the fused multi-bit trainer must reproduce TrainWStepSerial exactly —
+// TestTrainWStepFusedMatchesSerialBitForBit: at one worker and Shuffle=false
+// the fused multi-bit TrainWStep must reproduce TrainWStepSerial exactly —
 // auto-tuned η0 per bit, every SVM weight, and the decoder.
 func TestTrainWStepFusedMatchesSerialBitForBit(t *testing.T) {
 	for _, byteBacked := range []bool{false, true} {
@@ -43,7 +79,7 @@ func TestTrainWStepFusedMatchesSerialBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		fused := NewModel(20, 9, cfg.SVMLambda)
-		if err := TrainWStepFused(fused, ds, z, cfg, rand.New(rand.NewSource(53)), 1); err != nil {
+		if err := TrainWStep(fused, ds, z, cfg, rand.New(rand.NewSource(53)), 1); err != nil {
 			t.Fatal(err)
 		}
 		encodersEqualBitwise(t, serial, fused, "fused vs serial")
@@ -65,7 +101,7 @@ func TestTrainWStepFusedSecondRoundMatches(t *testing.T) {
 		if err := TrainWStepSerial(serial, ds, codes, cfg, rand.New(rand.NewSource(64))); err != nil {
 			t.Fatal(err)
 		}
-		if err := TrainWStepFused(fused, ds, codes, cfg, rand.New(rand.NewSource(64)), 1); err != nil {
+		if err := TrainWStep(fused, ds, codes, cfg, rand.New(rand.NewSource(64)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,12 +119,12 @@ func TestTrainWStepFusedParallelBitIdentical(t *testing.T) {
 		cfg := &MACConfig{L: 10, SVMLambda: 1e-5, SVMEpochs: 2, DecLambda: 1e-3, Shuffle: shuffle}
 
 		ref := NewModel(16, 10, cfg.SVMLambda)
-		if err := TrainWStepFused(ref, ds, z, cfg, rand.New(rand.NewSource(73)), 1); err != nil {
+		if err := TrainWStep(ref, ds, z, cfg, rand.New(rand.NewSource(73)), 1); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 3, 10, -1} {
+		for _, workers := range sweepWorkers {
 			m := NewModel(16, 10, cfg.SVMLambda)
-			if err := TrainWStepFused(m, ds, z, cfg, rand.New(rand.NewSource(73)), workers); err != nil {
+			if err := TrainWStep(m, ds, z, cfg, rand.New(rand.NewSource(73)), workers); err != nil {
 				t.Fatal(err)
 			}
 			encodersEqualBitwise(t, ref, m, "parallel vs fused serial")
@@ -132,7 +168,7 @@ func TestZStepFoldedHashEqualMatchesOracle(t *testing.T) {
 	m := randomModel(10, 8, 92)
 	for _, mu := range []float64{1e-4, 0.5, 100} {
 		for _, workers := range []int{1, 4} {
-			z := m.Encode(ds) // start at z = h(X) so large μ keeps it there
+			z := m.Encode(ds, 1) // start at z = h(X) so large μ keeps it there
 			perturbCodes(z, 93)
 			res := NewZKernel(m, mu, ZEnumerate).RunStats(ds, z, workers)
 			if want := codesEqualHash(m, ds, z); res.HashEqual != want {
@@ -150,7 +186,7 @@ func TestZStepFoldedHashEqualMatchesOracle(t *testing.T) {
 func TestZStepHashEqualWithIdleWorkers(t *testing.T) {
 	ds := dataset.GISTLike(1089, 8, 3, 101)
 	m := randomModel(8, 6, 102)
-	z := m.Encode(ds) // start at z = h(X)
+	z := m.Encode(ds, 1) // start at z = h(X)
 	// A huge μ makes keeping z = h(X) optimal everywhere.
 	res := NewZKernel(m, 1e6, ZEnumerate).RunStats(ds, z, 34)
 	if res.Changed != 0 {
@@ -179,29 +215,39 @@ func perturbCodes(z *retrieval.Codes, seed int64) {
 func TestValidationScoreParallelMatchesSerial(t *testing.T) {
 	base := dataset.GISTLike(300, 10, 3, 95)
 	queries := dataset.GISTLike(40, 10, 3, 96)
-	truth := retrieval.GroundTruth(base, queries, 10)
+	truth := retrieval.GroundTruth(base, queries, 10, 1)
 	m := randomModel(10, 8, 97)
 	for _, useRecall := range []bool{false, true} {
 		v := &Validation{Base: base, Queries: queries, Truth: truth, K: 10, UseRecall: useRecall}
-		serial := v.Score(m)
-		v.Parallel = -1
-		parallel := v.Score(m)
-		if math.IsNaN(serial) || serial != parallel {
-			t.Fatalf("useRecall=%v: serial score %v != parallel score %v", useRecall, serial, parallel)
+		serial := v.Score(m, 1)
+		if math.IsNaN(serial) {
+			t.Fatalf("useRecall=%v: NaN score", useRecall)
+		}
+		for _, workers := range sweepWorkers {
+			if got := v.Score(m, workers); got != serial {
+				t.Fatalf("useRecall=%v workers=%d: score %v != serial %v", useRecall, workers, got, serial)
+			}
 		}
 	}
 }
 
-// TestEncodeParallelBitIdentical: the chunked encoder must match Encode for
-// any worker count.
+// TestEncodeParallelBitIdentical: the pooled encoder must match the
+// per-point EncodePointWord loop for any worker count, and EncodeParallel
+// must be Encode.
 func TestEncodeParallelBitIdentical(t *testing.T) {
 	ds := dataset.SIFTLike(500, 12, 4, 98)
 	m := randomModel(12, 10, 99)
-	want := m.Encode(ds)
-	for _, workers := range []int{0, 2, 7, -1} {
-		if got := m.EncodeParallel(ds, workers); !got.Equal(want) {
-			t.Fatalf("workers=%d: EncodeParallel differs from Encode", workers)
+	want := retrieval.NewCodes(ds.N, m.L())
+	for i := 0; i < ds.N; i++ {
+		want.SetWord64(i, m.EncodePointWord(ds.Point(i, nil)))
+	}
+	for _, workers := range sweepWorkers {
+		if got := m.Encode(ds, workers); !got.Equal(want) {
+			t.Fatalf("workers=%d: Encode differs from the per-point loop", workers)
 		}
+	}
+	if !m.EncodeParallel(ds, -1).Equal(want) {
+		t.Fatal("EncodeParallel differs from Encode")
 	}
 }
 

@@ -1,7 +1,6 @@
 package binauto
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/core"
@@ -398,51 +397,11 @@ func (s *ZSolver) store(code uint64, z *retrieval.Codes, i int) bool {
 	return true
 }
 
-// PointObjective evaluates ‖x − f(z_i)‖² + μ‖z_i − h(x)‖² for diagnostics and
-// tests.
-func PointObjective(m *Model, x []float64, z *retrieval.Codes, i int, mu float64) float64 {
-	rec := m.Dec.Reconstruct(z, i, nil)
-	obj := vec.SqDist(x, rec)
-	for l := range m.Enc {
-		if z.Bit(i, l) != m.Enc[l].Predict(x) {
-			obj += mu
-		}
-	}
-	return obj
-}
-
-// RunZStep runs the solver serially over every point of pts, returning how
-// many codes changed. This is the whole Z step of MAC; in ParMAC each machine
-// calls it on its own shard with no communication (§4.1).
-func RunZStep(m *Model, pts sgd.Points, z *retrieval.Codes, mu float64, method ZMethod) int {
-	return NewZKernel(m, mu, method).Run(pts, z, 1)
-}
-
-// RunZStepParallel is RunZStep over a pool of workers goroutines (one solver
-// each; workers <= 1 runs serially, workers < 0 uses every core). Codes are
-// independent per point, so the output is bit-identical to RunZStep.
-func RunZStepParallel(m *Model, pts sgd.Points, z *retrieval.Codes, mu float64, method ZMethod, workers int) int {
+// RunZStep runs the solver over every point of pts on workers goroutines
+// (core.Cores semantics; one solver each), returning how many codes changed.
+// This is the whole Z step of MAC; in ParMAC each machine calls it on its own
+// shard with no communication (§4.1). Codes are independent per point, so
+// the output is bit-identical for any worker count.
+func RunZStep(m *Model, pts sgd.Points, z *retrieval.Codes, mu float64, method ZMethod, workers int) int {
 	return NewZKernel(m, mu, method).Run(pts, z, core.Cores(workers))
-}
-
-// BruteForceZ solves one point by explicit search over all 2^L codes; test
-// oracle for the Gray-code enumeration.
-func BruteForceZ(m *Model, x []float64, mu float64) (uint64, float64) {
-	l := m.L()
-	if l > 20 {
-		panic("binauto: BruteForceZ limited to small L")
-	}
-	z := retrieval.NewCodes(1, l)
-	best := uint64(0)
-	bestObj := math.Inf(1)
-	for code := uint64(0); code < 1<<uint(l); code++ {
-		for b := 0; b < l; b++ {
-			z.SetBit(0, b, code&(1<<uint(b)) != 0)
-		}
-		if obj := PointObjective(m, x, z, 0, mu); obj < bestObj {
-			bestObj = obj
-			best = code
-		}
-	}
-	return best, bestObj
 }

@@ -9,10 +9,10 @@ import (
 	"repro/internal/retrieval"
 )
 
-// TestRunZStepParallelBitIdentical runs the Z step serially and with several
-// worker counts, for both solver methods, and demands bit-identical codes and
-// equal change counts. Run under -race (CI does) this also proves the workers
-// share nothing but the read-only kernel.
+// TestRunZStepParallelBitIdentical runs the Z step at every swept worker
+// count, for both solver methods, and demands the codes and change count of
+// a plain per-point solver loop. Run under -race (CI does) this also proves
+// the workers share nothing but the read-only kernel.
 func TestRunZStepParallelBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -25,17 +25,22 @@ func TestRunZStepParallelBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := randomModel(16, tc.l, 42)
 			ds := dataset.GISTLike(500, 16, 4, 43)
-			init := m.Encode(ds)
-			serial := init.Clone()
-			wantChanged := RunZStep(m, ds, serial, 0.5, tc.method)
-			for _, workers := range []int{2, 3, 8, -1} {
-				par := init.Clone()
-				changed := RunZStepParallel(m, ds, par, 0.5, tc.method, workers)
-				if changed != wantChanged {
+			init := m.Encode(ds, 1)
+			want := init.Clone()
+			s := NewZSolver(m, 0.5, tc.method)
+			wantChanged := 0
+			for i := 0; i < ds.N; i++ {
+				if s.Solve(ds.Point(i, nil), want, i) {
+					wantChanged++
+				}
+			}
+			for _, workers := range sweepWorkers {
+				got := init.Clone()
+				if changed := RunZStep(m, ds, got, 0.5, tc.method, workers); changed != wantChanged {
 					t.Fatalf("workers=%d: changed %d, serial %d", workers, changed, wantChanged)
 				}
-				if !par.Equal(serial) {
-					t.Fatalf("workers=%d: codes differ from serial pass", workers)
+				if !got.Equal(want) {
+					t.Fatalf("workers=%d: codes differ from the serial loop", workers)
 				}
 			}
 		})

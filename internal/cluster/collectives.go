@@ -1,9 +1,9 @@
 package cluster
 
 // Collective computation operations from the paper's appendix B
-// (MPI_Reduce / MPI_Allreduce), specialised to float64 vectors — the only
-// reduction ParMAC-adjacent code needs (aggregating partial sums/gradients
-// across machines, the exact-gradient W-step alternative of §6).
+// (MPI_Reduce / MPI_Allreduce), specialised to float64 vectors: the shape
+// an aggregation of partial sums or gradients across machines takes. The
+// conformance suite exercises them over every transport.
 
 // ReduceOp combines two values elementwise in place: dst[i] = op(dst[i], src[i]).
 type ReduceOp func(dst, src []float64)

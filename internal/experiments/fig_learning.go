@@ -56,7 +56,7 @@ type curveRow struct {
 // records the per-iteration learning curve, the content of Figs. 7–9.
 func runCurve(w learnWorkload, p, epochs int, shuffle bool, seed int64) []curveRow {
 	ds, queries := dataset.WithQueries(w.n, w.queries, w.d, w.clusters, seed, true)
-	truth := retrieval.GroundTruth(ds, queries, w.kTrue)
+	truth := retrieval.GroundTruth(ds, queries, w.kTrue, 1)
 
 	shards := dataset.ShuffledShardIndices(w.n, p, nil, seed+1)
 	prob := binauto.NewParMACProblem(ds, shards, binauto.ParMACConfig{
@@ -72,7 +72,7 @@ func runCurve(w learnWorkload, p, epochs int, shuffle bool, seed int64) []curveR
 		eq, eba := prob.Stats()
 		rows = append(rows, curveRow{
 			iter: it, eq: eq, eba: eba,
-			precision: val.Score(prob.AssembleModel()),
+			precision: val.Score(prob.AssembleModel(), 1),
 		})
 	}
 	return rows

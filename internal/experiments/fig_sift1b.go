@@ -47,7 +47,7 @@ func newSIFT1BSetup(cfg RunConfig) *sift1bSetup {
 	// Byte storage on a shared grid, like the real SIFT sets (§8.4).
 	s.ds = b.QuantizeRange(-1.3, 1.3)
 	s.queriesDS = q.QuantizeRange(-1.3, 1.3)
-	truth := retrieval.GroundTruth(s.ds, s.queriesDS, 1)
+	truth := retrieval.GroundTruth(s.ds, s.queriesDS, 1, 1)
 	s.trueNN = make([]int, s.queries)
 	for q := range truth {
 		s.trueNN[q] = truth[q][0]
@@ -83,9 +83,9 @@ func (s *sift1bSetup) train(kernel bool, cfg RunConfig) sift1bRun {
 	for it := 0; it < s.iters; it++ {
 		eng.Iterate()
 		model := prob.AssembleModel()
-		base := model.Encode(feats)
-		qc := model.Encode(qfeats)
-		rec := retrieval.RecallAtR(base, qc, s.trueNN, []int{s.rq})[0]
+		base := model.Encode(feats, 1)
+		qc := model.Encode(qfeats, 1)
+		rec := retrieval.RecallAtR(base, qc, s.trueNN, []int{s.rq}, 1)[0]
 		_, eba := prob.Stats()
 		run.recallCurve = append(run.recallCurve, rec)
 		run.ebaCurve = append(run.ebaCurve, eba)
@@ -172,9 +172,9 @@ func init() {
 			t := &Table{ID: "fig12",
 				Title:   "recall@R (scaled SIFT-1B analogue)",
 				Columns: []string{"R", "tPCA", "linear BA", "RBF BA"}}
-			tpRec := retrieval.RecallAtR(tpBase, tpQ, s.trueNN, rs)
-			linRec := retrieval.RecallAtR(lin.finalBase, lin.finalQuery, s.trueNN, rs)
-			rbfRec := retrieval.RecallAtR(rbf.finalBase, rbf.finalQuery, s.trueNN, rs)
+			tpRec := retrieval.RecallAtR(tpBase, tpQ, s.trueNN, rs, 1)
+			linRec := retrieval.RecallAtR(lin.finalBase, lin.finalQuery, s.trueNN, rs, 1)
+			rbfRec := retrieval.RecallAtR(rbf.finalBase, rbf.finalQuery, s.trueNN, rs, 1)
 			for i, r := range rs {
 				t.AddRow(d(r), f3(tpRec[i]), f3(linRec[i]), f3(rbfRec[i]))
 			}

@@ -224,7 +224,7 @@ func RunMACAL(n *Net, xs, ys *vec.Matrix, cfg MACConfig) []IterStats {
 		for ep := 0; ep < cfg.WEpochs; ep++ {
 			order := sgd.Order(xs.Rows, cfg.Shuffle, rng)
 			trainUnitsPassAL(n, xs, coords, lam, order, cfg.Eta, mu)
-			TrainOutputPass(n, ys, coords, order, cfg.Eta)
+			TrainOutputPass(n, ys, coords, order, cfg.Eta, 1)
 		}
 		for i := 0; i < xs.Rows; i++ {
 			ZStepPointAL(n, xs.Row(i), ys.Row(i), coords, lam, i, mu, cfg.ZIters)

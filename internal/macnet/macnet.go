@@ -384,8 +384,8 @@ func RunMAC(n *Net, xs, ys *vec.Matrix, cfg MACConfig) []IterStats {
 		// output units fit the targets), fanned out over unit groups.
 		for ep := 0; ep < cfg.WEpochs; ep++ {
 			order := sgd.Order(xs.Rows, cfg.Shuffle, rng)
-			TrainUnitsPassParallel(n, xs, coords, order, cfg.Eta, workers)
-			TrainOutputPassParallel(n, ys, coords, order, cfg.Eta, workers)
+			TrainUnitsPass(n, xs, coords, order, cfg.Eta, workers)
+			TrainOutputPass(n, ys, coords, order, cfg.Eta, workers)
 		}
 		// Z step: every point independently, chunked over the pool.
 		core.ParallelChunks(xs.Rows, core.ClampWorkers(xs.Rows, workers), func(_, lo, hi int) {
@@ -403,36 +403,13 @@ func RunMAC(n *Net, xs, ys *vec.Matrix, cfg MACConfig) []IterStats {
 	return stats
 }
 
-// TrainUnitsPass runs one SGD pass of every unit over the given point order,
-// using the auxiliary coordinates as single-layer inputs/targets. Exported so
-// the ParMAC adapter can reuse it per shard.
-func TrainUnitsPass(n *Net, xs *vec.Matrix, c *Coords, order []int, eta float64) {
-	k := n.K()
-	for _, u := range n.Units() {
-		for _, i := range order {
-			in := xs.Row(i)
-			if u.Layer > 0 {
-				in = c.Z[u.Layer-1].Row(i)
-			}
-			var target float64
-			if u.Layer < k {
-				target = c.Z[u.Layer].At(i, u.Unit)
-			} else {
-				// Output layer unit: target comes from y, supplied by the
-				// caller through the coords' companion; handled in
-				// TrainOutputPass instead.
-				continue
-			}
-			n.UnitSGDStep(u, in, target, eta)
-		}
-	}
-}
-
-// TrainUnitsPassParallel is TrainUnitsPass with the hidden units split into
-// contiguous groups over workers goroutines. A unit's pass touches only its
-// own weight row and reads xs/coords, which the W step never mutates, so the
-// result is bit-identical to the serial pass for any worker count.
-func TrainUnitsPassParallel(n *Net, xs *vec.Matrix, c *Coords, order []int, eta float64, workers int) {
+// TrainUnitsPass runs one SGD pass of every hidden unit over the given point
+// order, using the auxiliary coordinates as single-layer inputs/targets, with
+// the units split into contiguous groups over workers goroutines (core.Cores
+// semantics). A unit's pass touches only its own weight row and reads
+// xs/coords, which the W step never mutates, so the result is bit-identical
+// for any worker count.
+func TrainUnitsPass(n *Net, xs *vec.Matrix, c *Coords, order []int, eta float64, workers int) {
 	k := n.K()
 	var hidden []UnitRef
 	for _, u := range n.Units() {
@@ -453,9 +430,10 @@ func TrainUnitsPassParallel(n *Net, xs *vec.Matrix, c *Coords, order []int, eta 
 	})
 }
 
-// TrainOutputPassParallel is TrainOutputPass with the output units split
-// over workers goroutines; bit-identical to the serial pass for any count.
-func TrainOutputPassParallel(n *Net, ys *vec.Matrix, c *Coords, order []int, eta float64, workers int) {
+// TrainOutputPass runs one SGD pass of the output-layer units against ys,
+// with the units split over workers goroutines (core.Cores semantics);
+// bit-identical for any worker count.
+func TrainOutputPass(n *Net, ys *vec.Matrix, c *Coords, order []int, eta float64, workers int) {
 	k := n.K()
 	w := n.Ws[k]
 	core.ParallelChunks(w.Rows, core.Cores(workers), func(_, lo, hi int) {
@@ -466,17 +444,4 @@ func TrainOutputPassParallel(n *Net, ys *vec.Matrix, c *Coords, order []int, eta
 			}
 		}
 	})
-}
-
-// TrainOutputPass runs one SGD pass of the output-layer units against ys.
-func TrainOutputPass(n *Net, ys *vec.Matrix, c *Coords, order []int, eta float64) {
-	k := n.K()
-	w := n.Ws[k]
-	for j := 0; j < w.Rows; j++ {
-		u := UnitRef{k, j}
-		for _, i := range order {
-			in := c.Z[k-1].Row(i)
-			n.UnitSGDStep(u, in, ys.At(i, j), eta)
-		}
-	}
 }

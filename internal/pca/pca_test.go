@@ -134,7 +134,7 @@ func TestTPCARetrievalBeatsRandomCodes(t *testing.T) {
 	h := FitTPCA(ds, 8)
 	baseCodes := h.Encode(ds)
 	qCodes := h.Encode(queries)
-	truth := retrieval.GroundTruth(ds, queries, 20)
+	truth := retrieval.GroundTruth(ds, queries, 20, 1)
 	retr := make([][]int, queries.N)
 	for q := 0; q < queries.N; q++ {
 		retr[q] = retrieval.TopKHamming(baseCodes, qCodes.Code(q), 20)

@@ -157,7 +157,7 @@ func TestTopKClampsToN(t *testing.T) {
 
 func TestGroundTruthSelfNeighbour(t *testing.T) {
 	ds := dataset.GISTLike(50, 4, 3, 3)
-	gt := GroundTruth(ds, ds, 1)
+	gt := GroundTruth(ds, ds, 1, 1)
 	for q := range gt {
 		if gt[q][0] != q {
 			t.Fatalf("query %d: self must be its own nearest neighbour, got %d", q, gt[q][0])
@@ -208,7 +208,7 @@ func TestRecallAtRMonotoneInR(t *testing.T) {
 		trueNN[q] = rng.Intn(60)
 	}
 	rs := []int{1, 5, 10, 30, 60}
-	rec := RecallAtR(base, queries, trueNN, rs)
+	rec := RecallAtR(base, queries, trueNN, rs, 1)
 	for i := 1; i < len(rec); i++ {
 		if rec[i] < rec[i-1] {
 			t.Fatalf("recall not monotone: %v", rec)
@@ -234,7 +234,7 @@ func TestRecallPerfectCodesGivePerfectRecall(t *testing.T) {
 		trueNN[q] = q * 3
 		copy(queries.Code(q), base.Code(q*3))
 	}
-	rec := RecallAtR(base, queries, trueNN, []int{1})
+	rec := RecallAtR(base, queries, trueNN, []int{1}, 1)
 	if rec[0] != 1 {
 		t.Fatalf("recall@1 = %v, want 1", rec[0])
 	}

@@ -71,10 +71,9 @@ func candIndices(buf []Neighbor) []int {
 
 // MergeTopK merges per-part top-k candidate lists (each sorted by
 // (Dist, Index)) into one global top-k in the same order. This is the exact
-// tie rule the serial scan maintains, so chunked scans — and multi-shard
-// fan-out in a serving tier, with each part's indices already offset into the
-// global id space — merge without changing any result. k < 0 keeps
-// everything.
+// tie rule the serial scan maintains, so a sharded scan (serve.ShardedIndex),
+// with each part's indices already offset into the global id space, merges
+// without changing any result. k < 0 keeps everything.
 func MergeTopK(parts [][]Neighbor, k int) []Neighbor {
 	total := 0
 	for _, p := range parts {
@@ -122,27 +121,6 @@ func TopKHamming(base *Codes, query []uint64, k int) []int {
 	return candIndices(TopKHammingDist(base, query, k))
 }
 
-// TopKHammingParallel is TopKHamming with the base scan chunked over workers
-// goroutines (0/1 serial, < 0 every core): each chunk keeps its own top-k
-// buffer, and the per-chunk results are merged by (distance, index) — the
-// same total order the serial insertion maintains — so the output is
-// identical to TopKHamming for any worker count.
-func TopKHammingParallel(base *Codes, query []uint64, k, workers int) []int {
-	k = clampK(k, base.N)
-	if k == 0 {
-		return []int{}
-	}
-	workers = core.ClampWorkers(base.N, core.Cores(workers))
-	if workers <= 1 {
-		return TopKHamming(base, query, k)
-	}
-	parts := make([][]Neighbor, workers)
-	core.ParallelChunks(base.N, workers, func(w, lo, hi int) {
-		parts[w] = scanHamming(base, query, k, lo, hi, make([]Neighbor, 0, k))
-	})
-	return candIndices(MergeTopK(parts, k))
-}
-
 // AllTopKHamming runs TopKHamming for every query code, fanned out over
 // workers goroutines (0/1 serial, < 0 every core). Queries are independent,
 // so the result equals the serial per-query loop for any worker count. This
@@ -154,19 +132,6 @@ func AllTopKHamming(base, queries *Codes, k, workers int) [][]int {
 	core.ParallelChunks(queries.N, core.Cores(workers), func(_, lo, hi int) {
 		for q := lo; q < hi; q++ {
 			out[q] = TopKHamming(base, queries.Code(q), k)
-		}
-	})
-	return out
-}
-
-// AllTopKHammingDist is AllTopKHamming keeping distances: one batched pass
-// over all queries, each row sorted by (distance, index). This is the shape
-// a serving tier's micro-batcher coalesces concurrent requests into.
-func AllTopKHammingDist(base, queries *Codes, k, workers int) [][]Neighbor {
-	out := make([][]Neighbor, queries.N)
-	core.ParallelChunks(queries.N, core.Cores(workers), func(_, lo, hi int) {
-		for q := lo; q < hi; q++ {
-			out[q] = TopKHammingDist(base, queries.Code(q), k)
 		}
 	})
 	return out
@@ -211,16 +176,11 @@ func TopKEuclidean(base sgd.Points, query []float64, k int) []int {
 }
 
 // GroundTruth computes, for every query row, the K exact Euclidean nearest
-// base points. It is O(Q·N·D); the experiment drivers scale Q and N so this
-// stays affordable — or hand GroundTruthParallel a worker pool.
-func GroundTruth(base sgd.Points, queries sgd.Points, k int) [][]int {
-	return GroundTruthParallel(base, queries, k, 1)
-}
-
-// GroundTruthParallel is GroundTruth fanned out over workers goroutines
-// (0/1 serial, < 0 every core); queries are independent, so the result is
-// identical for any worker count.
-func GroundTruthParallel(base sgd.Points, queries sgd.Points, k, workers int) [][]int {
+// base points, with the queries fanned out over workers goroutines
+// (core.Cores semantics). Queries are independent, so the result is identical
+// for any worker count. It is O(Q·N·D); the experiment drivers scale Q and N
+// so this stays affordable.
+func GroundTruth(base sgd.Points, queries sgd.Points, k, workers int) [][]int {
 	nq := queries.NumPoints()
 	out := make([][]int, nq)
 	d := pointsDim(queries)
@@ -278,32 +238,12 @@ func Precision(truth [][]int, retrieved [][]int) float64 {
 // distances, we place the query as top rank", i.e. rank = 1 + #(points
 // strictly closer).
 func RankOfTrueNN(base *Codes, query []uint64, trueIdx int) int {
-	return RankOfTrueNNParallel(base, query, trueIdx, 1)
-}
-
-// RankOfTrueNNParallel is RankOfTrueNN with the base scan chunked over
-// workers goroutines (0/1 serial, < 0 every core). The rank is a count of
-// strictly-closer points — order-independent — so the result is identical
-// for any worker count.
-func RankOfTrueNNParallel(base *Codes, query []uint64, trueIdx, workers int) int {
 	d := HammingWords(base.Code(trueIdx), query)
-	workers = core.ClampWorkers(base.N, core.Cores(workers))
-	counts := make([]int, workers)
-	core.ParallelChunks(base.N, workers, func(w, lo, hi int) {
-		closer := 0
-		for i := lo; i < hi; i++ {
-			if i == trueIdx {
-				continue
-			}
-			if HammingWords(base.Code(i), query) < d {
-				closer++
-			}
-		}
-		counts[w] = closer
-	})
 	rank := 1
-	for _, c := range counts {
-		rank += c
+	for i := 0; i < base.N; i++ {
+		if i != trueIdx && HammingWords(base.Code(i), query) < d {
+			rank++
+		}
 	}
 	return rank
 }
@@ -312,15 +252,9 @@ func RankOfTrueNNParallel(base *Codes, query []uint64, trueIdx, workers int) int
 // whose true nearest neighbour (trueNN[q], an index into base) is ranked
 // within the top R positions by Hamming distance. R ≤ 0 entries yield 0
 // (every rank is ≥ 1), so callers forwarding request parameters need no
-// special casing.
-func RecallAtR(base *Codes, queries *Codes, trueNN []int, rs []int) []float64 {
-	return RecallAtRParallel(base, queries, trueNN, rs, 1)
-}
-
-// RecallAtRParallel is RecallAtR with the per-query rank scans fanned out
-// over workers goroutines (0/1 serial, < 0 every core); identical output for
-// any worker count.
-func RecallAtRParallel(base *Codes, queries *Codes, trueNN []int, rs []int, workers int) []float64 {
+// special casing. The per-query rank scans fan out over workers goroutines
+// (core.Cores semantics); the output is identical for any worker count.
+func RecallAtR(base *Codes, queries *Codes, trueNN []int, rs []int, workers int) []float64 {
 	if queries.N != len(trueNN) {
 		panic("retrieval: RecallAtR needs one true NN per query")
 	}

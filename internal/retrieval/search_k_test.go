@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -35,19 +36,11 @@ func TestTopKNonPositiveK(t *testing.T) {
 		if got := TopKHammingDist(base, q, k); len(got) != 0 {
 			t.Fatalf("TopKHammingDist k=%d: got %d results", k, len(got))
 		}
-		for _, workers := range []int{1, 4, -1} {
-			if got := TopKHammingParallel(base, q, k, workers); len(got) != 0 {
-				t.Fatalf("TopKHammingParallel k=%d workers=%d: got %d results", k, workers, len(got))
-			}
-		}
-		for _, rows := range AllTopKHamming(base, queries, k, 2) {
-			if len(rows) != 0 {
-				t.Fatalf("AllTopKHamming k=%d: non-empty row", k)
-			}
-		}
-		for _, rows := range AllTopKHammingDist(base, queries, k, 2) {
-			if len(rows) != 0 {
-				t.Fatalf("AllTopKHammingDist k=%d: non-empty row", k)
+		for _, workers := range sweepWorkers {
+			for _, rows := range AllTopKHamming(base, queries, k, workers) {
+				if len(rows) != 0 {
+					t.Fatalf("AllTopKHamming k=%d workers=%d: non-empty row", k, workers)
+				}
 			}
 		}
 	}
@@ -55,24 +48,20 @@ func TestTopKNonPositiveK(t *testing.T) {
 
 // TestTopKCapsAtN pins the other half of the clampK contract: a k larger
 // than the base returns exactly N results, identically across the serial,
-// parallel, and Euclidean entry points.
+// batched, and Euclidean entry points.
 func TestTopKCapsAtN(t *testing.T) {
 	base := randomCodes(30, 32, 7)
-	q := randomCodes(1, 32, 8).Code(0)
+	queries := randomCodes(1, 32, 8)
+	q := queries.Code(0)
 	for _, k := range []int{30, 31, 1000} {
 		serial := TopKHamming(base, q, k)
 		if len(serial) != base.N {
 			t.Fatalf("TopKHamming k=%d: got %d results, want %d", k, len(serial), base.N)
 		}
-		for _, workers := range []int{1, 4, -1} {
-			par := TopKHammingParallel(base, q, k, workers)
-			if len(par) != base.N {
-				t.Fatalf("TopKHammingParallel k=%d workers=%d: got %d results", k, workers, len(par))
-			}
-			for i := range serial {
-				if par[i] != serial[i] {
-					t.Fatalf("k=%d workers=%d rank %d: parallel %d, serial %d", k, workers, i, par[i], serial[i])
-				}
+		for _, workers := range sweepWorkers {
+			batch := AllTopKHamming(base, queries, k, workers)[0]
+			if !slices.Equal(batch, serial) {
+				t.Fatalf("k=%d workers=%d: batched %v, serial %v", k, workers, batch, serial)
 			}
 		}
 	}
@@ -90,7 +79,7 @@ func TestTopKEuclideanNonPositiveK(t *testing.T) {
 		}
 	}
 	queries := pointsFromRows([][]float64{{0, 0}})
-	for _, rows := range GroundTruth(base, queries, -1) {
+	for _, rows := range GroundTruth(base, queries, -1, 1) {
 		if len(rows) != 0 {
 			t.Fatal("GroundTruth k=-1: non-empty row")
 		}
@@ -129,7 +118,7 @@ func TestRecallAtRToleratesNonPositiveR(t *testing.T) {
 	base := randomCodes(50, 32, 3)
 	queries := randomCodes(5, 32, 4)
 	trueNN := []int{0, 1, 2, 3, 4}
-	got := RecallAtR(base, queries, trueNN, []int{-1, 0, 50})
+	got := RecallAtR(base, queries, trueNN, []int{-1, 0, 50}, 1)
 	if got[0] != 0 || got[1] != 0 {
 		t.Fatalf("recall at R<=0 should be 0, got %v", got[:2])
 	}

@@ -31,7 +31,7 @@ func testModel(d, l int, seed int64) *binauto.Model {
 func testDeployment(version string, n, d, l, shards int, seed int64) (*Deployment, *retrieval.Codes, *dataset.Dataset) {
 	ds := dataset.GISTLike(n, d, 4, seed)
 	m := testModel(d, l, seed+100)
-	codes := m.Encode(ds)
+	codes := m.Encode(ds, 1)
 	dep, err := NewDeployment(version, m, NewShardedIndex(codes, shards))
 	if err != nil {
 		panic(err)
@@ -110,7 +110,7 @@ func TestServerEndToEndHTTP(t *testing.T) {
 	if sr.Model != "v1" {
 		t.Fatalf("served by %q, want v1", sr.Model)
 	}
-	q := dep.Model.Encode(onePoint{x}).Code(0)
+	q := dep.Model.Encode(onePoint{x}, 1).Code(0)
 	want := retrieval.TopKHammingDist(codes, q, 5)
 	if len(sr.Neighbors) != len(want) {
 		t.Fatalf("%d neighbors, want %d", len(sr.Neighbors), len(want))
@@ -386,7 +386,7 @@ func TestSwapAndShadowOverHTTP(t *testing.T) {
 	write := func(name string, n, d, l int, seed int64) (string, string) {
 		ds := dataset.GISTLike(n, d, 4, seed)
 		m := testModel(d, l, seed+50)
-		codes := m.Encode(ds)
+		codes := m.Encode(ds, 1)
 		ip := filepath.Join(dir, name+".idx")
 		mp := filepath.Join(dir, name+".json")
 		fi, _ := os.Create(ip)
@@ -498,7 +498,7 @@ func TestMIHDeploymentMatchesLinear(t *testing.T) {
 		t.Fatalf("mih index shape: kind=%s N=%d L=%d", mih.Kind(), mih.N(), mih.L())
 	}
 	lin := NewShardedIndex(codes, 3)
-	queries := testModel(16, 32, 17).Encode(ds)
+	queries := testModel(16, 32, 17).Encode(ds, 1)
 	for qi := 0; qi < 20; qi++ {
 		q := queries.Code(qi)
 		want := lin.Search(q, 10)
@@ -526,7 +526,7 @@ func TestMIHDeploymentMatchesLinear(t *testing.T) {
 func TestStreamingMIHAddSearchable(t *testing.T) {
 	ds := dataset.GISTLike(300, 8, 4, 18)
 	m := testModel(8, 16, 19)
-	codes := m.Encode(ds)
+	codes := m.Encode(ds, 1)
 	first := subCodes(codes, 0, 200)
 	extra := subCodes(codes, 200, 300)
 

@@ -18,7 +18,7 @@
 //	result := parmac.TrainBinaryAutoencoder(ds, parmac.BAOptions{
 //	    Bits: 16, Machines: 8, Epochs: 1, Iterations: 12, Seed: 1,
 //	})
-//	codes := result.Model.Encode(ds)   // packed binary codes for retrieval
+//	codes := result.Model.Encode(ds, 1) // packed binary codes for retrieval
 //
 // See README.md ("Layout") for the system inventory and bench/README.md for
 // the measured results.

@@ -53,9 +53,9 @@ func TestTrainBinaryAutoencoderEndToEnd(t *testing.T) {
 	}
 	// The model must encode queries and retrieve something sensible: better
 	// than the random-codes floor.
-	base := res.Model.Encode(ds)
-	qc := res.Model.Encode(queries)
-	truth := retrieval.GroundTruth(ds, queries, 30)
+	base := res.Model.Encode(ds, 1)
+	qc := res.Model.Encode(queries, 1)
+	truth := retrieval.GroundTruth(ds, queries, 30, 1)
 	retr := make([][]int, queries.N)
 	for q := 0; q < queries.N; q++ {
 		retr[q] = retrieval.TopKHamming(base, qc.Code(q), 30)
