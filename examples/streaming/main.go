@@ -38,7 +38,7 @@ func main() {
 	for i := range extra {
 		extra[i] = 3000 + i
 	}
-	shard := prob.AddShard(binauto.NewShardPoints(ds, extra))
+	shard := prob.AddShard(ds, extra)
 	rank := eng.AddMachine(shard)
 	fmt.Printf("\n+ streamed in 2000 points on new machine rank %d\n\n", rank)
 

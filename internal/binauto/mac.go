@@ -106,16 +106,6 @@ func (v *Validation) Score(m *Model, workers int) float64 {
 	return retrieval.Precision(v.Truth, retrieval.AllTopKHamming(base, qc, v.K, workers))
 }
 
-// bitLabel returns the ±1 label view of bit l of z.
-func bitLabel(z *retrieval.Codes, l int) func(i int) float64 {
-	return func(i int) float64 {
-		if z.Bit(i, l) {
-			return 1
-		}
-		return -1
-	}
-}
-
 // RunMAC trains a binary autoencoder with the serial MAC algorithm of Fig. 1
 // and returns the model, the final codes and the learning curve. Stopping
 // follows the paper: stop early when the Z step changes nothing and

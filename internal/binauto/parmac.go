@@ -20,16 +20,59 @@ import (
 // circulating units. With the default of L groups of ≈D/L dimensions each,
 // the effective number of equal-size submodels is M = 2L, the figure §5.4
 // uses in the speedup model.
+//
+// A visit reads the shard where it lies, converting each feature only where
+// it is used (§8.4): an encoder's η0 calibration and SGD pass run
+// svm.StepBytes/MarginBytes over a byte-backed shard's stored rows through
+// the dataset's dequantisation table (float rows are aliased, never copied),
+// and a decoder group reads only the dimensions it owns and walks its
+// weights row by row. Every update keeps its expression and summation order,
+// so a visit is bit for bit the one over Point copies that visit_test.go
+// keeps as the reference.
 
-// Shard is one machine's portion of the data and its auxiliary coordinates.
-// The codes never leave the shard; only submodels move (§4.1).
+// Shard is one machine's portion of the data — rows of a dataset, read in
+// place — and its auxiliary coordinates. The codes never leave the shard;
+// only submodels move (§4.1).
 type Shard struct {
-	X sgd.Points
-	Z *retrieval.Codes
+	ds  *dataset.Dataset
+	idx []int // shard point k is row idx[k] of ds
+	Z   *retrieval.Codes
 }
 
 // NumPoints implements core.Shard.
-func (s *Shard) NumPoints() int { return s.X.NumPoints() }
+func (s *Shard) NumPoints() int { return len(s.idx) }
+
+// Point writes shard point i into dst (sgd.Points, for the Z step and the
+// objectives).
+func (s *Shard) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[i], dst) }
+
+// visitDims calls f(z, x) for each shard point i of order, in order: z is
+// the point's code as 0/1 floats and x[j] its feature dims[j]. Only the
+// listed features are read — quantised ones through the dataset's
+// dequantisation table, float ones from the aliased row — and the storage
+// is tested once per call. z and x are reused between calls of f.
+func (s *Shard) visitDims(order, dims []int, f func(z, x []float64)) {
+	z := make([]float64, s.Z.L)
+	x := make([]float64, len(dims))
+	codes := CodesPoints{s.Z}
+	if deq := s.ds.Dequant(); deq != nil {
+		for _, i := range order {
+			row := s.ds.ByteRow(s.idx[i])
+			for j, dim := range dims {
+				x[j] = deq[row[dim]]
+			}
+			f(codes.Point(i, z), x)
+		}
+		return
+	}
+	for _, i := range order {
+		row := s.ds.Point(s.idx[i], nil)
+		for j, dim := range dims {
+			x[j] = row[dim]
+		}
+		f(codes.Point(i, z), x)
+	}
+}
 
 // ParMACConfig parameterises the distributed BA problem.
 type ParMACConfig struct {
@@ -116,7 +159,7 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 		for k, i := range idx {
 			z.CopyCode(k, initZ, i)
 		}
-		p.shards = append(p.shards, &Shard{X: subsetPoints{ds, idx}, Z: z})
+		p.shards = append(p.shards, &Shard{ds: ds, idx: idx, Z: z})
 	}
 
 	// Encoder submodels: IDs 0..L-1.
@@ -138,18 +181,14 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	return p
 }
 
-// AddShard appends a shard (for streaming: a newly added machine's data). The
-// new points get codes from the current model's hash when a model is
-// available, otherwise zero codes — matching §4.3 ("creating within that
-// machine coordinate values, e.g. by applying the nested model to x").
-func (p *ParMACProblem) AddShard(pts sgd.Points) int {
-	z := retrieval.NewCodes(pts.NumPoints(), p.cfg.L)
-	m := p.AssembleModel()
-	buf := make([]float64, p.d)
-	for i := 0; i < pts.NumPoints(); i++ {
-		z.SetWord64(i, m.EncodePointWord(pts.Point(i, buf)))
-	}
-	p.shards = append(p.shards, &Shard{X: pts, Z: z})
+// AddShard appends a shard holding rows idx of ds (for streaming: a newly
+// added machine's data). The new points get codes from the current model's
+// hash — matching §4.3 ("creating within that machine coordinate values,
+// e.g. by applying the nested model to x").
+func (p *ParMACProblem) AddShard(ds *dataset.Dataset, idx []int) int {
+	sh := &Shard{ds: ds, idx: idx}
+	sh.Z = p.AssembleModel().Encode(sh, 1)
+	p.shards = append(p.shards, sh)
 	return len(p.shards) - 1
 }
 
@@ -216,7 +255,7 @@ func (p *ParMACProblem) OnModelSync(model []core.Submodel) {
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
 	k := p.zKernel(model)
 	sh := p.shards[shard]
-	return k.Run(sh.X, sh.Z, core.Cores(p.cfg.Parallel))
+	return k.Run(sh, sh.Z, core.Cores(p.cfg.Parallel))
 }
 
 // zKernel returns the shared Z kernel for this machine's model, building it
@@ -264,8 +303,8 @@ func (p *ParMACProblem) AssembleModel() *Model {
 func (p *ParMACProblem) Stats() (eq, eba float64) {
 	m := p.AssembleModel()
 	for _, sh := range p.shards {
-		eq += m.EQ(sh.X, sh.Z, p.mu)
-		eba += m.EBA(sh.X)
+		eq += m.EQ(sh, sh.Z, p.mu)
+		eba += m.EBA(sh)
 	}
 	return eq, eba
 }
@@ -306,7 +345,6 @@ type encoderSub struct {
 	bit   int
 	svm   *svm.Linear
 	tuned bool
-	buf   []float64
 }
 
 // ID implements core.Submodel.
@@ -314,19 +352,69 @@ func (e *encoderSub) ID() int { return e.id }
 
 // TrainOn runs one SGD pass over the shard, predicting bit `bit` of the
 // shard's codes from the features (the "fit SVM to (X, Z_l)" of Fig. 1,
-// executed stochastically as the submodel circulates).
+// executed stochastically as the submodel circulates). The η0 calibration
+// and the pass read the shard's rows in place.
 func (e *encoderSub) TrainOn(shard core.Shard, order []int) {
-	sh := shard.(*Shard)
-	label := bitLabel(sh.Z, e.bit)
+	rows := encoderRows{shard.(*Shard), e.bit}
 	if !e.tuned {
-		e.svm.AutoTune(sh.X, label)
+		e.svm.AutoTune(rows)
 		e.tuned = true
 	}
-	if cap(e.buf) < len(e.svm.W) {
-		e.buf = make([]float64, len(e.svm.W))
+	rows.Pass(e.svm, order)
+}
+
+// encoderRows is a shard as one encoder's svm.Samples: the shard's rows
+// labelled ±1 by bit `bit` of its codes. Quantised rows are read in place by
+// StepBytes/MarginBytes through the dataset's dequantisation table, float
+// rows are aliased for StepFused/Margin; each call tests the storage once.
+type encoderRows struct {
+	sh  *Shard
+	bit int
+}
+
+func (r encoderRows) NumPoints() int { return r.sh.NumPoints() }
+
+// label is the ±1 target of shard point i.
+func (r encoderRows) label(i int) float64 {
+	if r.sh.Z.Bit(i, r.bit) {
+		return 1
 	}
-	// Fused step: bit-for-bit TrainPass with one fewer walk over the weights.
-	e.svm.TrainPassFused(sh.X, label, order, e.buf[:len(e.svm.W)])
+	return -1
+}
+
+// Pass implements svm.Samples.
+func (r encoderRows) Pass(m *svm.Linear, order []int) {
+	ds, idx := r.sh.ds, r.sh.idx
+	if deq := ds.Dequant(); deq != nil {
+		for _, i := range order {
+			m.StepBytes(ds.ByteRow(idx[i]), deq, r.label(i), m.Sched.Next())
+		}
+		return
+	}
+	for _, i := range order {
+		m.StepFused(ds.Point(idx[i], nil), r.label(i), m.Sched.Next())
+	}
+}
+
+// Hinge implements svm.Samples.
+func (r encoderRows) Hinge(m *svm.Linear, sample []int) float64 {
+	ds, idx := r.sh.ds, r.sh.idx
+	var sum float64
+	add := func(i int, margin float64) {
+		if h := 1 - r.label(i)*margin; h > 0 {
+			sum += h
+		}
+	}
+	if deq := ds.Dequant(); deq != nil {
+		for _, i := range sample {
+			add(i, m.MarginBytes(ds.ByteRow(idx[i]), deq))
+		}
+		return sum
+	}
+	for _, i := range sample {
+		add(i, m.Margin(ds.Point(idx[i], nil)))
+	}
+	return sum
 }
 
 // Clone implements core.Submodel.
@@ -349,7 +437,6 @@ type decoderSub struct {
 	lambda float64
 	sched  *sgd.Schedule
 	tuned  bool
-	zbuf   []float64
 }
 
 func newDecoderSub(id, l int, dims []int, lambda float64) *decoderSub {
@@ -368,88 +455,75 @@ func newDecoderSub(id, l int, dims []int, lambda float64) *decoderSub {
 func (d *decoderSub) ID() int { return d.id }
 
 // TrainOn runs one SGD pass fitting x_dim ≈ Σ_l z_l·w_l + c for each owned
-// dimension (the decoder half of the W step, trained stochastically).
+// dimension (the decoder half of the W step, trained stochastically),
+// reading only the owned features of each point.
 func (d *decoderSub) TrainOn(shard core.Shard, order []int) {
 	sh := shard.(*Shard)
-	l := d.w.Rows
-	if cap(d.zbuf) < l {
-		d.zbuf = make([]float64, l)
-	}
-	z := d.zbuf[:l]
-	xbuf := make([]float64, dimOf(sh.X))
 	if !d.tuned {
 		d.autoTune(sh, order)
 		d.tuned = true
 	}
-	for _, i := range order {
-		CodesPoints{sh.Z}.Point(i, z)
-		x := sh.X.Point(i, xbuf)
-		eta := d.sched.Next()
-		d.step(z, x, eta)
+	pred := make([]float64, len(d.dims))
+	sh.visitDims(order, d.dims, func(z, x []float64) { d.step(z, x, d.sched.Next(), pred) })
+}
+
+// predict writes c + Wᵀz for the owned dimensions into pred, walking w row
+// by row; pred[j] still sums z_l·w_lj in bit order l = 0, 1, ….
+func (d *decoderSub) predict(z, pred []float64) {
+	g := len(pred)
+	copy(pred, d.c)
+	for l, zl := range z {
+		for j, w := range d.w.Data[l*g : (l+1)*g] {
+			pred[j] += zl * w
+		}
 	}
 }
 
-// step performs one SGD update on every owned dimension.
-func (d *decoderSub) step(z, x []float64, eta float64) {
-	l := d.w.Rows
-	for j, dim := range d.dims {
-		pred := d.c[j]
-		for row := 0; row < l; row++ {
-			pred += z[row] * d.w.At(row, j)
+// step performs one SGD update on every owned dimension from code z and the
+// owned features x (x[j] is dimension dims[j]): w_lj ← w_lj·(1−ηλ) − η·err_j·z_l
+// and c_j ← c_j − η·err_j, with w updated row by row. pred is scratch.
+func (d *decoderSub) step(z, x []float64, eta float64, pred []float64) {
+	d.predict(z, pred)
+	for j := range pred {
+		pred[j] = eta * (pred[j] - x[j])
+	}
+	shrink := 1 - eta*d.lambda
+	g := len(pred)
+	for l, zl := range z {
+		row := d.w.Data[l*g : (l+1)*g]
+		for j := range row {
+			row[j] = row[j]*shrink - pred[j]*zl
 		}
-		err := pred - x[dim]
-		shrink := 1 - eta*d.lambda
-		for row := 0; row < l; row++ {
-			d.w.Set(row, j, d.w.At(row, j)*shrink-eta*err*z[row])
-		}
-		d.c[j] -= eta * err
+	}
+	for j := range d.c {
+		d.c[j] -= pred[j]
 	}
 }
 
-// loss is the mean squared error over the given sample.
-func (d *decoderSub) loss(sh *Shard, idx []int) float64 {
-	l := d.w.Rows
-	z := make([]float64, l)
-	xbuf := make([]float64, dimOf(sh.X))
-	var total float64
-	for _, i := range idx {
-		CodesPoints{sh.Z}.Point(i, z)
-		x := sh.X.Point(i, xbuf)
-		for j, dim := range d.dims {
-			pred := d.c[j]
-			for row := 0; row < l; row++ {
-				pred += z[row] * d.w.At(row, j)
-			}
-			e := pred - x[dim]
-			total += 0.5 * e * e
-		}
-	}
-	if len(idx) == 0 {
-		return 0
-	}
-	return total / float64(len(idx))
-}
-
-// autoTune calibrates η0 on the leading sample (§8.1).
+// autoTune calibrates η0 on the leading sample of order (§8.1): each
+// candidate trains a clone over the sample, scored by its mean squared error
+// there.
 func (d *decoderSub) autoTune(sh *Shard, order []int) {
 	n := sgd.TuningSampleSize(sh.NumPoints())
 	if n == 0 {
 		return
 	}
 	sample := make([]int, n)
-	copy(sample, order[:min(n, len(order))])
+	copy(sample, order)
+	pred := make([]float64, len(d.dims))
 	best := sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
 		trial := d.Clone().(*decoderSub)
 		trial.sched = sgd.NewSchedule(eta0, d.lambda)
-		l := trial.w.Rows
-		z := make([]float64, l)
-		xbuf := make([]float64, dimOf(sh.X))
-		for _, i := range sample {
-			CodesPoints{sh.Z}.Point(i, z)
-			x := sh.X.Point(i, xbuf)
-			trial.step(z, x, trial.sched.Next())
-		}
-		return trial.loss(sh, sample)
+		sh.visitDims(sample, d.dims, func(z, x []float64) { trial.step(z, x, trial.sched.Next(), pred) })
+		var total float64
+		sh.visitDims(sample, d.dims, func(z, x []float64) {
+			trial.predict(z, pred)
+			for j, p := range pred {
+				e := p - x[j]
+				total += 0.5 * e * e
+			}
+		})
+		return total / float64(n)
 	})
 	d.sched.Eta0 = best
 	d.sched.Lambda = d.lambda
@@ -469,13 +543,6 @@ func (d *decoderSub) Clone() core.Submodel {
 // Bytes implements core.Submodel.
 func (d *decoderSub) Bytes() int { return 8 * (len(d.w.Data) + len(d.c)) }
 
-func dimOf(p sgd.Points) int {
-	if p.NumPoints() == 0 {
-		return 0
-	}
-	return len(p.Point(0, nil))
-}
-
 // GatherCodes concatenates all shard codes back into one set, ordered shard
 // by shard (for evaluation).
 func (p *ParMACProblem) GatherCodes() *retrieval.Codes {
@@ -492,12 +559,6 @@ func (p *ParMACProblem) GatherCodes() *retrieval.Codes {
 		}
 	}
 	return out
-}
-
-// NewShardPoints builds the sgd.Points view a caller needs to hand extra
-// shards to AddShard from a dataset and explicit indices.
-func NewShardPoints(ds *dataset.Dataset, idx []int) sgd.Points {
-	return subsetPoints{ds, idx}
 }
 
 var _ core.Problem = (*ParMACProblem)(nil)

@@ -234,7 +234,7 @@ func TestParMACStreamingAddShard(t *testing.T) {
 	for i := range extra {
 		extra[i] = 150 + i
 	}
-	shardIdx := prob.AddShard(NewShardPoints(ds, extra))
+	shardIdx := prob.AddShard(ds, extra)
 	eng.AddMachine(shardIdx)
 	res := eng.Iterate()
 	if res.AliveMachines != 3 {

@@ -1,0 +1,266 @@
+package binauto
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/retrieval"
+	"repro/internal/sgd"
+	"repro/internal/svm"
+)
+
+// bitLabel returns the ±1 label view of bit l of z.
+func bitLabel(z *retrieval.Codes, l int) func(i int) float64 {
+	return func(i int) float64 {
+		if z.Bit(i, l) {
+			return 1
+		}
+		return -1
+	}
+}
+
+// pointRows is the reference svm.Samples: bit `bit` of z as ±1 labels over
+// Point copies of pts, trained by StepFused and scored by Margin — the
+// encoder visit as it was before rows were read in place.
+type pointRows struct {
+	pts sgd.Points
+	z   *retrieval.Codes
+	bit int
+}
+
+func (r pointRows) NumPoints() int { return r.pts.NumPoints() }
+
+func (r pointRows) Pass(m *svm.Linear, order []int) {
+	label, buf := bitLabel(r.z, r.bit), make([]float64, len(m.W))
+	for _, i := range order {
+		m.StepFused(r.pts.Point(i, buf), label(i), m.Sched.Next())
+	}
+}
+
+func (r pointRows) Hinge(m *svm.Linear, idx []int) float64 {
+	label, buf := bitLabel(r.z, r.bit), make([]float64, len(m.W))
+	var loss float64
+	for _, i := range idx {
+		if h := 1 - label(i)*m.Margin(r.pts.Point(i, buf)); h > 0 {
+			loss += h
+		}
+	}
+	return loss
+}
+
+// trainOnPoints is the reference encoder visit: svm.AutoTune and one pass
+// over Point copies of the shard.
+func (e *encoderSub) trainOnPoints(sh *Shard, order []int) {
+	rows := pointRows{sh, sh.Z, e.bit}
+	if !e.tuned {
+		e.svm.AutoTune(rows)
+		e.tuned = true
+	}
+	rows.Pass(e.svm, order)
+}
+
+// stepAt is the reference decoder update: per owned dimension, the
+// prediction and the update walk w's column through At/Set, reading
+// x[dims[j]] from a full point.
+func (d *decoderSub) stepAt(z, x []float64, eta float64) {
+	l := d.w.Rows
+	for j, dim := range d.dims {
+		pred := d.c[j]
+		for row := 0; row < l; row++ {
+			pred += z[row] * d.w.At(row, j)
+		}
+		err := pred - x[dim]
+		shrink := 1 - eta*d.lambda
+		for row := 0; row < l; row++ {
+			d.w.Set(row, j, d.w.At(row, j)*shrink-eta*err*z[row])
+		}
+		d.c[j] -= eta * err
+	}
+}
+
+// lossAt is the reference mean squared error over the sample idx.
+func (d *decoderSub) lossAt(sh *Shard, idx []int) float64 {
+	l := d.w.Rows
+	z := make([]float64, l)
+	xbuf := make([]float64, sh.ds.D)
+	var total float64
+	for _, i := range idx {
+		CodesPoints{sh.Z}.Point(i, z)
+		x := sh.Point(i, xbuf)
+		for j, dim := range d.dims {
+			pred := d.c[j]
+			for row := 0; row < l; row++ {
+				pred += z[row] * d.w.At(row, j)
+			}
+			e := pred - x[dim]
+			total += 0.5 * e * e
+		}
+	}
+	if len(idx) == 0 {
+		return 0
+	}
+	return total / float64(len(idx))
+}
+
+// trainOnPoints is the reference decoder visit: η0 calibration on the
+// leading sample of order, then one pass, all through full Point copies,
+// stepAt and lossAt.
+func (d *decoderSub) trainOnPoints(sh *Shard, order []int) {
+	z := make([]float64, d.w.Rows)
+	xbuf := make([]float64, sh.ds.D)
+	if n := sgd.TuningSampleSize(sh.NumPoints()); !d.tuned && n > 0 {
+		sample := make([]int, n)
+		copy(sample, order[:min(n, len(order))])
+		best := sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
+			trial := d.Clone().(*decoderSub)
+			trial.sched = sgd.NewSchedule(eta0, d.lambda)
+			for _, i := range sample {
+				CodesPoints{sh.Z}.Point(i, z)
+				trial.stepAt(z, sh.Point(i, xbuf), trial.sched.Next())
+			}
+			return trial.lossAt(sh, sample)
+		})
+		d.sched.Eta0 = best
+		d.sched.Lambda = d.lambda
+		d.sched.SetSteps(0)
+	}
+	d.tuned = true
+	for _, i := range order {
+		CodesPoints{sh.Z}.Point(i, z)
+		x := sh.Point(i, xbuf)
+		eta := d.sched.Next()
+		d.stepAt(z, x, eta)
+	}
+}
+
+// bitsEqual reports whether two float slices agree bit for bit.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// visitShard is a shard of n points on rows scattered over a dataset of
+// 2n+3 (so row and shard index differ). Its L-bit codes are random except
+// that the first 1000 points carry one bit each: SGD on those tolerates a
+// larger η0 than on random codes, so a decoder that tuned on the leading
+// points instead of a shuffled order's first 1000 would pick another η0.
+func visitShard(n, d, l int, byteBacked bool, seed int64) *Shard {
+	ds := dataset.GISTLike(2*n+3, d, 5, seed)
+	if byteBacked {
+		ds = dataset.SIFTLike(2*n+3, d, 5, seed)
+	}
+	idx := rand.New(rand.NewSource(seed + 1)).Perm(ds.N)[:n]
+	z := randomCodesW(n, l, seed+2)
+	for i := 0; i < min(n, 1000); i++ {
+		z.SetWord64(i, 1<<(i%l))
+	}
+	return &Shard{ds: ds, idx: idx, Z: z}
+}
+
+// TestParMACVisitMatchesReference: an encoder and a decoder visit that read
+// the shard in place must leave W, b or c, η0 and the schedule's step count
+// bit for bit where the reference visits over Point copies leave them — on
+// byte- and float-backed shards, with the visit order shuffled or not, from
+// a tuned and an untuned start, over two consecutive visits. D = 22 leaves a
+// tail past the four-wide kernels; of 3 000 points the tuning sample is the
+// first third.
+func TestParMACVisitMatchesReference(t *testing.T) {
+	const n, d, l = 3000, 22, 6
+	for _, byteBacked := range []bool{false, true} {
+		sh := visitShard(n, d, l, byteBacked, 41)
+		for _, shuffle := range []bool{false, true} {
+			for _, tuned := range []bool{false, true} {
+				name := fmt.Sprintf("bytes=%v/shuffle=%v/tuned=%v", byteBacked, shuffle, tuned)
+				rng := rand.New(rand.NewSource(42))
+				enc := &encoderSub{bit: 3, svm: svm.NewLinear(d, 1e-4), tuned: tuned}
+				for j := range enc.svm.W {
+					enc.svm.W[j] = 0.1 * rng.NormFloat64()
+				}
+				dec := newDecoderSub(l, l, []int{1, 4, 9, 21, 16}, 1e-3)
+				for j := range dec.w.Data {
+					dec.w.Data[j] = rng.NormFloat64()
+				}
+				dec.tuned = tuned
+				encRef := enc.Clone().(*encoderSub)
+				decRef := dec.Clone().(*decoderSub)
+				for visit := 0; visit < 2; visit++ {
+					order := sgd.Order(n, shuffle, rng)
+					enc.TrainOn(sh, order)
+					encRef.trainOnPoints(sh, order)
+					dec.TrainOn(sh, order)
+					decRef.trainOnPoints(sh, order)
+					a, b := enc.svm, encRef.svm
+					if !bitsEqual(a.W, b.W) || math.Float64bits(a.B) != math.Float64bits(b.B) ||
+						a.Sched.Eta0 != b.Sched.Eta0 || a.Sched.Steps() != b.Sched.Steps() {
+						t.Fatalf("%s visit %d: encoder differs from the reference", name, visit)
+					}
+					if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) ||
+						dec.sched.Eta0 != decRef.sched.Eta0 || dec.sched.Steps() != decRef.sched.Steps() {
+						t.Fatalf("%s visit %d: decoder differs from the reference", name, visit)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkParMACVisit times one W-step visit of a circulating submodel over
+// train_wstep's shape: a 20 000-point, D=128 byte-backed shard with L=16
+// tPCA codes, an encoder (one bit SVM) and a decoder group (8 of the 128
+// dimensions). "untuned" visits include the per-iteration η0 calibration
+// (§8.1), "tuned" ones are the training pass alone. ns/pt is per shard point
+// per visit. The shard is built once for all sub-benchmarks.
+func BenchmarkParMACVisit(b *testing.B) {
+	const n, d, l = 20000, 128, 16
+	ds := dataset.SIFTLike(n, d, 16, 1)
+	sh := &Shard{ds: ds, idx: sgd.Order(n, false, nil), Z: initCodesTPCA(ds, l, 1)}
+	order := sgd.Order(n, false, nil)
+	var dims []int
+	for j := 0; j < d; j += l {
+		dims = append(dims, j)
+	}
+	// Warm both submodels by one visit, so weights are off zero.
+	enc := &encoderSub{svm: svm.NewLinear(d, 1e-5)}
+	enc.TrainOn(sh, order)
+	dec := newDecoderSub(l, l, dims, 0)
+	dec.TrainOn(sh, order)
+	visits := []struct {
+		name  string
+		visit func(tuned bool) func()
+	}{
+		{"encoder", func(tuned bool) func() {
+			e := enc.Clone().(*encoderSub)
+			return func() { e.tuned = tuned; e.TrainOn(sh, order) }
+		}},
+		{"decoder", func(tuned bool) func() {
+			dd := dec.Clone().(*decoderSub)
+			return func() { dd.tuned = tuned; dd.TrainOn(sh, order) }
+		}},
+	}
+	for _, v := range visits {
+		for _, tuned := range []bool{false, true} {
+			name := v.name + "/untuned"
+			if tuned {
+				name = v.name + "/tuned"
+			}
+			b.Run(name, func(b *testing.B) {
+				visit := v.visit(tuned)
+				b.ResetTimer()
+				for range b.N {
+					visit()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pt")
+			})
+		}
+	}
+}

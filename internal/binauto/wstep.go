@@ -16,7 +16,11 @@ import (
 // fused trainer inverts the loop nest: one pts.Point read per point visit
 // feeds the updates of every bit, the η0 ladder is evaluated for all bits
 // inside one shared pass per candidate, and the per-step SVM update uses
-// svm.StepFused (scale and margin dot in a single walk over w).
+// svm.StepFused (scale and margin dot in a single walk over w). The step
+// takes any sgd.Points, so it reads a Point copy per point visit; shared by
+// all L bits, that copy is amortised, unlike in a ParMAC visit, where one
+// submodel walks the shard alone and so reads its rows in place
+// (parmac.go).
 //
 // Equivalence contract: each bit's sequence of (sample, label, η) updates is
 // exactly the per-bit loop's (svm.Linear.AutoTune, then TrainPass per

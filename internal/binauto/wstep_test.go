@@ -21,13 +21,12 @@ var sweepWorkers = []int{1, 2, 3, 8, -1}
 // it bit for bit whenever the per-bit sample orders coincide.
 func TrainWStepSerial(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfig, rng *rand.Rand) error {
 	n := pts.NumPoints()
-	buf := make([]float64, m.D())
 	for l := 0; l < m.L(); l++ {
-		label := bitLabel(z, l)
+		rows := pointRows{pts, z, l}
 		e := m.Enc[l]
-		e.AutoTune(pts, label)
+		e.AutoTune(rows)
 		for ep := 0; ep < cfg.SVMEpochs; ep++ {
-			e.TrainPass(pts, label, sgd.Order(n, cfg.Shuffle, rng), buf)
+			rows.Pass(e, sgd.Order(n, cfg.Shuffle, rng))
 		}
 	}
 	return m.FitDecoderExactDense(pts, z, cfg.DecLambda)

@@ -20,16 +20,19 @@ import (
 )
 
 // Dataset is a set of N points in R^D. Features are stored either as float64
-// or byte-quantised (one byte per feature, as the paper stores SIFT-1B);
-// byte-backed datasets dequantise points on demand, matching the paper's
-// "convert each feature only as needed" strategy.
+// or byte-quantised (one byte per feature, as the paper stores SIFT-1B).
+// Byte-backed datasets keep only their bytes: a stored byte is dequantised
+// by one lookup in a 256-entry table, and the W-step kernels read ByteRow in
+// place through that table, converting each feature only where it is used —
+// the paper's "convert each feature only as needed" strategy (§8.4).
 type Dataset struct {
 	N, D int
 
 	x     *vec.Matrix // float storage; nil when byte-backed
 	bytes []uint8     // byte storage; nil when float-backed
-	// Dequantisation maps b -> lo + (hi-lo)*b/255.
-	lo, hi float64
+	// deq maps a stored byte b to lo + ((hi-lo)/255)·b; nil when
+	// float-backed.
+	deq *[256]float64
 }
 
 // FromMatrix wraps an N×D float matrix (not copied).
@@ -42,19 +45,35 @@ func FromBytes(n, d int, b []uint8, lo, hi float64) *Dataset {
 	if len(b) != n*d {
 		panic(fmt.Sprintf("dataset: FromBytes needs %d bytes, got %d", n*d, len(b)))
 	}
-	return &Dataset{N: n, D: d, bytes: b, lo: lo, hi: hi}
+	deq := new([256]float64)
+	scale := (hi - lo) / 255
+	for v := range deq {
+		deq[v] = lo + scale*float64(v)
+	}
+	return &Dataset{N: n, D: d, bytes: b, deq: deq}
 }
 
 // ByteBacked reports whether features are stored quantised.
-func (ds *Dataset) ByteBacked() bool { return ds.bytes != nil }
+func (ds *Dataset) ByteBacked() bool { return ds.deq != nil }
+
+// Dequant returns the table a byte-backed dataset dequantises through —
+// feature j of point i is Dequant()[ByteRow(i)[j]] — or nil when the dataset
+// is float-backed. It is the one storage test a caller reading rows in place
+// makes.
+func (ds *Dataset) Dequant() *[256]float64 { return ds.deq }
+
+// ByteRow returns the stored bytes of point i of a byte-backed dataset,
+// aliasing the storage; the caller must not modify them.
+func (ds *Dataset) ByteRow(i int) []uint8 { return ds.bytes[i*ds.D : (i+1)*ds.D] }
 
 // NumPoints returns N; together with Point it satisfies the sample-access
 // interface the SGD trainers consume.
 func (ds *Dataset) NumPoints() int { return ds.N }
 
-// Point writes point i into dst (allocated when nil) and returns it.
-// For float-backed datasets with dst == nil, the returned slice aliases the
-// underlying storage and must not be modified.
+// Point writes point i into dst (allocated when nil) and returns it,
+// dequantising a byte-backed row through the Dequant table. For float-backed
+// datasets with dst == nil, the returned slice aliases the underlying storage
+// and must not be modified.
 func (ds *Dataset) Point(i int, dst []float64) []float64 {
 	if ds.x != nil {
 		row := ds.x.Row(i)
@@ -67,10 +86,9 @@ func (ds *Dataset) Point(i int, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, ds.D)
 	}
-	scale := (ds.hi - ds.lo) / 255
-	off := i * ds.D
-	for j := 0; j < ds.D; j++ {
-		dst[j] = ds.lo + scale*float64(ds.bytes[off+j])
+	deq := ds.deq
+	for j, b := range ds.ByteRow(i) {
+		dst[j] = deq[b]
 	}
 	return dst
 }
@@ -141,7 +159,7 @@ func (ds *Dataset) Subset(idx []int) *Dataset {
 // MemoryBytes reports the approximate storage footprint of the features,
 // used to reproduce the paper's byte-vs-float accounting (§8.4).
 func (ds *Dataset) MemoryBytes() int {
-	if ds.bytes != nil {
+	if ds.deq != nil {
 		return len(ds.bytes)
 	}
 	return 8 * len(ds.x.Data)

@@ -67,6 +67,34 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDequantTableMatchesExpression: for every byte value and several ranges,
+// negative lo included, the table and Point give bit for bit the value of
+// the expression Point evaluated per feature before the table existed.
+func TestDequantTableMatchesExpression(t *testing.T) {
+	all := make([]uint8, 256)
+	for v := range all {
+		all[v] = uint8(v)
+	}
+	for _, r := range [][2]float64{{0, 1}, {-1.7, 2.3}, {-3, -0.5}, {0.1, 255.9}, {-1e-3, 1e6}, {-2.25, 0}} {
+		lo, hi := r[0], r[1]
+		ds := FromBytes(2, 128, all, lo, hi)
+		scale := (hi - lo) / 255
+		for i := 0; i < 2; i++ {
+			row := ds.Point(i, nil)
+			for j, b := range ds.ByteRow(i) {
+				want := math.Float64bits(lo + scale*float64(b))
+				if math.Float64bits(ds.Dequant()[b]) != want || math.Float64bits(row[j]) != want {
+					t.Fatalf("[%g, %g] byte %d: table %v, Point %v, expression %v",
+						lo, hi, b, ds.Dequant()[b], row[j], lo+scale*float64(b))
+				}
+			}
+		}
+	}
+	if f, _ := Clusters(ClusterConfig{N: 3, D: 2, Seed: 1}); f.Dequant() != nil {
+		t.Fatal("a float-backed dataset has no dequantisation table")
+	}
+}
+
 func TestPointAliasingAndCopy(t *testing.T) {
 	ds, _ := Clusters(ClusterConfig{N: 10, D: 4, Clusters: 2, Seed: 2})
 	dst := make([]float64, 4)

@@ -51,23 +51,15 @@ func (m *Linear) Clone() *Linear {
 // accounting (t_c^W is per-submodel in §5.1).
 func (m *Linear) Bytes() int { return 8 * (len(m.W) + 1) }
 
-// Step performs one SGD update with learning rate eta on sample (x, y),
-// y ∈ {-1,+1}: regularise w, and add η·y·x when the margin is violated.
-func (m *Linear) Step(x []float64, y, eta float64) {
-	vec.Scale(1-eta*m.Lambda, m.W)
-	if y*m.Margin(x) < 1 {
-		vec.Axpy(eta*y, x, m.W)
-		m.B += eta * y
-	}
-}
-
-// StepFused performs the same SGD update as Step, bit for bit, in fewer
-// memory passes over w: the regularisation scaling and the margin dot product
-// fuse into one walk (each product reads the just-scaled, just-rounded
-// weight, exactly the value Scale would have stored, and the partial sums
-// follow vec.Dot's four-accumulator order), so only a violated margin pays a
-// second pass for the Axpy. This is the inner statement of the fused
-// multi-bit W step, where w stays hot in cache while x is shared by all bits.
+// StepFused performs one SGD update with learning rate eta on sample (x, y),
+// y ∈ {-1,+1}: regularise w, and add η·y·x when the margin is violated. The
+// regularisation scaling and the margin dot product fuse into one walk over
+// w (each product reads the just-scaled, just-rounded weight, and the partial
+// sums follow vec.Dot's four-accumulator order), so only a violated margin
+// pays a second pass for the Axpy: bit for bit the scale-then-Margin update
+// (the reference Step lives in the tests). This is the inner statement of the
+// fused multi-bit W step, where w stays hot in cache while x is shared by all
+// bits.
 func (m *Linear) StepFused(x []float64, y, eta float64) {
 	w := m.W
 	if len(x) != len(w) {
@@ -99,45 +91,87 @@ func (m *Linear) StepFused(x []float64, y, eta float64) {
 	}
 }
 
-// TrainPass runs one stochastic pass over the given sample order, advancing
-// the carried schedule. label(i) must return ±1 for point order[k]=i. It
-// calls Step, the reference update; TrainPassFused is the faster equivalent.
-func (m *Linear) TrainPass(pts sgd.Points, label func(i int) float64, order []int, buf []float64) {
-	for _, i := range order {
-		x := pts.Point(i, buf)
-		m.Step(x, label(i), m.Sched.Next())
+// StepBytes is StepFused on a quantised row, bit for bit: feature j is
+// deq[x[j]], looked up where StepFused reads x[j], so no float row is built.
+// The scaling, the four-accumulator sums and the Axpy are StepFused's.
+func (m *Linear) StepBytes(x []uint8, deq *[256]float64, y, eta float64) {
+	w := m.W
+	if len(x) != len(w) {
+		panic(fmt.Sprintf("svm: StepBytes length mismatch %d vs %d", len(x), len(w)))
+	}
+	x = x[:len(w)]
+	c := 1 - eta*m.Lambda
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		w0 := w[i] * c
+		w1 := w[i+1] * c
+		w2 := w[i+2] * c
+		w3 := w[i+3] * c
+		w[i], w[i+1], w[i+2], w[i+3] = w0, w1, w2, w3
+		s0 += w0 * deq[x[i]]
+		s1 += w1 * deq[x[i+1]]
+		s2 += w2 * deq[x[i+2]]
+		s3 += w3 * deq[x[i+3]]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(w); i++ {
+		w[i] *= c
+		s += w[i] * deq[x[i]]
+	}
+	if y*(s+m.B) < 1 {
+		a := eta * y
+		for i, b := range x {
+			w[i] += a * deq[b]
+		}
+		m.B += eta * y
 	}
 }
 
-// TrainPassFused is TrainPass through StepFused: the same pass bit for bit,
-// with one fewer memory walk over w per update.
-func (m *Linear) TrainPassFused(pts sgd.Points, label func(i int) float64, order []int, buf []float64) {
-	for _, i := range order {
-		x := pts.Point(i, buf)
-		m.StepFused(x, label(i), m.Sched.Next())
+// MarginBytes is Margin on a quantised row, bit for bit: vec.Dot's
+// four-accumulator sum with feature j read as deq[x[j]].
+func (m *Linear) MarginBytes(x []uint8, deq *[256]float64) float64 {
+	w := m.W
+	if len(x) != len(w) {
+		panic(fmt.Sprintf("svm: MarginBytes length mismatch %d vs %d", len(x), len(w)))
 	}
+	x = x[:len(w)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		s0 += w[i] * deq[x[i]]
+		s1 += w[i+1] * deq[x[i+1]]
+		s2 += w[i+2] * deq[x[i+2]]
+		s3 += w[i+3] * deq[x[i+3]]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(w); i++ {
+		s += w[i] * deq[x[i]]
+	}
+	return s + m.B
 }
 
-// AvgLoss returns the mean regularised hinge loss over the points listed in
-// idx (all points when idx == nil).
-func (m *Linear) AvgLoss(pts sgd.Points, label func(i int) float64, idx []int) float64 {
-	n := pts.NumPoints()
-	if idx == nil {
-		idx = sgd.Order(n, false, nil)
-	}
+// Samples is a ±1-labelled training set as the SGD passes read it. An
+// implementation reads its rows in place with the kernels matching its
+// storage — StepFused and Margin on float rows, StepBytes and MarginBytes on
+// quantised ones — and picks them once per call, so AutoTune is one body
+// whatever the storage.
+type Samples interface {
+	NumPoints() int
+	// Pass applies one StepFused-equivalent update per sample of order, in
+	// order, with η from m.Sched.
+	Pass(m *Linear, order []int)
+	// Hinge returns Σ max(0, 1 − y·Margin(x)) over idx, summed in idx order.
+	Hinge(m *Linear, idx []int) float64
+}
+
+// AvgLoss returns the mean regularised hinge loss over the samples listed in
+// idx.
+func (m *Linear) AvgLoss(s Samples, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
-	buf := make([]float64, len(m.W))
-	var loss float64
-	for _, i := range idx {
-		x := pts.Point(i, buf)
-		h := 1 - label(i)*m.Margin(x)
-		if h > 0 {
-			loss += h
-		}
-	}
-	return loss/float64(len(idx)) + 0.5*m.Lambda*vec.SqNorm(m.W)
+	return s.Hinge(m, idx)/float64(len(idx)) + 0.5*m.Lambda*vec.SqNorm(m.W)
 }
 
 // The η0 calibration range of AutoTune (paper §8.1). TuneLadder exposes the
@@ -155,43 +189,22 @@ func TuneLadder() []float64 {
 }
 
 // AutoTune calibrates the schedule's η0 by trial passes over the first
-// min(n,1000) points (paper §8.1), leaving the model parameters untouched.
-func (m *Linear) AutoTune(pts sgd.Points, label func(i int) float64) {
-	n := sgd.TuningSampleSize(pts.NumPoints())
+// min(n,1000) samples (paper §8.1), leaving the model parameters untouched.
+func (m *Linear) AutoTune(s Samples) {
+	n := sgd.TuningSampleSize(s.NumPoints())
 	if n == 0 {
 		return
 	}
 	sample := sgd.Order(n, false, nil)
-	buf := make([]float64, len(m.W))
 	best := sgd.TuneEta0(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor, func(eta0 float64) float64 {
 		trial := m.Clone()
 		trial.Sched = sgd.NewSchedule(eta0, m.Lambda)
-		trial.TrainPass(pts, label, sample, buf)
-		return trial.AvgLoss(pts, label, sample)
+		s.Pass(trial, sample)
+		return trial.AvgLoss(s, sample)
 	})
 	m.Sched.Eta0 = best
 	m.Sched.Lambda = m.Lambda
 	m.Sched.SetSteps(0)
-}
-
-// Accuracy returns the fraction of points in idx (all when nil) whose sign is
-// predicted correctly.
-func (m *Linear) Accuracy(pts sgd.Points, label func(i int) float64, idx []int) float64 {
-	if idx == nil {
-		idx = sgd.Order(pts.NumPoints(), false, nil)
-	}
-	if len(idx) == 0 {
-		return 0
-	}
-	buf := make([]float64, len(m.W))
-	correct := 0
-	for _, i := range idx {
-		x := pts.Point(i, buf)
-		if (m.Margin(x) >= 0) == (label(i) > 0) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(idx))
 }
 
 // KernelMap is the fixed RBF feature expansion of §8.4: m Gaussian radial

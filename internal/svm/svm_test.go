@@ -30,17 +30,66 @@ func separable(n, d int, seed int64) (*dataset.Dataset, []float64) {
 	return dataset.FromMatrix(x), labels
 }
 
+// Step is the reference SGD update on sample (x, y), y ∈ {-1,+1}: regularise
+// w, then add η·y·x when the margin is violated. StepFused and StepBytes must
+// reproduce it bit for bit.
+func (m *Linear) Step(x []float64, y, eta float64) {
+	vec.Scale(1-eta*m.Lambda, m.W)
+	if y*m.Margin(x) < 1 {
+		vec.Axpy(eta*y, x, m.W)
+		m.B += eta * y
+	}
+}
+
+// pointSamples is the reference Samples: Point copies of pts with ±1 labels,
+// trained by Step and scored by Margin.
+type pointSamples struct {
+	pts    sgd.Points
+	labels []float64
+}
+
+func (s pointSamples) NumPoints() int { return s.pts.NumPoints() }
+
+func (s pointSamples) Pass(m *Linear, order []int) {
+	buf := make([]float64, len(m.W))
+	for _, i := range order {
+		m.Step(s.pts.Point(i, buf), s.labels[i], m.Sched.Next())
+	}
+}
+
+func (s pointSamples) Hinge(m *Linear, idx []int) float64 {
+	buf := make([]float64, len(m.W))
+	var loss float64
+	for _, i := range idx {
+		if h := 1 - s.labels[i]*m.Margin(s.pts.Point(i, buf)); h > 0 {
+			loss += h
+		}
+	}
+	return loss
+}
+
+// accuracy is the share of points whose sign m predicts correctly.
+func (s pointSamples) accuracy(m *Linear) float64 {
+	buf := make([]float64, len(m.W))
+	correct := 0
+	for i, y := range s.labels {
+		if (m.Margin(s.pts.Point(i, buf)) >= 0) == (y > 0) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(s.labels))
+}
+
 func TestLinearLearnsSeparableData(t *testing.T) {
 	ds, labels := separable(400, 5, 1)
-	lab := func(i int) float64 { return labels[i] }
+	s := pointSamples{ds, labels}
 	m := NewLinear(5, 1e-4)
-	m.AutoTune(ds, lab)
+	m.AutoTune(s)
 	rng := rand.New(rand.NewSource(2))
-	buf := make([]float64, 5)
 	for epoch := 0; epoch < 5; epoch++ {
-		m.TrainPass(ds, lab, sgd.Order(ds.N, true, rng), buf)
+		s.Pass(m, sgd.Order(ds.N, true, rng))
 	}
-	if acc := m.Accuracy(ds, lab, nil); acc < 0.98 {
+	if acc := s.accuracy(m); acc < 0.98 {
 		t.Fatalf("accuracy = %v, want >= 0.98", acc)
 	}
 }
@@ -89,20 +138,18 @@ func TestBytes(t *testing.T) {
 
 func TestAvgLossZeroOnPerfectLargeMargin(t *testing.T) {
 	ds, labels := separable(50, 3, 3)
-	lab := func(i int) float64 { return labels[i] }
 	m := NewLinear(3, 0)
 	m.W[0] = 100 // margins far beyond 1
-	if loss := m.AvgLoss(ds, lab, nil); loss != 0 {
+	if loss := m.AvgLoss(pointSamples{ds, labels}, sgd.Order(ds.N, false, nil)); loss != 0 {
 		t.Fatalf("loss = %v, want 0", loss)
 	}
 }
 
 func TestAutoTuneDoesNotMutateModel(t *testing.T) {
 	ds, labels := separable(200, 4, 4)
-	lab := func(i int) float64 { return labels[i] }
 	m := NewLinear(4, 1e-3)
 	m.W[2] = 0.7
-	m.AutoTune(ds, lab)
+	m.AutoTune(pointSamples{ds, labels})
 	if m.W[2] != 0.7 || m.B != 0 {
 		t.Fatal("AutoTune must not change parameters")
 	}
@@ -184,25 +231,23 @@ func TestKernelisedSVMSolvesNonlinearProblem(t *testing.T) {
 		x.Set(i, 1, r*math.Sin(theta)+rng.NormFloat64()*0.05)
 	}
 	ds := dataset.FromMatrix(x)
-	lab := func(i int) float64 { return labels[i] }
 
 	lin := NewLinear(2, 1e-4)
-	lin.AutoTune(ds, lab)
-	buf2 := make([]float64, 2)
+	ls := pointSamples{ds, labels}
+	lin.AutoTune(ls)
 	for e := 0; e < 5; e++ {
-		lin.TrainPass(ds, lab, sgd.Order(n, true, rng), buf2)
+		ls.Pass(lin, sgd.Order(n, true, rng))
 	}
-	linAcc := lin.Accuracy(ds, lab, nil)
+	linAcc := ls.accuracy(lin)
 
 	k := NewKernelMap(ds, 64, 11)
-	kds := k.Transform(ds, false)
+	ks := pointSamples{k.Transform(ds, false), labels}
 	km := NewLinear(64, 1e-5)
-	km.AutoTune(kds, lab)
-	buf64 := make([]float64, 64)
+	km.AutoTune(ks)
 	for e := 0; e < 10; e++ {
-		km.TrainPass(kds, lab, sgd.Order(n, true, rng), buf64)
+		ks.Pass(km, sgd.Order(n, true, rng))
 	}
-	kAcc := km.Accuracy(kds, lab, nil)
+	kAcc := ks.accuracy(km)
 	if kAcc < 0.95 {
 		t.Fatalf("kernel accuracy = %v, want >= 0.95", kAcc)
 	}
