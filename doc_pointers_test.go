@@ -87,6 +87,84 @@ func TestNoTwinsInProductionCode(t *testing.T) {
 	}, "bench")
 }
 
+// orphanAllowlist names the exported functions under internal/ that no
+// non-test code names, each with the reason it stays.
+var orphanAllowlist = map[string]string{
+	"cluster.OpSum":              "the sum operator of the fabric's Reduce/AllReduce collectives",
+	"cluster.OpMax":              "the max operator of the fabric's Reduce/AllReduce collectives",
+	"cluster.WithInboxCapacity":  "the in-process fabric's inbox bound, set by the backpressure conformance scenario",
+	"dataset.TrainTestSplit":     "the held-out split for library users who load their own data",
+	"dataset.NewStream":          "the §4.3 streaming data source for library users",
+	"macnet.RunMACAL":            "the augmented-Lagrangian MAC variant, compared with the quadratic penalty by its tests",
+	"macnet.ConstraintViolation": "the feasibility measure RunMACAL is judged by",
+	"retrieval.LoadCodes":        "Save's counterpart at the default size budget; serving passes its own to LoadCodesLimit",
+	"vec.MaxAbsDiff":             "the matrix comparison the vec, pca and macnet tests share",
+}
+
+// TestNoOrphanedFuncs fails on an exported top-level function (not method)
+// declared in non-test code under internal/ that no non-test code in the
+// module names, bench/ included: a function only its own tests call is dead
+// code or a second way to do one thing. Names are matched in the AST as
+// pkg.Name, where pkg is an imported package's name (the last element of its
+// path) or, for a bare identifier, the file's own package; a same-named
+// local or field of that package also counts as a use.
+func TestNoOrphanedFuncs(t *testing.T) {
+	used := map[string]bool{}
+	var exported []string
+	walkGoSources(t, func(path string, f *ast.File) {
+		pkg := f.Name.Name
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			ipath := strings.Trim(imp.Path.Value, `"`)
+			name := ipath[strings.LastIndex(ipath, "/")+1:]
+			if imp.Name != nil {
+				imports[imp.Name.Name] = name
+			} else {
+				imports[name] = name
+			}
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fd.Name] = true
+			if fd.Recv == nil && fd.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+				exported = append(exported, qualifiedName(pkg, fd))
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[imports[x.Name]+"."+n.Sel.Name] = true
+				} else {
+					ast.Inspect(n.X, visit) // a field or method name is not a function use
+				}
+				return false
+			case *ast.Ident:
+				if !declared[n] {
+					used[pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+	})
+	for _, name := range exported {
+		if !used[name] && orphanAllowlist[name] == "" {
+			t.Errorf("%s is called only by tests, if at all: delete it, move it into a _test.go file, or allowlist it with a reason", name)
+		}
+	}
+	for name := range orphanAllowlist {
+		if used[name] {
+			t.Errorf("%s is allowlisted but has a non-test caller: drop it from orphanAllowlist", name)
+		}
+	}
+}
+
 // qualifiedName renders fd as pkg.Func, (pkg.T).Method or (*pkg.T).Method.
 func qualifiedName(pkg string, fd *ast.FuncDecl) string {
 	if fd.Recv == nil {

@@ -10,9 +10,9 @@ import (
 // PR 5: inside a core.ParallelChunks closure, a floating-point `+=` (or any
 // compound float assignment) into storage shared across chunks makes the
 // summation order — and therefore the result — depend on the worker count.
-// The sanctioned pattern is binauto.WKernel's: accumulate into per-chunk (or
-// per-worker) slots addressed by a closure-local index, then reduce serially
-// in fixed chunk order on a grid that depends only on N.
+// The sanctioned pattern (the fixture's perWorkerSlots): accumulate into
+// per-chunk (or per-worker) slots addressed by a closure-local index, then
+// reduce serially in fixed chunk order on a grid that depends only on N.
 //
 // Integer accumulators are exempt: integer addition is exactly associative,
 // so any interleaving yields the same value.
@@ -20,7 +20,7 @@ var FloatOrderAnalyzer = &Analyzer{
 	Name: "floatorder",
 	Doc: "float accumulation into cross-chunk shared storage inside a " +
 		"core.ParallelChunks closure is worker-count dependent; reduce " +
-		"per-chunk slots on a fixed grid instead (see binauto.WKernel)",
+		"per-chunk slots on a fixed grid instead",
 	Run: runFloatOrder,
 }
 
@@ -79,7 +79,7 @@ func checkChunkClosure(pass *Pass, closure *ast.FuncLit) {
 			return true
 		}
 		pass.Reportf(lhs.Pos(),
-			"float accumulation into %q shared across ParallelChunks chunks: summation order depends on the worker count; use per-chunk slots reduced on a fixed grid (binauto.WKernel pattern)",
+			"float accumulation into %q shared across ParallelChunks chunks: summation order depends on the worker count; use per-chunk slots reduced on a fixed grid",
 			types.ExprString(lhs))
 		return true
 	})

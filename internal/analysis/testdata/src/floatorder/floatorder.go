@@ -26,8 +26,8 @@ func sharedSlot(xs []float64, workers int) float64 {
 	return acc[0]
 }
 
-// perWorkerSlots is the binauto.WKernel pattern: each chunk writes its own
-// slot (indexed by closure state), then a serial fixed-order reduce follows.
+// perWorkerSlots is the sanctioned pattern: each chunk writes its own slot
+// (indexed by closure state), then a serial fixed-order reduce follows.
 func perWorkerSlots(xs []float64, workers int) float64 {
 	w := core.Cores(workers)
 	parts := make([]float64, w)

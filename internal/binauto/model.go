@@ -1,9 +1,15 @@
 // Package binauto implements the binary autoencoder (BA) of §3.1 and its MAC
-// training algorithm (Fig. 1): an encoder h(x) = step(Ax) of L linear hash
-// functions, a linear decoder f(z) = Wᵀz + c, the nested objective E_BA, the
-// quadratic-penalty objective E_Q, the Z step (exact enumeration via Gray
-// codes, or alternating optimisation initialised from the truncated relaxed
-// solution), and the serial MAC loop with its μ schedule and stopping rules.
+// training (Fig. 1): an encoder h(x) = step(Ax) of L linear hash functions,
+// a linear decoder f(z) = Wᵀz + c, the nested objective E_BA and the
+// quadratic-penalty objective E_Q.
+//
+// A BA trains one way, as a ParMACProblem run by the engine in internal/core
+// (§4). The W step trains the L per-bit SVMs and the decoder groups as
+// submodels that circulate over the machines by SGD; the Z step solves each
+// machine's codes on its own shard, exactly by Gray-code enumeration or by
+// alternating optimisation from the truncated relaxed solution; the penalty
+// μ grows geometrically per iteration. One machine (P=1) is the
+// single-machine MAC.
 //
 // The kernel (RBF) variant of §8.4 is obtained by pre-transforming the
 // features with svm.KernelMap; the model itself is always linear over its
@@ -237,21 +243,6 @@ func (c CodesPoints) Point(i int, dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// FitDecoderExact replaces the decoder with the exact least-squares fit of
-// (Z, X), the serial W step of Fig. 1 ("f ← least-squares fit to (Z,X)"),
-// through the popcount-Gram WKernel with up to workers goroutines
-// (core.Cores semantics) for the cross-product accumulation. The
-// accumulation granule is fixed (see crossChunk), so the fitted decoder is
-// bit-for-bit identical for every worker count.
-func (m *Model) FitDecoderExact(pts sgd.Points, z *retrieval.Codes, lambda float64, workers int) error {
-	dec, err := NewWKernel(z).FitDecoder(pts, m.D(), lambda, workers)
-	if err != nil {
-		return err
-	}
-	m.Dec = dec
-	return nil
 }
 
 // InitEncoderRandom gives the encoder small random weights; useful for tests

@@ -132,6 +132,9 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	if cfg.L > ds.D {
 		panic("binauto: a binary autoencoder needs L <= D (paper §3.1: L < D bits)")
 	}
+	if cfg.L > 64 {
+		panic("binauto: code length limited to 64 bits (one packed word)")
+	}
 	if cfg.Mu0 <= 0 {
 		cfg.Mu0 = 1e-4
 	}
@@ -255,7 +258,7 @@ func (p *ParMACProblem) OnModelSync(model []core.Submodel) {
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
 	k := p.zKernel(model)
 	sh := p.shards[shard]
-	return k.Run(sh, sh.Z, core.Cores(p.cfg.Parallel))
+	return k.Run(sh, sh.Z, p.cfg.Parallel)
 }
 
 // zKernel returns the shared Z kernel for this machine's model, building it

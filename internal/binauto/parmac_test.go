@@ -1,6 +1,7 @@
 package binauto
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -144,30 +145,37 @@ func TestParMACSingleMachineDeterministicWithShuffle(t *testing.T) {
 }
 
 func TestParMACQualityComparableToSerialMAC(t *testing.T) {
-	// §8.2: "ParMAC gives almost identical results to MAC". Compare final
-	// E_BA between serial MAC (exact W step) and ParMAC (stochastic W step)
-	// on the same data.
-	n, d, l := 400, 8, 6
-	ds := dataset.GISTLike(n, d, 6, 8)
-
-	_, _, serialStats := RunMAC(ds, MACConfig{
-		L: l, Mu0: 1e-3, MuFactor: 2, Iters: 8, SVMEpochs: 3, Seed: 8,
-	})
-	serialEBA := serialStats[len(serialStats)-1].EBA
-
-	shards := dataset.ShardIndices(n, 4, nil)
-	prob := NewParMACProblem(ds, shards, ParMACConfig{
-		L: l, Mu0: 1e-3, MuFactor: 2, SVMLambda: 1e-4, Seed: 8,
-	})
-	eng := core.New(prob, core.Config{P: 4, Epochs: 2, Seed: 8})
-	defer eng.Shutdown()
-	eng.Run(8)
-	_, parmacEBA := prob.Stats()
-
-	t.Logf("serial E_BA %.1f vs ParMAC E_BA %.1f", serialEBA, parmacEBA)
-	if parmacEBA > 1.5*serialEBA+1 {
-		t.Fatalf("ParMAC E_BA %v too far above serial %v", parmacEBA, serialEBA)
+	// §8.2 and Fig. 7 right: "ParMAC gives almost identical results to MAC",
+	// and the learning curves for different P nearly coincide. MAC is ParMAC
+	// on one machine; compare its final E_BA with P=4 on the same data and
+	// seed.
+	finalEBA := func(p int) float64 {
+		prob, _ := buildProblem(400, 8, 6, p, 8)
+		eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 8})
+		defer eng.Shutdown()
+		eng.Run(8)
+		_, eba := prob.Stats()
+		return eba
 	}
+	serialEBA, parmacEBA := finalEBA(1), finalEBA(4)
+	t.Logf("P=1 E_BA %.1f vs P=4 E_BA %.1f", serialEBA, parmacEBA)
+	if parmacEBA > 1.5*serialEBA+1 {
+		t.Fatalf("P=4 E_BA %v too far above P=1 %v", parmacEBA, serialEBA)
+	}
+}
+
+// TestNewParMACProblemRejectsLongCodes: a code is one packed word, so L > 64
+// must be refused when the problem is built, not by a Z-step worker after a
+// whole W step has run.
+func TestNewParMACProblemRejectsLongCodes(t *testing.T) {
+	ds := dataset.GISTLike(20, 128, 2, 13)
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "64 bits") {
+			t.Fatalf("L=65 with D=128: got panic %v, want the 64-bit limit", r)
+		}
+	}()
+	NewParMACProblem(ds, dataset.ShardIndices(ds.N, 1, nil), ParMACConfig{L: 65})
 }
 
 func TestParMACMoreEpochsNotWorse(t *testing.T) {

@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := dataset.GISTLike(120, 6, 4, 21)
-	m, _, _ := RunMAC(ds, MACConfig{L: 5, Mu0: 1e-3, Iters: 3, SVMEpochs: 2, Seed: 21})
+	m := randomModel(6, 5, 21)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)

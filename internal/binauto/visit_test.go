@@ -160,7 +160,7 @@ func visitShard(n, d, l int, byteBacked bool, seed int64) *Shard {
 		ds = dataset.SIFTLike(2*n+3, d, 5, seed)
 	}
 	idx := rand.New(rand.NewSource(seed + 1)).Perm(ds.N)[:n]
-	z := randomCodesW(n, l, seed+2)
+	z := randomCodes(n, l, seed+2)
 	for i := 0; i < min(n, 1000); i++ {
 		z.SetWord64(i, 1<<(i%l))
 	}

@@ -137,63 +137,30 @@ func (k *ZKernel) NewSolver() *ZSolver {
 	}
 }
 
-// ZStepResult is what a full Z-step run learns while touching every point.
-type ZStepResult struct {
-	// Changed counts codes changed by the step.
-	Changed int
-	// HashEqual reports whether, after the step, z_i == h(x_i) for every
-	// point — the constraint half of MAC's stopping criterion. The solver
-	// computes h(x_i) for every solve anyway, so folding the comparison here
-	// saves RunMAC a full re-encode of the dataset per iteration.
-	HashEqual bool
-}
-
-// Run solves every point of pts with up to workers goroutines (one solver
-// each) and returns how many codes changed. Points are independent, so the
-// result is bit-identical to a serial pass regardless of workers.
+// Run solves every point of pts — the whole Z step of one machine's shard,
+// with no communication (§4.1) — on up to workers goroutines (core.Cores
+// semantics, one solver each) and returns how many codes changed. Points
+// are independent, so the codes are bit-identical for any worker count.
 func (k *ZKernel) Run(pts sgd.Points, z *retrieval.Codes, workers int) int {
-	return k.RunStats(pts, z, workers).Changed
-}
-
-// RunStats is Run with the folded z == h(X) check included in the result.
-func (k *ZKernel) RunStats(pts sgd.Points, z *retrieval.Codes, workers int) ZStepResult {
 	n := pts.NumPoints()
-	workers = core.ClampWorkers(n, workers)
-	if workers <= 1 {
-		return k.runChunk(pts, z, 0, n)
-	}
-	parts := make([]ZStepResult, workers)
-	for w := range parts {
-		// ParallelChunks may run fewer chunks than workers; entries that get
-		// no chunk must not veto the AND-fold below.
-		parts[w].HashEqual = true
-	}
+	workers = core.ClampWorkers(n, core.Cores(workers))
+	changed := make([]int, workers)
 	core.ParallelChunks(n, workers, func(w, lo, hi int) {
-		parts[w] = k.runChunk(pts, z, lo, hi)
+		s := k.NewSolver()
+		buf := make([]float64, k.Model.D())
+		c := 0
+		for i := lo; i < hi; i++ {
+			if s.Solve(pts.Point(i, buf), z, i) {
+				c++
+			}
+		}
+		changed[w] = c
 	})
-	total := ZStepResult{HashEqual: true}
-	for _, p := range parts {
-		total.Changed += p.Changed
-		total.HashEqual = total.HashEqual && p.HashEqual
+	total := 0
+	for _, c := range changed {
+		total += c
 	}
 	return total
-}
-
-// runChunk solves points [lo, hi) with one solver, tallying changes and the
-// code-equals-hash flag.
-func (k *ZKernel) runChunk(pts sgd.Points, z *retrieval.Codes, lo, hi int) ZStepResult {
-	s := k.NewSolver()
-	buf := make([]float64, k.Model.D())
-	res := ZStepResult{HashEqual: true}
-	for i := lo; i < hi; i++ {
-		if s.Solve(pts.Point(i, buf), z, i) {
-			res.Changed++
-		}
-		if z.Word64(i) != s.HashWord() {
-			res.HashEqual = false
-		}
-	}
-	return res
 }
 
 // ZSolver solves the Z step for a fixed model and μ, carrying per-goroutine
@@ -214,16 +181,6 @@ type ZSolver struct {
 	xmc     []float64
 	lastObj float64
 }
-
-// NewZSolver prepares a solver for the given model and penalty value. It
-// builds a private kernel; callers solving many points across goroutines (or
-// repeatedly for the same μ) should build one ZKernel and share it.
-func NewZSolver(m *Model, mu float64, method ZMethod) *ZSolver {
-	return NewZKernel(m, mu, method).NewSolver()
-}
-
-// Kernel returns the shared precomputation this solver draws from.
-func (s *ZSolver) Kernel() *ZKernel { return s.k }
 
 // Solve optimises code i of z for input x in place. It returns true when the
 // code changed. Not safe for concurrent use; create one solver per goroutine.
@@ -255,12 +212,6 @@ func (s *ZSolver) encodeWord(x []float64) uint64 {
 // recent Solve, as accumulated incrementally through the Gram identities —
 // the quantity the property tests check against PointObjective.
 func (s *ZSolver) LastObjective() float64 { return s.lastObj }
-
-// HashWord returns h(x) of the most recent Solve as a packed word — bitwise
-// the model's EncodePointWord of that point. The Z-step runners compare it
-// against the stored code to fold MAC's z == h(X) stopping check into the
-// pass that already computed it.
-func (s *ZSolver) HashWord() uint64 { return s.hw }
 
 // begin loads the point into scratch: xmc = x − c, t = q = W·(x−c) (the only
 // O(L·D) work of a solve), and returns ‖x−c‖², the error at z = 0.
@@ -395,13 +346,4 @@ func (s *ZSolver) store(code uint64, z *retrieval.Codes, i int) bool {
 	}
 	z.SetWord64(i, code)
 	return true
-}
-
-// RunZStep runs the solver over every point of pts on workers goroutines
-// (core.Cores semantics; one solver each), returning how many codes changed.
-// This is the whole Z step of MAC; in ParMAC each machine calls it on its own
-// shard with no communication (§4.1). Codes are independent per point, so
-// the output is bit-identical for any worker count.
-func RunZStep(m *Model, pts sgd.Points, z *retrieval.Codes, mu float64, method ZMethod, workers int) int {
-	return NewZKernel(m, mu, method).Run(pts, z, core.Cores(workers))
 }

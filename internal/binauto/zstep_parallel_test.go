@@ -27,7 +27,7 @@ func TestRunZStepParallelBitIdentical(t *testing.T) {
 			ds := dataset.GISTLike(500, 16, 4, 43)
 			init := m.Encode(ds, 1)
 			want := init.Clone()
-			s := NewZSolver(m, 0.5, tc.method)
+			s := NewZKernel(m, 0.5, tc.method).NewSolver()
 			wantChanged := 0
 			for i := 0; i < ds.N; i++ {
 				if s.Solve(ds.Point(i, nil), want, i) {
@@ -36,7 +36,7 @@ func TestRunZStepParallelBitIdentical(t *testing.T) {
 			}
 			for _, workers := range sweepWorkers {
 				got := init.Clone()
-				if changed := RunZStep(m, ds, got, 0.5, tc.method, workers); changed != wantChanged {
+				if changed := NewZKernel(m, 0.5, tc.method).Run(ds, got, workers); changed != wantChanged {
 					t.Fatalf("workers=%d: changed %d, serial %d", workers, changed, wantChanged)
 				}
 				if !got.Equal(want) {
@@ -58,7 +58,7 @@ func TestZKernelSharedAcrossSolvers(t *testing.T) {
 	for i := 0; i < ds.N; i++ {
 		x := ds.Point(i, nil)
 		k.NewSolver().Solve(x, zShared, i)
-		NewZSolver(m, 0.25, ZAlternate).Solve(x, zFresh, i)
+		NewZKernel(m, 0.25, ZAlternate).NewSolver().Solve(x, zFresh, i)
 	}
 	if !zShared.Equal(zFresh) {
 		t.Fatal("solvers over a shared kernel disagree with per-call construction")

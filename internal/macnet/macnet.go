@@ -350,8 +350,9 @@ type IterStats struct {
 	Nested float64
 }
 
-// RunMAC trains the net on (xs, ys) with serial MAC and returns the learning
-// curve. It is the K-layer analogue of binauto.RunMAC.
+// RunMAC trains the net on (xs, ys) with serial MAC on one machine and
+// returns the learning curve; examples/deepnet compares it with the
+// distributed ParMACProblem.
 func RunMAC(n *Net, xs, ys *vec.Matrix, cfg MACConfig) []IterStats {
 	if cfg.Mu0 <= 0 {
 		cfg.Mu0 = 1

@@ -102,75 +102,7 @@ func HammingWords(a, b []uint64) int {
 	return d
 }
 
-// Columns returns the column-major transpose of the codes: slice l is an
-// N-bit bitset (⌈N/64⌉ words) whose bit i equals Bit(i, l). This is the
-// layout the popcount-Gram W kernel works in — a column dot product over ±1
-// or 0/1 codes becomes a handful of word popcounts instead of N float
-// multiplies. Built by walking each code's set bits, O(Σ popcount) word ops.
-func (c *Codes) Columns() [][]uint64 {
-	words := (c.N + 63) / 64
-	backing := make([]uint64, c.L*words)
-	cols := make([][]uint64, c.L)
-	for l := range cols {
-		cols[l] = backing[l*words : (l+1)*words]
-	}
-	for i := 0; i < c.N; i++ {
-		mask := uint64(1) << (uint(i) % 64)
-		word := i / 64
-		for wi, w := range c.Code(i) {
-			base := wi * 64
-			for w != 0 {
-				cols[base+bits.TrailingZeros64(w)][word] |= mask
-				w &= w - 1
-			}
-		}
-	}
-	return cols
-}
-
-// PopcountWords returns the number of set bits in a packed bitset.
-func PopcountWords(a []uint64) int {
-	n := 0
-	for _, w := range a {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// PopcountAndWords returns |a ∧ b|, the inner product of two 0/1 columns in
-// packed form (for ±1 codes the same quantity gives the dot product as
-// N − 2·popcount(a ⊕ b); over 0/1 features it is the Gram entry directly).
-func PopcountAndWords(a, b []uint64) int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("retrieval: bitset width mismatch %d vs %d", len(a), len(b)))
-	}
-	n := 0
-	for i, w := range a {
-		n += bits.OnesCount64(w & b[i])
-	}
-	return n
-}
-
 // MemoryBytes reports the packed storage footprint (8 bytes per word), the
 // quantity behind the paper's "auxiliary coordinates take only 6.25% of the
 // data" accounting (§8.4).
 func (c *Codes) MemoryBytes() int { return 8 * len(c.Data) }
-
-// FromBits builds codes from a row-major bool matrix (n rows of l bits).
-func FromBits(rows [][]bool) *Codes {
-	n := len(rows)
-	if n == 0 {
-		panic("retrieval: FromBits on empty input")
-	}
-	l := len(rows[0])
-	c := NewCodes(n, l)
-	for i, r := range rows {
-		if len(r) != l {
-			panic("retrieval: ragged bit rows")
-		}
-		for b, v := range r {
-			c.SetBit(i, b, v)
-		}
-	}
-	return c
-}

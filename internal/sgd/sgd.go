@@ -59,53 +59,24 @@ func (s *Schedule) Steps() float64 { return s.t }
 // off.
 func (s *Schedule) SetSteps(t float64) { s.t = t }
 
-// Eta0Ladder returns the multiplicative candidate ladder lo, lo·factor, …, up
-// to hi that TuneEta0 searches. Exposed so fused trainers that evaluate many
-// submodels per candidate (one data pass shared by all of them) draw exactly
-// the same candidates as the per-submodel TuneEta0 search.
-func Eta0Ladder(lo, hi, factor float64) []float64 {
+// TuneEta0 picks η0 by a multiplicative line search over candidates
+// lo, lo·factor, …, up to hi, tried in that order. trial(η0) must run a short
+// training pass from the *current* parameters on a small sample (without
+// mutating them) and return the resulting loss; TuneEta0 returns the
+// candidate with the lowest finite loss, the earlier one on a tie. This
+// mirrors the calibration pass of Bottou's sgd code used by the paper. If
+// every candidate produces a non-finite loss, lo is returned.
+func TuneEta0(lo, hi, factor float64, trial func(eta0 float64) float64) float64 {
 	if lo <= 0 || hi < lo || factor <= 1 {
 		panic("sgd: invalid TuneEta0 range")
 	}
-	var out []float64
+	best, bestLoss := lo, math.Inf(1)
 	for eta := lo; eta <= hi*(1+1e-12); eta *= factor {
-		out = append(out, eta)
-	}
-	return out
-}
-
-// PickEta0 applies TuneEta0's selection rule to precomputed losses, one per
-// ladder candidate: the lowest finite loss wins, ties keep the earlier
-// (smaller) candidate, and etas[0] is returned when every loss is non-finite.
-func PickEta0(etas, losses []float64) float64 {
-	if len(etas) == 0 || len(etas) != len(losses) {
-		panic("sgd: PickEta0 needs one loss per candidate")
-	}
-	best := etas[0]
-	bestLoss := math.Inf(1)
-	for i, eta := range etas {
-		loss := losses[i]
-		if !math.IsNaN(loss) && !math.IsInf(loss, 0) && loss < bestLoss {
-			bestLoss = loss
-			best = eta
+		if loss := trial(eta); !math.IsNaN(loss) && !math.IsInf(loss, 0) && loss < bestLoss {
+			best, bestLoss = eta, loss
 		}
 	}
 	return best
-}
-
-// TuneEta0 picks η0 by a multiplicative line search over candidates
-// lo, lo·factor, …, up to hi. trial(η0) must run a short training pass from
-// the *current* parameters on a small sample (without mutating them) and
-// return the resulting loss; TuneEta0 returns the candidate with the lowest
-// finite loss. This mirrors the calibration pass of Bottou's sgd code used by
-// the paper. If every candidate produces a non-finite loss, lo is returned.
-func TuneEta0(lo, hi, factor float64, trial func(eta0 float64) float64) float64 {
-	etas := Eta0Ladder(lo, hi, factor)
-	losses := make([]float64, len(etas))
-	for i, eta := range etas {
-		losses[i] = trial(eta)
-	}
-	return PickEta0(etas, losses)
 }
 
 // TuningSampleSize returns min(n, 1000): the paper examines the first 1000
@@ -130,21 +101,4 @@ func Order(n int, shuffle bool, rng *rand.Rand) []int {
 		return idx
 	}
 	return rng.Perm(n)
-}
-
-// Minibatches partitions an index order into batches of the given size (the
-// last batch may be short). size <= 0 yields a single batch.
-func Minibatches(order []int, size int) [][]int {
-	if size <= 0 || size >= len(order) {
-		return [][]int{order}
-	}
-	var out [][]int
-	for start := 0; start < len(order); start += size {
-		end := start + size
-		if end > len(order) {
-			end = len(order)
-		}
-		out = append(out, order[start:end])
-	}
-	return out
 }

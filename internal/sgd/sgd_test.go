@@ -119,26 +119,43 @@ func TestOrderShuffledIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMinibatches(t *testing.T) {
-	o := Order(10, false, nil)
-	b := Minibatches(o, 3)
-	if len(b) != 4 {
-		t.Fatalf("got %d batches", len(b))
-	}
-	if len(b[3]) != 1 {
-		t.Fatalf("last batch size %d", len(b[3]))
-	}
-	total := 0
-	for _, batch := range b {
-		total += len(batch)
-	}
-	if total != 10 {
-		t.Fatal("batches do not cover order")
-	}
-	if len(Minibatches(o, 0)) != 1 {
-		t.Fatal("size<=0 should give one batch")
-	}
-	if len(Minibatches(o, 100)) != 1 {
-		t.Fatal("oversized batch should give one batch")
+// TestTuneEta0Sequence pins the one η0 search for both ranges in use:
+// svm.AutoTune's (1e-4, 16, ×4) and the decoder groups' (1e-5, 4, ×4). The
+// values passed to trial must be lo·factorᵏ accumulated by repeated
+// multiplication, bit for bit and in ascending order up to hi; NaN and ±Inf
+// losses are skipped; a tie keeps the earlier candidate. The benchmark's
+// frozen E_BA depends on this sequence.
+func TestTuneEta0Sequence(t *testing.T) {
+	for _, r := range []struct {
+		lo, hi, factor float64
+		n              int
+	}{
+		{1e-4, 16, 4, 9}, // 1e-4·4⁸ = 6.5536
+		{1e-5, 4, 4, 10}, // 1e-5·4⁹ = 2.62144
+	} {
+		// Losses by candidate: NaN and -Inf ahead of the finite minimum,
+		// which candidates 3 and 4 tie for, then +Inf.
+		losses := []float64{math.NaN(), math.Inf(-1), 5, 0.5, 0.5, math.Inf(1), 3}
+		var got []float64
+		best := TuneEta0(r.lo, r.hi, r.factor, func(eta float64) float64 {
+			got = append(got, eta)
+			if k := len(got) - 1; k < len(losses) {
+				return losses[k]
+			}
+			return 1
+		})
+		if len(got) != r.n {
+			t.Fatalf("range (%g, %g, ×%g): %d candidates, want %d", r.lo, r.hi, r.factor, len(got), r.n)
+		}
+		want := r.lo
+		for k, eta := range got {
+			if math.Float64bits(eta) != math.Float64bits(want) {
+				t.Fatalf("range (%g, %g, ×%g): candidate %d = %v, want %v", r.lo, r.hi, r.factor, k, eta, want)
+			}
+			want *= r.factor
+		}
+		if math.Float64bits(best) != math.Float64bits(got[3]) {
+			t.Fatalf("range (%g, %g, ×%g): picked %v, want candidate 3 (%v)", r.lo, r.hi, r.factor, best, got[3])
+		}
 	}
 }

@@ -262,18 +262,3 @@ func SerialTime(cfg Config) float64 {
 	}
 	return m*n*e*cfg.TWr + m*n*cfg.TZr
 }
-
-// Speedup sweeps machine counts and returns the simulated strong-scaling
-// speedup S(P) = T(1)/T(P) for each (the Fig. 10 "experiment" curves).
-func Speedup(cfg Config, ps []int) []float64 {
-	t1 := SerialTime(cfg)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		c := cfg
-		c.P = p
-		c.Alphas = nil // homogeneous sweep
-		r := Run(c)
-		out[i] = t1 / r.T
-	}
-	return out
-}

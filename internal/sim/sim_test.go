@@ -58,7 +58,7 @@ func TestSimTracksTheoryModel(t *testing.T) {
 func TestNearPerfectSpeedupRegime(t *testing.T) {
 	// Cheap communication, P ≤ M: S(P) ≈ P (§5.2).
 	cfg := Config{N: 100000, M: 64, Epochs: 1, TWr: 1, TWc: 1, TZr: 10, Seed: 2}
-	ss := Speedup(cfg, []int{2, 8, 32, 64})
+	ss := speedupSweep(cfg, []int{2, 8, 32, 64})
 	wants := []float64{2, 8, 32, 64}
 	for i, s := range ss {
 		if s < 0.9*wants[i] || s > wants[i]+1e-9 {
@@ -71,7 +71,7 @@ func TestSpeedupSaturatesBeyondM(t *testing.T) {
 	// P ≫ M with costly communication: speedup must fall off its peak
 	// (Fig. 4's shape).
 	cfg := Config{N: 50000, M: 8, Epochs: 1, TWr: 1, TWc: 1000, TZr: 1, Seed: 3}
-	ss := Speedup(cfg, []int{4, 8, 64, 256})
+	ss := speedupSweep(cfg, []int{4, 8, 64, 256})
 	if !(ss[1] > ss[0]) {
 		t.Fatalf("speedup should still grow to P=M: %v", ss)
 	}
@@ -84,7 +84,7 @@ func TestMoreEpochsLowerSpeedup(t *testing.T) {
 	// §8.3: more epochs → more communication → flatter speedups.
 	mk := func(e int) float64 {
 		cfg := Config{N: 50000, M: 32, Epochs: e, TWr: 1, TWc: 10000, TZr: 200, Seed: 4}
-		return Speedup(cfg, []int{64})[0]
+		return speedupSweep(cfg, []int{64})[0]
 	}
 	if s1, s8 := mk(1), mk(8); s8 >= s1 {
 		t.Fatalf("e=8 speedup %v should be below e=1 %v", s8, s1)
@@ -200,4 +200,19 @@ func TestQuickSimSpeedupBounded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// speedupSweep sweeps machine counts and returns the simulated strong-scaling
+// speedup S(P) = T(1)/T(P) for each (the Fig. 10 "experiment" curves).
+func speedupSweep(cfg Config, ps []int) []float64 {
+	t1 := SerialTime(cfg)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		c := cfg
+		c.P = p
+		c.Alphas = nil // homogeneous sweep
+		r := Run(c)
+		out[i] = t1 / r.T
+	}
+	return out
 }

@@ -127,18 +127,3 @@ func (p Params) Intervals() []float64 {
 // submodels of input dimension d, and d decoders of input dimension L,
 // grouped into L groups so all M = 2L units have comparable size.
 func EffectiveSubmodels(L int) int { return 2 * L }
-
-// ScaleInvariant reports whether two parameter settings produce identical
-// speedup curves, using the invariance transformations of §5.2: S depends on
-// the inputs only through ρ'1 = ρ1·N and ρ'2 = ρ2·N (eq. 21–22) and M.
-func ScaleInvariant(a, b Params, tol float64) bool {
-	if a.M != b.M {
-		return false
-	}
-	r1a, r1b := a.Rho1()*float64(a.N), b.Rho1()*float64(b.N)
-	r2a, r2b := a.Rho2()*float64(a.N), b.Rho2()*float64(b.N)
-	close := func(x, y float64) bool {
-		return math.Abs(x-y) <= tol*(1+math.Abs(x)+math.Abs(y))
-	}
-	return close(r1a, r1b) && close(r2a, r2b)
-}

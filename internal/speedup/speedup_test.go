@@ -173,6 +173,21 @@ func TestEffectiveSubmodels(t *testing.T) {
 	}
 }
 
+// scaleInvariant reports whether two parameter settings produce identical
+// speedup curves, using the invariance transformations of §5.2: S depends on
+// the inputs only through ρ'1 = ρ1·N and ρ'2 = ρ2·N (eq. 21–22) and M.
+func scaleInvariant(a, b Params, tol float64) bool {
+	if a.M != b.M {
+		return false
+	}
+	r1a, r1b := a.Rho1()*float64(a.N), b.Rho1()*float64(b.N)
+	r2a, r2b := a.Rho2()*float64(a.N), b.Rho2()*float64(b.N)
+	close := func(x, y float64) bool {
+		return math.Abs(x-y) <= tol*(1+math.Abs(x)+math.Abs(y))
+	}
+	return close(r1a, r1b) && close(r2a, r2b)
+}
+
 func TestScaleInvarianceTransforms(t *testing.T) {
 	// §5.2: the three transformations that keep ρ'1, ρ'2 fixed leave S
 	// unchanged.
@@ -187,7 +202,7 @@ func TestScaleInvarianceTransforms(t *testing.T) {
 		{N: base.N, M: 32, E: 2, TWr: base.TWr * alpha, TZr: base.TZr * alpha, TWc: base.TWc * alpha},
 	}
 	for ci, c := range cases {
-		if !ScaleInvariant(base, c, 1e-9) {
+		if !scaleInvariant(base, c, 1e-9) {
 			t.Fatalf("case %d: should be scale invariant", ci)
 		}
 		for _, P := range []float64{2, 7, 16, 33, 100} {
@@ -199,7 +214,7 @@ func TestScaleInvarianceTransforms(t *testing.T) {
 	}
 	// A genuinely different setting is not invariant.
 	diff := Params{N: base.N, M: 32, E: 2, TWr: 5, TZr: 10, TWc: 100}
-	if ScaleInvariant(base, diff, 1e-9) {
+	if scaleInvariant(base, diff, 1e-9) {
 		t.Fatal("different TWr should break invariance")
 	}
 }

@@ -57,9 +57,8 @@ func (m *Linear) Bytes() int { return 8 * (len(m.W) + 1) }
 // w (each product reads the just-scaled, just-rounded weight, and the partial
 // sums follow vec.Dot's four-accumulator order), so only a violated margin
 // pays a second pass for the Axpy: bit for bit the scale-then-Margin update
-// (the reference Step lives in the tests). This is the inner statement of the
-// fused multi-bit W step, where w stays hot in cache while x is shared by all
-// bits.
+// (the reference Step lives in the tests). This is the inner statement of an
+// encoder visit over float rows.
 func (m *Linear) StepFused(x []float64, y, eta float64) {
 	w := m.W
 	if len(x) != len(w) {
@@ -174,29 +173,16 @@ func (m *Linear) AvgLoss(s Samples, idx []int) float64 {
 	return s.Hinge(m, idx)/float64(len(idx)) + 0.5*m.Lambda*vec.SqNorm(m.W)
 }
 
-// The η0 calibration range of AutoTune (paper §8.1). TuneLadder exposes the
-// resulting candidate ladder so fused multi-bit tuners search exactly the
-// same candidates; change the range here and both paths move together.
-const (
-	tuneEta0Lo     = 1e-4
-	tuneEta0Hi     = 16
-	tuneEta0Factor = 4
-)
-
-// TuneLadder returns AutoTune's η0 candidate ladder.
-func TuneLadder() []float64 {
-	return sgd.Eta0Ladder(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor)
-}
-
-// AutoTune calibrates the schedule's η0 by trial passes over the first
-// min(n,1000) samples (paper §8.1), leaving the model parameters untouched.
+// AutoTune calibrates the schedule's η0 over 1e-4·4ᵏ ≤ 16 by trial passes
+// over the first min(n,1000) samples (paper §8.1), leaving the model
+// parameters untouched.
 func (m *Linear) AutoTune(s Samples) {
 	n := sgd.TuningSampleSize(s.NumPoints())
 	if n == 0 {
 		return
 	}
 	sample := sgd.Order(n, false, nil)
-	best := sgd.TuneEta0(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor, func(eta0 float64) float64 {
+	best := sgd.TuneEta0(1e-4, 16, 4, func(eta0 float64) float64 {
 		trial := m.Clone()
 		trial.Sched = sgd.NewSchedule(eta0, m.Lambda)
 		s.Pass(trial, sample)

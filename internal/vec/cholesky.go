@@ -67,30 +67,3 @@ func (c *Cholesky) Solve(b, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// SolveMatrix solves A·X = B column by column, returning X with B's shape.
-func (c *Cholesky) SolveMatrix(b *Matrix) *Matrix {
-	if b.Rows != c.n {
-		panic("vec: Cholesky.SolveMatrix dimension mismatch")
-	}
-	x := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, c.n)
-	for j := 0; j < b.Cols; j++ {
-		b.Col(j, col)
-		c.Solve(col, col)
-		for i := 0; i < c.n; i++ {
-			x.Set(i, j, col[i])
-		}
-	}
-	return x
-}
-
-// SolveSPD is a convenience wrapper that factors a and solves a single
-// right-hand side.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	c, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(b, nil), nil
-}

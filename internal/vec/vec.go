@@ -273,17 +273,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// AddMatrix adds o into m elementwise; the shapes must match. It is the
-// reduction step of shard-parallel accumulations (per-goroutine partial
-// matrices summed in worker order, so the result is deterministic for a
-// fixed worker count).
-func (m *Matrix) AddMatrix(o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("vec: AddMatrix shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	Axpy(1, o.Data, m.Data)
-}
-
 // AddScaledIdentity adds alpha to the diagonal of a square matrix in place.
 func (m *Matrix) AddScaledIdentity(alpha float64) {
 	if m.Rows != m.Cols {

@@ -132,10 +132,11 @@ func TestCholeskySolve(t *testing.T) {
 			xTrue[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(xTrue, nil)
-		x, err := SolveSPD(a, b)
+		ch, err := NewCholesky(a)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		x := ch.Solve(b, nil)
 		for i := range x {
 			if !almostEq(x[i], xTrue[i], 1e-8) {
 				t.Fatalf("trial %d: x[%d]=%v want %v", trial, i, x[i], xTrue[i])
@@ -149,25 +150,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	copy(a.Data, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
 	if _, err := NewCholesky(a); err != ErrNotPD {
 		t.Fatalf("want ErrNotPD, got %v", err)
-	}
-}
-
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := NewMatrix(8, 5)
-	g.FillGaussian(rng, 1)
-	a := g.Gram()
-	a.AddScaledIdentity(1)
-	bm := NewMatrix(5, 3)
-	bm.FillGaussian(rng, 1)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.SolveMatrix(bm)
-	back := Mul(a, x)
-	if MaxAbsDiff(back, bm) > 1e-8 {
-		t.Fatal("SolveMatrix residual too large")
 	}
 }
 
