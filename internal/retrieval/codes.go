@@ -92,14 +92,19 @@ func (c *Codes) Hamming(i int, o *Codes, j int) int {
 
 // HammingWords returns the Hamming distance between two packed codes.
 func HammingWords(a, b []uint64) int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("retrieval: code width mismatch %d vs %d", len(a), len(b)))
-	}
+	checkWidth(len(a), len(b))
 	d := 0
 	for i, w := range a {
 		d += bits.OnesCount64(w ^ b[i])
 	}
 	return d
+}
+
+// checkWidth panics unless two packed codes have the same word count.
+func checkWidth(a, b int) {
+	if a != b {
+		panic(fmt.Sprintf("retrieval: code width mismatch %d vs %d", a, b))
+	}
 }
 
 // MemoryBytes reports the packed storage footprint (8 bytes per word), the

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -284,8 +283,10 @@ func (s *MIHSearcher) probe(blk *mihBlock, q uint64, r, k int, query []uint64, o
 }
 
 // rank folds a posting list into the top-k buffer: skip already-visited ids,
-// compute the exact full-code distance for the rest, and insert in
-// (Dist, Index) lexicographic order — the linear oracle's tie rule.
+// compute the exact full-code distance for the rest, and insert the ones that
+// beat the current k-th best through the linear scan's insertNeighbor. Ids
+// arrive out of index order, so the test compares the full (Dist, Index)
+// pair, as the helper's search does.
 func (s *MIHSearcher) rank(list []int32, k int, query []uint64, out []Neighbor) []Neighbor {
 	for _, id32 := range list {
 		id := int(id32)
@@ -294,20 +295,9 @@ func (s *MIHSearcher) rank(list []int32, k int, query []uint64, out []Neighbor) 
 		}
 		s.visited[id] = s.gen
 		n := Neighbor{Index: id, Dist: HammingWords(s.ix.codes.Code(id), query)}
-		if len(out) == k {
-			last := out[k-1]
-			if n.Dist > last.Dist || (n.Dist == last.Dist && n.Index > last.Index) {
-				continue
-			}
+		if len(out) < k || n.before(out[k-1]) {
+			out = insertNeighbor(out, k, n)
 		}
-		pos := sort.Search(len(out), func(j int) bool {
-			return out[j].Dist > n.Dist || (out[j].Dist == n.Dist && out[j].Index > n.Index)
-		})
-		if len(out) < k {
-			out = append(out, Neighbor{})
-		}
-		copy(out[pos+1:], out[pos:len(out)-1])
-		out[pos] = n
 	}
 	return out
 }

@@ -75,7 +75,9 @@ func TestMIHMatchesLinearOracle(t *testing.T) {
 
 // TestMIHPropertyRandomShapes hammers random (n, l, blocks, k) shapes; the
 // searcher is reused across queries so the generation-stamp dedup is
-// exercised too.
+// exercised too. It checks against the reference scan rather than
+// TopKHammingDist, whose kernel shares MIH's insertion helper, so a bug there
+// cannot pass by agreeing with itself.
 func TestMIHPropertyRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
@@ -93,7 +95,7 @@ func TestMIHPropertyRandomShapes(t *testing.T) {
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Code(qi)
 			got := s.Search(q, k)
-			want := TopKHammingDist(base, q, k)
+			want := topKOracle(base, q, k)
 			assertNeighborsEqual(t, "property", got, want)
 		}
 	}
@@ -224,7 +226,7 @@ func TestAutoMIHBlocksBounds(t *testing.T) {
 }
 
 // FuzzMIHOracle derives a code set, block count and query from arbitrary
-// bytes and asserts MIH search equals the linear oracle exactly. This is the
+// bytes and asserts MIH search equals the reference scan exactly. This is the
 // index the serving tier trusts for hot traffic, so the equivalence must hold
 // for every reachable shape, not just the seeded ones.
 func FuzzMIHOracle(f *testing.F) {
@@ -246,7 +248,7 @@ func FuzzMIHOracle(f *testing.F) {
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Code(qi)
 			got := s.Search(q, int(k))
-			want := TopKHammingDist(base, q, int(k))
+			want := topKOracle(base, q, int(k))
 			assertNeighborsEqual(t, "fuzz", got, want)
 		}
 	})

@@ -269,19 +269,6 @@ func BenchmarkHamming64(b *testing.B) {
 	}
 }
 
-func BenchmarkTopKHamming(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	base := NewCodes(10000, 64)
-	for i := range base.Data {
-		base.Data[i] = rng.Uint64()
-	}
-	q := []uint64{rng.Uint64()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopKHamming(base, q, 100)
-	}
-}
-
 func TestWord64MatchesBits(t *testing.T) {
 	c := NewCodes(3, 40)
 	c.SetBit(0, 0, true)

@@ -1,6 +1,8 @@
 package retrieval
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/core"
@@ -29,33 +31,104 @@ func clampK(k, n int) int {
 	return k
 }
 
-// scanHamming appends to buf the top-k candidates of base rows [lo, hi),
-// sorted by (distance, index). Bounded insertion into a sorted buffer: k is
-// small (≤ 10⁴ in the paper's protocols) relative to N, so this beats a heap
-// in practice and keeps ordering fully deterministic — the buffer always
-// holds the lexicographically smallest (dist, idx) pairs seen so far.
-func scanHamming(base *Codes, query []uint64, k, lo, hi int, buf []Neighbor) []Neighbor {
-	if k <= 0 {
+// before reports whether a precedes b in the (Dist, Index) order.
+func (a Neighbor) before(b Neighbor) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.Index < b.Index)
+}
+
+// insertNeighbor inserts n into buf, which is sorted by (Dist, Index) and
+// holds at most k entries; when buf is full, n replaces the last entry. The
+// caller passes only an n that belongs in the result — len(buf) < k, or n
+// precedes buf[k-1] — and makes that test inline, so a rejected candidate
+// costs no call. The linear scan and the MIH re-rank both insert through it,
+// so they share one tie rule. Bounded insertion into a sorted buffer beats a
+// heap here: k is small (≤ 10⁴ in the paper's protocols) and, after the
+// threshold test, insertions are rare.
+func insertNeighbor(buf []Neighbor, k int, n Neighbor) []Neighbor {
+	lo, hi := 0, len(buf)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if buf[m].before(n) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if len(buf) < k {
+		buf = append(buf, Neighbor{})
+	}
+	copy(buf[lo+1:], buf[lo:len(buf)-1])
+	buf[lo] = n
+	return buf
+}
+
+// kthDist is the distance a row must beat to enter a top-k buffer: the k-th
+// best so far once buf is full, no bound before that. A row at exactly this
+// distance comes later in index order than every row kept, so it loses.
+func kthDist(buf []Neighbor, k int) int {
+	if len(buf) < k {
+		return math.MaxInt
+	}
+	return buf[k-1].Dist
+}
+
+// scanHamming returns the k rows of base nearest to query, sorted by
+// (distance, index). It is a kernel over the flat Data array: each row's
+// distance is tested against the k-th best before any bookkeeping, and only a
+// row that beats it is inserted — about k·ln(N/k) rows on random codes.
+// One-word codes (L ≤ 64, every code this repository trains or serves) run
+// four rows per step straight off Data with one min test for all four; wider
+// codes stride Data by Words. The caller has checked the query width and
+// clamped k to [0, N].
+func scanHamming(base *Codes, query []uint64, k int) []Neighbor {
+	buf := make([]Neighbor, 0, k)
+	if k == 0 {
 		return buf
 	}
-	worst := -1
-	if len(buf) > 0 {
-		worst = buf[len(buf)-1].Dist
+	if base.Words == 1 {
+		return scanOneWord(base.Data[:base.N], query[0], k, buf)
 	}
-	for i := lo; i < hi; i++ {
-		d := HammingWords(base.Code(i), query)
-		if len(buf) == k && d >= worst {
+	w := base.Words
+	data := base.Data[:base.N*w]
+	worst := math.MaxInt
+	for i := 0; i < base.N; i++ {
+		d := 0
+		for j, x := range data[i*w : (i+1)*w] {
+			d += bits.OnesCount64(x ^ query[j])
+		}
+		if d < worst {
+			buf = insertNeighbor(buf, k, Neighbor{Index: i, Dist: d})
+			worst = kthDist(buf, k)
+		}
+	}
+	return buf
+}
+
+// scanOneWord is scanHamming's one-word body.
+func scanOneWord(data []uint64, q uint64, k int, buf []Neighbor) []Neighbor {
+	worst := math.MaxInt
+	i := 0
+	for ; i+4 <= len(data); i += 4 {
+		c := data[i : i+4 : i+4]
+		d0 := bits.OnesCount64(c[0] ^ q)
+		d1 := bits.OnesCount64(c[1] ^ q)
+		d2 := bits.OnesCount64(c[2] ^ q)
+		d3 := bits.OnesCount64(c[3] ^ q)
+		if min(d0, d1, d2, d3) >= worst {
 			continue
 		}
-		pos := sort.Search(len(buf), func(j int) bool {
-			return buf[j].Dist > d
-		})
-		if len(buf) < k {
-			buf = append(buf, Neighbor{})
+		for j, d := range [4]int{d0, d1, d2, d3} {
+			if d < worst {
+				buf = insertNeighbor(buf, k, Neighbor{Index: i + j, Dist: d})
+				worst = kthDist(buf, k)
+			}
 		}
-		copy(buf[pos+1:], buf[pos:len(buf)-1])
-		buf[pos] = Neighbor{Index: i, Dist: d}
-		worst = buf[len(buf)-1].Dist
+	}
+	for ; i < len(data); i++ {
+		if d := bits.OnesCount64(data[i] ^ q); d < worst {
+			buf = insertNeighbor(buf, k, Neighbor{Index: i, Dist: d})
+			worst = kthDist(buf, k)
+		}
 	}
 	return buf
 }
@@ -83,12 +156,7 @@ func MergeTopK(parts [][]Neighbor, k int) []Neighbor {
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].Index < all[j].Index
-	})
+	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
 	if k >= 0 && len(all) > k {
 		all = all[:k]
 	}
@@ -108,10 +176,13 @@ func OffsetNeighbors(ns []Neighbor, off int) []Neighbor {
 // distance with their distances, sorted by (distance, index). k ≤ 0 returns
 // an empty slice. The linear scan over packed words is exactly the search
 // the paper motivates: Hamming distances "at a vastly faster speed and
-// smaller memory" than Euclidean.
+// smaller memory" than Euclidean. A query whose word count differs from the
+// base's panics, as HammingWords does, whenever the base is non-empty.
 func TopKHammingDist(base *Codes, query []uint64, k int) []Neighbor {
-	k = clampK(k, base.N)
-	return scanHamming(base, query, k, 0, base.N, make([]Neighbor, 0, k))
+	if base.N > 0 {
+		checkWidth(base.Words, len(query))
+	}
+	return scanHamming(base, query, clampK(k, base.N))
 }
 
 // TopKHamming returns the indices of the k base codes nearest to query in
