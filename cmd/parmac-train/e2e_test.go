@@ -40,9 +40,12 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 		"-bits", "4", "-seed", "7", "-e", "1", "-cores", "1", "-queries", "4",
 	}
 
+	// An iteration of this tiny problem takes under a millisecond, so the run
+	// needs hundreds of them to be still training when the kill lands, even
+	// on a loaded machine.
 	coordArgs := append([]string{
 		"-coordinator", "-spawn=false", "-listen", "127.0.0.1:0",
-		"-iters", "4", "-rescue-timeout", "5s",
+		"-iters", "500", "-rescue-timeout", "5s",
 	}, shared...)
 	coord := exec.Command(bin, coordArgs...)
 	var coordErr bytes.Buffer
@@ -117,6 +120,12 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 	if err := workers[1].Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
+	// Nothing waits on lines from here on; drain them so the coordinator
+	// never blocks writing its remaining rows.
+	go func() {
+		for range lines {
+		}
+	}()
 
 	done := make(chan error, 1)
 	go func() { done <- coord.Wait() }()

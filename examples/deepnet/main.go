@@ -1,7 +1,8 @@
 // Deepnet: MAC and ParMAC are not BA-specific — here a K=2-hidden-layer
 // sigmoid net is trained by circulating its hidden units through the ring
 // (§3.2: the W step splits into independent single-unit regressions; the Z
-// step is a per-point generalised proximal operator).
+// step is a per-point generalised proximal operator). ParMAC on one machine
+// is MAC itself, so the P=1 run is the serial reference for the P=4 run.
 package main
 
 import (
@@ -33,25 +34,16 @@ func main() {
 	start.InitRandom(rng, 0.3)
 	fmt.Printf("initial nested error: %.2f\n", start.NestedError(xs, ys))
 
-	// Serial MAC reference.
-	serial := start.Clone()
-	stats := macnet.RunMAC(serial, xs, ys, macnet.MACConfig{
-		Mu0: 1, MuFactor: 2, Iters: 10, Eta: 1, WEpochs: 3, ZIters: 10, Seed: 9,
-	})
-	fmt.Printf("serial MAC final:     %.2f (E_Q %.2f)\n",
-		stats[len(stats)-1].Nested, stats[len(stats)-1].EQ)
-
-	// The same training distributed over 4 machines with ParMAC.
-	shards := dataset.ShardIndices(n, 4, nil)
-	prob := macnet.NewParMACProblem(start, xs, ys, shards, macnet.ParMACConfig{
-		Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 10,
-	})
-	fmt.Printf("circulating submodels: %d (one per unit)\n", len(prob.Submodels()))
-	eng := parmac.New(prob, parmac.Config{P: 4, Epochs: 3, Seed: 9})
-	defer eng.Shutdown()
-	for it := 0; it < 10; it++ {
-		eng.Iterate()
+	for _, p := range []int{1, 4} {
+		shards := dataset.ShardIndices(n, p, nil)
+		prob := macnet.NewParMACProblem(start, xs, ys, shards, macnet.ParMACConfig{
+			Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 10,
+		})
+		eng := parmac.New(prob, parmac.Config{P: p, Epochs: 3, Seed: 9})
+		eng.Run(10)
+		eng.Shutdown()
+		eq, nested := prob.PenaltyAndNested()
+		fmt.Printf("ParMAC (P=%d) final:   %.2f (E_Q %.2f, %d circulating submodels)\n",
+			p, nested, eq, len(prob.Submodels()))
 	}
-	_, nested := prob.PenaltyAndNested()
-	fmt.Printf("ParMAC (P=4) final:   %.2f\n", nested)
 }

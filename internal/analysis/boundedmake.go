@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// BoundedMakeAnalyzer generalizes the hardened-LoadCodes pattern from PR 6:
+// BoundedMakeAnalyzer generalizes the hardened LoadCodesLimit pattern:
 // an allocation whose size comes from decoded input (json/binary.Read, a
 // byte-order header read, an int read off the cluster wire, or a parsed
 // request parameter) must be preceded by
@@ -15,11 +15,11 @@ import (
 // sanitized once it appears in any comparison (an if/for/switch condition)
 // or under the min builtin at the allocation site. len/cap of decoded data
 // do not taint — they are bounded by bytes actually received, which is
-// exactly the property the streamed LoadCodes loader relies on.
+// exactly the property the streamed LoadCodesLimit loader relies on.
 var BoundedMakeAnalyzer = &Analyzer{
 	Name: "boundedmake",
 	Doc: "make() sized by a decoded or request-supplied value needs a bound " +
-		"check against a budget first (the hardened LoadCodes pattern)",
+		"check against a budget first (the hardened LoadCodesLimit pattern)",
 	Run: runBoundedMake,
 }
 

@@ -2,8 +2,9 @@
 // reproduction (paper §7 and appendix B). Each "machine" is a rank with an
 // inbox; sends are buffered and non-blocking like MPI_Bsend, receives block
 // like MPI_Recv and support tag filtering and MPI_ANY_SOURCE/ANY_TAG
-// wildcards. A cyclic barrier mirrors MPI_Barrier, and Bcast/AllGather mirror
-// the collectives listed in the paper's appendix B.
+// wildcards. The ParMAC engine needs nothing more — ring hops and
+// coordinator messages are all point-to-point — so the fabric has no barrier
+// or collectives.
 //
 // The fabric is pluggable: a Comm implements all of the above generically on
 // top of a raw transport Endpoint, so every backend — the in-process channel
@@ -28,14 +29,11 @@ const AnyTag = -1
 // AnySource matches any sender in RecvFrom (MPI_ANY_SOURCE).
 const AnySource = -1
 
-// Internal tags used by Comm itself (barrier protocol). They live at the
-// bottom of the tag space and are invisible to AnyTag wildcards, so they can
-// never be confused with application traffic.
-const (
-	internalTagCeil   = math.MinInt + 16
-	tagBarrierArrive  = math.MinInt
-	tagBarrierRelease = math.MinInt + 1
-)
+// internalTagCeil bounds the tags reserved for the fabric itself (the
+// peer-down signal, failure.go). They live at the bottom of the tag space
+// and are invisible to AnyTag wildcards, so they can never be confused with
+// application traffic.
+const internalTagCeil = math.MinInt + 16
 
 func isInternalTag(tag int) bool { return tag < internalTagCeil }
 
@@ -185,79 +183,4 @@ func matches(m Message, from, tag int) bool {
 		return false
 	}
 	return from == AnySource || m.From == from
-}
-
-// Barrier blocks until every rank has called it (MPI_Barrier). It is cyclic:
-// it can be reused any number of times. The protocol is a counting barrier
-// over the transport itself — rank 0 gathers one arrival per rank, then
-// releases everyone — so it works identically on every backend. Barrier
-// traffic uses reserved tags and is not counted in Stats.
-func (c *Comm) Barrier() {
-	size := c.ep.Size()
-	if size == 1 {
-		return
-	}
-	rank := c.ep.Rank()
-	if rank == 0 {
-		for i := 0; i < size-1; i++ {
-			c.recvInternal(AnySource, tagBarrierArrive)
-		}
-		for r := 1; r < size; r++ {
-			c.ep.Deliver(r, Message{From: rank, Tag: tagBarrierRelease})
-		}
-		return
-	}
-	c.ep.Deliver(0, Message{From: rank, Tag: tagBarrierArrive})
-	c.recvInternal(0, tagBarrierRelease)
-}
-
-// recvInternal is RecvFrom for reserved tags (exact match only).
-func (c *Comm) recvInternal(from, tag int) Message {
-	for i, m := range c.pending {
-		if m.Tag == tag && (from == AnySource || m.From == from) {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return m
-		}
-	}
-	for {
-		m := c.nextBlocking()
-		if c.notePeerDown(m) {
-			continue
-		}
-		if m.Tag == tag && (from == AnySource || m.From == from) {
-			return m
-		}
-		c.pending = append(c.pending, m)
-	}
-}
-
-// Bcast sends payload from root to every other rank under the given tag and
-// returns the (possibly received) value at every rank, mirroring MPI_Bcast.
-func (c *Comm) Bcast(root, tag int, payload any, bytes int) any {
-	if c.ep.Rank() == root {
-		for r := 0; r < c.ep.Size(); r++ {
-			if r != root {
-				c.Send(r, tag, payload, bytes)
-			}
-		}
-		return payload
-	}
-	return c.RecvFrom(root, tag).Payload
-}
-
-// AllGather collects one payload from every rank at every rank, mirroring
-// MPI_Allgather. The result is indexed by rank.
-func (c *Comm) AllGather(tag int, payload any, bytes int) []any {
-	for r := 0; r < c.ep.Size(); r++ {
-		if r != c.ep.Rank() {
-			c.Send(r, tag, payload, bytes)
-		}
-	}
-	out := make([]any, c.ep.Size())
-	out[c.ep.Rank()] = payload
-	for i := 0; i < c.ep.Size()-1; i++ {
-		m := c.Recv(tag)
-		out[m.From] = m.Payload
-	}
-	return out
 }

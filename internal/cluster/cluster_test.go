@@ -84,82 +84,6 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronises(t *testing.T) {
-	const p = 8
-	n := NewNetwork(p)
-	var phase [p]int
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := n.Comm(rank)
-			for round := 0; round < 5; round++ {
-				phase[rank] = round
-				c.Barrier()
-				// After the barrier, everyone must be at this round.
-				for other := 0; other < p; other++ {
-					if phase[other] < round {
-						t.Errorf("rank %d saw rank %d at phase %d < %d", rank, other, phase[other], round)
-					}
-				}
-				c.Barrier()
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
-func TestBcast(t *testing.T) {
-	const p = 4
-	n := NewNetwork(p)
-	results := make([]any, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := n.Comm(rank)
-			var val any
-			if rank == 2 {
-				val = c.Bcast(2, 9, "root-value", 10)
-			} else {
-				val = c.Bcast(2, 9, nil, 0)
-			}
-			results[rank] = val
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if results[r].(string) != "root-value" {
-			t.Fatalf("rank %d got %v", r, results[r])
-		}
-	}
-}
-
-func TestAllGather(t *testing.T) {
-	const p = 5
-	n := NewNetwork(p)
-	var wg sync.WaitGroup
-	out := make([][]any, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := n.Comm(rank)
-			out[rank] = c.AllGather(4, rank*10, 8)
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		for s := 0; s < p; s++ {
-			if out[r][s].(int) != s*10 {
-				t.Fatalf("rank %d slot %d = %v", r, s, out[r][s])
-			}
-		}
-	}
-}
-
 func TestRingCirculation(t *testing.T) {
 	// A token must travel the full ring and return — the heart of ParMAC's
 	// W step topology (§4.1).
@@ -223,52 +147,5 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 	case <-got:
 	case <-time.After(time.Second):
 		t.Fatal("Recv never returned")
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	const p = 4
-	n := NewNetwork(p)
-	out := make([][]float64, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := n.Comm(rank)
-			contrib := []float64{float64(rank), 1}
-			out[rank] = c.Reduce(2, 5, contrib, OpSum)
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if r == 2 {
-			if out[r][0] != 0+1+2+3 || out[r][1] != 4 {
-				t.Fatalf("root reduce = %v", out[r])
-			}
-		} else if out[r] != nil {
-			t.Fatalf("non-root rank %d got %v", r, out[r])
-		}
-	}
-}
-
-func TestAllReduceMax(t *testing.T) {
-	const p = 5
-	n := NewNetwork(p)
-	out := make([][]float64, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := n.Comm(rank)
-			out[rank] = c.AllReduce(6, []float64{float64(rank * rank)}, OpMax)
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if out[r][0] != 16 {
-			t.Fatalf("rank %d allreduce = %v, want 16", r, out[r])
-		}
 	}
 }

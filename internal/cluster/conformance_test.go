@@ -3,8 +3,8 @@
 // calling cluster.RegisterTransport in its init — nothing here names a
 // backend. The scenarios pin down the delivery contract the ParMAC engine
 // relies on: per-sender FIFO, tag filtering with AnySource/AnyTag wildcards,
-// cyclic barriers, Bcast/AllGather/Reduce collectives, byte accounting, full
-// ring circulation, and bounded-inbox backpressure.
+// byte accounting, full ring circulation, bounded-inbox backpressure,
+// deadline-bounded receives, and peer-down events after a rank is killed.
 package cluster_test
 
 import (
@@ -33,10 +33,6 @@ var scenarios = []scenario{
 	{"AnySourceAnyTag", 3, nil, scenarioAnySourceAnyTag},
 	{"RecvFromBuffers", 3, nil, scenarioRecvFromBuffers},
 	{"TryRecv", 2, nil, scenarioTryRecv},
-	{"BarrierCycles", 6, nil, scenarioBarrierCycles},
-	{"Bcast", 4, nil, scenarioBcast},
-	{"AllGather", 5, nil, scenarioAllGather},
-	{"ReduceAllReduce", 4, nil, scenarioReduceAllReduce},
 	{"ByteAccounting", 3, nil, scenarioByteAccounting},
 	{"RingCirculation", 5, nil, scenarioRingCirculation},
 	{"SlowRankBackpressure", 4, []cluster.Option{cluster.WithInboxCapacity(2)}, scenarioSlowRank},
@@ -200,86 +196,6 @@ func scenarioTryRecv(t *testing.T, fab cluster.Fabric) {
 			}
 		}
 	})
-}
-
-func scenarioBarrierCycles(t *testing.T, fab cluster.Fabric) {
-	p := fab.Size()
-	phase := make([]int64, p)
-	var mu sync.Mutex
-	eachRank(fab, func(c *cluster.Comm) {
-		for round := 0; round < 5; round++ {
-			mu.Lock()
-			phase[c.Rank()] = int64(round)
-			mu.Unlock()
-			c.Barrier()
-			mu.Lock()
-			for other := 0; other < p; other++ {
-				if phase[other] < int64(round) {
-					t.Errorf("rank %d saw rank %d at phase %d < %d", c.Rank(), other, phase[other], round)
-				}
-			}
-			mu.Unlock()
-			c.Barrier()
-		}
-	})
-}
-
-func scenarioBcast(t *testing.T, fab cluster.Fabric) {
-	p := fab.Size()
-	results := make([]any, p)
-	eachRank(fab, func(c *cluster.Comm) {
-		var val any
-		if c.Rank() == 2 {
-			val = c.Bcast(2, 9, "root-value", 10)
-		} else {
-			val = c.Bcast(2, 9, nil, 0)
-		}
-		results[c.Rank()] = val
-	})
-	for r := 0; r < p; r++ {
-		if results[r].(string) != "root-value" {
-			t.Fatalf("rank %d got %v", r, results[r])
-		}
-	}
-}
-
-func scenarioAllGather(t *testing.T, fab cluster.Fabric) {
-	p := fab.Size()
-	out := make([][]any, p)
-	eachRank(fab, func(c *cluster.Comm) {
-		out[c.Rank()] = c.AllGather(4, c.Rank()*10, 8)
-	})
-	for r := 0; r < p; r++ {
-		for s := 0; s < p; s++ {
-			if out[r][s].(int) != s*10 {
-				t.Fatalf("rank %d slot %d = %v", r, s, out[r][s])
-			}
-		}
-	}
-}
-
-func scenarioReduceAllReduce(t *testing.T, fab cluster.Fabric) {
-	p := fab.Size()
-	sums := make([][]float64, p)
-	maxes := make([][]float64, p)
-	eachRank(fab, func(c *cluster.Comm) {
-		r := c.Rank()
-		sums[r] = c.Reduce(0, 5, []float64{float64(r), 1}, cluster.OpSum)
-		maxes[r] = c.AllReduce(6, []float64{float64(r * r)}, cluster.OpMax)
-	})
-	wantSum := float64(p*(p-1)) / 2
-	if sums[0][0] != wantSum || sums[0][1] != float64(p) {
-		t.Fatalf("root reduce = %v", sums[0])
-	}
-	wantMax := float64((p - 1) * (p - 1))
-	for r := 0; r < p; r++ {
-		if r != 0 && sums[r] != nil {
-			t.Fatalf("non-root rank %d got reduce result %v", r, sums[r])
-		}
-		if maxes[r][0] != wantMax {
-			t.Fatalf("rank %d allreduce = %v, want %v", r, maxes[r], wantMax)
-		}
-	}
 }
 
 func scenarioByteAccounting(t *testing.T, fab cluster.Fabric) {

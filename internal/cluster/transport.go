@@ -9,9 +9,9 @@ import (
 
 // Endpoint is one rank's raw attachment to a transport backend. It moves
 // Messages between ranks with reliable, per-sender-FIFO delivery and bounded
-// buffering; everything MPI-flavoured (tag matching, wildcards, collectives,
-// traffic accounting) lives above it in Comm and is therefore identical
-// across backends.
+// buffering; everything MPI-flavoured (tag matching, wildcards, traffic
+// accounting, peer-down bookkeeping) lives above it in Comm and is therefore
+// identical across backends.
 //
 // An Endpoint is used by a single goroutine, like one MPI process.
 type Endpoint interface {

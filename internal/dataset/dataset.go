@@ -309,13 +309,3 @@ func WithQueries(n, q, d, clusters int, seed int64, quantize bool) (base, querie
 	}
 	return base, queries
 }
-
-// TrainTestSplit splits [0,n) into a train part of size nTrain and a test
-// part with the remainder, shuffled deterministically by seed.
-func TrainTestSplit(n, nTrain int, seed int64) (train, test []int) {
-	if nTrain > n {
-		panic("dataset: nTrain > n")
-	}
-	idx := rand.New(rand.NewSource(seed)).Perm(n)
-	return idx[:nTrain], idx[nTrain:]
-}

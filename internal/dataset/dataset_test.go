@@ -212,38 +212,6 @@ func TestShuffledShardIndicesCoverAll(t *testing.T) {
 	}
 }
 
-func TestTrainTestSplit(t *testing.T) {
-	tr, te := TrainTestSplit(100, 80, 1)
-	if len(tr) != 80 || len(te) != 20 {
-		t.Fatal("split sizes wrong")
-	}
-	seen := map[int]bool{}
-	for _, i := range append(append([]int{}, tr...), te...) {
-		if seen[i] {
-			t.Fatal("overlap between train and test")
-		}
-		seen[i] = true
-	}
-}
-
-func TestStreamProducesFreshBatches(t *testing.T) {
-	s := NewStream(ClusterConfig{N: 0, D: 4, Clusters: 2, Seed: 9})
-	b1 := s.Next(10)
-	b2 := s.Next(10)
-	if b1.N != 10 || b2.N != 10 {
-		t.Fatal("batch size wrong")
-	}
-	same := true
-	for j := 0; j < 4; j++ {
-		if b1.Point(0, nil)[j] != b2.Point(0, nil)[j] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("stream batches should differ")
-	}
-}
-
 func TestSIFTLikeIsByteBacked(t *testing.T) {
 	ds := SIFTLike(64, 16, 4, 11)
 	if !ds.ByteBacked() {

@@ -91,27 +91,3 @@ func ShuffledShardIndices(n, p int, weights []float64, seed int64) [][]int {
 	}
 	return shards
 }
-
-// Stream produces batches of fresh synthetic points drawn from the same
-// mixture, supporting the streaming extension of §4.3 (new data are collected
-// over time; old data are discarded).
-type Stream struct {
-	cfg  ClusterConfig
-	rng  *rand.Rand
-	next int64
-}
-
-// NewStream creates a stream of points from the given mixture configuration.
-func NewStream(cfg ClusterConfig) *Stream {
-	return &Stream{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), next: cfg.Seed + 1}
-}
-
-// Next returns a batch of n fresh points.
-func (s *Stream) Next(n int) *Dataset {
-	cfg := s.cfg
-	cfg.N = n
-	cfg.Seed = s.next
-	s.next++
-	ds, _ := Clusters(cfg)
-	return ds
-}

@@ -4,17 +4,17 @@
 // that splits into independent single-unit regressions, and the Z step — a
 // generalised proximal operator per data point solved by gradient descent.
 //
-// Together with the adapter in parmac.go it demonstrates the paper's claim
-// that ParMAC applies to "any situation where MAC applies, i.e. nested
-// functions with K layers" (§1), not just binary autoencoders.
+// The adapter in parmac.go is the trainer: every unit circulates as a
+// ParMAC submodel and every machine runs the Z step on its own points. On
+// one machine (P=1) that is MAC itself. Together they demonstrate the
+// paper's claim that ParMAC applies to "any situation where MAC applies,
+// i.e. nested functions with K layers" (§1), not just binary autoencoders.
 package macnet
 
 import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/sgd"
 	"repro/internal/vec"
 )
 
@@ -45,15 +45,6 @@ func (n *Net) InitRandom(rng *rand.Rand, sigma float64) {
 	for _, w := range n.Ws {
 		w.FillGaussian(rng, sigma)
 	}
-}
-
-// Clone returns a deep copy.
-func (n *Net) Clone() *Net {
-	c := &Net{Dims: append([]int(nil), n.Dims...)}
-	for _, w := range n.Ws {
-		c.Ws = append(c.Ws, w.Clone())
-	}
-	return c
 }
 
 // K returns the number of hidden layers.
@@ -144,15 +135,6 @@ func NewCoordsFromForward(n *Net, xs *vec.Matrix) *Coords {
 	return c
 }
 
-// Clone deep-copies the coordinates.
-func (c *Coords) Clone() *Coords {
-	out := &Coords{}
-	for _, z := range c.Z {
-		out.Z = append(out.Z, z.Clone())
-	}
-	return out
-}
-
 // PenaltyError is the quadratic-penalty objective of eq. (6):
 // ½ Σ_n ‖y_n − f_{K+1}(z_{K,n})‖² + μ/2 Σ_n Σ_k ‖z_{k,n} − f_k(z_{k−1,n})‖².
 func PenaltyError(n *Net, xs, ys *vec.Matrix, c *Coords, mu float64) float64 {
@@ -205,23 +187,6 @@ func (n *Net) Units() []UnitRef {
 		}
 	}
 	return out
-}
-
-// UnitSGDStep performs one SGD update of unit u on sample (in, target): the
-// squared loss ½(σ(w·[in;1]) − target)² — a single-layer, single-unit
-// regression, trainable "with existing algorithms (logistic regression)".
-func (n *Net) UnitSGDStep(u UnitRef, in []float64, target, eta float64) {
-	row := n.Ws[u.Layer].Row(u.Unit)
-	s := row[len(row)-1]
-	for i, v := range in {
-		s += row[i] * v
-	}
-	p := Sigmoid(s)
-	g := (p - target) * p * (1 - p)
-	for i, v := range in {
-		row[i] -= eta * g * v
-	}
-	row[len(row)-1] -= eta * g
 }
 
 // ZStepPoint minimises the eq. (6) terms of one point over its coordinates
@@ -321,128 +286,4 @@ func zGrad(n *Net, x, y []float64, c *Coords, i int, mu float64, grads [][]float
 			}
 		}
 	}
-}
-
-// MACConfig drives the serial MAC loop for the net.
-type MACConfig struct {
-	Mu0      float64
-	MuFactor float64
-	Iters    int
-	Eta      float64 // SGD step for the unit regressions
-	WEpochs  int     // SGD passes per unit per W step
-	ZIters   int     // gradient iterations per point per Z step
-	Seed     int64
-	Shuffle  bool
-
-	// Parallel is the goroutine count RunMAC uses for the W step (units are
-	// independent single-unit regressions, fanned out in groups) and the Z
-	// step (points are independent proximal problems): 0 or 1 serial, < 0
-	// every core. Units and points share no mutable state, so the trained
-	// net is bit-identical for any value.
-	Parallel int
-}
-
-// IterStats is one MAC iteration's learning-curve row.
-type IterStats struct {
-	Iter   int
-	Mu     float64
-	EQ     float64
-	Nested float64
-}
-
-// RunMAC trains the net on (xs, ys) with serial MAC on one machine and
-// returns the learning curve; examples/deepnet compares it with the
-// distributed ParMACProblem.
-func RunMAC(n *Net, xs, ys *vec.Matrix, cfg MACConfig) []IterStats {
-	if cfg.Mu0 <= 0 {
-		cfg.Mu0 = 1
-	}
-	if cfg.MuFactor <= 1 {
-		cfg.MuFactor = 2
-	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 10
-	}
-	if cfg.Eta <= 0 {
-		cfg.Eta = 0.5
-	}
-	if cfg.WEpochs <= 0 {
-		cfg.WEpochs = 2
-	}
-	if cfg.ZIters <= 0 {
-		cfg.ZIters = 10
-	}
-	if n.K() == 0 {
-		panic("macnet: RunMAC needs at least one hidden layer")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	workers := core.Cores(cfg.Parallel)
-	coords := NewCoordsFromForward(n, xs)
-	var stats []IterStats
-	mu := cfg.Mu0
-	for it := 0; it < cfg.Iters; it++ {
-		// W step: every unit independently (hidden units fit the coordinates,
-		// output units fit the targets), fanned out over unit groups.
-		for ep := 0; ep < cfg.WEpochs; ep++ {
-			order := sgd.Order(xs.Rows, cfg.Shuffle, rng)
-			TrainUnitsPass(n, xs, coords, order, cfg.Eta, workers)
-			TrainOutputPass(n, ys, coords, order, cfg.Eta, workers)
-		}
-		// Z step: every point independently, chunked over the pool.
-		core.ParallelChunks(xs.Rows, core.ClampWorkers(xs.Rows, workers), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ZStepPoint(n, xs.Row(i), ys.Row(i), coords, i, mu, cfg.ZIters)
-			}
-		})
-		stats = append(stats, IterStats{
-			Iter: it, Mu: mu,
-			EQ:     PenaltyError(n, xs, ys, coords, mu),
-			Nested: n.NestedError(xs, ys),
-		})
-		mu *= cfg.MuFactor
-	}
-	return stats
-}
-
-// TrainUnitsPass runs one SGD pass of every hidden unit over the given point
-// order, using the auxiliary coordinates as single-layer inputs/targets, with
-// the units split into contiguous groups over workers goroutines (core.Cores
-// semantics). A unit's pass touches only its own weight row and reads
-// xs/coords, which the W step never mutates, so the result is bit-identical
-// for any worker count.
-func TrainUnitsPass(n *Net, xs *vec.Matrix, c *Coords, order []int, eta float64, workers int) {
-	k := n.K()
-	var hidden []UnitRef
-	for _, u := range n.Units() {
-		if u.Layer < k {
-			hidden = append(hidden, u)
-		}
-	}
-	core.ParallelChunks(len(hidden), core.Cores(workers), func(_, lo, hi int) {
-		for _, u := range hidden[lo:hi] {
-			for _, i := range order {
-				in := xs.Row(i)
-				if u.Layer > 0 {
-					in = c.Z[u.Layer-1].Row(i)
-				}
-				n.UnitSGDStep(u, in, c.Z[u.Layer].At(i, u.Unit), eta)
-			}
-		}
-	})
-}
-
-// TrainOutputPass runs one SGD pass of the output-layer units against ys,
-// with the units split over workers goroutines (core.Cores semantics);
-// bit-identical for any worker count.
-func TrainOutputPass(n *Net, ys *vec.Matrix, c *Coords, order []int, eta float64, workers int) {
-	k := n.K()
-	w := n.Ws[k]
-	core.ParallelChunks(w.Rows, core.Cores(workers), func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			u := UnitRef{k, j}
-			for _, i := range order {
-				n.UnitSGDStep(u, c.Z[k-1].Row(i), ys.At(i, j), eta)
-			}
-		}
-	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/sgd"
 	"repro/internal/vec"
 )
 
@@ -113,6 +114,7 @@ func TestZStepGradientMatchesFiniteDifference(t *testing.T) {
 func TestUnitSGDStepReducesUnitLoss(t *testing.T) {
 	n := NewNet([]int{2, 1}) // single unit
 	n.InitRandom(rand.New(rand.NewSource(9)), 0.1)
+	unit := &unitSub{w: n.Ws[0].Row(0), eta: 1} // aliases the net's weights
 	in := []float64{1, -0.5}
 	target := 0.9
 	lossOf := func() float64 {
@@ -122,39 +124,131 @@ func TestUnitSGDStepReducesUnitLoss(t *testing.T) {
 	}
 	before := lossOf()
 	for i := 0; i < 50; i++ {
-		n.UnitSGDStep(UnitRef{0, 0}, in, target, 1)
+		unit.step(in, target)
 	}
 	if lossOf() >= before {
 		t.Fatalf("unit SGD did not reduce loss: %v -> %v", before, lossOf())
 	}
 }
 
-func TestRunMACReducesNestedError(t *testing.T) {
+// sameBits reports whether a and b have one shape and bit-identical entries.
+// Unlike a max-abs-difference test it cannot pass on NaN entries.
+func sameBits(a, b *vec.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceMAC is serial MAC for the net on one machine (§3.2), the oracle
+// one-machine ParMAC must reproduce: each iteration trains every unit by
+// wEpochs in-order SGD passes over the points (hidden units fit the
+// coordinates, output units the targets), then minimises each point's
+// eq. (6) terms over its coordinates, then multiplies μ by cfg.MuFactor.
+// It trains n in place and returns the coordinates.
+func referenceMAC(n *Net, xs, ys *vec.Matrix, cfg ParMACConfig, iters, wEpochs int) *Coords {
+	coords := NewCoordsFromForward(n, xs)
+	k := n.K()
+	order := sgd.Order(xs.Rows, false, nil)
+	mu := cfg.Mu0
+	for it := 0; it < iters; it++ {
+		for ep := 0; ep < wEpochs; ep++ {
+			for _, u := range n.Units() {
+				unit := &unitSub{w: n.Ws[u.Layer].Row(u.Unit), eta: cfg.Eta}
+				for _, i := range order {
+					in := xs.Row(i)
+					if u.Layer > 0 {
+						in = coords.Z[u.Layer-1].Row(i)
+					}
+					var target float64
+					if u.Layer < k {
+						target = coords.Z[u.Layer].At(i, u.Unit)
+					} else {
+						target = ys.At(i, u.Unit)
+					}
+					unit.step(in, target)
+				}
+			}
+		}
+		for i := 0; i < xs.Rows; i++ {
+			ZStepPoint(n, xs.Row(i), ys.Row(i), coords, i, mu, cfg.ZIters)
+		}
+		mu *= cfg.MuFactor
+	}
+	return coords
+}
+
+// runOneMachine trains start with ParMAC on a single machine without
+// shuffling and returns the problem.
+func runOneMachine(start *Net, xs, ys *vec.Matrix, cfg ParMACConfig, iters, epochs int, seed int64) *ParMACProblem {
+	prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(xs.Rows, 1, nil), cfg)
+	eng := core.New(prob, core.Config{P: 1, Epochs: epochs, Seed: seed})
+	defer eng.Shutdown()
+	eng.Run(iters)
+	return prob
+}
+
+// TestParMACOneMachineIsMAC: ParMAC on one machine is MAC — the same unit
+// updates in the same order and the same per-point Z steps — so the weights
+// and coordinates match the serial reference bit for bit.
+func TestParMACOneMachineIsMAC(t *testing.T) {
+	cases := []struct {
+		dims           []int
+		n, e, iters    int
+		dataSeed, seed int64
+	}{
+		{[]int{2, 6, 1}, 200, 3, 8, 10, 11},
+		{[]int{2, 6, 4, 1}, 300, 3, 10, 20, 21},
+		{[]int{2, 5, 3, 1}, 150, 2, 5, 30, 31},
+	}
+	cfg := ParMACConfig{Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 10}
+	for _, tc := range cases {
+		xs, ys := toyRegression(tc.n, tc.dataSeed)
+		start := NewNet(tc.dims)
+		start.InitRandom(rand.New(rand.NewSource(tc.seed)), 0.3)
+		prob := runOneMachine(start, xs, ys, cfg, tc.iters, tc.e, tc.seed)
+
+		ref := NewNet(tc.dims)
+		for k, w := range start.Ws {
+			copy(ref.Ws[k].Data, w.Data)
+		}
+		coords := referenceMAC(ref, xs, ys, cfg, tc.iters, tc.e)
+
+		got := prob.AssembleNet()
+		for k := range ref.Ws {
+			if sameBits(got.Ws[k], start.Ws[k]) {
+				t.Fatalf("dims %v layer %d: training left the weights unchanged", tc.dims, k)
+			}
+			if !sameBits(got.Ws[k], ref.Ws[k]) {
+				t.Fatalf("dims %v layer %d: P=1 ParMAC weights differ from serial MAC", tc.dims, k)
+			}
+		}
+		for layer, z := range coords.Z {
+			if !sameBits(prob.shards[0].C.Z[layer], z) {
+				t.Fatalf("dims %v layer %d: P=1 ParMAC coordinates differ from serial MAC", tc.dims, layer)
+			}
+		}
+	}
+}
+
+func TestParMACOneMachineReducesNestedError(t *testing.T) {
 	xs, ys := toyRegression(200, 10)
-	n := NewNet([]int{2, 6, 1})
-	n.InitRandom(rand.New(rand.NewSource(11)), 0.3)
-	before := n.NestedError(xs, ys)
-	stats := RunMAC(n, xs, ys, MACConfig{Mu0: 1, MuFactor: 2, Iters: 8, Eta: 1, WEpochs: 3, ZIters: 10, Seed: 11})
-	after := stats[len(stats)-1].Nested
+	start := NewNet([]int{2, 6, 1})
+	start.InitRandom(rand.New(rand.NewSource(11)), 0.3)
+	before := start.NestedError(xs, ys)
+	prob := runOneMachine(start, xs, ys, ParMACConfig{Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 10}, 8, 3, 11)
+	_, after := prob.PenaltyAndNested()
 	t.Logf("nested error %v -> %v", before, after)
 	if after >= before {
 		t.Fatalf("MAC did not reduce the nested error: %v -> %v", before, after)
 	}
 	if after > 0.5*before {
 		t.Fatalf("MAC reduction too weak: %v -> %v", before, after)
-	}
-}
-
-func TestRunMACDeterministic(t *testing.T) {
-	xs, ys := toyRegression(80, 12)
-	run := func() float64 {
-		n := NewNet([]int{2, 4, 1})
-		n.InitRandom(rand.New(rand.NewSource(13)), 0.3)
-		st := RunMAC(n, xs, ys, MACConfig{Mu0: 1, Iters: 4, Seed: 13})
-		return st[len(st)-1].EQ
-	}
-	if run() != run() {
-		t.Fatal("serial MAC must be deterministic")
 	}
 }
 
@@ -204,7 +298,7 @@ func TestAssembleNetRoundTrip(t *testing.T) {
 	prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(20, 1, nil), ParMACConfig{})
 	back := prob.AssembleNet()
 	for k := range start.Ws {
-		if vec.MaxAbsDiff(start.Ws[k], back.Ws[k]) != 0 {
+		if !sameBits(start.Ws[k], back.Ws[k]) {
 			t.Fatalf("layer %d weights lost in round trip", k)
 		}
 	}
@@ -236,7 +330,7 @@ func TestNetZStepParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d shard %d: changed %d, serial %d", workers, sh, changed, wantChanged[sh])
 			}
 			for layer := range par.shards[sh].C.Z {
-				if vec.MaxAbsDiff(par.shards[sh].C.Z[layer], serial.shards[sh].C.Z[layer]) != 0 {
+				if !sameBits(par.shards[sh].C.Z[layer], serial.shards[sh].C.Z[layer]) {
 					t.Fatalf("workers=%d shard %d layer %d: coordinates differ from serial", workers, sh, layer)
 				}
 			}

@@ -53,6 +53,9 @@ func (u *unitSub) TrainOn(shard core.Shard, order []int) {
 	}
 }
 
+// step performs one SGD update of the unit on sample (in, target): the
+// squared loss ½(σ(w·[in;1]) − target)² — a single-layer, single-unit
+// regression, trainable "with existing algorithms (logistic regression)".
 func (u *unitSub) step(in []float64, target float64) {
 	s := u.w[len(u.w)-1]
 	for i, v := range in {

@@ -92,8 +92,11 @@ func TestTPCAEncodeSplitsOnDominantAxis(t *testing.T) {
 func TestITQRotationOrthogonal(t *testing.T) {
 	ds := dataset.GISTLike(300, 8, 4, 5)
 	h := FitITQ(ds, 4, 10, 6)
-	if vec.MaxAbsDiff(h.R.Gram(), vec.Identity(4)) > 1e-8 {
-		t.Fatal("ITQ rotation not orthogonal")
+	gram, id := h.R.Gram(), vec.Identity(4)
+	for i, v := range gram.Data {
+		if !(math.Abs(v-id.Data[i]) <= 1e-8) { // negated so NaN fails
+			t.Fatalf("ITQ rotation not orthogonal: RᵀR entry %d = %v", i, v)
+		}
 	}
 }
 

@@ -23,9 +23,9 @@ var codesMagic = [4]byte{'P', 'M', 'A', 'C'}
 
 const codesVersion = 1
 
-// DefaultMaxIndexBytes is the payload budget LoadCodes enforces: 1 GiB of
-// packed words, i.e. ~134M 64-bit codes. Services that keep larger indexes
-// in RAM pass their own budget to LoadCodesLimit.
+// DefaultMaxIndexBytes is the payload budget LoadCodesLimit enforces when
+// given maxBytes <= 0: 1 GiB of packed words, i.e. ~134M 64-bit codes.
+// Services that keep larger indexes in RAM pass their own budget.
 const DefaultMaxIndexBytes = 1 << 30
 
 // loadChunkWords is the streaming granule of LoadCodesLimit: 64Ki words
@@ -49,12 +49,6 @@ func (c *Codes) Save(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// LoadCodes reads a code set written by Save, enforcing the
-// DefaultMaxIndexBytes payload budget.
-func LoadCodes(r io.Reader) (*Codes, error) {
-	return LoadCodesLimit(r, DefaultMaxIndexBytes)
 }
 
 // LoadCodesLimit reads a code set written by Save, rejecting any input whose

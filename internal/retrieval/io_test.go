@@ -22,7 +22,7 @@ func TestCodesSaveLoadRoundTrip(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCodes(&buf)
+	back, err := LoadCodesLimit(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLoadCodesRejectsGarbage(t *testing.T) {
 		"PMACgarbage-that-is-not-a-header",
 	}
 	for i, c := range cases {
-		if _, err := LoadCodes(strings.NewReader(c)); err == nil {
+		if _, err := LoadCodesLimit(strings.NewReader(c), 0); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -52,7 +52,7 @@ func TestLoadCodesRejectsWrongVersion(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4] = 99 // corrupt the version field
-	if _, err := LoadCodes(bytes.NewReader(raw)); err == nil {
+	if _, err := LoadCodesLimit(bytes.NewReader(raw), 0); err == nil {
 		t.Fatal("expected version error")
 	}
 }
@@ -64,7 +64,7 @@ func TestLoadCodesTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:buf.Len()-8]
-	if _, err := LoadCodes(bytes.NewReader(raw)); err == nil {
+	if _, err := LoadCodesLimit(bytes.NewReader(raw), 0); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -115,7 +115,7 @@ func TestLoadCodesHugeHeaderRejectedWithoutAllocation(t *testing.T) {
 	// the byte budget without allocating payload storage.
 	raw := craftHeader(1, 1<<40, 1<<20)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := LoadCodes(bytes.NewReader(raw)); err == nil {
+		if _, err := LoadCodesLimit(bytes.NewReader(raw), 0); err == nil {
 			t.Fatal("expected budget error")
 		}
 	})
@@ -125,7 +125,7 @@ func TestLoadCodesHugeHeaderRejectedWithoutAllocation(t *testing.T) {
 	if allocs > 20 {
 		t.Fatalf("huge-header rejection allocated %v objects", allocs)
 	}
-	_, err := LoadCodes(bytes.NewReader(raw))
+	_, err := LoadCodesLimit(bytes.NewReader(raw), 0)
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("want budget error, got %v", err)
 	}
@@ -160,7 +160,7 @@ func TestLoadCodesRejectsTrailingBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteByte(0xFF)
-	_, err := LoadCodes(bytes.NewReader(buf.Bytes()))
+	_, err := LoadCodesLimit(bytes.NewReader(buf.Bytes()), 0)
 	if err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("want trailing-bytes error, got %v", err)
 	}
@@ -170,7 +170,7 @@ func TestLoadCodesHeaderOnlyTruncation(t *testing.T) {
 	// A header that passes validation but has no payload at all must fail on
 	// the first streamed chunk, not allocate N·words up front.
 	raw := craftHeader(1, 1000, 64)
-	if _, err := LoadCodes(bytes.NewReader(raw)); err == nil {
+	if _, err := LoadCodesLimit(bytes.NewReader(raw), 0); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -181,7 +181,7 @@ func TestLoadCodesEmptyIndexRoundTrip(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCodes(&buf)
+	back, err := LoadCodesLimit(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestLoadCodesMultiChunkPayload(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCodes(&buf)
+	back, err := LoadCodesLimit(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

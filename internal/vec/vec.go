@@ -289,18 +289,3 @@ func (m *Matrix) FillGaussian(rng *rand.Rand, sigma float64) {
 		m.Data[i] = rng.NormFloat64() * sigma
 	}
 }
-
-// MaxAbsDiff returns max |a_ij - b_ij|; the matrices must share a shape.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("vec: MaxAbsDiff shape mismatch")
-	}
-	var m float64
-	for i, v := range a.Data {
-		d := math.Abs(v - b.Data[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}

@@ -9,6 +9,38 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// maxAbsDiff returns max |a_ij - b_ij| over matrices of one shape, or +Inf
+// when any difference is NaN, so a tolerance check cannot pass on NaN.
+func maxAbsDiff(a, b *Matrix) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("vec: maxAbsDiff shape mismatch")
+	}
+	var m float64
+	for i, v := range a.Data {
+		d := math.Abs(v - b.Data[i])
+		if math.IsNaN(d) {
+			return math.Inf(1)
+		}
+		m = max(m, d)
+	}
+	return m
+}
+
+func TestMaxAbsDiffFailsOnNaN(t *testing.T) {
+	a, b := NewMatrix(1, 2), NewMatrix(1, 2)
+	if d := maxAbsDiff(a, b); d != 0 {
+		t.Fatalf("equal matrices: %v", d)
+	}
+	b.Set(0, 1, -0.5)
+	if d := maxAbsDiff(a, b); d != 0.5 {
+		t.Fatalf("maxAbsDiff = %v, want 0.5", d)
+	}
+	a.Set(0, 0, math.NaN())
+	if d := maxAbsDiff(a, b); d <= 1e-12 {
+		t.Fatalf("NaN entry gave %v, which passes a tolerance check", d)
+	}
+}
+
 func TestDotAxpyScale(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, -5, 6}
@@ -97,7 +129,7 @@ func TestMulAgainstTranspose(t *testing.T) {
 	// TMul(a,b) must equal Mul(aᵀ, b).
 	got := TMul(a, b)
 	want := Mul(a.Transpose(), b)
-	if MaxAbsDiff(got, want) > 1e-12 {
+	if maxAbsDiff(got, want) > 1e-12 {
 		t.Fatal("TMul disagrees with explicit transpose multiply")
 	}
 }
@@ -107,7 +139,7 @@ func TestIdentityAndAddScaledIdentity(t *testing.T) {
 	m := NewMatrix(3, 3)
 	m.FillGaussian(rand.New(rand.NewSource(2)), 1)
 	prod := Mul(id, m)
-	if MaxAbsDiff(prod, m) != 0 {
+	if maxAbsDiff(prod, m) != 0 {
 		t.Fatal("I·M != M")
 	}
 	m2 := m.Clone()
@@ -179,7 +211,7 @@ func TestEigSymReconstruction(t *testing.T) {
 		}
 		// Check orthonormality VᵀV = I.
 		vtv := vecs.Gram()
-		if MaxAbsDiff(vtv, Identity(n)) > 1e-9 {
+		if maxAbsDiff(vtv, Identity(n)) > 1e-9 {
 			t.Fatal("eigenvectors not orthonormal")
 		}
 	}
@@ -201,8 +233,8 @@ func TestSVDThinReconstruction(t *testing.T) {
 			}
 		}
 		rec := Mul(us, v.Transpose())
-		if MaxAbsDiff(rec, a) > 1e-8 {
-			t.Fatalf("trial %d: SVD reconstruction error %v", trial, MaxAbsDiff(rec, a))
+		if maxAbsDiff(rec, a) > 1e-8 {
+			t.Fatalf("trial %d: SVD reconstruction error %v", trial, maxAbsDiff(rec, a))
 		}
 		for i := 1; i < len(s); i++ {
 			if s[i] > s[i-1]+1e-10 {
@@ -219,7 +251,7 @@ func TestProcrustesIsOrthogonal(t *testing.T) {
 	a.FillGaussian(rng, 1)
 	b.FillGaussian(rng, 1)
 	r := Procrustes(a, b)
-	if MaxAbsDiff(r.Gram(), Identity(4)) > 1e-8 {
+	if maxAbsDiff(r.Gram(), Identity(4)) > 1e-8 {
 		t.Fatal("Procrustes result not orthogonal")
 	}
 }
@@ -234,8 +266,8 @@ func TestProcrustesRecoversRotation(t *testing.T) {
 	_, _, r0 := SVDThin(g) // an orthogonal 3×3
 	a := Mul(b, r0)
 	r := Procrustes(a, b)
-	if MaxAbsDiff(r, r0) > 1e-8 {
-		t.Fatalf("rotation not recovered, diff %v", MaxAbsDiff(r, r0))
+	if maxAbsDiff(r, r0) > 1e-8 {
+		t.Fatalf("rotation not recovered, diff %v", maxAbsDiff(r, r0))
 	}
 }
 
