@@ -146,20 +146,18 @@ func TestCodesPointsView(t *testing.T) {
 	}
 }
 
+// TestZEnumerateMatchesBruteForce: over code lengths that exercise the
+// half-table split (odd L, and no low half at L=1) and penalties from none to
+// dominant, the enumerated code's direct objective is within 1e-9·(1+|obj|)
+// of the exhaustive minimum.
 func TestZEnumerateMatchesBruteForce(t *testing.T) {
-	for trial := int64(0); trial < 8; trial++ {
-		m := randomModel(6, 6, 100+trial)
-		ds := dataset.GISTLike(5, 6, 2, 200+trial)
-		mu := []float64{0, 0.1, 1, 10}[trial%4]
-		s := NewZKernel(m, mu, ZEnumerate).NewSolver()
-		z := retrieval.NewCodes(ds.N, 6)
-		for i := 0; i < ds.N; i++ {
-			x := ds.Point(i, nil)
-			s.Solve(x, z, i)
-			wantCode, wantObj := BruteForceZ(m, x, mu)
-			gotObj := PointObjective(m, x, z, i, mu)
-			if math.Abs(gotObj-wantObj) > 1e-9 {
-				t.Fatalf("trial %d point %d: enum obj %v, brute %v (codes %v)", trial, i, gotObj, wantObj, wantCode)
+	for _, l := range []int{1, 2, 3, 5, 8, 11, 12} {
+		for mi, mu := range []float64{0, 1e-3, 0.5, 10} {
+			seed := int64(100*l + mi)
+			m := randomModel(6, l, seed)
+			ds := dataset.GISTLike(5, 6, 2, seed)
+			for i := 0; i < ds.N; i++ {
+				checkEnumerateOptimal(t, m, ds.Point(i, nil), mu)
 			}
 		}
 	}

@@ -6,10 +6,10 @@
 // A BA trains one way, as a ParMACProblem run by the engine in internal/core
 // (§4). The W step trains the L per-bit SVMs and the decoder groups as
 // submodels that circulate over the machines by SGD; the Z step solves each
-// machine's codes on its own shard, exactly by Gray-code enumeration or by
-// alternating optimisation from the truncated relaxed solution; the penalty
-// μ grows geometrically per iteration. One machine (P=1) is the
-// single-machine MAC.
+// machine's codes on its own shard, exactly by enumerating all 2^L codes
+// (L ≤ EnumLimit) or by alternating optimisation from the truncated relaxed
+// solution; the penalty μ grows geometrically per iteration. One machine
+// (P=1) is the single-machine MAC.
 //
 // The kernel (RBF) variant of §8.4 is obtained by pre-transforming the
 // features with svm.KernelMap; the model itself is always linear over its

@@ -132,9 +132,8 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	if cfg.L > ds.D {
 		panic("binauto: a binary autoencoder needs L <= D (paper §3.1: L < D bits)")
 	}
-	if cfg.L > 64 {
-		panic("binauto: code length limited to 64 bits (one packed word)")
-	}
+	// Refuse what the first Z step would, before a whole W step runs.
+	checkCodeLength(cfg.L, cfg.ZMethod)
 	if cfg.Mu0 <= 0 {
 		cfg.Mu0 = 1e-4
 	}

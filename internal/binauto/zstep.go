@@ -23,27 +23,39 @@ const (
 	// the paper's policy ("enumeration for SIFT-10K and SIFT-1M, alternating
 	// optimisation otherwise").
 	ZAuto ZMethod = iota
-	// ZEnumerate searches all 2^L codes exactly, walking a Gray code so each
-	// candidate costs O(L) against the decoder Gram matrix.
+	// ZEnumerate searches all 2^L codes exactly (L <= EnumLimit). A candidate
+	// costs O(1), two loads and two adds, over a kernel-wide table of zᵀGz
+	// and two per-point half-tables.
 	ZEnumerate
 	// ZAlternate solves the relaxed problem in [0,1]^L, truncates, then
 	// alternates single-bit flips to a local minimum.
 	ZAlternate
 )
 
-// EnumLimit is the largest L for which ZAuto enumerates. 2^16 candidates per
-// point matches the paper's use of enumeration at L=16.
+// EnumLimit is the largest L for which ZAuto enumerates and the largest
+// ZEnumerate accepts. 2^16 candidates per point matches the paper's use of
+// enumeration at L=16; the kernel's zᵀGz table holds 2^L float64s (512 KB at
+// L=16, 128 MB at L=24).
 const EnumLimit = 16
 
-// ZKernel is the per-(model, μ) precomputation shared by every Z solve: the
-// decoder Gram matrix G = W·Wᵀ and, for the alternating method, the Cholesky
-// factor of (G + μI) used by the relaxed initialisation. Both solvers work
-// against G instead of the D-dimensional residual: with the residual
+// ZKernel is the per-(model, μ) precomputation shared by every Z solve. Both
+// solvers work against the decoder Gram matrix G = W·Wᵀ instead of the
+// D-dimensional residual: with t = W(x−c), the error of code z is
+//
+//	‖x − f(z)‖² = ‖x−c‖² − 2 z·t + zᵀGz,
+//
+// so the only O(L·D) work of a solve is t (and h(x)).
+//
+// ZEnumerate tabulates zᵀGz for all 2^L codes here, once per kernel. The rest
+// of a candidate's objective, −2 z·t + μ‖z − h(x)‖², is a sum over bits, so it
+// splits into one term per half of the code; each solver tabulates both
+// halves per point in O(2^{L/2}), and a candidate is
+// zᵀGz + T_lo[z_lo] + T_hi[z_hi].
+//
+// ZAlternate keeps the Cholesky factor of (G + μI) for its relaxed
+// initialisation and walks single-bit flips: with the residual
 // r = x − c − Σ_l z_l B_l, flipping bit b changes the error by ∓2 B_b·r + G_bb,
-// and the vector q = W·r can be maintained incrementally at O(L) per flip
-// (q ∓= G column b). That turns every candidate evaluation from O(D) into
-// O(L) — a 10–60× inner-loop reduction at the paper's D=128–960, L=8–32 —
-// while computing exactly the same quantities.
+// and q = W·r follows each accepted flip at O(L) (q ∓= G column b).
 //
 // A kernel is immutable after construction and safe for concurrent use;
 // per-goroutine scratch lives in the ZSolvers it hands out.
@@ -54,6 +66,7 @@ type ZKernel struct {
 
 	gram *vec.Matrix   // G = W·Wᵀ (L×L, symmetric)
 	chol *vec.Cholesky // factor of (G + μI), for the relaxed init (ZAlternate)
+	quad []float64     // quad[k] = zᵀGz for z = k ^ (k>>1), all 2^L codes (ZEnumerate)
 
 	// The L per-bit SVM weight rows gathered into one contiguous L×D matrix
 	// (plus biases), so h(x) is a blocked matvec instead of L pointer-chased
@@ -63,8 +76,20 @@ type ZKernel struct {
 	encB []float64
 }
 
+// checkCodeLength panics on a code length the Z step cannot take: codes are
+// one packed word, and enumeration tabulates all 2^L codes.
+func checkCodeLength(l int, method ZMethod) {
+	if l > 64 {
+		panic("binauto: code length limited to 64 bits (one packed word)")
+	}
+	if method == ZEnumerate && l > EnumLimit {
+		panic("binauto: ZEnumerate tabulates all 2^L codes; use ZAlternate or ZAuto for L > EnumLimit (16)")
+	}
+}
+
 // NewZKernel precomputes the shared Z-step state for the given model and
-// penalty value: O(L²·D) once, amortised over every point solved with it.
+// penalty value: O(L²·D) once, plus O(2^L) for ZEnumerate's table, amortised
+// over every point solved with it.
 func NewZKernel(m *Model, mu float64, method ZMethod) *ZKernel {
 	l := m.L()
 	if method == ZAuto {
@@ -74,12 +99,7 @@ func NewZKernel(m *Model, mu float64, method ZMethod) *ZKernel {
 			method = ZAlternate
 		}
 	}
-	if method == ZEnumerate && l > 24 {
-		panic("binauto: enumeration is exponential in L; use ZAlternate for L > 24")
-	}
-	if l > 64 {
-		panic("binauto: code length limited to 64 bits (one packed word)")
-	}
+	checkCodeLength(l, method)
 	// Snapshot the model: callers (assembleModel in particular) hand in
 	// weight slices aliased with live submodels, and the Gram/Cholesky/
 	// encoder state derived below must never drift from Model if those are
@@ -102,6 +122,9 @@ func NewZKernel(m *Model, mu float64, method ZMethod) *ZKernel {
 		}
 	}
 	k.gram = g
+	if method == ZEnumerate {
+		k.quad = quadTable(g)
+	}
 	if method == ZAlternate {
 		// (G + μI), SPD for μ > 0. Factored on a copy so gram stays pure G.
 		a := g.Clone()
@@ -123,11 +146,50 @@ func NewZKernel(m *Model, mu float64, method ZMethod) *ZKernel {
 	return k
 }
 
+// quadTable returns zᵀGz for every L-bit code z, in visiting order: entry k
+// is code k ^ (k>>1). A code z with highest set bit b extends a = z − 2^b by
+// one bit: zᵀGz = aᵀGa + G_bb + 2·Σ_{j∈a} G_bj, and the row sums over every
+// a < 2^b are subset sums of G's row b. So the table costs O(2^L) adds, and
+// no entry carries more than 2L roundings.
+func quadTable(g *vec.Matrix) []float64 {
+	l := g.Rows
+	quad := make([]float64, 1<<uint(l))
+	rowSum := make([]float64, 1<<uint(l-1))
+	for b := 0; b < l; b++ {
+		row := g.Row(b)
+		lo := 1 << uint(b)
+		subsetSums(rowSum[:lo], row[:b])
+		for a, s := range rowSum[:lo] {
+			quad[lo|a] = quad[a] + row[b] + 2*s
+		}
+	}
+	visit := make([]float64, len(quad))
+	grayOrder(visit, quad)
+	return visit
+}
+
+// grayOrder sets dst[k] = v[k ^ (k>>1)]: a table indexed by code, in
+// Gray-code visiting order.
+func grayOrder(dst, v []float64) {
+	for k := range dst {
+		dst[k] = v[k^k>>1]
+	}
+}
+
+// subsetSums sets sum[a] = Σ_{b∈a} v[b] for every subset a of v's indices
+// (len(sum) = 2^len(v)), each entry one add onto a smaller one.
+func subsetSums(sum, v []float64) {
+	sum[0] = 0
+	for a := 1; a < len(sum); a++ {
+		sum[a] = sum[a&(a-1)] + v[bits.TrailingZeros(uint(a))]
+	}
+}
+
 // NewSolver returns a solver sharing this kernel's precomputation. Solvers
 // are cheap (scratch slices only); create one per goroutine.
 func (k *ZKernel) NewSolver() *ZSolver {
 	l, d := k.Model.L(), k.Model.D()
-	return &ZSolver{
+	s := &ZSolver{
 		Model: k.Model, Mu: k.Mu, Method: k.Method, k: k,
 		t:    make([]float64, l),
 		q:    make([]float64, l),
@@ -135,6 +197,12 @@ func (k *ZKernel) NewSolver() *ZSolver {
 		zRel: make([]float64, l),
 		xmc:  make([]float64, d),
 	}
+	if k.Method == ZEnumerate {
+		s.tLo = make([]float64, 1<<uint(l/2))
+		s.tLoRev = make([]float64, len(s.tLo))
+		s.tHi = make([]float64, 1<<uint(l-l/2))
+	}
+	return s
 }
 
 // Run solves every point of pts — the whole Z step of one machine's shard,
@@ -175,7 +243,10 @@ type ZSolver struct {
 	// scratch
 	hw      uint64    // packed h(x) of the point being solved
 	t       []float64 // W·(x−c)
-	q       []float64 // W·r, maintained incrementally across flips
+	q       []float64 // W·r, maintained incrementally across flips (ZAlternate)
+	tLo     []float64 // the low ⌊L/2⌋ bits' share of the objective, Gray order (ZEnumerate)
+	tLoRev  []float64 // tLo reversed
+	tHi     []float64 // the high ⌈L/2⌉ bits' share, indexed by code (ZEnumerate)
 	rhs     []float64
 	zRel    []float64
 	xmc     []float64
@@ -209,11 +280,12 @@ func (s *ZSolver) encodeWord(x []float64) uint64 {
 }
 
 // LastObjective returns the objective value of the code chosen by the most
-// recent Solve, as accumulated incrementally through the Gram identities —
-// the quantity the property tests check against PointObjective.
+// recent Solve, as computed through the Gram identities rather than from the
+// reconstruction — the quantity the property tests check against
+// PointObjective.
 func (s *ZSolver) LastObjective() float64 { return s.lastObj }
 
-// begin loads the point into scratch: xmc = x − c, t = q = W·(x−c) (the only
+// begin loads the point into scratch: xmc = x − c, t = W·(x−c) (the only
 // O(L·D) work of a solve), and returns ‖x−c‖², the error at z = 0.
 func (s *ZSolver) begin(x []float64) float64 {
 	m := s.Model
@@ -221,14 +293,13 @@ func (s *ZSolver) begin(x []float64) float64 {
 		s.xmc[j] = x[j] - c
 	}
 	m.Dec.W.MulVec(s.xmc, s.t)
-	copy(s.q, s.t)
 	return vec.SqNorm(s.xmc)
 }
 
 // flipTo applies flipping bit b of cur to the incremental state: it returns
-// the new code and error, updating q = W·r at O(L) via the Gram column. The
-// update loops are written out (α = ±1) — this is the innermost statement of
-// the 2^L enumeration walk.
+// the new code and error, updating q = W·r at O(L) via the Gram column — the
+// alternating solver's step for each raised and each accepted bit. The update
+// loops are written out (α = ±1).
 func (s *ZSolver) flipTo(cur uint64, b int, err float64) (uint64, float64) {
 	grow := s.k.gram.Row(b)
 	q := s.q[:len(grow)]
@@ -248,32 +319,52 @@ func (s *ZSolver) flipTo(cur uint64, b int, err float64) (uint64, float64) {
 	return cur &^ mask, err
 }
 
-// solveEnum walks all 2^L codes in Gray-code order. The error of each
-// candidate follows from its predecessor at O(L) via the Gram identities.
+// solveEnum evaluates all 2^L codes and keeps the first strictly smallest
+// objective in Gray-code order z = k ^ (k>>1), the order that fixes which of
+// tied codes wins. With h = ⌊L/2⌋ and k = khi·2^h + klo, the high half of z
+// is gray(khi), and the low half is gray(klo) for even khi and
+// gray(2^h−1−klo) for odd khi (bit h−1 flipped). So with the zᵀGz table and
+// the low half's table both in visiting order, the inner loop over klo reads
+// them front to back (tLo, or tLoRev for odd khi) and costs two loads and two
+// adds per candidate.
 func (s *ZSolver) solveEnum(x []float64, z *retrieval.Codes, i int) bool {
-	l := s.Model.L()
-	err := s.begin(x)
-	ham := bits.OnesCount64(s.hw) // z = 0 differs from h wherever h is 1
-	var cur uint64
-	best := cur
-	bestObj := err + s.Mu*float64(ham)
+	h := uint(s.Model.L() / 2)
+	e0 := s.begin(x)
+	n := len(s.tLo)
+	s.halfTable(s.tLoRev, s.t[:h], s.hw&uint64(n-1)) // indexed by code, for now
+	grayOrder(s.tLo, s.tLoRev)
+	for j, v := range s.tLo {
+		s.tLoRev[n-1-j] = v
+	}
+	s.halfTable(s.tHi, s.t[h:], s.hw>>h)
 
-	total := uint64(1) << uint(l)
-	for k := uint64(1); k < total; k++ {
-		flip := bits.TrailingZeros64(k) // Gray code flips this bit
-		cur, err = s.flipTo(cur, flip, err)
-		if cur&(1<<uint(flip)) != 0 == (s.hw&(1<<uint(flip)) != 0) {
-			ham--
-		} else {
-			ham++
+	quad := s.k.quad
+	best, bestObj := 0, quad[0]+s.tLo[0]+s.tHi[0]
+	for khi := range len(s.tHi) {
+		tHi := s.tHi[khi^khi>>1]
+		tLo := s.tLo
+		if khi&1 != 0 {
+			tLo = s.tLoRev
 		}
-		if obj := err + s.Mu*float64(ham); obj < bestObj {
-			bestObj = obj
-			best = cur
+		row := quad[khi*n : (khi+1)*n]
+		tLo = tLo[:len(row)]
+		for klo, q := range row {
+			if obj := q + tLo[klo] + tHi; obj < bestObj {
+				best, bestObj = khi*n+klo, obj
+			}
 		}
 	}
-	s.lastObj = bestObj
-	return s.store(best, z, i)
+	s.lastObj = e0 + bestObj
+	return s.store(uint64(best^best>>1), z, i)
+}
+
+// halfTable fills tab[a] = μ·|a ⊕ hw| − 2·Σ_{b∈a} t[b] for every subset a of
+// one half of the code's bits: that half's share of −2 z·t + μ‖z − h(x)‖².
+func (s *ZSolver) halfTable(tab, t []float64, hw uint64) {
+	subsetSums(tab, t)
+	for a, sum := range tab {
+		tab[a] = s.Mu*float64(bits.OnesCount64(uint64(a)^hw)) - 2*sum
+	}
 }
 
 // solveAlt initialises z from the truncated relaxed solution
@@ -284,6 +375,7 @@ func (s *ZSolver) solveEnum(x []float64, z *retrieval.Codes, i int) bool {
 func (s *ZSolver) solveAlt(x []float64, z *retrieval.Codes, i int) bool {
 	l := s.Model.L()
 	err := s.begin(x)
+	copy(s.q, s.t) // r = x − c at z = 0
 	// rhs = W(x−c) + μh.
 	copy(s.rhs, s.t)
 	for b := 0; b < l; b++ {
