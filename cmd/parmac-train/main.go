@@ -72,7 +72,7 @@ func parseFlags() *options {
 	flag.BoolVar(&o.shuffle, "shuffle", true, "shuffle ring and minibatches")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.DurationVar(&o.rescueTimeout, "rescue-timeout", 0,
-		"bound on failure-detection and rescue waits after a machine dies (0 = engine default; keep above the slowest single training visit)")
+		"bound on every coordinator wait: silence before a re-probe, and the first wait for a reply, doubled on each of three retries before a silent machine is declared dead (0 = engine default; keep above the slowest training visit or Z step)")
 	flag.IntVar(&o.queries, "queries", 100, "evaluation queries")
 	flag.StringVar(&o.csvPath, "csv", "", "load training features from this CSV instead of generating synthetic data (queries are split off the tail)")
 	flag.BoolVar(&o.approxZ, "approxz", true, "use the alternating Z step instead of exact enumeration")

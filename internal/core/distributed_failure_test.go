@@ -23,7 +23,7 @@ func killWorker1(t *testing.T, afterSends int) {
 	const P, M, shards, points = 3, 6, 3, 4
 	cfg := core.Config{
 		P: P, Epochs: 2, Replicas: true, Seed: 12,
-		RescueTimeout: 2 * time.Second, RescueRetries: 2,
+		RescueTimeout: 2 * time.Second,
 	}
 	coord, workers, res := runDistributed(t, cfg, 2, shards, points, M,
 		chaos.KillSpec{Rank: 1, Tag: chaos.AnyTag, AfterSends: afterSends})

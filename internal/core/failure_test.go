@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,7 +178,7 @@ func toyZ(p *toyProblem, survivors ...int) []float64 {
 func chaosEngine(t *testing.T, prob Problem, cfg Config, o chaos.Options) (*Engine, *chaos.Fabric) {
 	t.Helper()
 	cfg.Replicas = true
-	cfg.RescueTimeout, cfg.RescueRetries = fastRescue, 2
+	cfg.RescueTimeout = fastRescue
 	fab, err := chaos.New(cluster.NewNetwork(cfg.P+1), o)
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +320,9 @@ func TestRescuerDiesDuringRescue(t *testing.T) {
 }
 
 // TestDeathBetweenIterations: a machine killed after its Z ack but before
-// the next W step. collectDowns must mark it dead before routes are built,
-// so the iteration runs clean on the survivors with no token ever lost.
+// the next W step. Iterate's opening PollDown must mark it dead before
+// routes are built, so the iteration runs clean on the survivors with no
+// token ever lost.
 func TestDeathBetweenIterations(t *testing.T) {
 	p := newToyProblem(3, 4, 4)
 	net := cluster.NewNetwork(4)
@@ -363,4 +367,83 @@ func TestEngineUnderChaosKill(t *testing.T) {
 		Epochs: 2, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0, 2),
 		Iters: []ringIter{{Alive: []int{0, 1, 2}, Died: []int{1}}, {Alive: []int{0, 2}}},
 	})
+}
+
+// stallZ holds one shard's Z step until release is closed: a live machine
+// that is merely slow.
+type stallZ struct {
+	*toyProblem
+	shard   int
+	release chan struct{}
+}
+
+func (p stallZ) ZStep(shard int, model []Submodel) int {
+	if shard == p.shard {
+		<-p.release
+	}
+	return p.toyProblem.ZStep(shard, model)
+}
+
+// TestStragglerDeclaredDeadDoesNotCrashNextIteration: machine 2 is alive but
+// outlasts the Z step's patience, so it is declared dead. Its late ZDone is
+// already waiting when the next iteration opens and must be dropped as stale;
+// that iteration finishes on {0, 1}.
+func TestStragglerDeclaredDeadDoesNotCrashNextIteration(t *testing.T) {
+	p := stallZ{toyProblem: newToyProblem(3, 4, 3), shard: 2, release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(p.release) })
+	defer release()
+	net := cluster.NewNetwork(4)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: 20 * time.Millisecond}, net)
+	defer e.Shutdown()
+	r0 := e.Iterate()
+	if r0.AliveMachines != 2 || !hasEvent(r0.Failures, func(ev FailureEvent) bool { return ev.Rank == 2 && ev.LostToken == -1 }) {
+		t.Fatalf("iteration 0: the straggler was not declared dead: %+v", r0)
+	}
+	sent := net.SentBy(2)
+	release()
+	for deadline := time.Now().Add(10 * time.Second); net.SentBy(2) == sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the released straggler never sent its ZDone")
+		}
+	}
+	r1 := e.Iterate()
+	if r1.AliveMachines != 2 || len(r1.Failures) != 0 {
+		t.Fatalf("iteration 1 after the straggler: %+v", r1)
+	}
+}
+
+// TestRetireOfDeadMachineReturns: Retire of a machine killed between
+// iterations must not wait for a shutdown ack that never comes. The next
+// iteration reports the death, once, and the dead rank is never handed out
+// again (a killed in-process rank cannot be re-attached).
+func TestRetireOfDeadMachineReturns(t *testing.T) {
+	p := newToyProblem(3, 4, 3)
+	net := cluster.NewNetwork(4)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: fastRescue}, net)
+	defer e.Shutdown()
+	e.Iterate()
+	net.Kill(1)
+	done := make(chan struct{})
+	go func() {
+		e.Retire(1)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Retire of a killed machine did not return")
+	}
+	r1 := e.Iterate()
+	if r1.AliveMachines != 2 || len(r1.Failures) != 1 || r1.Failures[0] != (FailureEvent{Rank: 1, LostToken: -1, FromRank: -1}) {
+		t.Fatalf("iteration after Retire of a dead machine: %+v", r1)
+	}
+	if r2 := e.Iterate(); len(r2.Failures) != 0 {
+		t.Fatalf("death reported twice: %+v", r2.Failures)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no free ranks") {
+			t.Fatalf("AddMachine after Retire of a dead machine: recovered %v, want the no-free-ranks panic", r)
+		}
+	}()
+	e.AddMachine(1)
 }

@@ -70,11 +70,11 @@ type worker struct {
 	traces    map[int]TraceEntry // per token: last forward this machine made
 	rng       *rand.Rand
 
-	// per-iteration state, armed by WStartMsg
-	m        int
-	replicas bool
-	hops     int64
-	bytes    int64
+	// per-iteration state, armed by WStartMsg; the counters are reported
+	// and zeroed by the W step's ack
+	cfg   WStartMsg
+	hops  int64
+	bytes int64
 }
 
 // recv is the worker's failure-aware receive. Peer-down events observed on
@@ -96,7 +96,12 @@ func (w *worker) recv() (cluster.Message, bool) {
 	}
 }
 
+// run is the machine's one message loop. Between a WStartMsg and the W step's
+// closing WDone it is the paper's asynchronous W-step loop: "extract a
+// submodel from the queue, process it (except in epoch e+1) and send it to
+// the machine's successor" (§4.1). Outside the W step shard is nil.
 func (w *worker) run() {
+	var shard Shard
 	for {
 		msg, ok := w.recv()
 		if !ok {
@@ -104,31 +109,39 @@ func (w *worker) run() {
 		}
 		switch msg.Tag {
 		case tagWStart:
-			if w.runWStep(msg.Payload.(WStartMsg)) {
-				return
+			shard = w.openWStep(msg.Payload.(WStartMsg))
+		case tagToken:
+			if shard == nil {
+				// A token raced a shutdown/retire; bounce it to the coordinator.
+				w.comm.Send(w.coordRank, tagBounced, msg.Payload, 0)
+			} else {
+				w.processToken(msg.Payload.(*Token), shard)
 			}
+		case tagWDone:
+			// Closes the W step. A drain request after it closed (the
+			// coordinator re-drained around a failure) re-acks the inventory
+			// with the counters already reported, hence zero.
+			w.comm.Send(w.coordRank, tagWAck,
+				WAckMsg{Entries: w.inventory(), Hops: w.hops, Bytes: w.bytes}, 0)
+			w.hops, w.bytes = 0, 0
+			shard = nil
 		case tagFix:
 			fix := msg.Payload.(FixMsg)
 			w.local[fix.ID] = localEntry{sm: fix.SM, version: -2}
 		case tagZGo:
 			w.runZStep()
-		case tagShutdown:
-			w.ackShutdown()
-			return
-		case tagToken:
-			// A token raced a shutdown/retire; bounce it to the coordinator.
-			w.comm.Send(w.coordRank, tagBounced, msg.Payload, 0)
 		case tagRescue:
 			w.handleRescue(msg.Payload.(int))
 		case tagRanksDead:
 			w.mergeDeadRanks(msg.Payload.(DeadRanksMsg))
 		case tagProbe:
 			w.sendProbeReply()
-		case tagWDone:
-			// A drain request that arrived after the W step already closed
-			// (e.g. the coordinator re-drained around a failure): re-ack the
-			// inventory; the traffic counters were already reported.
-			w.comm.Send(w.coordRank, tagWAck, WAckMsg{Entries: w.inventory()}, 0)
+		case tagShutdown:
+			// The worker's very last send: Retire waits for it before
+			// releasing the rank, so a successor machine can never share
+			// this worker's communicator.
+			w.comm.Send(w.coordRank, tagShutdownAck, nil, 0)
+			return
 		default:
 			panic(fmt.Sprintf("core: machine %d got unexpected tag %d", w.rank, msg.Tag))
 		}
@@ -158,13 +171,6 @@ func (w *worker) sendProbeReply() {
 	w.comm.Send(w.coordRank, tagProbeReply, ProbeReply{Entries: entries}, 0)
 }
 
-// ackShutdown is the worker's very last send: Retire blocks on it before
-// releasing the rank, so a successor machine can never share this worker's
-// communicator.
-func (w *worker) ackShutdown() {
-	w.comm.Send(w.coordRank, tagShutdownAck, nil, 0)
-}
-
 // handleRescue answers a replica request.
 func (w *worker) handleRescue(id int) {
 	if entry, ok := w.local[id]; ok {
@@ -174,14 +180,10 @@ func (w *worker) handleRescue(id int) {
 	}
 }
 
-// runWStep is the paper's asynchronous W-step loop: "extract a submodel from
-// the queue, process it (except in epoch e+1) and send it to the machine's
-// successor" (§4.1). It returns true when the machine was shut down
-// mid-step.
-func (w *worker) runWStep(cfg WStartMsg) bool {
-	w.m = cfg.M
-	w.replicas = cfg.Replicas
-	w.hops, w.bytes = 0, 0
+// openWStep arms the per-iteration state and returns the shard the W step
+// trains on.
+func (w *worker) openWStep(cfg WStartMsg) Shard {
+	w.cfg = cfg
 	w.traces = make(map[int]TraceEntry)
 	if !w.shared {
 		// This worker owns its Problem instance, so per-iteration state (the
@@ -191,38 +193,13 @@ func (w *worker) runWStep(cfg WStartMsg) bool {
 			hook.OnIterationStart(cfg.Iter)
 		}
 	}
-	shard := w.prob.Shard(w.shard)
-	for {
-		msg, ok := w.recv()
-		if !ok {
-			return true
-		}
-		switch msg.Tag {
-		case tagToken:
-			w.processToken(msg.Payload.(*Token), shard, cfg)
-		case tagRescue:
-			w.handleRescue(msg.Payload.(int))
-		case tagRanksDead:
-			w.mergeDeadRanks(msg.Payload.(DeadRanksMsg))
-		case tagProbe:
-			w.sendProbeReply()
-		case tagWDone:
-			w.comm.Send(w.coordRank, tagWAck,
-				WAckMsg{Entries: w.inventory(), Hops: w.hops, Bytes: w.bytes}, 0)
-			return false
-		case tagShutdown:
-			w.ackShutdown()
-			return true
-		default:
-			panic(fmt.Sprintf("core: machine %d got tag %d during W step", w.rank, msg.Tag))
-		}
-	}
+	return w.prob.Shard(w.shard)
 }
 
-func (w *worker) processToken(tok *Token, shard Shard, cfg WStartMsg) {
+func (w *worker) processToken(tok *Token, shard Shard) {
 	if tok.Step < tok.Train {
-		for pass := 0; pass < cfg.Within; pass++ {
-			order := trainOrder(shard.NumPoints(), cfg.Shuffle, w.rng)
+		for pass := 0; pass < w.cfg.Within; pass++ {
+			order := trainOrder(shard.NumPoints(), w.cfg.Shuffle, w.rng)
 			tok.SM.TrainOn(shard, order)
 		}
 		tok.Version++
@@ -260,7 +237,7 @@ func (w *worker) record(tok *Token) {
 	switch {
 	case !w.shared:
 		w.local[tok.ID] = localEntry{sm: tok.SM, version: tok.Version}
-	case w.replicas:
+	case w.cfg.Replicas:
 		w.local[tok.ID] = localEntry{sm: tok.SM.Clone(), version: tok.Version}
 	default:
 		w.local[tok.ID] = localEntry{sm: tok.SM, version: -1}
@@ -276,7 +253,7 @@ func (w *worker) inventory() []AckEntry {
 }
 
 func (w *worker) runZStep() {
-	model := make([]Submodel, w.m)
+	model := make([]Submodel, w.cfg.M)
 	for id := range model {
 		entry, ok := w.local[id]
 		if !ok {
