@@ -2,12 +2,15 @@
 // chaos transport without a word, like a SIGKILL. The coordinator learns of
 // the death from the fabric, recovers the submodel the machine held from the
 // redundant copy on its ring predecessor, repairs the routes to skip the dead
-// machine, and training finishes on the survivors (§4.3).
+// machine, and training finishes on the survivors (§4.3). The program exits 1
+// unless iteration 3 reports the death, at least one recovered submodel and
+// three machines left.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	parmac "repro"
 	"repro/internal/binauto"
@@ -31,12 +34,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer fab.Close()
-	eng := core.NewOn(prob, core.Config{
-		P: machines, Epochs: 2, Seed: 5,
-		Replicas: true, // the in-built redundance fault tolerance relies on
-	}, fab)
+	eng := core.NewOn(prob, core.Config{P: machines, Epochs: 2, Seed: 5}, fab)
 	defer eng.Shutdown()
 
+	var died, recovered bool
+	alive := 0
 	for it := 0; it < 8; it++ {
 		if it == 3 {
 			// Machine 2 will die during the W step of iteration 3, holding
@@ -57,7 +59,17 @@ func main() {
 			default:
 				fmt.Printf("    submodel %d recovered from the coordinator's copy\n", f.LostToken)
 			}
+			if it == 3 {
+				died = died || (f.Rank == 2 && f.LostToken < 0)
+				recovered = recovered || (f.Rank == 2 && f.LostToken >= 0 && f.Recovered)
+			}
 		}
+		alive = res.AliveMachines
+	}
+	if !died || !recovered || alive != machines-1 {
+		fmt.Printf("FAIL: want machine 2 dead with a recovered submodel in iteration 3 and %d machines after; got died=%v recovered=%v machines=%d\n",
+			machines-1, died, recovered, alive)
+		os.Exit(1)
 	}
 
 	// The model is complete and usable despite losing a quarter of the data.

@@ -205,7 +205,7 @@ func TestParMACWithFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewOn(prob, core.Config{P: 4, Epochs: 2, Replicas: true, Seed: 10}, fab)
+	eng := core.NewOn(prob, core.Config{P: 4, Epochs: 2, Seed: 10}, fab)
 	defer eng.Shutdown()
 	res := eng.Run(1)
 	fab.Arm(chaos.KillSpec{Rank: 2, Tag: chaos.AnyTag, AfterSends: 5})

@@ -23,6 +23,14 @@
 // recovered from the redundant copies on their predecessor machines, and
 // routes are repaired to skip the dead machine).
 //
+// One ownership rule holds on every fabric: a Submodel value is reachable
+// from at most one machine or the coordinator. Whoever sends a submodel it
+// also keeps sends or keeps a Clone — a machine keeps each submodel it
+// processed as its replica and forwards a clone, the coordinator keeps the
+// pre-iteration model while the clones it injected circulate. Over TCP the decode is a
+// copy anyway; over the in-process fabric, where messages are pointers, the
+// clones are what keep the replicas independent of the live tokens.
+//
 // The coordinator spans three files: core.go holds the types, Config, the
 // constructors and the Engine's public methods; iterate.go one iteration's
 // phases (routes, the supervised W step, the W-ack drain, the Z step) and
@@ -81,20 +89,21 @@ type Problem interface {
 }
 
 // IterationHook is implemented by problems that advance per-iteration state
-// (e.g. the μ schedule of the BA). In the in-process shape it is called
-// once, before each iteration's W step, on the coordinator's problem; in the
-// distributed shape each worker additionally calls it on its own problem
-// instance when the W step opens, so shard-local state (the μ used by the Z
-// step) advances everywhere.
+// (e.g. the μ schedule of the BA). The coordinator calls it on its Problem
+// before each iteration's W step, and every worker calls it on its own
+// Problem when the W step opens, so shard-local state (the μ used by the Z
+// step) advances everywhere. In-process machines are handed the
+// coordinator's Problem without its hooks, so there it runs once.
 type IterationHook interface {
 	OnIterationStart(iter int)
 }
 
 // ModelSyncHook is implemented by problems that cache references to their
-// circulating submodels (for evaluation between iterations). Fault recovery
-// replaces a lost submodel with a recovered clone, so the cached references
-// can go stale; the engine calls OnModelSync with the authoritative set at
-// the end of every iteration.
+// circulating submodels (for evaluation between iterations). The submodels
+// that finish an iteration are the returned tokens, not the objects the
+// iteration started from, on every fabric; the engine calls OnModelSync with
+// that authoritative set at the end of every iteration so the cached
+// references follow it.
 type ModelSyncHook interface {
 	OnModelSync(model []Submodel)
 }
@@ -106,12 +115,6 @@ type Config struct {
 	Within  int  // within-machine passes per visit (§4.2); default 1
 	Shuffle bool // shuffle the ring per epoch and within-machine order (§4.3)
 	Seed    int64
-
-	// Replicas makes machines store deep copies of passing submodels rather
-	// than sharing pointers. Required for fault tolerance; costs memory,
-	// exactly the paper's "in-built redundance". Distributed workers always
-	// hold private decoded copies, so there it is implied.
-	Replicas bool
 
 	// MaxMachines reserves fabric ranks for machines added later by
 	// streaming. Defaults to P.
@@ -321,9 +324,10 @@ func (e *Engine) SetStatsSource(fn func() cluster.Stats) { e.statsFn = fn }
 func (e *Engine) spawnMachine(rank, shard int) {
 	e.occupied[rank] = true
 	e.alive[rank] = true
-	go RunWorker(e.fab.Comm(rank), e.prob, shard, WorkerOptions{
-		Seed:          WorkerSeed(e.cfg.Seed, rank),
-		SharedProblem: true,
+	// The machine shares the coordinator's Problem, narrowed to Problem so
+	// the per-iteration hooks stay the coordinator's to call.
+	go RunWorker(e.fab.Comm(rank), struct{ Problem }{e.prob}, shard, WorkerOptions{
+		Seed: WorkerSeed(e.cfg.Seed, rank),
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -270,19 +271,37 @@ func TestZStepRunsOnAllShards(t *testing.T) {
 	}
 }
 
-func TestReplicasKeepIndependentCopies(t *testing.T) {
+// TestIterateKeepsPreIterationModel: the tokens an iteration circulates are
+// clones, so the model the coordinator held before it — the copy of record
+// fault recovery falls back to — is untouched afterwards, and the new model
+// is made of the returned tokens.
+func TestIterateKeepsPreIterationModel(t *testing.T) {
 	p := newToyProblem(2, 3, 2)
-	e := New(p, Config{P: 2, Epochs: 1, Replicas: true, Seed: 10})
+	e := New(p, Config{P: 2, Epochs: 1, Seed: 10})
 	defer e.Shutdown()
-	res := e.Iterate()
-	if res.FixMessages != 0 {
-		// With replicas, copies recorded before the last training visit are
-		// stale and must be repaired before the Z step.
-		t.Logf("fix messages: %d (stale replicas repaired)", res.FixMessages)
+	e.Iterate()
+	before := slices.Clone(e.Model())
+	snap := make([]Submodel, len(before))
+	for i, sm := range before {
+		snap[i] = sm.Clone()
 	}
-	// Z step must still be consistent.
-	if p.shards[0].z[0] != p.shards[1].z[0] {
-		t.Fatal("Z inconsistent with replicas")
+	e.Iterate()
+	for i, sm := range before {
+		old, want := sm.(*toySub), snap[i].(*toySub)
+		if old.sum != want.sum || old.count != want.count || !slices.Equal(old.visits, want.visits) {
+			t.Errorf("submodel %d: pre-iteration copy trained in place: count %d → %d, visits %v → %v",
+				i, want.count, old.count, want.visits, old.visits)
+		}
+		now := e.Model()[i]
+		if now == sm {
+			t.Errorf("submodel %d: the new model is the pre-iteration object", i)
+		}
+		if got := now.(*toySub).count; got != want.count+2*3 {
+			t.Errorf("submodel %d: count %d after the iteration, want %d", i, got, want.count+2*3)
+		}
+		if Submodel(p.subs[i]) != now {
+			t.Errorf("submodel %d: the problem's reference was not synced to the new model", i)
+		}
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"repro/internal/core"
 )
 
-// The distributed shape of the engine: coordinator and workers share no
-// memory, each worker owns its Problem instance, and every token crosses a
-// real TCP socket in the cluster wire codec. The runs below must match the in-process
-// engine exactly — that is the transport-independence claim of the Transport
-// refactor, at the engine level rather than the fabric level.
+// The distributed shape of the engine: each worker owns its Problem
+// instance, and every token crosses the fabric — as a pointer on inproc, as
+// bytes in the cluster wire codec over a real TCP socket. The runs below must
+// match the in-process engine exactly on both fabrics — that is the
+// transport-independence claim at the engine level rather than the fabric
+// level.
 
 // WireSub is a toy submodel with a wire codec: it accumulates the sum and
 // count of every value it sees, so divergence anywhere (a lost visit, stale
@@ -127,17 +128,20 @@ func (p *wireProblem) ZStep(shard int, model []core.Submodel) int {
 	return changed
 }
 
-// runDistributed executes iters engine iterations over a real TCP fabric:
+// fabrics are the transports every distributed drill runs on.
+var fabrics = []string{"inproc", "tcp"}
+
+// runDistributed executes iters engine iterations over the named fabric:
 // one coordinator, P workers, each with a private wireProblem. It returns
 // the coordinator-side problem (synced model) and the per-worker problems
 // (shard-local Z state), plus the iteration results. Any kills are scheduled
-// by a chaos wrapper around the sockets: the victim's connection drops
-// without a goodbye, which is all the hub sees of a SIGKILL.
-func runDistributed(t *testing.T, cfg core.Config, iters, shards, points, m int, kills ...chaos.KillSpec) (*wireProblem, []*wireProblem, []core.IterationResult) {
+// by a chaos wrapper around the fabric: the victim's link drops without a
+// goodbye, which is all the coordinator sees of a SIGKILL.
+func runDistributed(t *testing.T, fabric string, cfg core.Config, iters, shards, points, m int, kills ...chaos.KillSpec) (*wireProblem, []*wireProblem, []core.IterationResult) {
 	t.Helper()
-	fab, err := cluster.NewFabric("tcp", cfg.P+1)
+	fab, err := cluster.NewFabric(fabric, cfg.P+1)
 	if err != nil {
-		t.Fatalf("tcp fabric: %v", err)
+		t.Fatalf("%s fabric: %v", fabric, err)
 	}
 	if len(kills) > 0 {
 		if fab, err = chaos.New(fab, chaos.Options{Seed: 7, Kills: kills}); err != nil {
@@ -177,28 +181,48 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	inprocRes := eng.Run(iters)
 	eng.Shutdown()
 
-	coordProb, workerProbs, distRes := runDistributed(t, cfg, iters, shards, points, M)
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			coordProb, workerProbs, distRes := runDistributed(t, fabric, cfg, iters, shards, points, M)
 
-	for i, sub := range coordProb.subs {
-		want := inproc.subs[i]
-		if sub.Sum != want.Sum || sub.Count != want.Count {
-			t.Fatalf("submodel %d diverged across transports: tcp(sum=%v,count=%d) inproc(sum=%v,count=%d)",
-				i, sub.Sum, sub.Count, want.Sum, want.Count)
-		}
+			for i, sub := range coordProb.subs {
+				want := inproc.subs[i]
+				if sub.Sum != want.Sum || sub.Count != want.Count {
+					t.Fatalf("submodel %d diverged: distributed(sum=%v,count=%d) in-process(sum=%v,count=%d)",
+						i, sub.Sum, sub.Count, want.Sum, want.Count)
+				}
+			}
+			for i := range inprocRes {
+				a, b := inprocRes[i], distRes[i]
+				if a.ZChanged != b.ZChanged || a.ModelMessages != b.ModelMessages || a.ModelBytes != b.ModelBytes {
+					t.Fatalf("iteration %d results diverged: in-process %+v vs distributed %+v", i, a, b)
+				}
+			}
+			// Every worker's shard-local Z state must match the in-process
+			// shards: the Z step saw the same complete model and the same μ.
+			survivorZ := make([]float64, P)
+			for r, wp := range workerProbs {
+				survivorZ[r] = wp.shards[r].z[0]
+				if got, want := survivorZ[r], inproc.shards[r].z[0]; got != want {
+					t.Fatalf("worker %d Z state %v, in-process %v", r, got, want)
+				}
+			}
+			all := core.RingIter{Alive: []int{0, 1, 2}}
+			core.CheckVisitLogs(t, core.Drill{
+				Epochs: 2, Points: points, Results: distRes, Subs: wireLogs(coordProb),
+				SurvivorZ: survivorZ, Iters: []core.RingIter{all, all, all},
+			})
+		})
 	}
-	for i := range inprocRes {
-		a, b := inprocRes[i], distRes[i]
-		if a.ZChanged != b.ZChanged || a.ModelMessages != b.ModelMessages || a.ModelBytes != b.ModelBytes {
-			t.Fatalf("iteration %d results diverged: inproc %+v vs tcp %+v", i, a, b)
-		}
+}
+
+// wireLogs is the visit history of the coordinator's synced model.
+func wireLogs(p *wireProblem) []core.SubLog {
+	out := make([]core.SubLog, len(p.subs))
+	for i, s := range p.subs {
+		out[i] = core.SubLog{Visits: s.Visits, Sum: s.Sum, Count: s.Count}
 	}
-	// Every worker's shard-local Z state must match the in-process shards:
-	// the Z step saw the same complete model and the same μ on both fabrics.
-	for r, wp := range workerProbs {
-		if got, want := wp.shards[r].z[0], inproc.shards[r].z[0]; got != want {
-			t.Fatalf("worker %d Z state %v, in-process %v", r, got, want)
-		}
-	}
+	return out
 }
 
 // Guard against the registered tcp fabric being silently absent (an import

@@ -174,10 +174,9 @@ func toyZ(p *toyProblem, survivors ...int) []float64 {
 }
 
 // chaosEngine runs the in-process engine on a chaos-wrapped channel fabric
-// with the given kills scheduled, replicas on and short rescue waits.
+// with the given kills scheduled and short rescue waits.
 func chaosEngine(t *testing.T, prob Problem, cfg Config, o chaos.Options) (*Engine, *chaos.Fabric) {
 	t.Helper()
-	cfg.Replicas = true
 	cfg.RescueTimeout = fastRescue
 	fab, err := chaos.New(cluster.NewNetwork(cfg.P+1), o)
 	if err != nil {
@@ -229,7 +228,8 @@ func TestFaultRecoveryMidWStep(t *testing.T) {
 // TestRescueFallsBackToAuthoritativeCopy: machine 0 dies on its very first
 // send. That is submodel 0, fresh from the coordinator — nothing else can be
 // in machine 0's inbox ahead of it — so no machine holds a replica and
-// recovery must restart it from the coordinator's copy.
+// recovery must restart it from the coordinator's copy. That copy is the
+// pre-iteration model, so the dead machine's visit is gone from it.
 func TestRescueFallsBackToAuthoritativeCopy(t *testing.T) {
 	p := newToyProblem(3, 4, 3)
 	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 1, Seed: 20}, killAt(0, tagToken, 0))
@@ -238,6 +238,9 @@ func TestRescueFallsBackToAuthoritativeCopy(t *testing.T) {
 		return ev.Rank == 0 && ev.LostToken == 0 && ev.Recovered && ev.FromRank == -1
 	}) {
 		t.Errorf("submodel 0 not restarted from the coordinator's copy: %+v", res[0].Failures)
+	}
+	if sub := p.subs[0]; slices.Contains(sub.visits, 0) || sub.count != 4*len(sub.visits) {
+		t.Errorf("restarted submodel 0 kept dead machine 0's work: visits=%v count=%d", sub.visits, sub.count)
 	}
 	checkVisitLogs(t, drill{
 		Epochs: 1, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 1, 2),
@@ -326,7 +329,7 @@ func TestRescuerDiesDuringRescue(t *testing.T) {
 func TestDeathBetweenIterations(t *testing.T) {
 	p := newToyProblem(3, 4, 4)
 	net := cluster.NewNetwork(4)
-	e := NewOn(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: fastRescue}, net)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net)
 	defer e.Shutdown()
 	r0 := e.Iterate()
 	net.Kill(1)
@@ -393,7 +396,7 @@ func TestStragglerDeclaredDeadDoesNotCrashNextIteration(t *testing.T) {
 	release := sync.OnceFunc(func() { close(p.release) })
 	defer release()
 	net := cluster.NewNetwork(4)
-	e := NewOn(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: 20 * time.Millisecond}, net)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: 20 * time.Millisecond}, net)
 	defer e.Shutdown()
 	r0 := e.Iterate()
 	if r0.AliveMachines != 2 || !hasEvent(r0.Failures, func(ev FailureEvent) bool { return ev.Rank == 2 && ev.LostToken == -1 }) {
@@ -419,7 +422,7 @@ func TestStragglerDeclaredDeadDoesNotCrashNextIteration(t *testing.T) {
 func TestRetireOfDeadMachineReturns(t *testing.T) {
 	p := newToyProblem(3, 4, 3)
 	net := cluster.NewNetwork(4)
-	e := NewOn(p, Config{P: 3, Epochs: 1, Replicas: true, Seed: 5, RescueTimeout: fastRescue}, net)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net)
 	defer e.Shutdown()
 	e.Iterate()
 	net.Kill(1)

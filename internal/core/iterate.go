@@ -23,8 +23,8 @@ type wState struct {
 
 // coordSend remembers the coordinator's last forward of a token: where it
 // went and what state it carried. If the token is lost before any machine
-// processes it again, this is both the trace and the recovery source (the
-// object is unmutated since the send — nobody else holds the token).
+// processes it again, this is both the trace and the recovery source. sm is
+// the coordinator's own copy, never the object it sent.
 type coordSend struct {
 	valid   bool
 	step    int
@@ -67,15 +67,17 @@ func (e *Engine) Iterate() IterationResult {
 	for _, r := range aliveList {
 		e.coord.Send(r, tagWStart, WStartMsg{
 			Iter: e.iter, Train: trainVisits, Within: e.cfg.Within,
-			Shuffle: e.cfg.Shuffle, Replicas: e.cfg.Replicas, M: m,
+			Shuffle: e.cfg.Shuffle, M: m,
 		}, 0)
 	}
-	// Inject the initial tokens at their home machines.
+	// Inject the initial tokens at their home machines. Each carries a
+	// clone: the coordinator keeps the pre-iteration model until the tokens
+	// come back.
 	for i, sm := range e.submodels {
-		tok := &Token{SM: sm, ID: i, Version: e.versions[i], Route: st.routes[i],
+		tok := &Token{SM: sm.Clone(), ID: i, Version: e.versions[i], Route: st.routes[i],
 			Train: trainVisits, Incarnation: e.incarnation[i]}
 		// Placement is free: submodel i starts resident at its home machine.
-		st.sent[i] = coordSend{valid: true, step: 0, to: tok.Route[0], version: tok.Version, sm: tok.SM}
+		st.sent[i] = coordSend{valid: true, step: 0, to: tok.Route[0], version: tok.Version, sm: sm}
 		e.coord.Send(tok.Route[0], tagToken, tok, 0)
 	}
 
@@ -237,14 +239,10 @@ func (e *Engine) drainWAcks(st *wState) {
 			have[en.ID] = en.Version
 		}
 		for id, sm := range e.submodels {
-			if v, ok := have[id]; ok && (v < 0 || v == st.final[id]) {
+			if v, ok := have[id]; ok && v == st.final[id] {
 				continue
 			}
-			payload := sm
-			if e.cfg.Replicas {
-				payload = sm.Clone()
-			}
-			e.coord.Send(msg.From, tagFix, FixMsg{ID: id, SM: payload}, sm.Bytes())
+			e.coord.Send(msg.From, tagFix, FixMsg{ID: id, SM: sm.Clone()}, sm.Bytes())
 			e.coordBytes += int64(sm.Bytes())
 			st.res.FixMessages++
 		}
@@ -252,16 +250,16 @@ func (e *Engine) drainWAcks(st *wState) {
 }
 
 // forwardFromCoord advances tok.Step to the next alive itinerary position and
-// sends the token there, recording the send as the coordinator's trace entry
-// for the probe sweep. It reports false when no alive position remains (the
-// token is finished).
+// sends the token there, recording the send, with a clone of the submodel it
+// carried, as the coordinator's trace entry for the probe sweep. It reports
+// false when no alive position remains (the token is finished).
 func (e *Engine) forwardFromCoord(tok *Token, st *wState) bool {
 	for pos := tok.Step; pos < len(tok.Route); pos++ {
 		if e.alive[tok.Route[pos]] {
 			tok.Step = pos
 			e.coordHops++
 			e.coordBytes += int64(tok.SM.Bytes())
-			st.sent[tok.ID] = coordSend{valid: true, step: pos, to: tok.Route[pos], version: tok.Version, sm: tok.SM}
+			st.sent[tok.ID] = coordSend{valid: true, step: pos, to: tok.Route[pos], version: tok.Version, sm: tok.SM.Clone()}
 			e.coord.Send(tok.Route[pos], tagToken, tok, tok.SM.Bytes())
 			return true
 		}

@@ -42,17 +42,15 @@ type Token struct {
 
 // WStartMsg opens one iteration's W step on a machine.
 type WStartMsg struct {
-	Iter     int
-	Train    int // training visit count e·P_alive
-	Within   int
-	Shuffle  bool
-	Replicas bool
-	M        int // total submodel count (for the machine's Z-step assembly)
+	Iter    int
+	Train   int // training visit count e·P_alive
+	Within  int
+	Shuffle bool
+	M       int // total submodel count (for the machine's Z-step assembly)
 }
 
-// AckEntry reports one locally held submodel copy. Version -1 marks an
-// aliased in-process pointer (always current), -2 a copy installed by a
-// repair message.
+// AckEntry reports one locally held submodel copy: the training visits it
+// has seen, or -2 for a copy installed by a repair message.
 type AckEntry struct {
 	ID      int
 	Version int
@@ -144,13 +142,12 @@ func (m WStartMsg) AppendWire(b []byte) []byte {
 	b = cluster.AppendInt(b, m.Train)
 	b = cluster.AppendInt(b, m.Within)
 	b = cluster.AppendBool(b, m.Shuffle)
-	b = cluster.AppendBool(b, m.Replicas)
 	return cluster.AppendInt(b, m.M)
 }
 
 func decodeWStart(r *cluster.WireReader) any {
 	return WStartMsg{Iter: r.Int(), Train: r.Int(), Within: r.Int(),
-		Shuffle: r.Bool(), Replicas: r.Bool(), M: r.Int()}
+		Shuffle: r.Bool(), M: r.Int()}
 }
 
 // AppendWire appends the message's wire body.

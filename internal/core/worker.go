@@ -10,23 +10,19 @@ import (
 )
 
 // The machine side of the ParMAC protocol. A worker talks to the coordinator
-// and its ring neighbours exclusively through its communicator — it shares
-// no memory with the Engine — so the same loop serves both deployment
-// shapes: a goroutine per machine over the in-process fabric (New and NewOn
-// spawn these) and one OS process per machine over the TCP fabric
-// (cmd/parmac-train -worker runs this as its main loop).
+// and its ring neighbours exclusively through its communicator, so the same
+// loop serves both deployment shapes: a goroutine per machine over the
+// in-process fabric (New and NewOn spawn these) and one OS process per
+// machine over the TCP fabric (cmd/parmac-train -worker runs this as its main
+// loop). It shares no submodel with anyone: what it sends is a Clone of what
+// it keeps, so the same ownership holds whether the fabric passes pointers
+// or bytes.
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
 	// Seed drives the machine-local shuffling RNG. Use WorkerSeed so every
 	// deployment shape derives the same per-rank stream.
 	Seed int64
-	// SharedProblem marks the in-process shape, where the worker's Problem
-	// is the coordinator's: per-iteration problem hooks then run once on the
-	// coordinator instead of on every machine, and local submodel copies
-	// follow Config.Replicas aliasing semantics. Distributed workers own
-	// their Problem instance and leave this false.
-	SharedProblem bool
 }
 
 // WorkerSeed derives the canonical per-rank RNG seed, identical across
@@ -41,7 +37,6 @@ func RunWorker(comm *cluster.Comm, prob Problem, shard int, opt WorkerOptions) {
 		comm:      comm,
 		prob:      prob,
 		shard:     shard,
-		shared:    opt.SharedProblem,
 		coordRank: comm.Size() - 1,
 		rank:      comm.Rank(),
 		local:     make(map[int]localEntry),
@@ -62,7 +57,6 @@ type worker struct {
 	comm      *cluster.Comm
 	prob      Problem
 	shard     int
-	shared    bool
 	coordRank int
 	rank      int
 	local     map[int]localEntry
@@ -171,27 +165,24 @@ func (w *worker) sendProbeReply() {
 	w.comm.Send(w.coordRank, tagProbeReply, ProbeReply{Entries: entries}, 0)
 }
 
-// handleRescue answers a replica request.
+// handleRescue answers a replica request with a copy of the replica; the
+// machine keeps its own.
 func (w *worker) handleRescue(id int) {
 	if entry, ok := w.local[id]; ok {
-		w.comm.Send(w.coordRank, tagRescueReply, RescueReply{SM: entry.sm, Version: entry.version, OK: true}, 0)
+		w.comm.Send(w.coordRank, tagRescueReply, RescueReply{SM: entry.sm.Clone(), Version: entry.version, OK: true}, 0)
 	} else {
 		w.comm.Send(w.coordRank, tagRescueReply, RescueReply{}, 0)
 	}
 }
 
-// openWStep arms the per-iteration state and returns the shard the W step
-// trains on.
+// openWStep arms the per-iteration state, advances the Problem's own
+// per-iteration state if it has any (IterationHook), and returns the shard the
+// W step trains on.
 func (w *worker) openWStep(cfg WStartMsg) Shard {
 	w.cfg = cfg
 	w.traces = make(map[int]TraceEntry)
-	if !w.shared {
-		// This worker owns its Problem instance, so per-iteration state (the
-		// μ schedule, SGD re-tuning) must advance here; in the shared shape
-		// the coordinator already did it.
-		if hook, ok := w.prob.(IterationHook); ok {
-			hook.OnIterationStart(cfg.Iter)
-		}
+	if hook, ok := w.prob.(IterationHook); ok {
+		hook.OnIterationStart(cfg.Iter)
 	}
 	return w.prob.Shard(w.shard)
 }
@@ -205,7 +196,10 @@ func (w *worker) processToken(tok *Token, shard Shard) {
 		tok.Version++
 	}
 	tok.Step++
-	w.record(tok)
+	// The submodel this machine trained stays here as its replica, the copy
+	// fault recovery restores from (§4.3); the token moves on with a clone.
+	w.local[tok.ID] = localEntry{sm: tok.SM, version: tok.Version}
+	tok.SM = tok.SM.Clone()
 	// Forward along the itinerary, skipping positions held by machines known
 	// to be dead (DeadRanksMsg from the coordinator, peer-down events from
 	// the transport) — the same next-alive-position rule the coordinator
@@ -226,22 +220,6 @@ func (w *worker) processToken(tok *Token, shard Shard) {
 	}
 	w.traces[tok.ID] = TraceEntry{ID: tok.ID, Step: len(tok.Route), To: w.coordRank, Version: tok.Version}
 	w.comm.Send(w.coordRank, tagFinished, tok, 0)
-}
-
-// record stores this machine's copy of the submodel. In the distributed
-// shape the decoded token is already a private copy, so it doubles as the
-// fault-tolerance replica; in the shared shape a deep clone is taken when
-// replicas are on, and a shared pointer (version -1: always current) is kept
-// otherwise.
-func (w *worker) record(tok *Token) {
-	switch {
-	case !w.shared:
-		w.local[tok.ID] = localEntry{sm: tok.SM, version: tok.Version}
-	case w.cfg.Replicas:
-		w.local[tok.ID] = localEntry{sm: tok.SM.Clone(), version: tok.Version}
-	default:
-		w.local[tok.ID] = localEntry{sm: tok.SM, version: -1}
-	}
 }
 
 func (w *worker) inventory() []AckEntry {

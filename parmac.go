@@ -36,7 +36,7 @@ type (
 	// Engine runs ParMAC iterations over a Problem.
 	Engine = core.Engine
 	// Config parameterises the engine (machines, epochs, shuffling,
-	// replicas, rescue deadlines).
+	// streaming capacity, rescue deadlines).
 	Config = core.Config
 	// Problem adapts a MAC algorithm to the engine.
 	Problem = core.Problem
