@@ -7,9 +7,10 @@ import (
 )
 
 // FloatOrderAnalyzer enforces the bit-identical-reduction invariant from
-// PR 5: inside a core.ParallelChunks closure, a floating-point `+=` (or any
-// compound float assignment) into storage shared across chunks makes the
-// summation order — and therefore the result — depend on the worker count.
+// PR 5: inside a core.ParallelChunks or core.CountChunks closure, a
+// floating-point `+=` (or any compound float assignment) into storage shared
+// across chunks makes the summation order — and therefore the result —
+// depend on the worker count.
 // The sanctioned pattern (the fixture's perWorkerSlots): accumulate into
 // per-chunk (or per-worker) slots addressed by a closure-local index, then
 // reduce serially in fixed chunk order on a grid that depends only on N.
@@ -19,8 +20,8 @@ import (
 var FloatOrderAnalyzer = &Analyzer{
 	Name: "floatorder",
 	Doc: "float accumulation into cross-chunk shared storage inside a " +
-		"core.ParallelChunks closure is worker-count dependent; reduce " +
-		"per-chunk slots on a fixed grid instead",
+		"core.ParallelChunks or core.CountChunks closure is worker-count " +
+		"dependent; reduce per-chunk slots on a fixed grid instead",
 	Run: runFloatOrder,
 }
 
@@ -31,14 +32,15 @@ func runFloatOrder(pass *Pass) error {
 			if !ok || len(call.Args) < 3 {
 				return true
 			}
-			if !isPkgFunc(calleeFunc(pass.Info, call), "core", "ParallelChunks") {
+			callee := calleeFunc(pass.Info, call)
+			if !isPkgFunc(callee, "core", "ParallelChunks") && !isPkgFunc(callee, "core", "CountChunks") {
 				return true
 			}
 			closure, ok := ast.Unparen(call.Args[2]).(*ast.FuncLit)
 			if !ok {
 				return true
 			}
-			checkChunkClosure(pass, closure)
+			checkChunkClosure(pass, closure, callee.Name())
 			return true
 		})
 	}
@@ -46,7 +48,8 @@ func runFloatOrder(pass *Pass) error {
 }
 
 // checkChunkClosure flags unordered float accumulation in one chunk closure.
-func checkChunkClosure(pass *Pass, closure *ast.FuncLit) {
+// pool names the chunking function in the diagnostic.
+func checkChunkClosure(pass *Pass, closure *ast.FuncLit, pool string) {
 	local := func(obj types.Object) bool {
 		return obj != nil && obj.Pos() >= closure.Pos() && obj.Pos() <= closure.End()
 	}
@@ -79,8 +82,8 @@ func checkChunkClosure(pass *Pass, closure *ast.FuncLit) {
 			return true
 		}
 		pass.Reportf(lhs.Pos(),
-			"float accumulation into %q shared across ParallelChunks chunks: summation order depends on the worker count; use per-chunk slots reduced on a fixed grid",
-			types.ExprString(lhs))
+			"float accumulation into %q shared across %s chunks: summation order depends on the worker count; use per-chunk slots reduced on a fixed grid",
+			types.ExprString(lhs), pool)
 		return true
 	})
 }

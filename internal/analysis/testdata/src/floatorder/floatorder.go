@@ -1,7 +1,8 @@
 // Package floatorder is the parmac-vet fixture for the floatorder analyzer:
 // float accumulation into cross-chunk shared storage inside a
-// core.ParallelChunks closure makes the summation order depend on the worker
-// count; the sanctioned pattern is per-chunk slots reduced on a fixed grid.
+// core.ParallelChunks or core.CountChunks closure makes the summation order
+// depend on the worker count; the sanctioned pattern is per-chunk slots
+// reduced on a fixed grid.
 package floatorder
 
 import "repro/internal/core"
@@ -69,5 +70,28 @@ func closureLocal(xs []float64, workers int, out []float64) {
 			local += xs[i]
 		}
 		out[w] = local
+	})
+}
+
+// countShared: CountChunks closures are checked like ParallelChunks ones.
+func countShared(xs []float64, workers int) float64 {
+	var sum float64
+	core.CountChunks(len(xs), workers, func(lo, hi int) int {
+		for i := lo; i < hi; i++ {
+			sum += xs[i] // want `float accumulation into "sum" shared across CountChunks chunks`
+		}
+		return 0
+	})
+	return sum
+}
+
+// countLocal keeps its float work inside the chunk; only the count leaves.
+func countLocal(xs []float64, workers int) int {
+	return core.CountChunks(len(xs), workers, func(lo, hi int) int {
+		var local float64
+		for i := lo; i < hi; i++ {
+			local += xs[i]
+		}
+		return int(local)
 	})
 }

@@ -101,14 +101,13 @@ type ParMACConfig struct {
 	InitZ *retrieval.Codes
 }
 
-// ParMACProblem implements core.Problem for the binary autoencoder.
+// ParMACProblem implements core.Problem for the binary autoencoder; its
+// core.Adapter holds the encoders (IDs 0..L-1), the decoder groups and μ.
 type ParMACProblem struct {
+	core.Adapter
 	cfg    ParMACConfig
 	d      int
 	shards []*Shard
-	encs   []*encoderSub
-	decs   []*decoderSub
-	mu     float64
 
 	// zk caches the per-iteration Z-step kernel: the assembled model, its
 	// decoder Gram matrix and the Cholesky factor of the relaxed system are
@@ -137,9 +136,6 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	if cfg.Mu0 <= 0 {
 		cfg.Mu0 = 1e-4
 	}
-	if cfg.MuFactor <= 1 {
-		cfg.MuFactor = 2
-	}
 	if cfg.SVMLambda <= 0 {
 		cfg.SVMLambda = 1e-5
 	}
@@ -155,7 +151,7 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 		initZ = initCodesTPCA(ds, cfg.L, cfg.Seed)
 	}
 
-	p := &ParMACProblem{cfg: cfg, d: ds.D, mu: cfg.Mu0}
+	p := &ParMACProblem{cfg: cfg, d: ds.D}
 	for _, idx := range shardIdx {
 		z := retrieval.NewCodes(len(idx), cfg.L)
 		for k, i := range idx {
@@ -165,8 +161,9 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	}
 
 	// Encoder submodels: IDs 0..L-1.
+	var subs []core.Submodel
 	for l := 0; l < cfg.L; l++ {
-		p.encs = append(p.encs, &encoderSub{
+		subs = append(subs, &encoderSub{
 			id: l, bit: l, svm: svm.NewLinear(ds.D, cfg.SVMLambda),
 		})
 	}
@@ -178,8 +175,9 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 		groups[g] = append(groups[g], d)
 	}
 	for g, dims := range groups {
-		p.decs = append(p.decs, newDecoderSub(cfg.L+g, cfg.L, dims, cfg.DecLambda))
+		subs = append(subs, newDecoderSub(cfg.L+g, cfg.L, dims, cfg.DecLambda))
 	}
+	p.Adapter = core.NewAdapter(subs, cfg.Mu0, cfg.MuFactor)
 	return p
 }
 
@@ -194,57 +192,28 @@ func (p *ParMACProblem) AddShard(ds *dataset.Dataset, idx []int) int {
 	return len(p.shards) - 1
 }
 
-// Submodels implements core.Problem.
-func (p *ParMACProblem) Submodels() []core.Submodel {
-	out := make([]core.Submodel, 0, len(p.encs)+len(p.decs))
-	for _, e := range p.encs {
-		out = append(out, e)
-	}
-	for _, d := range p.decs {
-		out = append(out, d)
-	}
-	return out
-}
-
 // NumShards implements core.Problem.
 func (p *ParMACProblem) NumShards() int { return len(p.shards) }
 
 // Shard implements core.Problem.
 func (p *ParMACProblem) Shard(i int) core.Shard { return p.shards[i] }
 
-// OnIterationStart advances the μ schedule (μ_i = μ0·aⁱ), re-arms the
-// per-iteration SGD step-size auto-tuning (§8.1) and drops the cached Z-step
+// OnIterationStart advances μ (core.Adapter), re-arms the SGD step-size
+// auto-tuning (§8.1) on the current submodels and drops the cached Z-step
 // kernel (the W step is about to change the model it was built from).
 func (p *ParMACProblem) OnIterationStart(iter int) {
-	p.mu = p.cfg.Mu0
-	for i := 0; i < iter; i++ {
-		p.mu *= p.cfg.MuFactor
-	}
-	for _, e := range p.encs {
-		e.tuned = false
-	}
-	for _, d := range p.decs {
-		d.tuned = false
+	p.Adapter.OnIterationStart(iter)
+	for _, sm := range p.Submodels() {
+		switch s := sm.(type) {
+		case *encoderSub:
+			s.tuned = false
+		case *decoderSub:
+			s.tuned = false
+		}
 	}
 	p.zk.Lock()
 	p.zk.kernel = nil
 	p.zk.Unlock()
-}
-
-// Mu returns the current penalty parameter.
-func (p *ParMACProblem) Mu() float64 { return p.mu }
-
-// OnModelSync refreshes the problem's submodel references after the engine
-// may have replaced one during fault recovery (core.ModelSyncHook).
-func (p *ParMACProblem) OnModelSync(model []core.Submodel) {
-	for _, sm := range model {
-		switch s := sm.(type) {
-		case *encoderSub:
-			p.encs[s.bit] = s
-		case *decoderSub:
-			p.decs[s.id-p.cfg.L] = s
-		}
-	}
 }
 
 // ZStep implements core.Problem: solve the binary proximal operator for
@@ -270,10 +239,10 @@ func (p *ParMACProblem) zKernel(model []core.Submodel) *ZKernel {
 	m := assembleModel(p.cfg.L, p.d, model)
 	p.zk.Lock()
 	defer p.zk.Unlock()
-	if k := p.zk.kernel; k != nil && k.Mu == p.mu && modelsEqual(k.Model, m) {
+	if k := p.zk.kernel; k != nil && k.Mu == p.Mu() && modelsEqual(k.Model, m) {
 		return k
 	}
-	p.zk.kernel = NewZKernel(m, p.mu, p.cfg.ZMethod)
+	p.zk.kernel = NewZKernel(m, p.Mu(), p.cfg.ZMethod)
 	return p.zk.kernel
 }
 
@@ -296,16 +265,15 @@ func modelsEqual(a, b *Model) bool {
 // AssembleModel builds a *Model from the problem's authoritative submodels
 // (valid between engine iterations), for evaluation.
 func (p *ParMACProblem) AssembleModel() *Model {
-	subs := p.Submodels()
-	return assembleModel(p.cfg.L, p.d, subs)
+	return assembleModel(p.cfg.L, p.d, p.Submodels())
 }
 
-// Stats computes the learning-curve quantities over all shards with the
-// current model: E_Q with the current μ, E_BA, and total points.
+// Stats computes the learning-curve quantities summed over all shards with
+// the current model: E_Q with the current μ, and E_BA.
 func (p *ParMACProblem) Stats() (eq, eba float64) {
 	m := p.AssembleModel()
 	for _, sh := range p.shards {
-		eq += m.EQ(sh, sh.Z, p.mu)
+		eq += m.EQ(sh, sh.Z, p.Mu())
 		eba += m.EBA(sh)
 	}
 	return eq, eba
@@ -564,5 +532,3 @@ func (p *ParMACProblem) GatherCodes() *retrieval.Codes {
 }
 
 var _ core.Problem = (*ParMACProblem)(nil)
-var _ core.IterationHook = (*ParMACProblem)(nil)
-var _ core.ModelSyncHook = (*ParMACProblem)(nil)

@@ -20,6 +20,17 @@ func buildProblem(n, d, l, p int, seed int64) (*ParMACProblem, *dataset.Dataset)
 	return prob, ds
 }
 
+// decoders lists the problem's decoder-group submodels in ID order.
+func decoders(p *ParMACProblem) []*decoderSub {
+	var out []*decoderSub
+	for _, sm := range p.Submodels() {
+		if d, ok := sm.(*decoderSub); ok {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func TestParMACProblemShapes(t *testing.T) {
 	prob, _ := buildProblem(120, 10, 6, 3, 1)
 	if prob.NumShards() != 3 {
@@ -46,7 +57,8 @@ func TestParMACProblemShapes(t *testing.T) {
 func TestDecoderGroupsPartitionDimensions(t *testing.T) {
 	prob, _ := buildProblem(60, 10, 4, 2, 2)
 	seen := map[int]bool{}
-	for _, dsub := range prob.decs {
+	decs := decoders(prob)
+	for _, dsub := range decs {
 		for _, dim := range dsub.dims {
 			if seen[dim] {
 				t.Fatalf("dimension %d in two groups", dim)
@@ -58,8 +70,8 @@ func TestDecoderGroupsPartitionDimensions(t *testing.T) {
 		t.Fatalf("groups cover %d of 10 dims", len(seen))
 	}
 	// Groups are balanced within 1.
-	minSz, maxSz := len(prob.decs[0].dims), len(prob.decs[0].dims)
-	for _, dsub := range prob.decs {
+	minSz, maxSz := len(decs[0].dims), len(decs[0].dims)
+	for _, dsub := range decs {
 		if len(dsub.dims) < minSz {
 			minSz = len(dsub.dims)
 		}
@@ -75,10 +87,11 @@ func TestDecoderGroupsPartitionDimensions(t *testing.T) {
 func TestAssembleModelRoundTrip(t *testing.T) {
 	prob, _ := buildProblem(50, 8, 4, 2, 3)
 	// Stamp recognisable values into submodels.
-	prob.encs[2].svm.W[3] = 42
-	prob.decs[1].w.Set(2, 0, 7) // bit 2, first owned dim of group 1
-	dim := prob.decs[1].dims[0]
-	prob.decs[1].c[0] = -5
+	dec := decoders(prob)[1]
+	prob.Submodels()[2].(*encoderSub).svm.W[3] = 42
+	dec.w.Set(2, 0, 7) // bit 2, first owned dim of group 1
+	dim := dec.dims[0]
+	dec.c[0] = -5
 	m := prob.AssembleModel()
 	if m.Enc[2].W[3] != 42 {
 		t.Fatal("encoder weights lost in assembly")
@@ -91,15 +104,28 @@ func TestAssembleModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMuScheduleAdvances(t *testing.T) {
-	prob, _ := buildProblem(40, 6, 4, 2, 4)
-	prob.OnIterationStart(0)
-	if prob.Mu() != 1e-3 {
-		t.Fatalf("mu(0) = %v", prob.Mu())
-	}
-	prob.OnIterationStart(3)
-	if prob.Mu() != 1e-3*8 {
-		t.Fatalf("mu(3) = %v", prob.Mu())
+// TestIterationStartRearmsSyncedSubmodels: the η0 auto-tune (§8.1) runs on
+// each submodel's first visit of every iteration. After an engine iteration
+// the authoritative submodels are the returned tokens, which did tune, so
+// OnIterationStart must re-arm those objects, not the ones the problem was
+// built with.
+func TestIterationStartRearmsSyncedSubmodels(t *testing.T) {
+	prob, _ := buildProblem(120, 6, 4, 2, 4)
+	eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 4})
+	defer eng.Shutdown()
+	eng.Iterate()
+	prob.OnIterationStart(1)
+	for i, sm := range eng.Model() {
+		var tuned bool
+		switch s := sm.(type) {
+		case *encoderSub:
+			tuned = s.tuned
+		case *decoderSub:
+			tuned = s.tuned
+		}
+		if tuned {
+			t.Fatalf("submodel %d will not re-tune η0 on its first visit of iteration 1", i)
+		}
 	}
 }
 
@@ -222,10 +248,12 @@ func TestParMACWithFaultInjection(t *testing.T) {
 	if res[3].AliveMachines != 3 {
 		t.Fatalf("alive = %d", res[3].AliveMachines)
 	}
-	// Training must still produce a usable model.
-	m := prob.AssembleModel()
-	if m == nil || len(m.Enc) != 4 {
-		t.Fatal("model incomplete after failure")
+	// The problem hands out the engine's model, recovered submodel included.
+	subs := prob.Submodels()
+	for i, sm := range eng.Model() {
+		if subs[i] != sm {
+			t.Fatalf("problem's submodel %d is not the engine's after recovery", i)
+		}
 	}
 }
 

@@ -210,10 +210,7 @@ func (k *ZKernel) NewSolver() *ZSolver {
 // semantics, one solver each) and returns how many codes changed. Points
 // are independent, so the codes are bit-identical for any worker count.
 func (k *ZKernel) Run(pts sgd.Points, z *retrieval.Codes, workers int) int {
-	n := pts.NumPoints()
-	workers = core.ClampWorkers(n, core.Cores(workers))
-	changed := make([]int, workers)
-	core.ParallelChunks(n, workers, func(w, lo, hi int) {
+	return core.CountChunks(pts.NumPoints(), workers, func(lo, hi int) int {
 		s := k.NewSolver()
 		buf := make([]float64, k.Model.D())
 		c := 0
@@ -222,13 +219,8 @@ func (k *ZKernel) Run(pts sgd.Points, z *retrieval.Codes, workers int) int {
 				c++
 			}
 		}
-		changed[w] = c
+		return c
 	})
-	total := 0
-	for _, c := range changed {
-		total += c
-	}
-	return total
 }
 
 // ZSolver solves the Z step for a fixed model and μ, carrying per-goroutine

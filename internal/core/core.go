@@ -31,6 +31,10 @@
 // copy anyway; over the in-process fabric, where messages are pointers, the
 // clones are what keep the replicas independent of the live tokens.
 //
+// A model family implements Problem by embedding Adapter (adapter.go: the
+// submodel set and the μ schedule) and adding its shards, its Z step (fanned
+// out with CountChunks) and its model assembly.
+//
 // The coordinator spans three files: core.go holds the types, Config, the
 // constructors and the Engine's public methods; iterate.go one iteration's
 // phases (routes, the supervised W step, the W-ack drain, the Z step) and
@@ -75,7 +79,9 @@ type Submodel interface {
 // to the engine.
 type Problem interface {
 	// Submodels returns the circulating submodels with IDs 0..M-1. The
-	// engine trains these objects in place across iterations.
+	// engine keeps them as its pre-iteration model and trains clones; the
+	// returned tokens replace them at the end of every iteration
+	// (ModelSyncHook).
 	Submodels() []Submodel
 	// NumShards reports how many shards exist; shard i belongs to machine i.
 	NumShards() int
@@ -98,12 +104,12 @@ type IterationHook interface {
 	OnIterationStart(iter int)
 }
 
-// ModelSyncHook is implemented by problems that cache references to their
-// circulating submodels (for evaluation between iterations). The submodels
-// that finish an iteration are the returned tokens, not the objects the
-// iteration started from, on every fabric; the engine calls OnModelSync with
-// that authoritative set at the end of every iteration so the cached
-// references follow it.
+// ModelSyncHook is implemented by problems that hold their circulating
+// submodels (for evaluation between iterations). The submodels that finish an
+// iteration are the returned tokens, not the objects the iteration started
+// from, on every fabric; the engine calls OnModelSync with that authoritative
+// set at the end of every iteration so the problem's set follows it.
+// Adapter implements it once for every model family.
 type ModelSyncHook interface {
 	OnModelSync(model []Submodel)
 }

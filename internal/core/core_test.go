@@ -49,8 +49,8 @@ func (t *toySub) Clone() Submodel {
 func (t *toySub) Bytes() int { return 16 }
 
 type toyProblem struct {
+	Adapter
 	shards []*toyShard
-	subs   []*toySub
 	iters  []int // OnIterationStart log
 }
 
@@ -65,27 +65,24 @@ func newToyProblem(nShards, pointsPerShard, m int) *toyProblem {
 		}
 		p.shards = append(p.shards, sh)
 	}
-	for i := 0; i < m; i++ {
-		p.subs = append(p.subs, &toySub{id: i})
+	subs := make([]Submodel, m)
+	for i := range subs {
+		subs[i] = &toySub{id: i}
 	}
+	p.Adapter = NewAdapter(subs, 1, 2)
 	return p
 }
 
-func (p *toyProblem) Submodels() []Submodel {
-	out := make([]Submodel, len(p.subs))
-	for i, s := range p.subs {
-		out[i] = s
+// toys lists the problem's submodels (the engine's synced model).
+func (p *toyProblem) toys() []*toySub {
+	var out []*toySub
+	for _, sm := range p.Submodels() {
+		out = append(out, sm.(*toySub))
 	}
 	return out
 }
 
-func (p *toyProblem) NumShards() int { return len(p.shards) }
-
-func (p *toyProblem) OnModelSync(model []Submodel) {
-	for i, sm := range model {
-		p.subs[i] = sm.(*toySub)
-	}
-}
+func (p *toyProblem) NumShards() int         { return len(p.shards) }
 func (p *toyProblem) Shard(i int) Shard      { return p.shards[i] }
 func (p *toyProblem) OnIterationStart(i int) { p.iters = append(p.iters, i) }
 
@@ -129,7 +126,7 @@ func TestSingleMachineExactCounts(t *testing.T) {
 	e := New(p, Config{P: 1, Epochs: 2, Seed: 1})
 	defer e.Shutdown()
 	res := e.Iterate()
-	for _, sub := range p.subs {
+	for _, sub := range p.toys() {
 		if sub.count != 2*10 {
 			t.Fatalf("submodel %d saw %d points, want 20", sub.id, sub.count)
 		}
@@ -151,7 +148,7 @@ func TestEverySubmodelVisitsEveryMachinePerEpoch(t *testing.T) {
 	e := New(p, Config{P: P, Epochs: E, Seed: 2})
 	defer e.Shutdown()
 	e.Iterate()
-	for _, sub := range p.subs {
+	for _, sub := range p.toys() {
 		if len(sub.visits) != E*P {
 			t.Fatalf("submodel %d has %d training visits, want %d", sub.id, len(sub.visits), E*P)
 		}
@@ -180,7 +177,7 @@ func TestShuffledRingStillCoversAllMachines(t *testing.T) {
 	e := New(p, Config{P: P, Epochs: E, Shuffle: true, Seed: 3})
 	defer e.Shutdown()
 	e.Iterate()
-	for _, sub := range p.subs {
+	for _, sub := range p.toys() {
 		for ep := 0; ep < E; ep++ {
 			seen := map[int]bool{}
 			for _, shard := range sub.visits[ep*P : (ep+1)*P] {
@@ -199,7 +196,7 @@ func TestWithinMachinePasses(t *testing.T) {
 	e := New(p, Config{P: 3, Epochs: 1, Within: 4, Seed: 4})
 	defer e.Shutdown()
 	e.Iterate()
-	for _, sub := range p.subs {
+	for _, sub := range p.toys() {
 		if sub.count != 4*3*4 {
 			t.Fatalf("submodel %d count %d, want 48", sub.id, sub.count)
 		}
@@ -230,7 +227,7 @@ func TestDeterministicAcrossRunsNoShuffle(t *testing.T) {
 		defer e.Shutdown()
 		e.Run(3)
 		out := make([]float64, 0, 5)
-		for _, s := range p.subs {
+		for _, s := range p.toys() {
 			out = append(out, s.sum)
 		}
 		return out
@@ -299,7 +296,7 @@ func TestIterateKeepsPreIterationModel(t *testing.T) {
 		if got := now.(*toySub).count; got != want.count+2*3 {
 			t.Errorf("submodel %d: count %d after the iteration, want %d", i, got, want.count+2*3)
 		}
-		if Submodel(p.subs[i]) != now {
+		if Submodel(p.toys()[i]) != now {
 			t.Errorf("submodel %d: the problem's reference was not synced to the new model", i)
 		}
 	}
@@ -347,7 +344,7 @@ func TestStreamingAddAndRetire(t *testing.T) {
 	if r1.AliveMachines != 2 {
 		t.Fatalf("alive = %d", r1.AliveMachines)
 	}
-	countAfter1 := p.subs[0].count // 2 shards × 4 points
+	countAfter1 := p.toys()[0].count // 2 shards × 4 points
 
 	rank := e.AddMachine(2)
 	if rank != 2 {
@@ -357,7 +354,7 @@ func TestStreamingAddAndRetire(t *testing.T) {
 	if r2.AliveMachines != 3 {
 		t.Fatalf("alive after add = %d", r2.AliveMachines)
 	}
-	if got := p.subs[0].count - countAfter1; got != 3*4 {
+	if got := p.toys()[0].count - countAfter1; got != 3*4 {
 		t.Fatalf("iteration after add saw %d points, want 12", got)
 	}
 
@@ -366,7 +363,7 @@ func TestStreamingAddAndRetire(t *testing.T) {
 	if r3.AliveMachines != 2 {
 		t.Fatalf("alive after retire = %d", r3.AliveMachines)
 	}
-	if got := p.subs[0].count - countAfter1 - 12; got != 2*4 {
+	if got := p.toys()[0].count - countAfter1 - 12; got != 2*4 {
 		t.Fatalf("iteration after retire saw %d points, want 8", got)
 	}
 }
@@ -384,12 +381,12 @@ func TestLoadBalancedShards(t *testing.T) {
 		}
 		p.shards = append(p.shards, sh)
 	}
-	p.subs = []*toySub{{id: 0}}
+	p.Adapter = NewAdapter([]Submodel{&toySub{id: 0}}, 1, 2)
 	e := New(p, Config{P: 2, Epochs: 1, Seed: 14})
 	defer e.Shutdown()
 	e.Iterate()
-	if p.subs[0].count != 8 {
-		t.Fatalf("count = %d, want 8", p.subs[0].count)
+	if p.toys()[0].count != 8 {
+		t.Fatalf("count = %d, want 8", p.toys()[0].count)
 	}
 }
 
@@ -472,7 +469,7 @@ func TestManyIterationsStayConsistent(t *testing.T) {
 		}
 	}
 	// 10 iterations × 2 epochs × 4 shards × 5 points each.
-	for _, sub := range p.subs {
+	for _, sub := range p.toys() {
 		if sub.count != 10*2*4*5 {
 			t.Fatalf("submodel %d count %d", sub.id, sub.count)
 		}
@@ -499,7 +496,7 @@ func TestQuickProtocolInvariants(t *testing.T) {
 		if res.ZChanged != P*3 {
 			return false
 		}
-		for _, sub := range prob.subs {
+		for _, sub := range prob.toys() {
 			if sub.count != E*W*P*3 {
 				return false
 			}

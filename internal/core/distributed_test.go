@@ -69,8 +69,8 @@ type wireShard struct {
 func (s *wireShard) NumPoints() int { return len(s.vals) }
 
 type wireProblem struct {
+	core.Adapter
 	shards []*wireShard
-	subs   []*WireSub
 	mu     float64 // per-iteration state driven by OnIterationStart
 }
 
@@ -85,16 +85,19 @@ func newWireProblem(nShards, pointsPerShard, m int) *wireProblem {
 		}
 		p.shards = append(p.shards, sh)
 	}
-	for i := 0; i < m; i++ {
-		p.subs = append(p.subs, &WireSub{Id: i})
+	subs := make([]core.Submodel, m)
+	for i := range subs {
+		subs[i] = &WireSub{Id: i}
 	}
+	p.Adapter = core.NewAdapter(subs, 1, 2)
 	return p
 }
 
-func (p *wireProblem) Submodels() []core.Submodel {
-	out := make([]core.Submodel, len(p.subs))
-	for i, s := range p.subs {
-		out[i] = s
+// wires lists the problem's submodels (the engine's synced model).
+func (p *wireProblem) wires() []*WireSub {
+	var out []*WireSub
+	for _, sm := range p.Submodels() {
+		out = append(out, sm.(*WireSub))
 	}
 	return out
 }
@@ -102,11 +105,6 @@ func (p *wireProblem) Submodels() []core.Submodel {
 func (p *wireProblem) NumShards() int         { return len(p.shards) }
 func (p *wireProblem) Shard(i int) core.Shard { return p.shards[i] }
 func (p *wireProblem) OnIterationStart(i int) { p.mu = float64(i + 1) }
-func (p *wireProblem) OnModelSync(m []core.Submodel) {
-	for i, sm := range m {
-		p.subs[i] = sm.(*WireSub)
-	}
-}
 
 func (p *wireProblem) ZStep(shard int, model []core.Submodel) int {
 	var mean float64
@@ -185,8 +183,9 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		t.Run(fabric, func(t *testing.T) {
 			coordProb, workerProbs, distRes := runDistributed(t, fabric, cfg, iters, shards, points, M)
 
-			for i, sub := range coordProb.subs {
-				want := inproc.subs[i]
+			inprocSubs := inproc.wires()
+			for i, sub := range coordProb.wires() {
+				want := inprocSubs[i]
 				if sub.Sum != want.Sum || sub.Count != want.Count {
 					t.Fatalf("submodel %d diverged: distributed(sum=%v,count=%d) in-process(sum=%v,count=%d)",
 						i, sub.Sum, sub.Count, want.Sum, want.Count)
@@ -218,9 +217,9 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 
 // wireLogs is the visit history of the coordinator's synced model.
 func wireLogs(p *wireProblem) []core.SubLog {
-	out := make([]core.SubLog, len(p.subs))
-	for i, s := range p.subs {
-		out[i] = core.SubLog{Visits: s.Visits, Sum: s.Sum, Count: s.Count}
+	var out []core.SubLog
+	for _, s := range p.wires() {
+		out = append(out, core.SubLog{Visits: s.Visits, Sum: s.Sum, Count: s.Count})
 	}
 	return out
 }

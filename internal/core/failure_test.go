@@ -158,9 +158,9 @@ type (
 var CheckVisitLogs = checkVisitLogs
 
 func toyLogs(p *toyProblem) []subLog {
-	out := make([]subLog, len(p.subs))
-	for i, s := range p.subs {
-		out[i] = subLog{Visits: s.visits, Sum: s.sum, Count: s.count}
+	var out []subLog
+	for _, s := range p.toys() {
+		out = append(out, subLog{Visits: s.visits, Sum: s.sum, Count: s.count})
 	}
 	return out
 }
@@ -239,7 +239,7 @@ func TestRescueFallsBackToAuthoritativeCopy(t *testing.T) {
 	}) {
 		t.Errorf("submodel 0 not restarted from the coordinator's copy: %+v", res[0].Failures)
 	}
-	if sub := p.subs[0]; slices.Contains(sub.visits, 0) || sub.count != 4*len(sub.visits) {
+	if sub := p.toys()[0]; slices.Contains(sub.visits, 0) || sub.count != 4*len(sub.visits) {
 		t.Errorf("restarted submodel 0 kept dead machine 0's work: visits=%v count=%d", sub.visits, sub.count)
 	}
 	checkVisitLogs(t, drill{
@@ -291,7 +291,7 @@ func TestTwoUnannouncedDeathsSameWStep(t *testing.T) {
 			t.Fatalf("death of rank %d not recorded: %+v", rank, res.Failures)
 		}
 	}
-	for _, sub := range p.subs {
+	for _, sub := range p.toys() {
 		if sub.count == 0 {
 			t.Fatalf("submodel %d never trained", sub.id)
 		}

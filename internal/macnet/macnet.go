@@ -191,14 +191,16 @@ func (n *Net) Units() []UnitRef {
 
 // ZStepPoint minimises the eq. (6) terms of one point over its coordinates
 // z_1..z_K by gradient descent with backtracking, the "generalised proximal
-// operator" of §3.2. It updates c in place and returns the final objective.
-func ZStepPoint(n *Net, x, y []float64, c *Coords, i int, mu float64, iters int) float64 {
+// operator" of §3.2. It updates c in place and returns the final objective
+// and whether the coordinates moved: only a step that lowers the objective is
+// kept, so they moved exactly when some step did.
+func ZStepPoint(n *Net, x, y []float64, c *Coords, i int, mu float64, iters int) (obj float64, moved bool) {
 	k := n.K()
+	obj = pointPenalty(n, x, y, c, i, mu)
 	if k == 0 {
-		return pointPenalty(n, x, y, c, i, mu)
+		return obj, false
 	}
 	step := 0.5
-	obj := pointPenalty(n, x, y, c, i, mu)
 	grads := make([][]float64, k)
 	for layer := range grads {
 		grads[layer] = make([]float64, n.Dims[layer+1])
@@ -222,7 +224,7 @@ func ZStepPoint(n *Net, x, y []float64, c *Coords, i int, mu float64, iters int)
 			}
 			if next := pointPenalty(n, x, y, c, i, mu); next < obj {
 				obj = next
-				improved = true
+				improved, moved = true, true
 				step *= 1.2
 				break
 			}
@@ -235,7 +237,7 @@ func ZStepPoint(n *Net, x, y []float64, c *Coords, i int, mu float64, iters int)
 			break
 		}
 	}
-	return obj
+	return obj, moved
 }
 
 // zGrad computes ∂/∂z of the point's penalty terms.

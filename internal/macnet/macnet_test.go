@@ -3,6 +3,7 @@ package macnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -75,11 +76,25 @@ func TestZStepPointDecreasesObjective(t *testing.T) {
 	xs, ys := toyRegression(10, 6)
 	c := NewCoordsFromForward(n, xs)
 	mu := 0.5
-	for i := 0; i < xs.Rows; i++ {
-		before := pointPenalty(n, xs.Row(i), ys.Row(i), c, i, mu)
-		after := ZStepPoint(n, xs.Row(i), ys.Row(i), c, i, mu, 20)
-		if after > before+1e-12 {
-			t.Fatalf("point %d: Z step increased objective %v -> %v", i, before, after)
+	row := func(i int) []float64 {
+		var out []float64
+		for _, z := range c.Z {
+			out = append(out, z.Row(i)...)
+		}
+		return out
+	}
+	// The second pass starts near a minimum, where a step can fail to
+	// improve and leave the coordinates where they were.
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < xs.Rows; i++ {
+			before, was := pointPenalty(n, xs.Row(i), ys.Row(i), c, i, mu), row(i)
+			after, moved := ZStepPoint(n, xs.Row(i), ys.Row(i), c, i, mu, 20)
+			if after > before+1e-12 {
+				t.Fatalf("point %d: Z step increased objective %v -> %v", i, before, after)
+			}
+			if changed := !slices.Equal(was, row(i)); moved != changed {
+				t.Fatalf("point %d: ZStepPoint reported moved=%v, coordinates changed=%v", i, moved, changed)
+			}
 		}
 	}
 }
@@ -266,6 +281,12 @@ func TestParMACNetProblem(t *testing.T) {
 	eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 15})
 	defer eng.Shutdown()
 	eng.Run(8)
+	subs := prob.Submodels()
+	for i, sm := range eng.Model() {
+		if subs[i] != sm {
+			t.Fatalf("problem's submodel %d is not the engine's after Run", i)
+		}
+	}
 	_, nestedAfter := prob.PenaltyAndNested()
 	t.Logf("ParMAC nested error %v -> %v", nestedBefore, nestedAfter)
 	if nestedAfter >= nestedBefore {

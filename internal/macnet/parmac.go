@@ -93,13 +93,13 @@ type ParMACConfig struct {
 	Parallel int
 }
 
-// ParMACProblem implements core.Problem for the K-layer net.
+// ParMACProblem implements core.Problem for the K-layer net; its
+// core.Adapter holds one submodel per hidden/output unit and μ.
 type ParMACProblem struct {
+	core.Adapter
 	dims   []int
 	shards []*NetShard
-	subs   []*unitSub
 	cfg    ParMACConfig
-	mu     float64
 }
 
 // NewParMACProblem splits (xs, ys) into shards by the given index lists and
@@ -107,9 +107,6 @@ type ParMACProblem struct {
 func NewParMACProblem(start *Net, xs, ys *vec.Matrix, shardIdx [][]int, cfg ParMACConfig) *ParMACProblem {
 	if cfg.Mu0 <= 0 {
 		cfg.Mu0 = 1
-	}
-	if cfg.MuFactor <= 1 {
-		cfg.MuFactor = 2
 	}
 	if cfg.Eta <= 0 {
 		cfg.Eta = 0.5
@@ -120,7 +117,7 @@ func NewParMACProblem(start *Net, xs, ys *vec.Matrix, shardIdx [][]int, cfg ParM
 	if start.K() == 0 {
 		panic("macnet: ParMAC needs at least one hidden layer")
 	}
-	p := &ParMACProblem{dims: append([]int(nil), start.Dims...), cfg: cfg, mu: cfg.Mu0}
+	p := &ParMACProblem{dims: append([]int(nil), start.Dims...), cfg: cfg}
 	for _, idx := range shardIdx {
 		sx := vec.NewMatrix(len(idx), xs.Cols)
 		sy := vec.NewMatrix(len(idx), ys.Cols)
@@ -130,24 +127,15 @@ func NewParMACProblem(start *Net, xs, ys *vec.Matrix, shardIdx [][]int, cfg ParM
 		}
 		p.shards = append(p.shards, &NetShard{X: sx, Y: sy, C: NewCoordsFromForward(start, sx)})
 	}
-	id := 0
-	for _, u := range start.Units() {
+	var subs []core.Submodel
+	for id, u := range start.Units() {
 		row := start.Ws[u.Layer].Row(u.Unit)
-		p.subs = append(p.subs, &unitSub{
+		subs = append(subs, &unitSub{
 			id: id, ref: u, w: vec.Clone(row), k: start.K(), eta: cfg.Eta,
 		})
-		id++
 	}
+	p.Adapter = core.NewAdapter(subs, cfg.Mu0, cfg.MuFactor)
 	return p
-}
-
-// Submodels implements core.Problem.
-func (p *ParMACProblem) Submodels() []core.Submodel {
-	out := make([]core.Submodel, len(p.subs))
-	for i, s := range p.subs {
-		out[i] = s
-	}
-	return out
 }
 
 // NumShards implements core.Problem.
@@ -156,78 +144,24 @@ func (p *ParMACProblem) NumShards() int { return len(p.shards) }
 // Shard implements core.Problem.
 func (p *ParMACProblem) Shard(i int) core.Shard { return p.shards[i] }
 
-// OnIterationStart advances the μ schedule.
-func (p *ParMACProblem) OnIterationStart(iter int) {
-	p.mu = p.cfg.Mu0
-	for i := 0; i < iter; i++ {
-		p.mu *= p.cfg.MuFactor
-	}
-}
-
-// Mu returns the current penalty parameter.
-func (p *ParMACProblem) Mu() float64 { return p.mu }
-
-// OnModelSync refreshes the problem's submodel references after fault
-// recovery (core.ModelSyncHook).
-func (p *ParMACProblem) OnModelSync(model []core.Submodel) {
-	for _, sm := range model {
-		if u, ok := sm.(*unitSub); ok {
-			p.subs[u.id] = u
-		}
-	}
-}
-
 // ZStep implements core.Problem: assemble the machine-local net and run the
 // per-point generalised proximal operator, chunked over cfg.Parallel
 // goroutines. Unlike the binary autoencoder there is no Gram shortcut here —
 // the sigmoid layers make the per-point objective nonlinear in z — so the
-// win is purely the multicore fan-out; each worker reuses one before/after
-// snapshot buffer across its points instead of allocating two per point.
+// win is purely the multicore fan-out.
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
 	net := assembleNet(p.dims, model)
 	sh := p.shards[shard]
-	coordDim := 0
-	for _, z := range sh.C.Z {
-		coordDim += z.Cols
-	}
-	workers := core.Cores(p.cfg.Parallel)
-	if sh.X.Rows < core.MinParallelPoints {
-		workers = 1
-	}
-	counts := make([]int, workers)
-	core.ParallelChunks(sh.X.Rows, workers, func(w, lo, hi int) {
-		before := make([]float64, coordDim)
+	mu := p.Mu()
+	return core.CountChunks(sh.X.Rows, p.cfg.Parallel, func(lo, hi int) int {
+		changed := 0
 		for i := lo; i < hi; i++ {
-			at := 0
-			for _, z := range sh.C.Z {
-				at += copy(before[at:], z.Row(i))
-			}
-			ZStepPoint(net, sh.X.Row(i), sh.Y.Row(i), sh.C, i, p.mu, p.cfg.ZIters)
-			if coordsChanged(sh.C, i, before) {
-				counts[w]++
+			if _, moved := ZStepPoint(net, sh.X.Row(i), sh.Y.Row(i), sh.C, i, mu, p.cfg.ZIters); moved {
+				changed++
 			}
 		}
+		return changed
 	})
-	changed := 0
-	for _, c := range counts {
-		changed += c
-	}
-	return changed
-}
-
-// coordsChanged reports whether point i's coordinates differ from the
-// concatenated snapshot in before.
-func coordsChanged(c *Coords, i int, before []float64) bool {
-	at := 0
-	for _, z := range c.Z {
-		for _, v := range z.Row(i) {
-			if before[at] != v {
-				return true
-			}
-			at++
-		}
-	}
-	return false
 }
 
 // AssembleNet builds a Net from the problem's authoritative submodels
@@ -241,7 +175,7 @@ func (p *ParMACProblem) AssembleNet() *Net {
 func (p *ParMACProblem) PenaltyAndNested() (eq, nested float64) {
 	net := p.AssembleNet()
 	for _, sh := range p.shards {
-		eq += PenaltyError(net, sh.X, sh.Y, sh.C, p.mu)
+		eq += PenaltyError(net, sh.X, sh.Y, sh.C, p.Mu())
 		nested += net.NestedError(sh.X, sh.Y)
 	}
 	return eq, nested
@@ -260,5 +194,3 @@ func assembleNet(dims []int, model []core.Submodel) *Net {
 }
 
 var _ core.Problem = (*ParMACProblem)(nil)
-var _ core.IterationHook = (*ParMACProblem)(nil)
-var _ core.ModelSyncHook = (*ParMACProblem)(nil)
