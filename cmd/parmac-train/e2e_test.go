@@ -26,11 +26,7 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 		t.Skip("builds and drives real processes")
 	}
 
-	bin := filepath.Join(t.TempDir(), "parmac-train")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildBinary(t)
 
 	// Flags every process must agree on: they derive the dataset and shards
 	// deterministically from these.
@@ -160,6 +156,52 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("surviving worker did not exit after shutdown")
 	}
+}
+
+// TestFlagEdgeCases drives the binary at the edges of its flags: a run with
+// no iterations still evaluates the initial model, and out-of-range flags
+// are refused with an error message rather than a stack trace.
+func TestFlagEdgeCases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives real processes")
+	}
+	bin := buildBinary(t)
+	data := []string{"-n", "60", "-d", "6", "-clusters", "3", "-bits", "4", "-queries", "4", "-seed", "7"}
+	run := func(t *testing.T, args ...string) (string, int) {
+		t.Helper()
+		cmd := exec.Command(bin, append(data, args...)...)
+		out, err := cmd.CombinedOutput()
+		if cmd.ProcessState == nil {
+			t.Fatal(err)
+		}
+		return string(out), cmd.ProcessState.ExitCode()
+	}
+
+	t.Run("tcp with zero iterations", func(t *testing.T) {
+		out, code := run(t, "-transport", "tcp", "-iters", "0", "-p", "2")
+		if code != 0 || !strings.Contains(out, "retrieval precision") {
+			t.Fatalf("exit %d, want 0 and a precision line:\n%s", code, out)
+		}
+	})
+	for _, bad := range [][]string{{"-p", "0"}, {"-bits", "0"}, {"-iters", "-1"}} {
+		t.Run(strings.Join(bad, " "), func(t *testing.T) {
+			out, code := run(t, bad...)
+			if code != 1 || !strings.HasPrefix(out, "error: "+bad[0]) {
+				t.Fatalf("exit %d, want 1 and an error naming %s:\n%s", code, bad[0], out)
+			}
+		})
+	}
+}
+
+// buildBinary compiles parmac-train into a temporary directory.
+func buildBinary(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "parmac-train")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func snapshot(mu *sync.Mutex, buf *bytes.Buffer) string {

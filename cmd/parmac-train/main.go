@@ -88,6 +88,14 @@ func parseFlags() *options {
 	flag.IntVar(&o.rank, "rank", -1, "worker: machine rank in [0, p)")
 	flag.BoolVar(&o.spawn, "spawn", true, "tcp coordinator: auto-spawn the worker processes")
 	flag.Parse()
+	switch {
+	case o.p < 1:
+		fatalIf(fmt.Errorf("-p must be at least 1, got %d", o.p))
+	case o.bits < 1:
+		fatalIf(fmt.Errorf("-bits must be at least 1, got %d", o.bits))
+	case o.iters < 0:
+		fatalIf(fmt.Errorf("-iters must not be negative, got %d", o.iters))
+	}
 	if o.coordinator || o.worker {
 		o.transport = "tcp"
 	}
@@ -260,12 +268,10 @@ func trainTCP(o *options, ds *dataset.Dataset) *binauto.Model {
 		return s
 	})
 
-	var model *binauto.Model
 	fmt.Printf("%5s %14s %10s %12s %8s\n", "iter", "E_BA", "Zchanged", "model bytes", "alive")
 	for it := 0; it < o.iters; it++ {
 		res := eng.Iterate()
-		model = prob.AssembleModel()
-		fmt.Printf("%5d %14.1f %10d %12d %8d\n", it, model.EBA(ds), res.ZChanged, res.ModelBytes, res.AliveMachines)
+		fmt.Printf("%5d %14.1f %10d %12d %8d\n", it, prob.AssembleModel().EBA(ds), res.ZChanged, res.ModelBytes, res.AliveMachines)
 		reportFailures(res)
 	}
 
@@ -283,7 +289,7 @@ func trainTCP(o *options, ds *dataset.Dataset) *binauto.Model {
 			fmt.Fprintf(os.Stderr, "worker %v exited: %v\n", c.Args, err)
 		}
 	}
-	return model
+	return prob.AssembleModel()
 }
 
 // spawnWorkers launches this binary P times in worker mode, one OS process

@@ -1,12 +1,18 @@
 // Streaming: ParMAC's §4.3 extension — machines and data can join and leave
-// the ring between iterations while training continues.
+// the ring between iterations while training continues. The program exits 1
+// unless the iteration after the machine joins reports 4 machines, the one
+// after a machine retires reports 3, and the final codes cover all 5000
+// points.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	parmac "repro"
 	"repro/internal/binauto"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -18,13 +24,19 @@ func main() {
 	prob := binauto.NewParMACProblem(ds, shards, binauto.ParMACConfig{
 		L: 12, Mu0: 1e-4, MuFactor: 2, Seed: 3,
 	})
-	eng := parmac.New(prob, parmac.Config{P: 3, Epochs: 1, Seed: 3, MaxMachines: 5})
+	// The engine's capacity is its fabric's: 3 machines now, a spare rank
+	// for the one streamed in later, and the coordinator's rank last.
+	net := cluster.NewNetwork(5)
+	defer net.Close()
+	eng := core.NewOn(prob, core.Config{P: 3, Epochs: 1, Seed: 3}, net)
 	defer eng.Shutdown()
 
+	var machines []int // per iteration
 	report := func(tag string, r parmac.IterationResult) {
 		_, eba := prob.Stats()
 		fmt.Printf("%-28s iter=%d machines=%d codesChanged=%d E_BA=%.1f\n",
 			tag, r.Iter, r.AliveMachines, r.ZChanged, eba)
+		machines = append(machines, r.AliveMachines)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -53,5 +65,13 @@ func main() {
 	for i := 0; i < 2; i++ {
 		report("after machine retired", eng.Iterate())
 	}
-	fmt.Printf("\nfinal codes cover %d points\n", prob.GatherCodes().N)
+	n := prob.GatherCodes().N
+	fmt.Printf("\nfinal codes cover %d points\n", n)
+	// Iteration 3 is the first after the add, iteration 6 the first after
+	// the retirement.
+	if machines[3] != 4 || machines[6] != 3 || n != ds.N {
+		fmt.Printf("FAIL: want 4 machines after the add, 3 after the retirement and %d points covered; got %d, %d and %d\n",
+			ds.N, machines[3], machines[6], n)
+		os.Exit(1)
+	}
 }

@@ -1,9 +1,6 @@
 package binauto
 
 import (
-	"slices"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/retrieval"
@@ -108,16 +105,6 @@ type ParMACProblem struct {
 	cfg    ParMACConfig
 	d      int
 	shards []*Shard
-
-	// zk caches the per-iteration Z-step kernel: the assembled model, its
-	// decoder Gram matrix and the Cholesky factor of the relaxed system are
-	// built once per (model, μ) and shared by every machine's ZStep call —
-	// in the in-process engine all P machines see value-identical models, so
-	// without the cache each of them would redo the same factorisation.
-	zk struct {
-		sync.Mutex
-		kernel *ZKernel
-	}
 }
 
 // NewParMACProblem builds the distributed BA problem over the given dataset
@@ -198,9 +185,8 @@ func (p *ParMACProblem) NumShards() int { return len(p.shards) }
 // Shard implements core.Problem.
 func (p *ParMACProblem) Shard(i int) core.Shard { return p.shards[i] }
 
-// OnIterationStart advances μ (core.Adapter), re-arms the SGD step-size
-// auto-tuning (§8.1) on the current submodels and drops the cached Z-step
-// kernel (the W step is about to change the model it was built from).
+// OnIterationStart advances μ (core.Adapter) and re-arms the SGD step-size
+// auto-tuning (§8.1) on the current submodels.
 func (p *ParMACProblem) OnIterationStart(iter int) {
 	p.Adapter.OnIterationStart(iter)
 	for _, sm := range p.Submodels() {
@@ -211,55 +197,16 @@ func (p *ParMACProblem) OnIterationStart(iter int) {
 			s.tuned = false
 		}
 	}
-	p.zk.Lock()
-	p.zk.kernel = nil
-	p.zk.Unlock()
 }
 
 // ZStep implements core.Problem: solve the binary proximal operator for
 // every shard point, with cfg.Parallel goroutines over the shard. The solver
 // construction — decoder Gram matrix, Cholesky factorisation, encoder
-// gathering — is hoisted into a kernel shared across machines: at the Z step
-// every machine holds a value-identical model (the coordinator repairs stale
-// copies when the W step drains), so the first caller builds the kernel and
-// the rest reuse it.
+// gathering — is hoisted into a ZKernel that every machine builds from its
+// own copy of the model, once per Z step.
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
-	k := p.zKernel(model)
 	sh := p.shards[shard]
-	return k.Run(sh, sh.Z, p.cfg.Parallel)
-}
-
-// zKernel returns the shared Z kernel for this machine's model, building it
-// when none is cached. The value-identical-models assumption is checked, not
-// trusted: the O(L·D) weight comparison is noise next to the O(L²·D)
-// factorisation it saves, and a caller passing a genuinely different model
-// (a custom driver outside the engine's repair protocol) gets a correct
-// fresh kernel instead of silently stale codes.
-func (p *ParMACProblem) zKernel(model []core.Submodel) *ZKernel {
-	m := assembleModel(p.cfg.L, p.d, model)
-	p.zk.Lock()
-	defer p.zk.Unlock()
-	if k := p.zk.kernel; k != nil && k.Mu == p.Mu() && modelsEqual(k.Model, m) {
-		return k
-	}
-	p.zk.kernel = NewZKernel(m, p.Mu(), p.cfg.ZMethod)
-	return p.zk.kernel
-}
-
-// modelsEqual reports whether two assembled BAs have identical parameters.
-// The cached side is always NewZKernel's private snapshot, never a view of
-// the live submodels, so in-place weight mutation shows up as a mismatch
-// here rather than comparing aliased slices against themselves.
-func modelsEqual(a, b *Model) bool {
-	if a.L() != b.L() || a.D() != b.D() {
-		return false
-	}
-	for l := range a.Enc {
-		if a.Enc[l].B != b.Enc[l].B || !slices.Equal(a.Enc[l].W, b.Enc[l].W) {
-			return false
-		}
-	}
-	return slices.Equal(a.Dec.C, b.Dec.C) && slices.Equal(a.Dec.W.Data, b.Dec.W.Data)
+	return NewZKernel(assembleModel(p.cfg.L, p.d, model), p.Mu(), p.cfg.ZMethod).Run(sh, sh.Z, p.cfg.Parallel)
 }
 
 // AssembleModel builds a *Model from the problem's authoritative submodels

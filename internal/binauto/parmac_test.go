@@ -261,7 +261,9 @@ func TestParMACStreamingAddShard(t *testing.T) {
 	ds := dataset.GISTLike(200, 6, 4, 11)
 	shards := dataset.ShardIndices(150, 2, nil) // first 150 points on 2 machines
 	prob := NewParMACProblem(ds, shards, ParMACConfig{L: 4, Mu0: 1e-3, Seed: 11})
-	eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 11, MaxMachines: 3})
+	net := cluster.NewNetwork(4) // 2 machines, a spare rank, the coordinator
+	defer net.Close()
+	eng := core.NewOn(prob, core.Config{P: 2, Epochs: 1, Seed: 11}, net)
 	defer eng.Shutdown()
 	eng.Run(2)
 

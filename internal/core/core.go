@@ -12,16 +12,18 @@
 // all. Only model parameters ever cross the network.
 //
 // The engine is split along the paper's deployment boundary: the Engine is
-// the coordinator, machines run RunWorker (worker.go), and the two sides
-// speak exclusively through the pluggable fabric of internal/cluster — Go
-// channels in-process (New and NewOn spawn the workers themselves) or TCP
-// between OS processes (NewDistributed drives externally launched workers,
-// with submodels encoded in the cluster wire codec). The engine supports the ParMAC
-// extensions of §4.3: per-epoch ring shuffling, load balancing via unequal
-// shards, streaming (machines can be added and retired between iterations)
-// and fault tolerance (a machine can die mid-W-step; lost submodels are
-// recovered from the redundant copies on their predecessor machines, and
-// routes are repaired to skip the dead machine).
+// the coordinator on its fabric's last rank, machines run RunWorker
+// (worker.go) on the ranks before it, and the two sides speak exclusively
+// through the pluggable fabric of internal/cluster (Go channels, a chaos
+// wrapper, TCP with submodels in the cluster wire codec). The shapes differ
+// only in who launches the machines: New and NewOn run them as goroutines,
+// NewDistributed drives workers launched elsewhere, such as OS processes.
+// The engine supports the ParMAC extensions of §4.3: per-epoch ring
+// shuffling, load balancing via unequal shards, streaming (machines can be
+// added and retired between iterations) and fault tolerance (a machine can
+// die mid-W-step; lost submodels are recovered from the redundant copies on
+// their predecessor machines, and routes are repaired to skip the dead
+// machine).
 //
 // One ownership rule holds on every fabric: a Submodel value is reachable
 // from at most one machine or the coordinator. Whoever sends a submodel it
@@ -36,15 +38,17 @@
 // out with CountChunks) and its model assembly.
 //
 // The coordinator spans three files: core.go holds the types, Config, the
-// constructors and the Engine's public methods; iterate.go one iteration's
-// phases (routes, the supervised W step, the W-ack drain, the Z step) and
-// await, the bounded wait every phase collects replies through; recovery.go
-// death handling (markDead, the probe sweep, resurrect, replica requests).
+// construction body start with its three wrappers, and the Engine's public
+// methods; iterate.go one iteration's phases (routes, the supervised W step,
+// the W-ack drain, the Z step) and await, the bounded wait every phase
+// collects replies through; recovery.go death handling (markDead, the probe
+// sweep, resurrect, replica requests).
 package core
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -114,17 +118,14 @@ type ModelSyncHook interface {
 	OnModelSync(model []Submodel)
 }
 
-// Config parameterises the engine.
+// Config parameterises the engine. The fabric, not Config, sets how many
+// machines it can hold: every rank but the coordinator's (see NewOn).
 type Config struct {
 	P       int  // initial number of machines
 	Epochs  int  // e: circulation epochs per W step
 	Within  int  // within-machine passes per visit (§4.2); default 1
 	Shuffle bool // shuffle the ring per epoch and within-machine order (§4.3)
 	Seed    int64
-
-	// MaxMachines reserves fabric ranks for machines added later by
-	// streaming. Defaults to P.
-	MaxMachines int
 
 	// RescueTimeout bounds every coordinator wait: how long the supervising
 	// coordinator sits silent before re-probing, and the first wait for any
@@ -153,9 +154,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Within <= 0 {
 		c.Within = 1
-	}
-	if c.MaxMachines < c.P {
-		c.MaxMachines = c.P
 	}
 	if c.RescueTimeout <= 0 {
 		c.RescueTimeout = DefaultRescueTimeout
@@ -214,8 +212,8 @@ type Engine struct {
 	cfg  Config
 	prob Problem
 
-	fab   cluster.Fabric // in-process shape only: the fabric the workers run on
-	coord *cluster.Comm
+	coord  *cluster.Comm
+	launch func(rank, shard int) // runs a machine on a rank; nil if launched elsewhere
 
 	occupied []bool // rank has a (possibly dead) worker attached
 	alive    []bool // rank is in the ring
@@ -235,8 +233,8 @@ type Engine struct {
 	coordBytes int64
 
 	// statsFn supplies fabric-level counters for DroppedFrames reporting
-	// (the in-process engine wires its own fabric; distributed coordinators
-	// call SetStatsSource).
+	// (NewOn wires its fabric's; distributed coordinators call
+	// SetStatsSource).
 	statsFn     func() cluster.Stats
 	lastDropped int64
 
@@ -252,66 +250,68 @@ type Engine struct {
 	shutdown bool
 }
 
-// New creates an in-process engine for the problem: the fabric is the
-// channel backend and machine i runs as a goroutine attached to
-// prob.Shard(i). prob.NumShards() must be >= cfg.P.
+// New creates an in-process engine for the problem over the channel
+// backend, one rank per machine: machine i runs as a goroutine attached to
+// prob.Shard(i). An engine that streams machines in needs spare ranks: use
+// NewOn over a larger fabric.
 func New(prob Problem, cfg Config) *Engine {
 	cfg.fillDefaults()
-	return NewOn(prob, cfg, cluster.NewNetwork(cfg.MaxMachines+1))
+	return NewOn(prob, cfg, cluster.NewNetwork(cfg.P+1))
 }
 
 // NewOn is New over a fabric the caller built (and closes): machines are
 // still goroutines of this process sharing prob, but their messages cross
-// fab — a chaos wrapper that kills ranks, a loopback TCP fabric. fab needs
-// one rank per machine slot plus the coordinator's, which is the last.
+// fab — a chaos wrapper that kills ranks, a loopback TCP fabric. The
+// coordinator takes fab's last rank and the others are machine slots: cfg.P
+// are filled at once, the rest are left for AddMachine.
 func NewOn(prob Problem, cfg Config, fab cluster.Fabric) *Engine {
-	cfg.fillDefaults()
-	if prob.NumShards() < cfg.P {
-		panic(fmt.Sprintf("core: %d shards for %d machines", prob.NumShards(), cfg.P))
-	}
-	if fab.Size() != cfg.MaxMachines+1 {
-		panic(fmt.Sprintf("core: %d machine slots need a %d-rank fabric, got %d ranks",
-			cfg.MaxMachines, cfg.MaxMachines+1, fab.Size()))
-	}
-	e := newEngine(prob, cfg, fab.Comm(cfg.MaxMachines))
-	e.fab = fab
+	e := start(prob, cfg, fab.Comm(fab.Size()-1), func(rank, shard int) {
+		// The machine shares the coordinator's Problem, narrowed to Problem so
+		// the per-iteration hooks stay the coordinator's to call.
+		go RunWorker(fab.Comm(rank), struct{ Problem }{prob}, shard, WorkerOptions{
+			Seed: WorkerSeed(cfg.Seed, rank),
+		})
+	})
 	e.statsFn = fab.Stats
-	for r := 0; r < cfg.P; r++ {
-		e.spawnMachine(r, r)
-	}
 	return e
 }
 
 // NewDistributed creates a coordinator over an external fabric (e.g. a TCP
-// cluster): comm must be the fabric's last rank, and cfg.P workers —
-// launched separately with RunWorker, each owning its Problem instance —
-// occupy ranks 0..P-1. Streaming (AddMachine) is not available in this
-// shape; fault recovery is.
+// cluster): comm must be the last rank of a cfg.P+1-rank fabric, and cfg.P
+// workers — launched separately with RunWorker, each owning its Problem
+// instance — occupy ranks 0..P-1. Fault recovery works in this shape;
+// streaming (AddMachine) needs an engine that launches its machines.
 func NewDistributed(prob Problem, cfg Config, comm *cluster.Comm) *Engine {
-	cfg.MaxMachines = cfg.P // streaming needs worker spawning; no spare ranks here
 	cfg.fillDefaults()
-	if comm.Size() != cfg.P+1 || comm.Rank() != cfg.P {
-		panic(fmt.Sprintf("core: coordinator needs rank %d of a %d-rank fabric, got rank %d of %d",
-			cfg.P, cfg.P+1, comm.Rank(), comm.Size()))
+	if comm.Size() != cfg.P+1 {
+		panic(fmt.Sprintf("core: %d workers need a %d-rank fabric, got %d ranks", cfg.P, cfg.P+1, comm.Size()))
 	}
-	e := newEngine(prob, cfg, comm)
-	for r := 0; r < cfg.P; r++ {
-		e.occupied[r] = true
-		e.alive[r] = true
-	}
-	return e
+	return start(prob, cfg, comm, nil)
 }
 
-func newEngine(prob Problem, cfg Config, coord *cluster.Comm) *Engine {
-	e := &Engine{
-		cfg:      cfg,
-		prob:     prob,
-		coord:    coord,
-		occupied: make([]bool, cfg.MaxMachines),
-		alive:    make([]bool, cfg.MaxMachines),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+// start is the one construction body. coord must be its fabric's last rank;
+// the ranks before it are the machine slots, and machines 0..P-1 attach to
+// shards 0..P-1. launch runs a machine on a slot; it is nil when the
+// machines are launched elsewhere.
+func start(prob Problem, cfg Config, coord *cluster.Comm, launch func(rank, shard int)) *Engine {
+	cfg.fillDefaults()
+	slots := coord.Size() - 1
+	if coord.Rank() != slots {
+		panic(fmt.Sprintf("core: the coordinator needs the fabric's last rank %d, got rank %d", slots, coord.Rank()))
 	}
-	e.submodels = prob.Submodels()
+	if slots < cfg.P {
+		panic(fmt.Sprintf("core: %d machines need a fabric of at least %d ranks, got %d", cfg.P, cfg.P+1, coord.Size()))
+	}
+	e := &Engine{
+		cfg:       cfg,
+		prob:      prob,
+		coord:     coord,
+		launch:    launch,
+		occupied:  make([]bool, slots),
+		alive:     make([]bool, slots),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		submodels: prob.Submodels(),
+	}
 	for i, sm := range e.submodels {
 		if sm.ID() != i {
 			panic("core: submodel IDs must be 0..M-1 in order")
@@ -319,23 +319,29 @@ func newEngine(prob Problem, cfg Config, coord *cluster.Comm) *Engine {
 	}
 	e.versions = make([]int, len(e.submodels))
 	e.incarnation = make([]int, len(e.submodels))
+	for r := 0; r < cfg.P; r++ {
+		e.attach(r, r)
+	}
 	return e
+}
+
+// attach puts a machine serving shard on a free rank, launching it when the
+// engine launches its machines.
+func (e *Engine) attach(rank, shard int) {
+	if e.launch != nil {
+		if shard < 0 || shard >= e.prob.NumShards() {
+			panic(fmt.Sprintf("core: shard %d out of range [0,%d)", shard, e.prob.NumShards()))
+		}
+		e.launch(rank, shard)
+	}
+	e.occupied[rank] = true
+	e.alive[rank] = true
 }
 
 // SetStatsSource wires a fabric-level stats snapshot (e.g. combining
 // comm.Stats with tcp.Hub.DroppedFrames) so IterationResult.DroppedFrames is
-// reported in the distributed shape. The in-process engine wires its own.
+// reported in the distributed shape. NewOn wires its fabric's.
 func (e *Engine) SetStatsSource(fn func() cluster.Stats) { e.statsFn = fn }
-
-func (e *Engine) spawnMachine(rank, shard int) {
-	e.occupied[rank] = true
-	e.alive[rank] = true
-	// The machine shares the coordinator's Problem, narrowed to Problem so
-	// the per-iteration hooks stay the coordinator's to call.
-	go RunWorker(e.fab.Comm(rank), struct{ Problem }{e.prob}, shard, WorkerOptions{
-		Seed: WorkerSeed(e.cfg.Seed, rank),
-	})
-}
 
 // M returns the number of submodels.
 func (e *Engine) M() int { return len(e.submodels) }
@@ -354,24 +360,21 @@ func (e *Engine) AliveRanks() []int {
 	return out
 }
 
-// AddMachine attaches a new machine serving prob.Shard(shard) and returns its
-// rank. It implements the streaming extension: "adding it to the circular
-// topology simply requires connecting it between any two machines" (§4.3).
-// Call between iterations. In-process engines only.
+// AddMachine attaches a new machine serving prob.Shard(shard) on the lowest
+// free rank and returns that rank. It implements the streaming extension:
+// "adding it to the circular topology simply requires connecting it between
+// any two machines" (§4.3). Call between iterations, on an engine that
+// launches its machines (New, NewOn) over a fabric with a spare rank.
 func (e *Engine) AddMachine(shard int) int {
-	if e.fab == nil {
-		panic("core: AddMachine requires the in-process engine")
+	if e.launch == nil {
+		panic("core: AddMachine needs an engine that launches its machines (New or NewOn)")
 	}
-	for r := range e.occupied {
-		if !e.occupied[r] {
-			if shard >= e.prob.NumShards() {
-				panic("core: AddMachine shard out of range")
-			}
-			e.spawnMachine(r, shard)
-			return r
-		}
+	r := slices.Index(e.occupied, false)
+	if r < 0 {
+		panic("core: no free ranks; build the engine on a fabric with spare ranks")
 	}
-	panic("core: no free ranks; raise Config.MaxMachines")
+	e.attach(r, shard)
+	return r
 }
 
 // Retire removes a machine from the ring between iterations ("to remove

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -336,38 +338,6 @@ func TestRoutesStructure(t *testing.T) {
 	}
 }
 
-func TestStreamingAddAndRetire(t *testing.T) {
-	p := newToyProblem(3, 4, 4) // 3 shards available, start with 2 machines
-	e := New(p, Config{P: 2, Epochs: 1, Seed: 13, MaxMachines: 3})
-	defer e.Shutdown()
-	r1 := e.Iterate()
-	if r1.AliveMachines != 2 {
-		t.Fatalf("alive = %d", r1.AliveMachines)
-	}
-	countAfter1 := p.toys()[0].count // 2 shards × 4 points
-
-	rank := e.AddMachine(2)
-	if rank != 2 {
-		t.Fatalf("new machine rank = %d", rank)
-	}
-	r2 := e.Iterate()
-	if r2.AliveMachines != 3 {
-		t.Fatalf("alive after add = %d", r2.AliveMachines)
-	}
-	if got := p.toys()[0].count - countAfter1; got != 3*4 {
-		t.Fatalf("iteration after add saw %d points, want 12", got)
-	}
-
-	e.Retire(0)
-	r3 := e.Iterate()
-	if r3.AliveMachines != 2 {
-		t.Fatalf("alive after retire = %d", r3.AliveMachines)
-	}
-	if got := p.toys()[0].count - countAfter1 - 12; got != 2*4 {
-		t.Fatalf("iteration after retire saw %d points, want 8", got)
-	}
-}
-
 func TestLoadBalancedShards(t *testing.T) {
 	// Machines with unequal shards: work proportional to shard size (§4.3).
 	p := &toyProblem{}
@@ -390,21 +360,43 @@ func TestLoadBalancedShards(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: every construction mistake panics, naming itself.
 func TestConfigValidation(t *testing.T) {
 	p := newToyProblem(2, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: fabric without a rank for the coordinator")
-		}
-	}()
-	NewOn(p, Config{P: 2}, cluster.NewNetwork(2))
+	cases := []struct {
+		name, want string
+		build      func()
+	}{
+		{"fabric without a rank for the coordinator", "at least 3 ranks", func() {
+			NewOn(p, Config{P: 2}, cluster.NewNetwork(2))
+		}},
+		{"distributed coordinator not on the last rank", "last rank 2, got rank 0", func() {
+			NewDistributed(p, Config{P: 2}, cluster.NewNetwork(3).Comm(0))
+		}},
+		{"distributed fabric larger than P+1", "need a 3-rank fabric, got 4", func() {
+			NewDistributed(p, Config{P: 2}, cluster.NewNetwork(4).Comm(3))
+		}},
+		{"AddMachine on a distributed engine", "launches its machines", func() {
+			NewDistributed(p, Config{P: 1}, cluster.NewNetwork(2).Comm(1)).AddMachine(1)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Fatalf("recovered %v, want a panic containing %q", r, c.want)
+				}
+			}()
+			c.build()
+		})
+	}
 }
 
 func TestTooFewShardsPanics(t *testing.T) {
 	p := newToyProblem(1, 2, 1)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: more machines than shards")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "out of range") {
+			t.Fatalf("recovered %v, want a panic: more machines than shards", r)
 		}
 	}()
 	New(p, Config{P: 3})
@@ -412,11 +404,11 @@ func TestTooFewShardsPanics(t *testing.T) {
 
 func TestAddMachineRejectsBadShard(t *testing.T) {
 	p := newToyProblem(2, 3, 2)
-	e := New(p, Config{P: 2, MaxMachines: 3, Seed: 22})
+	e := NewOn(p, Config{P: 2, Seed: 22}, cluster.NewNetwork(4)) // one spare rank
 	defer e.Shutdown()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range shard")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard 99 out of range") {
+			t.Fatalf("recovered %v, want a panic for an out-of-range shard", r)
 		}
 	}()
 	e.AddMachine(99)
@@ -424,7 +416,7 @@ func TestAddMachineRejectsBadShard(t *testing.T) {
 
 func TestAddMachineExhaustsRanks(t *testing.T) {
 	p := newToyProblem(3, 2, 2)
-	e := New(p, Config{P: 2, MaxMachines: 2, Seed: 23})
+	e := New(p, Config{P: 2, Seed: 23}) // New's fabric has no spare rank
 	defer e.Shutdown()
 	defer func() {
 		if recover() == nil {

@@ -11,10 +11,10 @@ import (
 
 // The machine side of the ParMAC protocol. A worker talks to the coordinator
 // and its ring neighbours exclusively through its communicator, so the same
-// loop serves both deployment shapes: a goroutine per machine over the
-// in-process fabric (New and NewOn spawn these) and one OS process per
-// machine over the TCP fabric (cmd/parmac-train -worker runs this as its main
-// loop). It shares no submodel with anyone: what it sends is a Clone of what
+// loop serves both deployment shapes: a goroutine of the coordinator's
+// process on any fabric (New and NewOn launch these, AddMachine too) and a
+// worker launched elsewhere for NewDistributed, such as one OS process per
+// machine over TCP (cmd/parmac-train -worker runs this as its main loop). It shares no submodel with anyone: what it sends is a Clone of what
 // it keeps, so the same ownership holds whether the fabric passes pointers
 // or bytes.
 

@@ -36,7 +36,7 @@ type (
 	// Engine runs ParMAC iterations over a Problem.
 	Engine = core.Engine
 	// Config parameterises the engine (machines, epochs, shuffling,
-	// streaming capacity, rescue deadlines).
+	// rescue deadlines).
 	Config = core.Config
 	// Problem adapts a MAC algorithm to the engine.
 	Problem = core.Problem
@@ -48,7 +48,7 @@ type (
 	IterationResult = core.IterationResult
 )
 
-// New creates a ParMAC engine for the problem.
+// New creates a ParMAC engine for the problem, one fabric rank per machine.
 func New(prob Problem, cfg Config) *Engine { return core.New(prob, cfg) }
 
 // BAOptions configures TrainBinaryAutoencoder.
