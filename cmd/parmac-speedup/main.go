@@ -1,6 +1,7 @@
-// parmac-speedup explores the closed-form parallel-speedup model of §5: given
-// the workload and cost parameters it prints S(P) over a range of machine
-// counts, the model constants ρ1/ρ2/ρ, and the predicted optimum P*.
+// parmac-speedup explores the parallel-speedup model of §5: given the workload
+// and cost parameters it prints the closed-form S(P) over a range of machine
+// counts, the model constants ρ1/ρ2/ρ, and the predicted optimum P*. With
+// -sim it adds the simulated S(P) of the same parameters.
 //
 // Usage:
 //
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/sim"
 	"repro/internal/speedup"
 )
 
@@ -31,6 +31,26 @@ func main() {
 	withSim := flag.Bool("sim", false, "also run the discrete-event simulator")
 	flag.Parse()
 
+	checks := []struct {
+		bad bool
+		msg string
+	}{
+		{*n < 1, "-n must be at least 1"},
+		{*m < 1, "-m must be at least 1"},
+		{*bits < 0, "-bits must not be negative"},
+		{*e < 1, "-e must be at least 1"},
+		{!(*twr >= 0), "-twr must not be negative"},
+		{!(*tzr >= 0), "-tzr must not be negative"},
+		{!(*twc > 0), "-twc must be positive"},
+		{*pmax < 2, "-pmax must be at least 2"},
+		{*steps < 2, "-steps must be at least 2"},
+	}
+	for _, c := range checks {
+		if c.bad {
+			fmt.Fprintln(os.Stderr, "error:", c.msg)
+			os.Exit(1)
+		}
+	}
 	if *bits > 0 {
 		*m = speedup.EffectiveSubmodels(*bits)
 	}
@@ -40,10 +60,6 @@ func main() {
 	pStar, sStar := p.GlobalMax()
 	fmt.Printf("global maximum: S*=%.1f at P*=%.0f\n\n", sStar, pStar)
 
-	if *pmax < 2 || *steps < 2 {
-		fmt.Fprintln(os.Stderr, "pmax and steps must be >= 2")
-		os.Exit(2)
-	}
 	if *withSim {
 		fmt.Printf("%8s %12s %12s\n", "P", "S theory", "S simulated")
 	} else {
@@ -53,8 +69,7 @@ func main() {
 		pp := 1 + i*(*pmax-1)/(*steps-1)
 		s := p.Speedup(float64(pp))
 		if *withSim {
-			c := sim.Config{P: pp, N: *n, M: *m, Epochs: *e, TWr: *twr, TWc: *twc, TZr: *tzr, Seed: 1}
-			ss := sim.SerialTime(c) / sim.Run(c).T
+			ss := p.T(1) / p.Simulate(speedup.Cluster{P: pp, Seed: 1}).T
 			fmt.Printf("%8d %12.1f %12.1f\n", pp, s, ss)
 		} else {
 			fmt.Printf("%8d %12.1f\n", pp, s)

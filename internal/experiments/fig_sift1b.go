@@ -8,7 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/pca"
 	"repro/internal/retrieval"
-	"repro/internal/sim"
+	"repro/internal/speedup"
 	"repro/internal/svm"
 )
 
@@ -104,25 +104,23 @@ func (s *sift1bSetup) train(kernel bool, cfg RunConfig) sift1bRun {
 // evaluations of the Z step; the multipliers below are fitted the same way
 // the paper fits t_c^W and t_r^Z (§8.3).
 func simHours(kernel, shared bool, iters int) float64 {
-	cfg := sim.Config{
-		P: 128, N: 100000000, M: 128, Epochs: 2,
-		TWr: 1, TWc: 1e4, TZr: 40, Seed: 1,
-	}
+	model := speedup.Params{N: 100000000, M: 128, E: 2, TWr: 1, TWc: 1e4, TZr: 40}
+	machines := speedup.Cluster{P: 128, Seed: 1}
 	if kernel {
-		cfg.TWr *= 8
-		cfg.TZr *= 2.6
+		model.TWr *= 8
+		model.TZr *= 2.6
 	}
 	if shared {
 		// The UCM shared-memory system: half the processors, but newer CPUs
 		// and shared-memory transport. Constants fitted so the per-iteration
 		// ratio matches the paper's measured 29.30/6 vs 11.04/10 hours
 		// (≈4.4× per iteration at half the processors, ≈2.7× end to end).
-		cfg.P = 64
-		cfg.TWr *= 0.125
-		cfg.TWc *= 0.10
-		cfg.TZr *= 0.125
+		machines.P = 64
+		model.TWr *= 0.125
+		model.TWc *= 0.10
+		model.TZr *= 0.125
 	}
-	perIter := sim.Run(cfg).T
+	perIter := model.Simulate(machines).T
 	const unitsPerHour = 3.6e9 // 1 unit = 1 µs
 	return perIter * float64(iters) / unitsPerHour
 }

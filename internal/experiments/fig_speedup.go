@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/sim"
 	"repro/internal/speedup"
 )
 
@@ -60,17 +59,11 @@ func runFig10(cfg RunConfig) []*Table {
 			for _, e := range epochs {
 				row := []string{d(e)}
 				for _, p := range w.ps {
-					var s float64
+					th := speedup.Params{N: w.n, M: w.m, E: e, TWr: 1, TWc: 1e4, TZr: w.tZr}
+					s := th.Speedup(float64(p))
 					if view[0] == 'e' {
-						c := sim.Config{
-							P: p, N: w.n, M: w.m, Epochs: e,
-							TWr: 1, TWc: 1e4, TZr: w.tZr,
-							Noise: 0.05, Seed: cfg.Seed + int64(p) + int64(e)*1000,
-						}
-						s = sim.SerialTime(c) / sim.Run(c).T
-					} else {
-						th := speedup.Params{N: w.n, M: w.m, E: e, TWr: 1, TWc: 1e4, TZr: w.tZr}
-						s = th.Speedup(float64(p))
+						c := speedup.Cluster{P: p, Noise: 0.05, Seed: cfg.Seed + int64(p) + int64(e)*1000}
+						s = th.T(1) / th.Simulate(c).T
 					}
 					row = append(row, f1(s))
 				}
@@ -103,11 +96,8 @@ func init() {
 			}
 			for _, procs := range []int{16, 8, 4, 2, 1} {
 				nodes := 16 / procs
-				r := sim.Run(sim.Config{
-					P: 16, N: n, M: 128, Epochs: 2,
-					TWr: 1, TWc: 500, TZr: 5,
-					ProcsPerNode: procs, IntraTWc: 50, Seed: cfg.Seed,
-				})
+				model := speedup.Params{N: n, M: 128, E: 2, TWr: 1, TWc: 500, TZr: 5}
+				r := model.Simulate(speedup.Cluster{P: 16, ProcsPerNode: procs, IntraTWc: 50, Seed: cfg.Seed})
 				t.AddRow(fmt.Sprintf("%dx%d", nodes, procs), g(r.CommTime), g(r.CompTime), g(r.T))
 			}
 			t.Notes = append(t.Notes,

@@ -1,9 +1,16 @@
-// Package speedup implements the paper's theoretical model of ParMAC's
-// parallel speedup (§5 and appendix A): the per-iteration runtime T(P) of
-// eqs. (9)–(10), the speedup S(P) of eq. (12), the per-interval maxima P*_k
-// and S*_k of eq. (17), the globally maximum speedup of appendix A.2, and the
-// large-dataset approximation of eq. (20). It regenerates Figs. 4 and 5 and
-// the theory rows of Fig. 10.
+// Package speedup is the paper's performance model of ParMAC (§5), in two
+// forms that read one Params:
+//
+//   - the closed form of §5 and appendix A: the per-iteration runtime T(P) of
+//     eqs. (9)–(10), the speedup S(P) of eq. (12), the per-interval maxima
+//     P*_k and S*_k of eq. (17), the globally maximum speedup of appendix A.2,
+//     and the large-dataset approximation of eq. (20). It produces Figs. 4
+//     and 5 and the theory rows of Fig. 10.
+//   - Simulate, a discrete-event run of the asynchronous W-step schedule and
+//     the parallel Z step in virtual time, with runtime noise (§4.3) and a
+//     node topology (§8.5). It stands in for the paper's physical clusters
+//     (Table 1) beyond the host's CPUs and produces the "experiment" rows of
+//     Fig. 10, Fig. 13 and the simulated SIFT-1B training hours.
 package speedup
 
 import "math"
@@ -31,36 +38,23 @@ func (p Params) Rho2() float64 {
 func (p Params) Rho() float64 { return p.Rho1() + p.Rho2() }
 
 // T returns the modelled runtime of one ParMAC iteration on P machines:
-// eq. (9) for P > 1 and eq. (10) for P = 1 (no communication).
-func (p Params) T(P int) float64 {
+// eq. (9) for P > 1 and eq. (10) for P = 1 (no communication). P is real, as
+// in appendix A; only integer P occur in practice.
+func (p Params) T(P float64) float64 {
 	n, m, e := float64(p.N), float64(p.M), float64(p.E)
 	if P <= 1 {
 		return m*n*p.TZr + m*n*e*p.TWr
 	}
-	pf := float64(P)
-	ceil := math.Ceil(m / pf)
-	return m*n/pf*p.TZr + pf*ceil*(e*(p.TWr*n/pf+p.TWc)+p.TWc)
+	ceil := math.Ceil(m / P)
+	return m*n/P*p.TZr + P*ceil*(e*(p.TWr*n/P+p.TWc)+p.TWc)
 }
 
-// Speedup returns S(P) = T(1)/T(P), treating P as a real variable as in
-// appendix A (only integer P occur in practice).
+// Speedup returns S(P) = T(1)/T(P) (eq. 12), with S(1) = 1.
 func (p Params) Speedup(P float64) float64 {
 	if P <= 1 {
 		return 1
 	}
-	n, m, e := float64(p.N), float64(p.M), float64(p.E)
-	ceil := math.Ceil(m / P)
-	tp := m*n/P*p.TZr + P*ceil*(e*(p.TWr*n/P+p.TWc)+p.TWc)
-	return p.T(1) / tp
-}
-
-// Curve evaluates S(P) at every requested machine count.
-func (p Params) Curve(ps []int) []float64 {
-	out := make([]float64, len(ps))
-	for i, pp := range ps {
-		out[i] = p.Speedup(float64(pp))
-	}
-	return out
+	return p.T(1) / p.T(P)
 }
 
 // PStarK is P*_k = sqrt(ρ1·M·N/k), the candidate maximiser inside the

@@ -244,7 +244,7 @@ func TestQuickTMonotoneInN(t *testing.T) {
 	// Property: more data never makes an iteration faster.
 	f := func(nRaw uint16, pRaw uint8) bool {
 		n := int(nRaw)%10000 + 10
-		P := int(pRaw)%64 + 1
+		P := float64(int(pRaw)%64 + 1)
 		a := Params{N: n, M: 32, E: 1, TWr: 1, TZr: 5, TWc: 100}
 		b := a
 		b.N = n * 2
