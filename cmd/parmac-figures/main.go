@@ -25,6 +25,10 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	flag.Parse()
 
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "error: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
 		for _, e := range experiments.All() {

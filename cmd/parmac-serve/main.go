@@ -45,11 +45,30 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 64, "max requests coalesced into one scan")
 		maxDelay   = flag.Duration("max-delay", 0, "how long to hold an under-filled batch (0 = flush when idle)")
 		maxK       = flag.Int("max-k", 1000, "largest k a request may ask for")
-		shadowRate = flag.Float64("shadow-rate", 0.1, "fraction of queries mirrored to the shadow deployment")
+		shadowRate = flag.Float64("shadow-rate", 0.1, "fraction of queries mirrored to the shadow deployment (0 = none)")
 		maxBytes   = flag.Int64("max-index-bytes", 0, "index payload budget for loads (0 = 1 GiB default)")
 	)
 	flag.Parse()
 
+	checks := []struct {
+		bad bool
+		msg string
+	}{
+		{flag.NArg() > 0, fmt.Sprintf("unexpected argument %q", flag.Arg(0))},
+		{*shards < 1, "-shards must be at least 1"},
+		{*mihBlocks < 0, "-mih-blocks must not be negative"},
+		{*maxBatch < 1, "-max-batch must be at least 1"},
+		{*maxDelay < 0, "-max-delay must not be negative"},
+		{*maxK < 1, "-max-k must be at least 1"},
+		{!(*shadowRate >= 0 && *shadowRate <= 1), "-shadow-rate must be in [0, 1]"},
+		{*maxBytes < 0, "-max-index-bytes must not be negative"},
+	}
+	for _, c := range checks {
+		if c.bad {
+			fmt.Fprintln(os.Stderr, "error:", c.msg)
+			os.Exit(1)
+		}
+	}
 	if *indexPath == "" {
 		fmt.Fprintln(os.Stderr, "parmac-serve: -index is required")
 		flag.Usage()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -46,10 +47,15 @@ func TestFlagEdgeCases(t *testing.T) {
 		{"-n", "0", "-sim"}, {"-m", "0", "-sim"}, {"-e", "0", "-sim"},
 		{"-n", "0"}, {"-m", "0"}, {"-e", "-1"}, {"-bits", "-1"},
 		{"-twc", "0"}, {"-twr", "-1"}, {"-tzr", "-1"}, {"-pmax", "1"}, {"-steps", "1"},
+		{"extra", "-e", "0"},
 	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
 			out, code := run(t, bad...)
-			if code != 1 || !strings.HasPrefix(out, "error: "+bad[0]) ||
+			want := "error: " + bad[0]
+			if !strings.HasPrefix(bad[0], "-") {
+				want = fmt.Sprintf("error: unexpected argument %q", bad[0])
+			}
+			if code != 1 || !strings.HasPrefix(out, want) ||
 				strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
 				t.Fatalf("exit %d, want 1 and only an error naming %s:\n%s", code, bad[0], out)
 			}

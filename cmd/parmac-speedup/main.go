@@ -35,6 +35,7 @@ func main() {
 		bad bool
 		msg string
 	}{
+		{flag.NArg() > 0, fmt.Sprintf("unexpected argument %q", flag.Arg(0))},
 		{*n < 1, "-n must be at least 1"},
 		{*m < 1, "-m must be at least 1"},
 		{*bits < 0, "-bits must not be negative"},

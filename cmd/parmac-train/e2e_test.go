@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"os/exec"
 	"path/filepath"
@@ -183,10 +184,14 @@ func TestFlagEdgeCases(t *testing.T) {
 			t.Fatalf("exit %d, want 0 and a precision line:\n%s", code, out)
 		}
 	})
-	for _, bad := range [][]string{{"-p", "0"}, {"-bits", "0"}, {"-iters", "-1"}} {
+	for _, bad := range [][]string{{"-p", "0"}, {"-bits", "0"}, {"-iters", "-1"}, {"extra", "-p", "0"}} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
 			out, code := run(t, bad...)
-			if code != 1 || !strings.HasPrefix(out, "error: "+bad[0]) {
+			want := "error: " + bad[0]
+			if !strings.HasPrefix(bad[0], "-") {
+				want = fmt.Sprintf("error: unexpected argument %q", bad[0])
+			}
+			if code != 1 || !strings.HasPrefix(out, want) {
 				t.Fatalf("exit %d, want 1 and an error naming %s:\n%s", code, bad[0], out)
 			}
 		})

@@ -89,6 +89,8 @@ func parseFlags() *options {
 	flag.BoolVar(&o.spawn, "spawn", true, "tcp coordinator: auto-spawn the worker processes")
 	flag.Parse()
 	switch {
+	case flag.NArg() > 0:
+		fatalIf(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	case o.p < 1:
 		fatalIf(fmt.Errorf("-p must be at least 1, got %d", o.p))
 	case o.bits < 1:

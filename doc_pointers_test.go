@@ -13,6 +13,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 var (
@@ -94,71 +96,157 @@ var orphanAllowlist = map[string]string{
 	"cluster.WithInboxCapacity": "the in-process fabric's inbox bound, set by the backpressure conformance scenario",
 }
 
-// TestNoOrphanedFuncs fails on an exported top-level function (not method)
-// declared in non-test code under internal/ that no non-test code in the
-// module names, bench/ included: a function only its own tests call is dead
-// code or a second way to do one thing. Names are matched in the AST as
-// pkg.Name, where pkg is an imported package's name (the last element of its
-// path) or, for a bare identifier, the file's own package; a same-named
-// local or field of that package also counts as a use.
+// TestNoOrphanedFuncs fails on an exported function or method declared in
+// non-test code under internal/ that no non-test code uses, in this module or
+// in bench/: one that only its own tests call is dead code or a second way to
+// do one thing. Both modules are type-checked, and a use is an identifier
+// that resolves to the function, a selector's included. A method is exempt when its
+// receiver implements an interface with a method of that name: one declared
+// in either module or in a package they import, error, or the Unwrap method
+// errors.Is and errors.As look for.
 func TestNoOrphanedFuncs(t *testing.T) {
+	var pkgs []*analysis.Package
+	for _, dir := range []string{".", "bench"} {
+		loaded, err := analysis.Load(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+	// Each package is checked on its own and sees the others through export
+	// data, so functions are matched by full name and signatures by their
+	// path-qualified text, never by types.Object identity. Uses also holds
+	// the method or field each selector picks.
 	used := map[string]bool{}
-	var exported []string
-	walkGoSources(t, func(path string, f *ast.File) {
-		pkg := f.Name.Name
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			ipath := strings.Trim(imp.Path.Value, `"`)
-			name := ipath[strings.LastIndex(ipath, "/")+1:]
-			if imp.Name != nil {
-				imports[imp.Name.Name] = name
-			} else {
-				imports[name] = name
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if ok && !strings.HasSuffix(p.Fset.Position(id.Pos()).Filename, "_test.go") {
+				used[fn.FullName()] = true
 			}
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if fd.Recv == nil && fd.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				exported = append(exported, qualifiedName(pkg, fd))
-			}
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					used[imports[x.Name]+"."+n.Sel.Name] = true
-				} else {
-					ast.Inspect(n.X, visit) // a field or method name is not a function use
-				}
-				return false
-			case *ast.Ident:
-				if !declared[n] {
-					used[pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
-	})
-	for _, name := range exported {
-		if !used[name] && orphanAllowlist[name] == "" {
-			t.Errorf("%s is called only by tests, if at all: delete it, move it into a _test.go file, or allowlist it with a reason", name)
 		}
 	}
-	for name := range orphanAllowlist {
-		if used[name] {
-			t.Errorf("%s is allowlisted but has a non-test caller: drop it from orphanAllowlist", name)
+	ifaces := declaredInterfaces(pkgs)
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.ImportPath, "repro/internal/") {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.Info.Defs[fd.Name].(*types.Func)
+				name := shortName(fn)
+				if used[fn.FullName()] {
+					if orphanAllowlist[name] != "" {
+						t.Errorf("%s is allowlisted but has a non-test caller: drop it from orphanAllowlist", name)
+					}
+					continue
+				}
+				if orphanAllowlist[name] == "" && !satisfiesInterface(fn, ifaces) {
+					t.Errorf("%s is called only by tests, if at all: delete it, move it into a _test.go file, or allowlist it with a reason", name)
+				}
+			}
 		}
 	}
 	if len(orphanAllowlist) > 1 {
 		t.Errorf("orphanAllowlist has %d entries, at most 1 allowed: delete the functions or move them into _test.go files", len(orphanAllowlist))
 	}
+}
+
+// declaredInterfaces returns error, errors' Unwrap convention and every
+// named interface with methods that pkgs or the packages they import,
+// transitively, declare.
+func declaredInterfaces(pkgs []*analysis.Package) []*types.Interface {
+	errType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil,
+		nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", errType)), false))
+	ifaces := []*types.Interface{
+		errType.Underlying().(*types.Interface),
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
+	}
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.IsMethodSet() && iface.NumMethods() > 0 {
+				ifaces = append(ifaces, iface)
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.Pkg)
+	}
+	return ifaces
+}
+
+// satisfiesInterface reports whether fn is a method whose receiver has every
+// method, by name and signature, of one of ifaces that has a method of fn's
+// name.
+func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	// The pointer's method set holds methods of both receiver kinds.
+	methods := map[string]string{}
+	mset := types.NewMethodSet(types.NewPointer(typ))
+	for i := range mset.Len() {
+		m := mset.At(i).Obj()
+		methods[m.Name()] = signature(m)
+	}
+	for _, iface := range ifaces {
+		named, all := false, true
+		for i := range iface.NumMethods() {
+			m := iface.Method(i)
+			named = named || m.Name() == fn.Name()
+			all = all && methods[m.Name()] == signature(m)
+		}
+		if named && all {
+			return true
+		}
+	}
+	return false
+}
+
+// signature renders a method's parameter and result types with package-path
+// qualifiers, so the text is the same whichever check produced the types.
+func signature(m types.Object) string {
+	sig := m.Type().(*types.Signature)
+	text := fmt.Sprint(sig.Variadic())
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		text += "|"
+		for v := range tuple.Variables() {
+			text += types.TypeString(v.Type(), (*types.Package).Path) + ","
+		}
+	}
+	return text
+}
+
+// shortName renders fn as pkg.Func, (pkg.T).Method or (*pkg.T).Method.
+func shortName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return fmt.Sprintf("(%s).%s", types.TypeString(recv.Type(), (*types.Package).Name), fn.Name())
 }
 
 // qualifiedName renders fd as pkg.Func, (pkg.T).Method or (*pkg.T).Method.

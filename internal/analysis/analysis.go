@@ -32,7 +32,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: the invariant, and why it exists.
 	Doc string
 	// Run reports this analyzer's diagnostics for one package via
-	// Pass.Report.
+	// Pass.Reportf.
 	Run func(*Pass) error
 }
 
@@ -64,9 +64,6 @@ func (p *Pass) AllTyped() []*ast.File {
 	out = append(out, p.Files...)
 	return append(out, p.TestFiles...)
 }
-
-// Report records one diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf records a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

@@ -18,7 +18,6 @@ package binauto
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/retrieval"
@@ -44,9 +43,6 @@ func NewDecoder(l, d int) *Decoder {
 func (d *Decoder) Clone() *Decoder {
 	return &Decoder{W: d.W.Clone(), C: vec.Clone(d.C)}
 }
-
-// L returns the code length, D the output dimension.
-func (d *Decoder) L() int { return d.W.Rows }
 
 // D returns the output dimensionality.
 func (d *Decoder) D() int { return d.W.Cols }
@@ -104,17 +100,6 @@ func (m *Model) Clone() *Model {
 
 // EncodeBit returns h_l(x).
 func (m *Model) EncodeBit(l int, x []float64) bool { return m.Enc[l].Predict(x) }
-
-// EncodePoint writes h(x) into bits (allocated when nil).
-func (m *Model) EncodePoint(x []float64, bits []bool) []bool {
-	if bits == nil {
-		bits = make([]bool, m.L())
-	}
-	for l := range m.Enc {
-		bits[l] = m.Enc[l].Predict(x)
-	}
-	return bits
-}
 
 // EncodePointWord returns h(x) packed into one uint64, bit l = h_l(x).
 // Valid for L <= 64, the packed-word regime every training path enforces.
@@ -243,15 +228,4 @@ func (c CodesPoints) Point(i int, dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// InitEncoderRandom gives the encoder small random weights; useful for tests
-// and as a fallback before the first W step.
-func (m *Model) InitEncoderRandom(rng *rand.Rand, sigma float64) {
-	for _, e := range m.Enc {
-		for j := range e.W {
-			e.W[j] = rng.NormFloat64() * sigma
-		}
-		e.B = rng.NormFloat64() * sigma
-	}
 }

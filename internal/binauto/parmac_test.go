@@ -113,9 +113,14 @@ func TestIterationStartRearmsSyncedSubmodels(t *testing.T) {
 	prob, _ := buildProblem(120, 6, 4, 2, 4)
 	eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 4})
 	defer eng.Shutdown()
+	built := prob.Submodels()
 	eng.Iterate()
+	synced := prob.Submodels()
 	prob.OnIterationStart(1)
-	for i, sm := range eng.Model() {
+	for i, sm := range synced {
+		if sm == built[i] {
+			t.Fatalf("submodel %d: the problem still holds the object it was built with", i)
+		}
 		var tuned bool
 		switch s := sm.(type) {
 		case *encoderSub:
@@ -152,7 +157,7 @@ func TestParMACDeterministicNoShuffle(t *testing.T) {
 		eng.Run(3)
 		return prob.GatherCodes()
 	}
-	if !run().Equal(run()) {
+	if !equalCodes(run(), run()) {
 		t.Fatal("ParMAC with fixed seed and no shuffle must be deterministic")
 	}
 }
@@ -165,7 +170,7 @@ func TestParMACSingleMachineDeterministicWithShuffle(t *testing.T) {
 		eng.Run(2)
 		return prob.GatherCodes()
 	}
-	if !run().Equal(run()) {
+	if !equalCodes(run(), run()) {
 		t.Fatal("P=1 shuffled runs with one seed must be identical")
 	}
 }
@@ -247,13 +252,6 @@ func TestParMACWithFaultInjection(t *testing.T) {
 	}
 	if res[3].AliveMachines != 3 {
 		t.Fatalf("alive = %d", res[3].AliveMachines)
-	}
-	// The problem hands out the engine's model, recovered submodel included.
-	subs := prob.Submodels()
-	for i, sm := range eng.Model() {
-		if subs[i] != sm {
-			t.Fatalf("problem's submodel %d is not the engine's after recovery", i)
-		}
 	}
 }
 

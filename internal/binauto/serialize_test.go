@@ -35,7 +35,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The loaded model must produce identical codes and reconstructions.
 	a, b := m.Encode(ds, 1), back.Encode(ds, 1)
-	if !a.Equal(b) {
+	if !equalCodes(a, b) {
 		t.Fatal("codes differ after round trip")
 	}
 	if m.EBA(ds) != back.EBA(ds) {

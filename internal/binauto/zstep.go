@@ -242,7 +242,7 @@ type ZSolver struct {
 	rhs     []float64
 	zRel    []float64
 	xmc     []float64
-	lastObj float64
+	lastObj float64 // objective of the last Solve's code, via the Gram identities
 }
 
 // Solve optimises code i of z for input x in place. It returns true when the
@@ -270,12 +270,6 @@ func (s *ZSolver) encodeWord(x []float64) uint64 {
 	}
 	return w
 }
-
-// LastObjective returns the objective value of the code chosen by the most
-// recent Solve, as computed through the Gram identities rather than from the
-// reconstruction — the quantity the property tests check against
-// PointObjective.
-func (s *ZSolver) LastObjective() float64 { return s.lastObj }
 
 // begin loads the point into scratch: xmc = x − c, t = W·(x−c) (the only
 // O(L·D) work of a solve), and returns ‖x−c‖², the error at z = 0.

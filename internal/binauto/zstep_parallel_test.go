@@ -26,7 +26,7 @@ func TestRunZStepParallelBitIdentical(t *testing.T) {
 			m := randomModel(16, tc.l, 42)
 			ds := dataset.GISTLike(500, 16, 4, 43)
 			init := m.Encode(ds, 1)
-			want := init.Clone()
+			want := cloneCodes(init)
 			s := NewZKernel(m, 0.5, tc.method).NewSolver()
 			wantChanged := 0
 			for i := 0; i < ds.N; i++ {
@@ -35,11 +35,11 @@ func TestRunZStepParallelBitIdentical(t *testing.T) {
 				}
 			}
 			for _, workers := range sweepWorkers {
-				got := init.Clone()
+				got := cloneCodes(init)
 				if changed := NewZKernel(m, 0.5, tc.method).Run(ds, got, workers); changed != wantChanged {
 					t.Fatalf("workers=%d: changed %d, serial %d", workers, changed, wantChanged)
 				}
-				if !got.Equal(want) {
+				if !equalCodes(got, want) {
 					t.Fatalf("workers=%d: codes differ from the serial loop", workers)
 				}
 			}
@@ -60,7 +60,7 @@ func TestZKernelSharedAcrossSolvers(t *testing.T) {
 		k.NewSolver().Solve(x, zShared, i)
 		NewZKernel(m, 0.25, ZAlternate).NewSolver().Solve(x, zFresh, i)
 	}
-	if !zShared.Equal(zFresh) {
+	if !equalCodes(zShared, zFresh) {
 		t.Fatal("solvers over a shared kernel disagree with per-call construction")
 	}
 }
@@ -84,7 +84,7 @@ func TestZKernelSnapshotsModel(t *testing.T) {
 	for i := 0; i < ds.N; i++ {
 		k.NewSolver().Solve(ds.Point(i, nil), zAfter, i)
 	}
-	if !zAfter.Equal(zBefore) {
+	if !equalCodes(zAfter, zBefore) {
 		t.Fatal("kernel answers changed after mutating the source model")
 	}
 }
@@ -110,9 +110,9 @@ func TestGramObjectiveMatchesPointObjective(t *testing.T) {
 			x := ds.Point(i, nil)
 			s.Solve(x, z, i)
 			want := PointObjective(m, x, z, i, mu)
-			if diff := math.Abs(s.LastObjective() - want); diff > 1e-9*(1+math.Abs(want)) {
+			if diff := math.Abs(s.lastObj - want); diff > 1e-9*(1+math.Abs(want)) {
 				t.Fatalf("trial %d (L=%d D=%d mu=%g method=%d) point %d: incremental objective %v vs direct %v (|Δ|=%g)",
-					trial, l, d, mu, method, i, s.LastObjective(), want, diff)
+					trial, l, d, mu, method, i, s.lastObj, want, diff)
 			}
 		}
 	}
@@ -141,7 +141,7 @@ func TestParMACParallelMatchesSerial(t *testing.T) {
 	}
 	serial := run(build(0))
 	parallel := run(build(4))
-	if !serial.Equal(parallel) {
+	if !equalCodes(serial, parallel) {
 		t.Fatal("ParMAC Z step with Parallel=4 diverged from serial")
 	}
 }

@@ -126,9 +126,9 @@ func TestZEnumerateTieOrderMatchesGrayWalk(t *testing.T) {
 				}
 				s.Solve(x, z, 0)
 				wantCode, wantObj := grayWalkZ(ref, x)
-				if z.Word64(0) != wantCode || s.LastObjective() != wantObj {
+				if z.Word64(0) != wantCode || s.lastObj != wantObj {
 					t.Fatalf("L=%d mu=%g point %d: table walk %#x (obj %v), Gray walk %#x (obj %v)",
-						l, mu, p, z.Word64(0), s.LastObjective(), wantCode, wantObj)
+						l, mu, p, z.Word64(0), s.lastObj, wantCode, wantObj)
 				}
 				if l <= 8 && countMinimisers(m, x, mu) > 1 {
 					tiedMinima++

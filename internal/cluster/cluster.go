@@ -144,26 +144,6 @@ func (c *Comm) nextBlocking() Message {
 	return m
 }
 
-// TryRecv returns a matching message if one is immediately available.
-func (c *Comm) TryRecv(tag int) (Message, bool) {
-	if m, ok := c.takePending(AnySource, tag); ok {
-		return m, true
-	}
-	for {
-		m, ok := c.ep.TryNext()
-		if !ok {
-			return Message{}, false
-		}
-		if c.notePeerDown(m) {
-			continue
-		}
-		if matches(m, AnySource, tag) {
-			return m, true
-		}
-		c.pending = append(c.pending, m)
-	}
-}
-
 func (c *Comm) takePending(from, tag int) (Message, bool) {
 	for i, m := range c.pending {
 		if matches(m, from, tag) {

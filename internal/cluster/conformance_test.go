@@ -4,7 +4,8 @@
 // backend. The scenarios pin down the delivery contract the ParMAC engine
 // relies on: per-sender FIFO, tag filtering with AnySource/AnyTag wildcards,
 // byte accounting, full ring circulation, bounded-inbox backpressure,
-// deadline-bounded receives, and peer-down events after a rank is killed.
+// deadline-bounded receives, and peer-down events, received or polled, after
+// a rank is killed.
 package cluster_test
 
 import (
@@ -32,13 +33,13 @@ var scenarios = []scenario{
 	{"TagFiltering", 2, nil, scenarioTagFiltering},
 	{"AnySourceAnyTag", 3, nil, scenarioAnySourceAnyTag},
 	{"RecvFromBuffers", 3, nil, scenarioRecvFromBuffers},
-	{"TryRecv", 2, nil, scenarioTryRecv},
 	{"ByteAccounting", 3, nil, scenarioByteAccounting},
 	{"RingCirculation", 5, nil, scenarioRingCirculation},
 	{"SlowRankBackpressure", 4, []cluster.Option{cluster.WithInboxCapacity(2)}, scenarioSlowRank},
 	{"RecvEventTimeout", 2, nil, scenarioRecvEventTimeout},
 	{"KillPeerDownFIFO", 3, nil, scenarioKillPeerDownFIFO},
 	{"SendToDeadRankDrops", 3, nil, scenarioSendToDeadRankDrops},
+	{"PollDown", 3, nil, scenarioPollDown},
 }
 
 func TestConformance(t *testing.T) {
@@ -173,26 +174,6 @@ func scenarioRecvFromBuffers(t *testing.T, fab cluster.Fabric) {
 			}
 			if m := c.RecvFrom(0, 1); m.Payload.(string) != "from0" {
 				t.Error("buffered message from rank 0 lost")
-			}
-		}
-	})
-}
-
-func scenarioTryRecv(t *testing.T, fab cluster.Fabric) {
-	eachRank(fab, func(c *cluster.Comm) {
-		switch c.Rank() {
-		case 0:
-			if _, ok := c.TryRecv(cluster.AnyTag); ok {
-				t.Error("TryRecv on empty inbox should fail")
-			}
-			c.Send(1, 3, 42, 8)
-			// Handshake so rank 1 polls only after delivery is certain.
-			c.Send(1, 4, nil, 0)
-		case 1:
-			c.Recv(4)
-			m, ok := c.TryRecv(3)
-			if !ok || m.Payload.(int) != 42 {
-				t.Error("TryRecv should find the delivered message")
 			}
 		}
 	})
@@ -362,5 +343,45 @@ func scenarioSendToDeadRankDrops(t *testing.T, fab cluster.Fabric) {
 			t.Fatalf("dropped frame never counted (dropped = %d)", fab.Stats().Dropped)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// scenarioPollDown: PollDown never blocks, keeps an application message that
+// arrived ahead of a death for the next receive, and reports each death
+// exactly once across PollDown and RecvEvent.
+func scenarioPollDown(t *testing.T, fab cluster.Fabric) {
+	killer, ok := fab.(cluster.Killer)
+	if !ok {
+		t.Skipf("transport %T does not support Kill", fab)
+	}
+	c := fab.Comm(2)
+	if got := c.PollDown(); got != nil {
+		t.Fatalf("PollDown on an empty inbox = %v, want nil", got)
+	}
+	fab.Comm(0).Send(2, 7, "final-forward", 0)
+	killer.Kill(0)
+	killer.Kill(1)
+	reported := map[int]int{}
+	for deadline := time.Now().Add(10 * time.Second); len(reported) < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("deaths reported %v, want ranks 0 and 1", reported)
+		}
+		for _, r := range c.PollDown() {
+			reported[r]++
+		}
+	}
+	for _, r := range c.PollDown() {
+		reported[r]++
+	}
+	if len(reported) != 2 || reported[0] != 1 || reported[1] != 1 {
+		t.Fatalf("deaths reported %v, want ranks 0 and 1 once each", reported)
+	}
+	// Rank 0's message reached rank 2 before its death did.
+	m, err := c.RecvEvent(cluster.AnySource, cluster.AnyTag, 10*time.Second)
+	if err != nil || m.Payload != "final-forward" {
+		t.Fatalf("receive after PollDown = %v %v, want the queued message", m, err)
+	}
+	if _, err := c.RecvEvent(cluster.AnySource, cluster.AnyTag, 50*time.Millisecond); !errors.Is(err, cluster.ErrRecvTimeout) {
+		t.Fatalf("next receive = %v, want ErrRecvTimeout, not a replayed death", err)
 	}
 }

@@ -87,10 +87,6 @@ func (c *Comm) PollDown() []int {
 	return out
 }
 
-// Abort severs this rank's attachment without the goodbye of Close: peers
-// observe an unannounced death. Used by failure injection; idempotent.
-func (c *Comm) Abort() { c.ep.Abort() }
-
 // RecvEvent is the failure-aware receive. It waits up to timeout (forever if
 // timeout <= 0) for a message matching (from, tag) and returns one of:
 //

@@ -96,16 +96,13 @@ func TestPollDownDrainsPendingDeaths(t *testing.T) {
 func TestDeliverToKilledRankDropsAndCounts(t *testing.T) {
 	n := NewNetwork(2)
 	n.Kill(1)
-	before := n.Dropped()
+	before := n.Stats().Dropped
 	// Must neither panic nor block, even repeated.
 	for i := 0; i < 3; i++ {
 		n.Comm(0).Send(1, 5, i, 0)
 	}
-	if got := n.Dropped() - before; got != 3 {
+	if got := n.Stats().Dropped - before; got != 3 {
 		t.Fatalf("dropped = %d, want 3", got)
-	}
-	if n.Stats().Dropped != n.Dropped() {
-		t.Fatal("Stats().Dropped disagrees with Dropped()")
 	}
 }
 
@@ -124,7 +121,7 @@ func TestKilledRankNextReturnsLinkError(t *testing.T) {
 
 func TestAbortIsKill(t *testing.T) {
 	n := NewNetwork(2)
-	n.Comm(1).Abort()
+	n.Comm(1).ep.Abort()
 	var pd *PeerDownError
 	if _, err := n.Comm(0).RecvEvent(AnySource, AnyTag, time.Second); !errors.As(err, &pd) || pd.Rank != 1 {
 		t.Fatalf("after Abort: %v, want PeerDown(1)", err)
@@ -147,7 +144,7 @@ func TestKillDuringBlockedDeliverUnblocksSender(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("sender stayed blocked on a dead rank's full inbox")
 	}
-	if n.Dropped() == 0 {
+	if n.Stats().Dropped == 0 {
 		t.Fatal("the unblocked send was not counted as dropped")
 	}
 }

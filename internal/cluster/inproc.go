@@ -83,13 +83,6 @@ func (n *Network) Stats() Stats {
 	return out
 }
 
-// SentBy returns how many messages the given rank has sent.
-func (n *Network) SentBy(rank int) int64 { return n.comms[rank].Stats().Messages }
-
-// Dropped returns how many messages were discarded because their destination
-// rank had been killed.
-func (n *Network) Dropped() int64 { return n.dropped.Load() }
-
 // Kill severs rank's attachment unannounced (Killer): its receives fail with
 // a LinkError, deliveries to it are dropped and counted, and every other
 // live rank gets a PeerDownMessage in its inbox. Idempotent.

@@ -343,12 +343,6 @@ func (e *Engine) attach(rank, shard int) {
 // reported in the distributed shape. NewOn wires its fabric's.
 func (e *Engine) SetStatsSource(fn func() cluster.Stats) { e.statsFn = fn }
 
-// M returns the number of submodels.
-func (e *Engine) M() int { return len(e.submodels) }
-
-// Model returns the authoritative submodels (valid between iterations).
-func (e *Engine) Model() []Submodel { return e.submodels }
-
 // AliveRanks lists the machines currently in the ring.
 func (e *Engine) AliveRanks() []int {
 	var out []int

@@ -279,7 +279,7 @@ func TestIterateKeepsPreIterationModel(t *testing.T) {
 	e := New(p, Config{P: 2, Epochs: 1, Seed: 10})
 	defer e.Shutdown()
 	e.Iterate()
-	before := slices.Clone(e.Model())
+	before := slices.Clone(e.submodels)
 	snap := make([]Submodel, len(before))
 	for i, sm := range before {
 		snap[i] = sm.Clone()
@@ -291,9 +291,12 @@ func TestIterateKeepsPreIterationModel(t *testing.T) {
 			t.Errorf("submodel %d: pre-iteration copy trained in place: count %d → %d, visits %v → %v",
 				i, want.count, old.count, want.visits, old.visits)
 		}
-		now := e.Model()[i]
+		now := e.submodels[i]
 		if now == sm {
 			t.Errorf("submodel %d: the new model is the pre-iteration object", i)
+		}
+		if p.Submodels()[i] != now {
+			t.Errorf("submodel %d: the problem does not hand out the engine's new model", i)
 		}
 		if got := now.(*toySub).count; got != want.count+2*3 {
 			t.Errorf("submodel %d: count %d after the iteration, want %d", i, got, want.count+2*3)

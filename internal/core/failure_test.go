@@ -402,9 +402,9 @@ func TestStragglerDeclaredDeadDoesNotCrashNextIteration(t *testing.T) {
 	if r0.AliveMachines != 2 || !hasEvent(r0.Failures, func(ev FailureEvent) bool { return ev.Rank == 2 && ev.LostToken == -1 }) {
 		t.Fatalf("iteration 0: the straggler was not declared dead: %+v", r0)
 	}
-	sent := net.SentBy(2)
+	sent := net.Comm(2).Stats().Messages
 	release()
-	for deadline := time.Now().Add(10 * time.Second); net.SentBy(2) == sent; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); net.Comm(2).Stats().Messages == sent; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the released straggler never sent its ZDone")
 		}

@@ -60,22 +60,3 @@ func LoadCSV(r io.Reader) (*Dataset, error) {
 	}
 	return FromMatrix(m), nil
 }
-
-// WriteCSV writes the dataset as CSV (one point per row), the inverse of
-// LoadCSV.
-func (ds *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rec := make([]string, ds.D)
-	buf := make([]float64, ds.D)
-	for i := 0; i < ds.N; i++ {
-		x := ds.Point(i, buf)
-		for j, v := range x {
-			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

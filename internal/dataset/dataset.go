@@ -53,9 +53,6 @@ func FromBytes(n, d int, b []uint8, lo, hi float64) *Dataset {
 	return &Dataset{N: n, D: d, bytes: b, deq: deq}
 }
 
-// ByteBacked reports whether features are stored quantised.
-func (ds *Dataset) ByteBacked() bool { return ds.deq != nil }
-
 // Dequant returns the table a byte-backed dataset dequantises through —
 // feature j of point i is Dequant()[ByteRow(i)[j]] — or nil when the dataset
 // is float-backed. It is the one storage test a caller reading rows in place
@@ -154,15 +151,6 @@ func (ds *Dataset) Subset(idx []int) *Dataset {
 		ds.Point(i, m.Row(k))
 	}
 	return FromMatrix(m)
-}
-
-// MemoryBytes reports the approximate storage footprint of the features,
-// used to reproduce the paper's byte-vs-float accounting (§8.4).
-func (ds *Dataset) MemoryBytes() int {
-	if ds.deq != nil {
-		return len(ds.bytes)
-	}
-	return 8 * len(ds.x.Data)
 }
 
 // ClusterConfig parameterises the synthetic Gaussian-mixture generator.

@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,14 +41,14 @@ func TestClustersShapeAndDeterminism(t *testing.T) {
 func TestQuantizeRoundTrip(t *testing.T) {
 	ds, _ := Clusters(ClusterConfig{N: 50, D: 6, Clusters: 3, Seed: 1})
 	q := ds.Quantize()
-	if !q.ByteBacked() {
+	if q.Dequant() == nil {
 		t.Fatal("Quantize must produce byte-backed dataset")
 	}
-	if q.MemoryBytes() != 50*6 {
-		t.Fatalf("byte footprint = %d", q.MemoryBytes())
+	if len(q.bytes) != 50*6 || q.x != nil {
+		t.Fatalf("byte footprint = %d", len(q.bytes))
 	}
-	if ds.MemoryBytes() != 50*6*8 {
-		t.Fatalf("float footprint = %d", ds.MemoryBytes())
+	if 8*len(ds.x.Data) != 50*6*8 || ds.bytes != nil {
+		t.Fatalf("float footprint = %d", 8*len(ds.x.Data))
 	}
 	// Quantisation error bounded by half a step of the range.
 	m := ds.Matrix()
@@ -214,12 +217,31 @@ func TestShuffledShardIndicesCoverAll(t *testing.T) {
 
 func TestSIFTLikeIsByteBacked(t *testing.T) {
 	ds := SIFTLike(64, 16, 4, 11)
-	if !ds.ByteBacked() {
+	if ds.Dequant() == nil {
 		t.Fatal("SIFTLike must be byte-backed")
 	}
 	if ds.N != 64 || ds.D != 16 {
 		t.Fatal("shape wrong")
 	}
+}
+
+// WriteCSV writes the dataset as CSV (one point per row), the inverse of
+// LoadCSV.
+func (ds *Dataset) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	rec := make([]string, ds.D)
+	buf := make([]float64, ds.D)
+	for i := 0; i < ds.N; i++ {
+		x := ds.Point(i, buf)
+		for j, v := range x {
+			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 func TestCSVRoundTrip(t *testing.T) {

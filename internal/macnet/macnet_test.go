@@ -281,12 +281,6 @@ func TestParMACNetProblem(t *testing.T) {
 	eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 15})
 	defer eng.Shutdown()
 	eng.Run(8)
-	subs := prob.Submodels()
-	for i, sm := range eng.Model() {
-		if subs[i] != sm {
-			t.Fatalf("problem's submodel %d is not the engine's after Run", i)
-		}
-	}
 	_, nestedAfter := prob.PenaltyAndNested()
 	t.Logf("ParMAC nested error %v -> %v", nestedBefore, nestedAfter)
 	if nestedAfter >= nestedBefore {

@@ -164,23 +164,6 @@ func (h *ITQ) Encode(pts sgd.Points) *retrieval.Codes {
 	return codes
 }
 
-// QuantisationError returns the mean ITQ objective ‖sign(VR) − VR‖²/N on the
-// sample, the quantity ITQ's alternation decreases.
-func (h *ITQ) QuantisationError(pts sgd.Points) float64 {
-	v := h.P.ProjectAll(pts)
-	vr := vec.Mul(v, h.R)
-	var e float64
-	for _, val := range vr.Data {
-		s := 1.0
-		if val < 0 {
-			s = -1
-		}
-		d := s - val
-		e += d * d
-	}
-	return e / float64(v.Rows)
-}
-
 // InitialCodes produces the BA's code initialisation: truncated PCA fitted on
 // a subsample of at most maxSample points, applied to the full set (§8.1).
 func InitialCodes(ds *dataset.Dataset, l, maxSample int, seed int64) (*retrieval.Codes, *TPCA) {

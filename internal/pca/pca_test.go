@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/retrieval"
+	"repro/internal/sgd"
 	"repro/internal/vec"
 )
 
@@ -98,6 +99,23 @@ func TestITQRotationOrthogonal(t *testing.T) {
 			t.Fatalf("ITQ rotation not orthogonal: RᵀR entry %d = %v", i, v)
 		}
 	}
+}
+
+// QuantisationError returns the mean ITQ objective ‖sign(VR) − VR‖²/N on the
+// sample, the quantity ITQ's alternation decreases.
+func (h *ITQ) QuantisationError(pts sgd.Points) float64 {
+	v := h.P.ProjectAll(pts)
+	vr := vec.Mul(v, h.R)
+	var e float64
+	for _, val := range vr.Data {
+		s := 1.0
+		if val < 0 {
+			s = -1
+		}
+		d := s - val
+		e += d * d
+	}
+	return e / float64(v.Rows)
 }
 
 func TestITQImprovesQuantisationErrorOverIdentity(t *testing.T) {

@@ -65,31 +65,6 @@ func (c *Codes) CopyCode(i int, src *Codes, j int) {
 	copy(c.Code(i), src.Code(j))
 }
 
-// Clone returns a deep copy.
-func (c *Codes) Clone() *Codes {
-	out := NewCodes(c.N, c.L)
-	copy(out.Data, c.Data)
-	return out
-}
-
-// Equal reports whether two code sets are identical.
-func (c *Codes) Equal(o *Codes) bool {
-	if c.N != o.N || c.L != o.L {
-		return false
-	}
-	for i, w := range c.Data {
-		if w != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Hamming returns the Hamming distance between code i of c and code j of o.
-func (c *Codes) Hamming(i int, o *Codes, j int) int {
-	return HammingWords(c.Code(i), o.Code(j))
-}
-
 // HammingWords returns the Hamming distance between two packed codes.
 func HammingWords(a, b []uint64) int {
 	checkWidth(len(a), len(b))

@@ -26,7 +26,7 @@ func TestCodesSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Equal(back) {
+	if !equalCodes(c, back) {
 		t.Fatal("codes differ after round trip")
 	}
 }
@@ -144,7 +144,7 @@ func TestLoadCodesLimitCustomBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("512-byte budget should fit exactly: %v", err)
 	}
-	if !c.Equal(back) {
+	if !equalCodes(c, back) {
 		t.Fatal("codes differ after round trip")
 	}
 	// maxBytes <= 0 falls back to the default budget.
@@ -206,7 +206,7 @@ func TestLoadCodesMultiChunkPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Equal(back) {
+	if !equalCodes(c, back) {
 		t.Fatal("codes differ after multi-chunk round trip")
 	}
 }

@@ -116,12 +116,6 @@ func (ix *MIHIndex) L() int { return ix.codes.L }
 // Words reports the packed words per code.
 func (ix *MIHIndex) Words() int { return ix.codes.Words }
 
-// Blocks reports the number of substring tables.
-func (ix *MIHIndex) Blocks() int { return len(ix.blocks) }
-
-// Codes returns the indexed code set (shared, do not mutate).
-func (ix *MIHIndex) Codes() *Codes { return ix.codes }
-
 // substrBits extracts bits [off, off+width) of a packed code as a value.
 // width ≤ MaxMIHBlockBits ≤ 64−0, so a substring spans at most two words.
 func substrBits(code []uint64, off, width int) uint64 {

@@ -290,7 +290,7 @@ type Options struct {
 	// DefaultK is used when a request omits k. Default 10.
 	DefaultK int
 	// ShadowRate is the fraction of live queries mirrored to the shadow
-	// deployment, if one is set. Default 0.1; clamped to [0, 1].
+	// deployment, if one is set. Zero mirrors nothing; clamped to [0, 1].
 	ShadowRate float64
 	// ShadowSeed seeds the sampling of mirrored queries (deterministic for
 	// tests). 0 means 1.
@@ -320,9 +320,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DefaultK <= 0 {
 		o.DefaultK = 10
-	}
-	if o.ShadowRate == 0 {
-		o.ShadowRate = 0.1
 	}
 	o.ShadowRate = min(max(o.ShadowRate, 0), 1)
 	if o.ShadowSeed == 0 {
@@ -453,9 +450,6 @@ func (s *Server) WaitShadow() { s.shadowWG.Wait() }
 
 // Live returns the current live deployment.
 func (s *Server) Live() *Deployment { return s.live.Load() }
-
-// Shadow returns the current shadow deployment (nil when unset).
-func (s *Server) Shadow() *Deployment { return s.shadow.Load() }
 
 // Swap atomically replaces the live deployment and returns the previous one.
 // In-flight batches finish on the snapshot they loaded, so no request is

@@ -22,7 +22,12 @@ import (
 func testModel(d, l int, seed int64) *binauto.Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := binauto.NewModel(d, l, 1e-4)
-	m.InitEncoderRandom(rng, 1)
+	for _, e := range m.Enc {
+		for j := range e.W {
+			e.W[j] = rng.NormFloat64()
+		}
+		e.B = rng.NormFloat64()
+	}
 	return m
 }
 
@@ -373,8 +378,8 @@ func TestShadowAgreementAndPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if promoted.Version != "cand" || version(s.Live()) != "cand" || s.Shadow() != nil {
-		t.Fatalf("promote: live=%q shadow=%v", version(s.Live()), s.Shadow())
+	if promoted.Version != "cand" || version(s.Live()) != "cand" || s.shadow.Load() != nil {
+		t.Fatalf("promote: live=%q shadow=%v", version(s.Live()), s.shadow.Load())
 	}
 	if _, err := s.PromoteShadow(); err == nil {
 		t.Fatal("second promote should fail: no shadow")

@@ -46,11 +46,6 @@ func (s *Schedule) Next() float64 {
 	return eta
 }
 
-// Peek returns the current learning rate without advancing.
-func (s *Schedule) Peek() float64 {
-	return s.Eta0 / (1 + s.Lambda*s.Eta0*s.t)
-}
-
 // Steps reports how many steps have been taken.
 func (s *Schedule) Steps() float64 { return s.t }
 

@@ -31,17 +31,16 @@ func TestScheduleDecreasesAndRobbinsMonro(t *testing.T) {
 
 func TestSchedulePeekAndSetSteps(t *testing.T) {
 	s := NewSchedule(1, 1)
-	if s.Peek() != 1 {
+	if s.Next() != 1 {
 		t.Fatal("initial rate should be eta0")
 	}
-	s.Next()
 	if s.Steps() != 1 {
 		t.Fatal("step count wrong")
 	}
 	s.SetSteps(9)
 	want := 1.0 / (1 + 9)
-	if s.Peek() != want {
-		t.Fatalf("after SetSteps Peek=%v want %v", s.Peek(), want)
+	if got := s.Next(); got != want {
+		t.Fatalf("after SetSteps Next=%v want %v", got, want)
 	}
 }
 

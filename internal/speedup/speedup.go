@@ -83,39 +83,10 @@ func (p Params) GlobalMax() (pStar, sStar float64) {
 	return p.PStarK(1), p.SStarK(1)
 }
 
-// LargeDataset returns the P ≪ ρ2·N approximation of eq. (20):
-// S(P) ≈ P when M is divisible by P, and the weighted harmonic mean
-// ρ/(ρ1/P + ρ2/M) when M > P.
-func (p Params) LargeDataset(P int) float64 {
-	m := float64(p.M)
-	pf := float64(P)
-	if P <= p.M && p.M%P == 0 {
-		return pf
-	}
-	return p.Rho() / (p.Rho1()/pf + p.Rho2()/m)
-}
-
-// DivisibleSpeedup is eq. (14): S(P) = P/(1 + P/(ρN)), valid when M is
-// divisible by P.
-func (p Params) DivisibleSpeedup(P int) float64 {
-	pf := float64(P)
-	return pf / (1 + pf/(p.Rho()*float64(p.N)))
-}
-
 // PerfectSpeedupBound is the condition of eq. (15): S ≈ P requires P ≪ ρN.
 // It returns ρN, the machine-count scale beyond which the speedup departs
 // from perfect.
 func (p Params) PerfectSpeedupBound() float64 { return p.Rho() * float64(p.N) }
-
-// Intervals returns the continuity breakpoints M/k (k = M..1) of S(P) from
-// appendix A: S is continuous on [M/k, M/(k−1)).
-func (p Params) Intervals() []float64 {
-	out := make([]float64, 0, p.M)
-	for k := p.M; k >= 1; k-- {
-		out = append(out, float64(p.M)/float64(k))
-	}
-	return out
-}
 
 // EffectiveSubmodels implements the §5.4 grouping rule for the BA: L encoder
 // submodels of input dimension d, and d decoders of input dimension L,

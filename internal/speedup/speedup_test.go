@@ -31,6 +31,13 @@ func TestSpeedupAtOneIsOne(t *testing.T) {
 	}
 }
 
+// DivisibleSpeedup is eq. (14): S(P) = P/(1 + P/(ρN)), valid when M is
+// divisible by P.
+func (p Params) DivisibleSpeedup(P int) float64 {
+	pf := float64(P)
+	return pf / (1 + pf/(p.Rho()*float64(p.N)))
+}
+
 func TestDivisibleCaseMatchesClosedForm(t *testing.T) {
 	p := fig4Params()
 	for _, P := range []int{2, 4, 8, 16, 32, 64, 128, 256, 512} {
@@ -131,6 +138,18 @@ func TestSpeedupDecaysForHugeP(t *testing.T) {
 	}
 }
 
+// LargeDataset returns the P ≪ ρ2·N approximation of eq. (20):
+// S(P) ≈ P when M is divisible by P, and the weighted harmonic mean
+// ρ/(ρ1/P + ρ2/M) when M > P.
+func (p Params) LargeDataset(P int) float64 {
+	m := float64(p.M)
+	pf := float64(P)
+	if P <= p.M && p.M%P == 0 {
+		return pf
+	}
+	return p.Rho() / (p.Rho1()/pf + p.Rho2()/m)
+}
+
 func TestLargeDatasetApproximation(t *testing.T) {
 	p := Params{N: 1e8, M: 128, E: 1, TWr: 1, TZr: 40, TWc: 1e4}
 	// Divisible P: approximation P, exact close to it.
@@ -148,6 +167,16 @@ func TestLargeDatasetApproximation(t *testing.T) {
 	if s < float64(p.M) || s > 512 {
 		t.Fatalf("harmonic-mean speedup %v outside [M, P]", s)
 	}
+}
+
+// Intervals returns the continuity breakpoints M/k (k = M..1) of S(P) from
+// appendix A: S is continuous on [M/k, M/(k−1)).
+func (p Params) Intervals() []float64 {
+	out := make([]float64, 0, p.M)
+	for k := p.M; k >= 1; k-- {
+		out = append(out, float64(p.M)/float64(k))
+	}
+	return out
 }
 
 func TestIntervalsStructure(t *testing.T) {

@@ -192,7 +192,7 @@ func TestKernelTransformQuantised(t *testing.T) {
 	ds := dataset.GISTLike(60, 5, 3, 8)
 	k := NewKernelMap(ds, 8, 9)
 	q := k.Transform(ds, true)
-	if !q.ByteBacked() {
+	if q.Dequant() == nil {
 		t.Fatal("quantised transform must be byte-backed")
 	}
 	if q.N != 60 || q.D != 8 {

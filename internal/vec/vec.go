@@ -153,13 +153,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // MulVec computes dst = M·x. dst is allocated when nil; it must not alias x.
 // Rows are processed in pairs sharing the loads of x, with each row summed in
 // exactly Dot's order, so dst[i] is bitwise-identical to Dot(m.Row(i), x).
