@@ -136,19 +136,6 @@ func TestEQPenaltyCountsHamming(t *testing.T) {
 	}
 }
 
-func TestCodesPointsView(t *testing.T) {
-	z := retrieval.NewCodes(2, 3)
-	z.SetBit(1, 2, true)
-	cp := CodesPoints{z}
-	if cp.NumPoints() != 2 {
-		t.Fatal("NumPoints wrong")
-	}
-	v := cp.Point(1, nil)
-	if v[0] != 0 || v[1] != 0 || v[2] != 1 {
-		t.Fatalf("Point = %v", v)
-	}
-}
-
 // TestZEnumerateMatchesBruteForce: over code lengths that exercise the
 // half-table split (odd L, and no low half at L=1) and penalties from none to
 // dominant, the enumerated code's direct objective is within 1e-9·(1+|obj|)

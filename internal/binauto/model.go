@@ -202,30 +202,3 @@ func (m *Model) EQ(pts sgd.Points, z *retrieval.Codes, mu float64) float64 {
 	}
 	return total
 }
-
-// CodesPoints adapts packed codes to the sgd.Points interface with 0/1 float
-// features, which is how the decoder submodels consume the auxiliary
-// coordinates during the W step.
-type CodesPoints struct{ Z *retrieval.Codes }
-
-// NumPoints returns the number of codes.
-func (c CodesPoints) NumPoints() int { return c.Z.N }
-
-// Point writes code i as a 0/1 float vector into dst: clear, then set only
-// the positions of the set bits read word by word.
-func (c CodesPoints) Point(i int, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, c.Z.L)
-	}
-	for l := 0; l < c.Z.L; l++ {
-		dst[l] = 0
-	}
-	for wi, w := range c.Z.Code(i) {
-		base := wi * 64
-		for w != 0 {
-			dst[base+bits.TrailingZeros64(w)] = 1
-			w &= w - 1
-		}
-	}
-	return dst
-}

@@ -1,6 +1,8 @@
 package binauto
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/retrieval"
@@ -22,10 +24,12 @@ import (
 // it is used (§8.4): an encoder's η0 calibration and SGD pass run
 // svm.StepBytes/MarginBytes over a byte-backed shard's stored rows through
 // the dataset's dequantisation table (float rows are aliased, never copied),
-// and a decoder group reads only the dimensions it owns and walks its
-// weights row by row. Every update keeps its expression and summation order,
-// so a visit is bit for bit the one over Point copies that visit_test.go
-// keeps as the reference.
+// and a decoder group reads only the dimensions it owns and, since z is
+// binary, walks only the weight rows of the set bits of the point's packed
+// code word. Every update keeps its expression and summation order, and the
+// terms the decoder skips are exact zeros (see decoderSub.step for when that
+// holds), so a visit is bit for bit the one over Point copies that
+// visit_test.go keeps as the reference.
 
 // Shard is one machine's portion of the data — rows of a dataset, read in
 // place — and its auxiliary coordinates. The codes never leave the shard;
@@ -44,21 +48,20 @@ func (s *Shard) NumPoints() int { return len(s.idx) }
 func (s *Shard) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[i], dst) }
 
 // visitDims calls f(z, x) for each shard point i of order, in order: z is
-// the point's code as 0/1 floats and x[j] its feature dims[j]. Only the
-// listed features are read — quantised ones through the dataset's
-// dequantisation table, float ones from the aliased row — and the storage
-// is tested once per call. z and x are reused between calls of f.
-func (s *Shard) visitDims(order, dims []int, f func(z, x []float64)) {
-	z := make([]float64, s.Z.L)
+// the point's packed code word (bit l = z_l; checkCodeLength keeps L ≤ 64)
+// and x[j] its feature dims[j]. Only the listed features are read —
+// quantised ones through the dataset's dequantisation table, float ones
+// from the aliased row — and the storage is tested once per call. x is
+// reused between calls of f.
+func (s *Shard) visitDims(order, dims []int, f func(z uint64, x []float64)) {
 	x := make([]float64, len(dims))
-	codes := CodesPoints{s.Z}
 	if deq := s.ds.Dequant(); deq != nil {
 		for _, i := range order {
 			row := s.ds.ByteRow(s.idx[i])
 			for j, dim := range dims {
 				x[j] = deq[row[dim]]
 			}
-			f(codes.Point(i, z), x)
+			f(s.Z.Word64(i), x)
 		}
 		return
 	}
@@ -67,7 +70,7 @@ func (s *Shard) visitDims(order, dims []int, f func(z, x []float64)) {
 		for j, dim := range dims {
 			x[j] = row[dim]
 		}
-		f(codes.Point(i, z), x)
+		f(s.Z.Word64(i), x)
 	}
 }
 
@@ -381,35 +384,55 @@ func (d *decoderSub) TrainOn(shard core.Shard, order []int) {
 		d.tuned = true
 	}
 	pred := make([]float64, len(d.dims))
-	sh.visitDims(order, d.dims, func(z, x []float64) { d.step(z, x, d.sched.Next(), pred) })
+	sh.visitDims(order, d.dims, func(z uint64, x []float64) { d.step(z, x, d.sched.Next(), pred) })
 }
 
-// predict writes c + Wᵀz for the owned dimensions into pred, walking w row
-// by row; pred[j] still sums z_l·w_lj in bit order l = 0, 1, ….
-func (d *decoderSub) predict(z, pred []float64) {
+// predict writes c + Wᵀz for the owned dimensions of packed code z into
+// pred: it adds the weight row of each set bit, lowest first, so pred[j]
+// sums w_lj in bit order l = 0, 1, … as Decoder.Reconstruct does.
+func (d *decoderSub) predict(z uint64, pred []float64) {
 	g := len(pred)
 	copy(pred, d.c)
-	for l, zl := range z {
+	for ; z != 0; z &= z - 1 {
+		l := bits.TrailingZeros64(z)
 		for j, w := range d.w.Data[l*g : (l+1)*g] {
-			pred[j] += zl * w
+			pred[j] += w
 		}
 	}
 }
 
-// step performs one SGD update on every owned dimension from code z and the
-// owned features x (x[j] is dimension dims[j]): w_lj ← w_lj·(1−ηλ) − η·err_j·z_l
-// and c_j ← c_j − η·err_j, with w updated row by row. pred is scratch.
-func (d *decoderSub) step(z, x []float64, eta float64, pred []float64) {
+// step performs one SGD update on every owned dimension from packed code z
+// and the owned features x (x[j] is dimension dims[j]):
+// w_lj ← w_lj·(1−ηλ) − η·err_j·z_l and c_j ← c_j − η·err_j. Every row is
+// scaled by 1−ηλ unless that is exactly 1 (training's λ = 0); only the rows
+// of z's set bits take the error. pred is scratch.
+//
+// This is bit for bit the dense update that multiplies every row by its 0/1
+// z_l (visit_test.go's stepAt). A skipped term is 0·w = ±0, and adding ±0
+// leaves a sum unchanged unless the sum is −0. c starts at +0, and a − b is
+// −0 only when a is −0, so c, every prediction and every weight stay ≠ −0,
+// provided ηλ < 0.5: above that a negative denormal times 1−ηλ can round to
+// −0. Once an error is not finite the dense update writes NaN into the 0-bit
+// rows and this one leaves them alone; the model has diverged either way,
+// and a diverging η0 trial scores a non-finite loss under both. Exactness
+// also needs multiply-adds left unfused, which holds on amd64; on arm64,
+// ppc64 and s390x Go may fuse them.
+func (d *decoderSub) step(z uint64, x []float64, eta float64, pred []float64) {
 	d.predict(z, pred)
 	for j := range pred {
 		pred[j] = eta * (pred[j] - x[j])
 	}
-	shrink := 1 - eta*d.lambda
+	if shrink := 1 - eta*d.lambda; shrink != 1 {
+		for i := range d.w.Data {
+			d.w.Data[i] *= shrink
+		}
+	}
 	g := len(pred)
-	for l, zl := range z {
+	for ; z != 0; z &= z - 1 {
+		l := bits.TrailingZeros64(z)
 		row := d.w.Data[l*g : (l+1)*g]
 		for j := range row {
-			row[j] = row[j]*shrink - pred[j]*zl
+			row[j] -= pred[j]
 		}
 	}
 	for j := range d.c {
@@ -431,9 +454,9 @@ func (d *decoderSub) autoTune(sh *Shard, order []int) {
 	best := sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
 		trial := d.Clone().(*decoderSub)
 		trial.sched = sgd.NewSchedule(eta0, d.lambda)
-		sh.visitDims(sample, d.dims, func(z, x []float64) { trial.step(z, x, trial.sched.Next(), pred) })
+		sh.visitDims(sample, d.dims, func(z uint64, x []float64) { trial.step(z, x, trial.sched.Next(), pred) })
 		var total float64
-		sh.visitDims(sample, d.dims, func(z, x []float64) {
+		sh.visitDims(sample, d.dims, func(z uint64, x []float64) {
 			trial.predict(z, pred)
 			for j, p := range pred {
 				e := p - x[j]

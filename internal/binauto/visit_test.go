@@ -3,6 +3,7 @@ package binauto
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,46 @@ func (e *encoderSub) trainOnPoints(sh *Shard, order []int) {
 		e.tuned = true
 	}
 	rows.Pass(e.svm, order)
+}
+
+// CodesPoints adapts packed codes to the sgd.Points interface with 0/1 float
+// features: the dense view of the auxiliary coordinates that the reference
+// decoder visit below multiplies its weights by.
+type CodesPoints struct{ Z *retrieval.Codes }
+
+// NumPoints returns the number of codes.
+func (c CodesPoints) NumPoints() int { return c.Z.N }
+
+// Point writes code i as a 0/1 float vector into dst: clear, then set only
+// the positions of the set bits read word by word.
+func (c CodesPoints) Point(i int, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, c.Z.L)
+	}
+	for l := 0; l < c.Z.L; l++ {
+		dst[l] = 0
+	}
+	for wi, w := range c.Z.Code(i) {
+		base := wi * 64
+		for w != 0 {
+			dst[base+bits.TrailingZeros64(w)] = 1
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+func TestCodesPointsView(t *testing.T) {
+	z := retrieval.NewCodes(2, 3)
+	z.SetBit(1, 2, true)
+	cp := CodesPoints{z}
+	if cp.NumPoints() != 2 {
+		t.Fatal("NumPoints wrong")
+	}
+	v := cp.Point(1, nil)
+	if v[0] != 0 || v[1] != 0 || v[2] != 1 {
+		t.Fatalf("Point = %v", v)
+	}
 }
 
 // stepAt is the reference decoder update: per owned dimension, the
@@ -173,7 +214,8 @@ func visitShard(n, d, l int, byteBacked bool, seed int64) *Shard {
 // byte- and float-backed shards, with the visit order shuffled or not, from
 // a tuned and an untuned start, over two consecutive visits. D = 22 leaves a
 // tail past the four-wide kernels; of 3 000 points the tuning sample is the
-// first third.
+// first third. The decoder runs with λ = 1e-3, where every weight row decays,
+// and with training's λ = 0, where only the rows of a code's set bits move.
 func TestParMACVisitMatchesReference(t *testing.T) {
 	const n, d, l = 3000, 22, 6
 	for _, byteBacked := range []bool{false, true} {
@@ -186,32 +228,114 @@ func TestParMACVisitMatchesReference(t *testing.T) {
 				for j := range enc.svm.W {
 					enc.svm.W[j] = 0.1 * rng.NormFloat64()
 				}
-				dec := newDecoderSub(l, l, []int{1, 4, 9, 21, 16}, 1e-3)
-				for j := range dec.w.Data {
-					dec.w.Data[j] = rng.NormFloat64()
+				var decs, decRefs []*decoderSub
+				for _, lambda := range []float64{1e-3, 0} {
+					dec := newDecoderSub(l, l, []int{1, 4, 9, 21, 16}, lambda)
+					for j := range dec.w.Data {
+						dec.w.Data[j] = rng.NormFloat64()
+					}
+					dec.tuned = tuned
+					decs = append(decs, dec)
+					decRefs = append(decRefs, dec.Clone().(*decoderSub))
 				}
-				dec.tuned = tuned
 				encRef := enc.Clone().(*encoderSub)
-				decRef := dec.Clone().(*decoderSub)
 				for visit := 0; visit < 2; visit++ {
 					order := sgd.Order(n, shuffle, rng)
 					enc.TrainOn(sh, order)
 					encRef.trainOnPoints(sh, order)
-					dec.TrainOn(sh, order)
-					decRef.trainOnPoints(sh, order)
 					a, b := enc.svm, encRef.svm
 					if !bitsEqual(a.W, b.W) || math.Float64bits(a.B) != math.Float64bits(b.B) ||
 						a.Sched.Eta0 != b.Sched.Eta0 || a.Sched.Steps() != b.Sched.Steps() {
 						t.Fatalf("%s visit %d: encoder differs from the reference", name, visit)
 					}
-					if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) ||
-						dec.sched.Eta0 != decRef.sched.Eta0 || dec.sched.Steps() != decRef.sched.Steps() {
-						t.Fatalf("%s visit %d: decoder differs from the reference", name, visit)
+					for k, dec := range decs {
+						decRef := decRefs[k]
+						dec.TrainOn(sh, order)
+						decRef.trainOnPoints(sh, order)
+						if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) ||
+							dec.sched.Eta0 != decRef.sched.Eta0 || dec.sched.Steps() != decRef.sched.Steps() {
+							t.Fatalf("%s visit %d: decoder (λ=%g) differs from the reference", name, visit, dec.lambda)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzDecoderStep pins the exactness argument on decoderSub.step: for any
+// code word of L ≤ 64 bits, g ≤ 16 owned dimensions, finite weights, c and x
+// that are not −0, and η, λ ≥ 0 with ηλ < 0.5, one set-bit step leaves w and
+// c bit for bit where the dense reference step (stepAt) leaves them, and
+// neither holds a −0, whenever the reference's outputs are all finite.
+func FuzzDecoderStep(f *testing.F) {
+	f.Add(int64(1), uint64(0xb5), uint8(7), uint8(5), 1.0, 1.0, 0.01, 1e-3)
+	f.Add(int64(2), uint64(0), uint8(63), uint8(15), 1e-300, 1e300, 1.0, 0.0)
+	f.Add(int64(3), ^uint64(0), uint8(63), uint8(0), 5e-324, 0.0, 0.4, 1.0)
+	f.Add(int64(4), uint64(0x8000000000000001), uint8(63), uint8(3), 1e3, -2.0, 1e-2, 49.0)
+	f.Fuzz(func(t *testing.T, seed int64, z uint64, lb, gb uint8, wScale, xScale, eta, lambda float64) {
+		if !(eta >= 0 && lambda >= 0 && eta*lambda < 0.5) || math.IsInf(eta, 0) || math.IsInf(lambda, 0) {
+			return
+		}
+		l, g := 1+int(lb)%64, 1+int(gb)%16
+		z &= math.MaxUint64 >> (64 - l)
+		rng := rand.New(rand.NewSource(seed))
+		draw := func(scale float64) float64 {
+			v := scale * rng.NormFloat64()
+			if v == 0 { // −0 becomes +0
+				v = 0
+			}
+			return v
+		}
+		dims := make([]int, g)
+		for j := range dims {
+			dims[j] = j
+		}
+		dec := newDecoderSub(0, l, dims, lambda)
+		for i := range dec.w.Data {
+			dec.w.Data[i] = draw(wScale)
+		}
+		for j := range dec.c {
+			dec.c[j] = draw(wScale)
+		}
+		x := make([]float64, g)
+		for j := range x {
+			x[j] = draw(xScale)
+		}
+		if !allFinite(dec.w.Data, dec.c, x) {
+			return
+		}
+		ref := dec.Clone().(*decoderSub)
+		codes := retrieval.NewCodes(1, l)
+		codes.SetWord64(0, z)
+		ref.stepAt(CodesPoints{codes}.Point(0, nil), x, eta)
+		dec.step(z, x, eta, make([]float64, g))
+		if !allFinite(ref.w.Data, ref.c) {
+			return
+		}
+		if !bitsEqual(dec.w.Data, ref.w.Data) || !bitsEqual(dec.c, ref.c) {
+			t.Fatalf("L=%d g=%d z=%#x η=%g λ=%g: set-bit step differs from the dense reference", l, g, z, eta, lambda)
+		}
+		for _, vs := range [][]float64{dec.w.Data, dec.c} {
+			for _, v := range vs {
+				if v == 0 && math.Signbit(v) {
+					t.Fatalf("L=%d g=%d z=%#x η=%g λ=%g: step wrote −0", l, g, z, eta, lambda)
+				}
+			}
+		}
+	})
+}
+
+// allFinite reports whether every value of every slice is finite.
+func allFinite(vs ...[]float64) bool {
+	for _, v := range vs {
+		for _, x := range v {
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // BenchmarkParMACVisit times one W-step visit of a circulating submodel over
