@@ -198,6 +198,53 @@ func TestFlagEdgeCases(t *testing.T) {
 	}
 }
 
+// TestTransportsPrintOneCurve: without ring shuffling, one seed trains the
+// same model on both transports, and the learning curve is the machines'
+// own Z-step sums added in rank order, so the inproc and tcp runs must print
+// byte-identical E_Q and E_BA columns (and the same precision line).
+func TestTransportsPrintOneCurve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives real processes")
+	}
+	bin := buildBinary(t)
+	args := []string{"-n", "1200", "-d", "16", "-bits", "8", "-p", "3", "-iters", "4", "-shuffle=false", "-seed", "1"}
+	curve := func(transport string) (rows []string, precision string) {
+		cmd := exec.Command(bin, append(args, "-transport", transport)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("-transport %s: %v\n%s%s", transport, err, out, stderr.String())
+		}
+		header := false
+		for _, ln := range strings.Split(string(out), "\n") {
+			f := strings.Fields(ln)
+			switch {
+			case len(f) > 0 && f[0] == "iter":
+				header = true
+			case strings.HasPrefix(ln, "retrieval precision"):
+				precision = ln
+			case header && len(f) == 6:
+				rows = append(rows, strings.Join(f[:3], " "))
+			}
+		}
+		if len(rows) != 4 || precision == "" {
+			t.Fatalf("-transport %s: want 4 curve rows and a precision line:\n%s", transport, out)
+		}
+		return rows, precision
+	}
+	inRows, inPrec := curve("inproc")
+	tcpRows, tcpPrec := curve("tcp")
+	for i := range inRows {
+		if inRows[i] != tcpRows[i] {
+			t.Errorf("iter %d: inproc prints %q, tcp %q", i, inRows[i], tcpRows[i])
+		}
+	}
+	if inPrec != tcpPrec {
+		t.Errorf("inproc %q, tcp %q", inPrec, tcpPrec)
+	}
+}
+
 // buildBinary compiles parmac-train into a temporary directory.
 func buildBinary(t *testing.T) string {
 	t.Helper()

@@ -228,25 +228,30 @@ func reportFailures(res core.IterationResult) {
 	}
 }
 
+// train runs the iterations and prints the learning curve, one row per
+// iteration, from what the engine reports: E_Q and E_BA are the machines'
+// own Z-step sums over their shards (IterationResult.EQ, EBA), so no pass
+// over the data is made here, on either transport.
+func train(eng *core.Engine, iters int) {
+	fmt.Printf("%5s %14s %14s %10s %12s %8s\n", "iter", "E_Q", "E_BA", "Zchanged", "model bytes", "alive")
+	for it := 0; it < iters; it++ {
+		res := eng.Iterate()
+		fmt.Printf("%5d %14.1f %14.1f %10d %12d %8d\n",
+			res.Iter, res.EQ, res.EBA, res.ZChanged, res.ModelBytes, res.AliveMachines)
+		reportFailures(res)
+	}
+}
+
 func trainInProcess(o *options, ds *dataset.Dataset) *binauto.Model {
 	prob := buildProblem(o, ds)
 	eng := core.New(prob, engineConfig(o))
 	defer eng.Shutdown()
-
-	fmt.Printf("%5s %14s %14s %10s %12s\n", "iter", "E_Q", "E_BA", "Zchanged", "model bytes")
-	for it := 0; it < o.iters; it++ {
-		res := eng.Iterate()
-		eq, eba := prob.Stats()
-		fmt.Printf("%5d %14.1f %14.1f %10d %12d\n", it, eq, eba, res.ZChanged, res.ModelBytes)
-		reportFailures(res)
-	}
+	train(eng, o.iters)
 	return prob.AssembleModel()
 }
 
 // trainTCP runs the coordinator over the TCP fabric: P worker processes (one
-// per machine) plus this process as the coordinator rank. E_Q is shard-local
-// worker state and is not reported here; the nested error E_BA is computed
-// from the circulated model, which the coordinator owns.
+// per machine) plus this process as the coordinator rank.
 func trainTCP(o *options, ds *dataset.Dataset) *binauto.Model {
 	hub, err := tcp.NewHub(o.listen, o.p+1)
 	fatalIf(err)
@@ -270,13 +275,7 @@ func trainTCP(o *options, ds *dataset.Dataset) *binauto.Model {
 		return s
 	})
 
-	fmt.Printf("%5s %14s %10s %12s %8s\n", "iter", "E_BA", "Zchanged", "model bytes", "alive")
-	for it := 0; it < o.iters; it++ {
-		res := eng.Iterate()
-		fmt.Printf("%5d %14.1f %10d %12d %8d\n", it, prob.AssembleModel().EBA(ds), res.ZChanged, res.ModelBytes, res.AliveMachines)
-		reportFailures(res)
-	}
-
+	train(eng, o.iters)
 	eng.Shutdown()
 	if err := comm.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "warning: close transport:", err)

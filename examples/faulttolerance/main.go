@@ -46,8 +46,9 @@ func main() {
 			fab.Arm(chaos.KillSpec{Rank: 2, Tag: chaos.AnyTag, AfterSends: 7})
 		}
 		res := eng.Iterate()
-		_, eba := prob.Stats()
-		fmt.Printf("iter=%d machines=%d E_BA=%.1f\n", res.Iter, res.AliveMachines, eba)
+		// E_BA sums the shards of the machines alive for this Z step, so it
+		// drops when machine 2's quarter of the data leaves with it.
+		fmt.Printf("iter=%d machines=%d E_BA=%.1f\n", res.Iter, res.AliveMachines, res.EBA)
 		// One event for the death itself, then one per submodel lost with the
 		// machine: the one it held plus those queued in its inbox.
 		for _, f := range res.Failures {

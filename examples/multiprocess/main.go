@@ -2,8 +2,9 @@
 // the same binary autoencoder trains once with machines as goroutines
 // (in-process transport) and once with machines as separate OS processes
 // exchanging binary frames over TCP — and, with a fixed seed and no ring
-// shuffling, reaches the identical nested error, because the engine and both
-// transports honour the same conformance contract.
+// shuffling, reaches the identical nested error and prints the identical
+// learning curve, because the engine and both transports honour the same
+// conformance contract.
 //
 // Run it from the repo root:
 //
@@ -62,7 +63,7 @@ func main() {
 	// Reference run: the classic single-process engine.
 	ds, prob := buildProblem()
 	eng := core.New(prob, engineConfig())
-	eng.Run(iters)
+	curve := eng.Run(iters)
 	eng.Shutdown()
 	inprocEBA := prob.AssembleModel().EBA(ds)
 	fmt.Printf("in-process transport: E_BA = %.4f (1 process, %d goroutine machines)\n",
@@ -106,6 +107,16 @@ func main() {
 	if math.Abs(inprocEBA-tcpEBA) > 1e-9 {
 		fmt.Fprintf(os.Stderr, "TRANSPORTS DIVERGED: %.9f vs %.9f\n", inprocEBA, tcpEBA)
 		os.Exit(1)
+	}
+	// The learning curve is the machines' own Z-step sums, added in rank
+	// order by the coordinator, so it must agree bit for bit too.
+	for it, r := range results {
+		fmt.Printf("iter %d: E_Q = %.4f, E_BA = %.4f on both transports\n", it, r.EQ, r.EBA)
+		if r.EQ != curve[it].EQ || r.EBA != curve[it].EBA {
+			fmt.Fprintf(os.Stderr, "CURVES DIVERGED at iter %d: in-process (%v, %v), tcp (%v, %v)\n",
+				it, curve[it].EQ, curve[it].EBA, r.EQ, r.EBA)
+			os.Exit(1)
+		}
 	}
 	fmt.Println("transports agree: same model from goroutines and OS processes")
 }

@@ -32,10 +32,11 @@ func main() {
 	defer eng.Shutdown()
 
 	var machines []int // per iteration
+	// E_BA is summed over the shards of the machines in the ring, so it
+	// grows with the streamed-in data and shrinks with a retirement.
 	report := func(tag string, r parmac.IterationResult) {
-		_, eba := prob.Stats()
 		fmt.Printf("%-28s iter=%d machines=%d codesChanged=%d E_BA=%.1f\n",
-			tag, r.Iter, r.AliveMachines, r.ZChanged, eba)
+			tag, r.Iter, r.AliveMachines, r.ZChanged, r.EBA)
 		machines = append(machines, r.AliveMachines)
 	}
 
@@ -65,7 +66,10 @@ func main() {
 	for i := 0; i < 2; i++ {
 		report("after machine retired", eng.Iterate())
 	}
-	n := prob.GatherCodes().N
+	n := 0
+	for i := 0; i < prob.NumShards(); i++ {
+		n += prob.Shard(i).NumPoints()
+	}
 	fmt.Printf("\nfinal codes cover %d points\n", n)
 	// Iteration 3 is the first after the add, iteration 6 the first after
 	// the retirement.

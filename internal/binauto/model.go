@@ -44,28 +44,6 @@ func (d *Decoder) Clone() *Decoder {
 	return &Decoder{W: d.W.Clone(), C: vec.Clone(d.C)}
 }
 
-// D returns the output dimensionality.
-func (d *Decoder) D() int { return d.W.Cols }
-
-// Reconstruct writes f(z) for code i of codes into dst (allocated when nil).
-// It walks the set bits of the packed words directly instead of testing all L
-// bits one at a time.
-func (d *Decoder) Reconstruct(codes *retrieval.Codes, i int, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, d.D())
-	}
-	copy(dst, d.C)
-	for wi, w := range codes.Code(i) {
-		base := wi * 64
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			vec.Axpy(1, d.W.Row(base+b), dst)
-		}
-	}
-	return dst
-}
-
 // Model is a binary autoencoder: L hash-function submodels (one linear SVM
 // per bit, §3.1) and a linear decoder.
 type Model struct {
@@ -169,36 +147,6 @@ func (m *Model) EBA(pts sgd.Points) float64 {
 			}
 		}
 		total += vec.SqDist(x, rec)
-	}
-	return total
-}
-
-// EQ computes the quadratic-penalty objective of eq. (3):
-// Σ_n ‖x_n − f(z_n)‖² + μ‖z_n − h(x_n)‖². Since z and h(x) are binary, the
-// penalty term is μ times the Hamming distance, a popcount over packed words
-// when L <= 64.
-func (m *Model) EQ(pts sgd.Points, z *retrieval.Codes, mu float64) float64 {
-	n := pts.NumPoints()
-	if z.N != n {
-		panic("binauto: EQ needs one code per point")
-	}
-	d := m.D()
-	buf := make([]float64, d)
-	rec := make([]float64, d)
-	var total float64
-	for i := 0; i < n; i++ {
-		x := pts.Point(i, buf)
-		m.Dec.Reconstruct(z, i, rec)
-		total += vec.SqDist(x, rec)
-		if m.L() <= 64 {
-			total += mu * float64(bits.OnesCount64(z.Word64(i)^m.EncodePointWord(x)))
-		} else {
-			for l := range m.Enc {
-				if z.Bit(i, l) != m.Enc[l].Predict(x) {
-					total += mu
-				}
-			}
-		}
 	}
 	return total
 }

@@ -38,13 +38,19 @@ type Shard struct {
 	ds  *dataset.Dataset
 	idx []int // shard point k is row idx[k] of ds
 	Z   *retrieval.Codes
+
+	eq, eba float64 // the shard's objectives after its last Z step
 }
 
 // NumPoints implements core.Shard.
 func (s *Shard) NumPoints() int { return len(s.idx) }
 
-// Point writes shard point i into dst (sgd.Points, for the Z step and the
-// objectives).
+// Objectives implements core.ObjectiveShard: E_Q and E_BA over the shard's
+// points, as its last Z step left them.
+func (s *Shard) Objectives() (eq, eba float64) { return s.eq, s.eba }
+
+// Point writes shard point i into dst (sgd.Points, for the Z step, which
+// also scores the shard).
 func (s *Shard) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[i], dst) }
 
 // visitDims calls f(z, x) for each shard point i of order, in order: z is
@@ -203,30 +209,23 @@ func (p *ParMACProblem) OnIterationStart(iter int) {
 }
 
 // ZStep implements core.Problem: solve the binary proximal operator for
-// every shard point, with cfg.Parallel goroutines over the shard. The solver
+// every shard point, with cfg.Parallel goroutines over the shard, and leave
+// the shard's E_Q and E_BA on it (Shard.Objectives). The solver
 // construction — decoder Gram matrix, Cholesky factorisation, encoder
 // gathering — is hoisted into a ZKernel that every machine builds from its
 // own copy of the model, once per Z step.
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
 	sh := p.shards[shard]
-	return NewZKernel(assembleModel(p.cfg.L, p.d, model), p.Mu(), p.cfg.ZMethod).Run(sh, sh.Z, p.cfg.Parallel)
+	k := NewZKernel(assembleModel(p.cfg.L, p.d, model), p.Mu(), p.cfg.ZMethod)
+	var changed int
+	changed, sh.eq, sh.eba = k.Run(sh, sh.Z, p.cfg.Parallel)
+	return changed
 }
 
 // AssembleModel builds a *Model from the problem's authoritative submodels
 // (valid between engine iterations), for evaluation.
 func (p *ParMACProblem) AssembleModel() *Model {
 	return assembleModel(p.cfg.L, p.d, p.Submodels())
-}
-
-// Stats computes the learning-curve quantities summed over all shards with
-// the current model: E_Q with the current μ, and E_BA.
-func (p *ParMACProblem) Stats() (eq, eba float64) {
-	m := p.AssembleModel()
-	for _, sh := range p.shards {
-		eq += m.EQ(sh, sh.Z, p.Mu())
-		eba += m.EBA(sh)
-	}
-	return eq, eba
 }
 
 // assembleModel reconstructs a full BA from submodels indexed by ID.
@@ -389,7 +388,7 @@ func (d *decoderSub) TrainOn(shard core.Shard, order []int) {
 
 // predict writes c + Wᵀz for the owned dimensions of packed code z into
 // pred: it adds the weight row of each set bit, lowest first, so pred[j]
-// sums w_lj in bit order l = 0, 1, … as Decoder.Reconstruct does.
+// sums w_lj in bit order l = 0, 1, … as Model.EBA does.
 func (d *decoderSub) predict(z uint64, pred []float64) {
 	g := len(pred)
 	copy(pred, d.c)
@@ -483,22 +482,7 @@ func (d *decoderSub) Clone() core.Submodel {
 // Bytes implements core.Submodel.
 func (d *decoderSub) Bytes() int { return 8 * (len(d.w.Data) + len(d.c)) }
 
-// GatherCodes concatenates all shard codes back into one set, ordered shard
-// by shard (for evaluation).
-func (p *ParMACProblem) GatherCodes() *retrieval.Codes {
-	total := 0
-	for _, sh := range p.shards {
-		total += sh.Z.N
-	}
-	out := retrieval.NewCodes(total, p.cfg.L)
-	at := 0
-	for _, sh := range p.shards {
-		for i := 0; i < sh.Z.N; i++ {
-			out.CopyCode(at, sh.Z, i)
-			at++
-		}
-	}
-	return out
-}
-
-var _ core.Problem = (*ParMACProblem)(nil)
+var (
+	_ core.Problem        = (*ParMACProblem)(nil)
+	_ core.ObjectiveShard = (*Shard)(nil)
+)

@@ -1,6 +1,7 @@
 package binauto
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -18,6 +19,47 @@ func buildProblem(n, d, l, p int, seed int64) (*ParMACProblem, *dataset.Dataset)
 		L: l, Mu0: 1e-3, MuFactor: 2, SVMLambda: 1e-4, Seed: seed,
 	})
 	return prob, ds
+}
+
+// objectives evaluates E_Q (at the problem's μ) and E_BA directly with the
+// assembled model over the given shards, all of them when none are given:
+// the oracle for the curve the Z steps report in IterationResult.
+func objectives(p *ParMACProblem, shards ...int) (eq, eba float64) {
+	if len(shards) == 0 {
+		for i := range p.shards {
+			shards = append(shards, i)
+		}
+	}
+	m := p.AssembleModel()
+	for _, i := range shards {
+		sh := p.shards[i]
+		eq += modelEQ(m, sh, sh.Z, p.Mu())
+		eba += m.EBA(sh)
+	}
+	return eq, eba
+}
+
+// within reports |got − want| <= 1e-9·(1+|want|), the bound for sums taken
+// by the Gram identities against direct evaluation.
+func within(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-9*(1+math.Abs(want))
+}
+
+// gatherCodes concatenates all shard codes into one set, shard by shard.
+func gatherCodes(p *ParMACProblem) *retrieval.Codes {
+	total := 0
+	for _, sh := range p.shards {
+		total += sh.Z.N
+	}
+	out := retrieval.NewCodes(total, p.cfg.L)
+	at := 0
+	for _, sh := range p.shards {
+		for i := 0; i < sh.Z.N; i++ {
+			out.CopyCode(at, sh.Z, i)
+			at++
+		}
+	}
+	return out
 }
 
 // decoders lists the problem's decoder-group submodels in ID order.
@@ -140,13 +182,76 @@ func TestParMACRunImprovesEQ(t *testing.T) {
 	defer eng.Shutdown()
 
 	prob.OnIterationStart(0)
-	eq0, eba0 := prob.Stats()
+	eq0, eba0 := objectives(prob)
 	eng.Run(6)
-	_, eba1 := prob.Stats()
+	_, eba1 := objectives(prob)
 	if eba1 > eba0 {
 		t.Fatalf("ParMAC did not reduce E_BA: %v -> %v", eba0, eba1)
 	}
 	_ = eq0
+}
+
+// TestIterationCurveMatchesOracle: the learning curve the machines' Z steps
+// report (IterationResult.EQ, EBA) agrees with direct evaluation of the
+// assembled model over the shards to 1e-9·(1+|E|), for both Z methods, one
+// and three machines, and is bit-identical for Z-step parallelism 1 and 4.
+// In the kill row machine 2 dies in iteration 1's W step; from then on the
+// curve sums only the survivors' shards. Which replica restores a lost
+// submodel may depend on the schedule, so that row checks the oracle only.
+func TestIterationCurveMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		method ZMethod
+		p      int
+		kill   bool
+	}{
+		{"enumerate/P=1", ZEnumerate, 1, false},
+		{"enumerate/P=3", ZEnumerate, 3, false},
+		{"alternate/P=1", ZAlternate, 1, false},
+		{"alternate/P=3", ZAlternate, 3, false},
+		{"alternate/P=4/kill", ZAlternate, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var curves [2][]core.IterationResult
+			for run, parallel := range []int{1, 4} {
+				ds := dataset.GISTLike(400, 8, 4, 21)
+				prob := NewParMACProblem(ds, dataset.ShuffledShardIndices(ds.N, tc.p, nil, 21), ParMACConfig{
+					L: 6, Mu0: 1e-3, SVMLambda: 1e-4, ZMethod: tc.method, Parallel: parallel, Seed: 21,
+				})
+				fab, err := chaos.New(cluster.NewNetwork(tc.p+1), chaos.Options{Seed: 21})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := core.NewOn(prob, core.Config{P: tc.p, Epochs: 2, Seed: 21}, fab)
+				scored := []int{0, 1, 2, 3}[:tc.p]
+				for it := 0; it < 4; it++ {
+					if tc.kill && it == 1 {
+						fab.Arm(chaos.KillSpec{Rank: 2, Tag: chaos.AnyTag, AfterSends: 5})
+						scored = []int{0, 1, 3}
+					}
+					res := eng.Iterate()
+					eq, eba := objectives(prob, scored...)
+					if !within(res.EQ, eq) || !within(res.EBA, eba) {
+						t.Fatalf("parallel=%d iter %d: curve E_Q %v, E_BA %v; oracle over shards %v: %v, %v",
+							parallel, it, res.EQ, res.EBA, scored, eq, eba)
+					}
+					curves[run] = append(curves[run], res)
+				}
+				eng.Shutdown()
+				fab.Close()
+				if tc.kill && curves[run][3].AliveMachines != 3 {
+					t.Fatalf("parallel=%d: %d machines alive after the kill, want 3", parallel, curves[run][3].AliveMachines)
+				}
+			}
+			for it := range curves[0] {
+				a, b := curves[0][it], curves[1][it]
+				if !tc.kill && (a.EQ != b.EQ || a.EBA != b.EBA) {
+					t.Fatalf("iter %d: parallel=1 curve (%v, %v) differs from parallel=4 (%v, %v)",
+						it, a.EQ, a.EBA, b.EQ, b.EBA)
+				}
+			}
+		})
+	}
 }
 
 func TestParMACDeterministicNoShuffle(t *testing.T) {
@@ -155,7 +260,7 @@ func TestParMACDeterministicNoShuffle(t *testing.T) {
 		eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 6})
 		defer eng.Shutdown()
 		eng.Run(3)
-		return prob.GatherCodes()
+		return gatherCodes(prob)
 	}
 	if !equalCodes(run(), run()) {
 		t.Fatal("ParMAC with fixed seed and no shuffle must be deterministic")
@@ -168,7 +273,7 @@ func TestParMACSingleMachineDeterministicWithShuffle(t *testing.T) {
 		eng := core.New(prob, core.Config{P: 1, Epochs: 2, Shuffle: true, Seed: 7})
 		defer eng.Shutdown()
 		eng.Run(2)
-		return prob.GatherCodes()
+		return gatherCodes(prob)
 	}
 	if !equalCodes(run(), run()) {
 		t.Fatal("P=1 shuffled runs with one seed must be identical")
@@ -185,7 +290,7 @@ func TestParMACQualityComparableToSerialMAC(t *testing.T) {
 		eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 8})
 		defer eng.Shutdown()
 		eng.Run(8)
-		_, eba := prob.Stats()
+		_, eba := objectives(prob)
 		return eba
 	}
 	serialEBA, parmacEBA := finalEBA(1), finalEBA(4)
@@ -218,7 +323,7 @@ func TestParMACMoreEpochsNotWorse(t *testing.T) {
 		eng := core.New(prob, core.Config{P: 4, Epochs: epochs, Seed: 9})
 		defer eng.Shutdown()
 		eng.Run(6)
-		_, eba := prob.Stats()
+		_, eba := objectives(prob)
 		return eba
 	}
 	e1, e4 := finalEBA(1), finalEBA(4)
@@ -276,8 +381,8 @@ func TestParMACStreamingAddShard(t *testing.T) {
 	if res.AliveMachines != 3 {
 		t.Fatalf("alive = %d", res.AliveMachines)
 	}
-	if prob.GatherCodes().N != 200 {
-		t.Fatalf("codes = %d, want 200", prob.GatherCodes().N)
+	if gatherCodes(prob).N != 200 {
+		t.Fatalf("codes = %d, want 200", gatherCodes(prob).N)
 	}
 }
 
@@ -289,7 +394,7 @@ func TestGatherCodesOrdering(t *testing.T) {
 		initZ.SetBit(i, i%4, true)
 	}
 	prob := NewParMACProblem(ds, shards, ParMACConfig{L: 4, InitZ: initZ, Seed: 12})
-	got := prob.GatherCodes()
+	got := gatherCodes(prob)
 	// Contiguous shards preserve the original order.
 	for i := 0; i < 30; i++ {
 		for b := 0; b < 4; b++ {

@@ -207,10 +207,15 @@ func (k *ZKernel) NewSolver() *ZSolver {
 
 // Run solves every point of pts — the whole Z step of one machine's shard,
 // with no communication (§4.1) — on up to workers goroutines (core.Cores
-// semantics, one solver each) and returns how many codes changed. Points
-// are independent, so the codes are bit-identical for any worker count.
-func (k *ZKernel) Run(pts sgd.Points, z *retrieval.Codes, workers int) int {
-	return core.CountChunks(pts.NumPoints(), workers, func(lo, hi int) int {
+// semantics, one solver each). It returns how many codes changed and the
+// shard's two objectives after the step: eq = Σ E_Q terms at the new codes
+// and eba = Σ ‖x − f(h(x))‖². Points are independent, so the codes are
+// bit-identical for any worker count; each point's terms go into a slot of
+// its own and are summed serially in point order, so the sums are too.
+func (k *ZKernel) Run(pts sgd.Points, z *retrieval.Codes, workers int) (changed int, eq, eba float64) {
+	n := pts.NumPoints()
+	eqs, ebas := make([]float64, n), make([]float64, n)
+	changed = core.CountChunks(n, workers, func(lo, hi int) int {
 		s := k.NewSolver()
 		buf := make([]float64, k.Model.D())
 		c := 0
@@ -218,9 +223,15 @@ func (k *ZKernel) Run(pts sgd.Points, z *retrieval.Codes, workers int) int {
 			if s.Solve(pts.Point(i, buf), z, i) {
 				c++
 			}
+			eqs[i], ebas[i] = s.lastObj, s.lastEBA
 		}
 		return c
 	})
+	for i := range eqs {
+		eq += eqs[i]
+		eba += ebas[i]
+	}
+	return changed, eq, eba
 }
 
 // ZSolver solves the Z step for a fixed model and μ, carrying per-goroutine
@@ -243,6 +254,7 @@ type ZSolver struct {
 	zRel    []float64
 	xmc     []float64
 	lastObj float64 // objective of the last Solve's code, via the Gram identities
+	lastEBA float64 // ‖x − f(h(x))‖² of the last Solve's point, the same way
 }
 
 // Solve optimises code i of z for input x in place. It returns true when the
@@ -272,14 +284,34 @@ func (s *ZSolver) encodeWord(x []float64) uint64 {
 }
 
 // begin loads the point into scratch: xmc = x − c, t = W·(x−c) (the only
-// O(L·D) work of a solve), and returns ‖x−c‖², the error at z = 0.
+// O(L·D) work of a solve), and returns ‖x−c‖², the error at z = 0. It also
+// records the error at z = h(x), the point's E_BA term.
 func (s *ZSolver) begin(x []float64) float64 {
 	m := s.Model
 	for j, c := range m.Dec.C {
 		s.xmc[j] = x[j] - c
 	}
 	m.Dec.W.MulVec(s.xmc, s.t)
-	return vec.SqNorm(s.xmc)
+	e0 := vec.SqNorm(s.xmc)
+	s.lastEBA = s.hashErr(e0)
+	return e0
+}
+
+// hashErr returns ‖x − f(h(x))‖² = e0 − 2·Σ_{b∈h} t_b + Σ_{a,b∈h} G_ab from
+// the loaded point (e0 = ‖x−c‖², t) and h(x): O(popcount²) adds, with no
+// D-dimensional work.
+func (s *ZSolver) hashErr(e0 float64) float64 {
+	g := s.k.gram
+	var lin, quad float64
+	for a := s.hw; a != 0; a &= a - 1 {
+		i := bits.TrailingZeros64(a)
+		lin += s.t[i]
+		row := g.Row(i)
+		for b := s.hw; b != 0; b &= b - 1 {
+			quad += row[bits.TrailingZeros64(b)]
+		}
+	}
+	return e0 - 2*lin + quad
 }
 
 // flipTo applies flipping bit b of cur to the incremental state: it returns

@@ -10,9 +10,11 @@ import (
 )
 
 // TestRunZStepParallelBitIdentical runs the Z step at every swept worker
-// count, for both solver methods, and demands the codes and change count of
-// a plain per-point solver loop. Run under -race (CI does) this also proves
-// the workers share nothing but the read-only kernel.
+// count, for both solver methods, and demands the codes, change count and
+// objective sums of a plain per-point solver loop, bit for bit. The sums
+// must also match the direct evaluations modelEQ and Model.EBA to
+// 1e-9·(1+|E|). Run under -race (CI does) this also proves the workers share
+// nothing but the read-only kernel.
 func TestRunZStepParallelBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -29,18 +31,28 @@ func TestRunZStepParallelBitIdentical(t *testing.T) {
 			want := cloneCodes(init)
 			s := NewZKernel(m, 0.5, tc.method).NewSolver()
 			wantChanged := 0
+			var wantEQ, wantEBA float64
 			for i := 0; i < ds.N; i++ {
 				if s.Solve(ds.Point(i, nil), want, i) {
 					wantChanged++
 				}
+				wantEQ += s.lastObj
+				wantEBA += s.lastEBA
+			}
+			if !within(wantEQ, modelEQ(m, ds, want, 0.5)) || !within(wantEBA, m.EBA(ds)) {
+				t.Fatalf("sums E_Q %v, E_BA %v; direct %v, %v", wantEQ, wantEBA, modelEQ(m, ds, want, 0.5), m.EBA(ds))
 			}
 			for _, workers := range sweepWorkers {
 				got := cloneCodes(init)
-				if changed := NewZKernel(m, 0.5, tc.method).Run(ds, got, workers); changed != wantChanged {
+				changed, eq, eba := NewZKernel(m, 0.5, tc.method).Run(ds, got, workers)
+				if changed != wantChanged {
 					t.Fatalf("workers=%d: changed %d, serial %d", workers, changed, wantChanged)
 				}
 				if !equalCodes(got, want) {
 					t.Fatalf("workers=%d: codes differ from the serial loop", workers)
+				}
+				if eq != wantEQ || eba != wantEBA {
+					t.Fatalf("workers=%d: sums E_Q %v, E_BA %v; serial %v, %v", workers, eq, eba, wantEQ, wantEBA)
 				}
 			}
 		})
@@ -137,7 +149,7 @@ func TestParMACParallelMatchesSerial(t *testing.T) {
 				p.ZStep(sh, model)
 			}
 		}
-		return p.GatherCodes()
+		return gatherCodes(p)
 	}
 	serial := run(build(0))
 	parallel := run(build(4))

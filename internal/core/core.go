@@ -60,6 +60,16 @@ type Shard interface {
 	NumPoints() int
 }
 
+// ObjectiveShard is a shard whose Z step also scores it. A machine reads
+// Objectives right after its ZStep and sends the two sums on ZDoneMsg, so
+// the learning curve (IterationResult.EQ, EBA) is computed where the data
+// lie (§4.1). Shards that do not implement it contribute 0.
+type ObjectiveShard interface {
+	// Objectives returns E_Q and E_BA summed over the shard's points, as
+	// its last Z step left them.
+	Objectives() (eq, eba float64)
+}
+
 // Submodel is one independent unit of the W step (a hash function, a decoder
 // group, a hidden unit's weight vector...). Submodels own their parameters
 // and any optimiser state (e.g. SGD schedules), which therefore circulate
@@ -183,6 +193,14 @@ type IterationResult struct {
 	// their destination had died (requires a stats source: automatic
 	// in-process, SetStatsSource for distributed coordinators).
 	DroppedFrames int64
+	// EQ and EBA are the learning curve: the objectives each machine's Z step
+	// reported for its shard (ObjectiveShard) — E_Q at the new coordinates
+	// and this iteration's μ, and the nested error of the model the W step
+	// produced — summed over the machines that answered this Z step, in
+	// ascending rank order. A dead or retired machine's shard is not in
+	// them. The sums have the same bits on every fabric and for every Z-step
+	// parallelism.
+	EQ, EBA float64
 }
 
 // message tags on the fabric.

@@ -86,10 +86,18 @@ func (e *Engine) Iterate() IterationResult {
 
 	e.drainWAcks(st)
 	// tagZGo is never re-sent — ZStep is not idempotent — so a machine that
-	// dies here just loses its shard's update for this iteration.
+	// dies here just loses its shard's update for this iteration. Replies are
+	// kept by rank and summed in rank order, not arrival order, so the curve
+	// has the same bits on every fabric; a rank that did not answer adds 0.
+	zdone := make([]ZDoneMsg, len(e.occupied))
 	e.await(st, e.AliveRanks(), tagZGo, nil, tagZDone, func(msg cluster.Message) {
-		st.res.ZChanged += msg.Payload.(ZDoneMsg).Changed
+		zdone[msg.From] = msg.Payload.(ZDoneMsg)
 	})
+	for _, z := range zdone {
+		st.res.ZChanged += z.Changed
+		st.res.EQ += z.EQ
+		st.res.EBA += z.EBA
+	}
 
 	res := st.res
 	res.Failures, e.failures = e.failures, nil

@@ -66,8 +66,13 @@ type WAckMsg struct {
 	Bytes   int64
 }
 
-// ZDoneMsg reports a completed shard-local Z step.
-type ZDoneMsg struct{ Changed int }
+// ZDoneMsg reports a completed shard-local Z step: how many coordinates
+// changed, and the shard's objectives when its shard reports them
+// (ObjectiveShard; 0 otherwise).
+type ZDoneMsg struct {
+	Changed int
+	EQ, EBA float64
+}
 
 // FixMsg repairs a stale or missing local submodel copy before the Z step.
 type FixMsg struct {
@@ -174,9 +179,15 @@ func decodeWAck(r *cluster.WireReader) any {
 }
 
 // AppendWire appends the message's wire body.
-func (m ZDoneMsg) AppendWire(b []byte) []byte { return cluster.AppendInt(b, m.Changed) }
+func (m ZDoneMsg) AppendWire(b []byte) []byte {
+	b = cluster.AppendInt(b, m.Changed)
+	b = cluster.AppendFloat64(b, m.EQ)
+	return cluster.AppendFloat64(b, m.EBA)
+}
 
-func decodeZDone(r *cluster.WireReader) any { return ZDoneMsg{Changed: r.Int()} }
+func decodeZDone(r *cluster.WireReader) any {
+	return ZDoneMsg{Changed: r.Int(), EQ: r.Float64(), EBA: r.Float64()}
+}
 
 // AppendWire appends the message's wire body.
 func (m FixMsg) AppendWire(b []byte) []byte {

@@ -32,7 +32,7 @@ func fixedWireMessages() []struct {
 		{"wstart.golden.hex", core.WStartMsg{Iter: 4, Train: 6, Within: 2, Shuffle: true, M: 8}},
 		// Version -1 is just a negative int here, pinning the sign encoding.
 		{"wack.golden.hex", core.WAckMsg{Entries: []core.AckEntry{{ID: 0, Version: 2}, {ID: 3, Version: -1}}, Hops: 9, Bytes: 1024}},
-		{"zdone.golden.hex", core.ZDoneMsg{Changed: 17}},
+		{"zdone.golden.hex", core.ZDoneMsg{Changed: 17, EQ: 1234.5, EBA: 98.75}},
 		{"fix.golden.hex", core.FixMsg{ID: 6, SM: sub}},
 		{"rescue_reply.golden.hex", core.RescueReply{SM: sub, Version: 4, OK: true}},
 		{"rescue_miss.golden.hex", core.RescueReply{}},

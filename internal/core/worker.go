@@ -239,8 +239,11 @@ func (w *worker) runZStep() {
 		}
 		model[id] = entry.sm
 	}
-	changed := w.prob.ZStep(w.shard, model)
-	w.comm.Send(w.coordRank, tagZDone, ZDoneMsg{Changed: changed}, 0)
+	done := ZDoneMsg{Changed: w.prob.ZStep(w.shard, model)}
+	if sh, ok := w.prob.Shard(w.shard).(ObjectiveShard); ok {
+		done.EQ, done.EBA = sh.Objectives()
+	}
+	w.comm.Send(w.coordRank, tagZDone, done, 0)
 }
 
 // trainOrder mirrors sgd.Order without importing it (the engine stays

@@ -68,10 +68,9 @@ func runCurve(w learnWorkload, p, epochs int, shuffle bool, seed int64) []curveR
 	val := &binauto.Validation{Base: ds, Queries: queries, Truth: truth, K: w.kRet}
 	rows := make([]curveRow, 0, w.iters)
 	for it := 0; it < w.iters; it++ {
-		eng.Iterate()
-		eq, eba := prob.Stats()
+		res := eng.Iterate()
 		rows = append(rows, curveRow{
-			iter: it, eq: eq, eba: eba,
+			iter: it, eq: res.EQ, eba: res.EBA,
 			precision: val.Score(prob.AssembleModel(), 1),
 		})
 	}

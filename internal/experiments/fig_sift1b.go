@@ -81,14 +81,13 @@ func (s *sift1bSetup) train(kernel bool, cfg RunConfig) sift1bRun {
 
 	run := sift1bRun{name: name}
 	for it := 0; it < s.iters; it++ {
-		eng.Iterate()
+		res := eng.Iterate()
 		model := prob.AssembleModel()
 		base := model.Encode(feats, 1)
 		qc := model.Encode(qfeats, 1)
 		rec := retrieval.RecallAtR(base, qc, s.trueNN, []int{s.rq}, 1)[0]
-		_, eba := prob.Stats()
 		run.recallCurve = append(run.recallCurve, rec)
-		run.ebaCurve = append(run.ebaCurve, eba)
+		run.ebaCurve = append(run.ebaCurve, res.EBA)
 		if rec >= run.bestRecall {
 			run.bestRecall = rec
 			run.finalBase, run.finalQuery = base, qc

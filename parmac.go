@@ -18,7 +18,7 @@
 //	result := parmac.TrainBinaryAutoencoder(ds, parmac.BAOptions{
 //	    Bits: 16, Machines: 8, Epochs: 1, Iterations: 12, Seed: 1,
 //	})
-//	codes := result.Model.Encode(ds, 1) // packed binary codes for retrieval
+//	codes := result.Codes // h(X): packed binary codes of ds, in its order
 //
 // See README.md ("Layout") for the system inventory and bench/README.md for
 // the measured results.
@@ -79,8 +79,8 @@ type BAOptions struct {
 // BAResult is the outcome of TrainBinaryAutoencoder.
 type BAResult struct {
 	Model   *binauto.Model
-	Codes   *retrieval.Codes // final auxiliary codes, shard order
-	History []IterationResult
+	Codes   *retrieval.Codes  // h(X): row i is Model's code of point i of ds, as -save-codes writes
+	History []IterationResult // one per iteration; EQ and EBA are the learning curve
 	Problem *binauto.ParMACProblem
 }
 
@@ -112,9 +112,10 @@ func TrainBinaryAutoencoder(ds *dataset.Dataset, opt BAOptions) *BAResult {
 	})
 	defer eng.Shutdown()
 	hist := eng.Run(opt.Iterations)
+	model := prob.AssembleModel()
 	return &BAResult{
-		Model:   prob.AssembleModel(),
-		Codes:   prob.GatherCodes(),
+		Model:   model,
+		Codes:   model.Encode(ds, opt.Cores),
 		History: hist,
 		Problem: prob,
 	}

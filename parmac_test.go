@@ -98,6 +98,20 @@ func TestTrainBinaryAutoencoderDeterministic(t *testing.T) {
 	}
 }
 
+// TestTrainBinaryAutoencoderCodesInDatasetOrder: BAResult.Codes is h(X) in
+// the order of ds, so row i is point i's code. Shards permute the points
+// (ShuffledShardIndices), so the shard-ordered auxiliary codes are not.
+func TestTrainBinaryAutoencoderCodesInDatasetOrder(t *testing.T) {
+	ds, _ := SyntheticBenchmark(300, 10, 12, 6, 8)
+	res := TrainBinaryAutoencoder(ds, BAOptions{Bits: 8, Machines: 3, Iterations: 3, Seed: 8})
+	want := res.Model.Encode(ds, 1)
+	for i := 0; i < ds.N; i++ {
+		if !slices.Equal(res.Codes.Code(i), want.Code(i)) {
+			t.Fatalf("row %d of BAResult.Codes is not h(x_%d)", i, i)
+		}
+	}
+}
+
 func TestTrainBinaryAutoencoderValidation(t *testing.T) {
 	ds, _ := SyntheticBenchmark(100, 10, 8, 4, 6)
 	defer func() {
