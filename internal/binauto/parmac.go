@@ -2,6 +2,7 @@ package binauto
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -20,29 +21,44 @@ import (
 // the effective number of equal-size submodels is M = 2L, the figure §5.4
 // uses in the speedup model.
 //
-// A visit reads the shard where it lies, converting each feature only where
-// it is used (§8.4): an encoder's η0 calibration and SGD pass run
-// svm.StepBytes/MarginBytes over a byte-backed shard's stored rows through
-// the dataset's dequantisation table (float rows are aliased, never copied),
-// and a decoder group reads only the dimensions it owns and, since z is
-// binary, walks only the weight rows of the set bits of the point's packed
-// code word. Every update keeps its expression and summation order, and the
-// terms the decoder skips are exact zeros (see decoderSub.step for when that
-// holds), so a visit is bit for bit the one over Point copies that
-// visit_test.go keeps as the reference.
+// A shard owns its rows: on its first read it copies them out of the
+// dataset, contiguous and in shard order, so a visit streams through one
+// block however the rows lay scattered in the dataset. A visit converts
+// each feature only where it is used (§8.4): an encoder's η0 calibration
+// and SGD pass run svm.StepBytes/MarginBytes over a byte-backed shard's
+// stored rows through the dataset's dequantisation table, and a decoder
+// group reads only the dimensions it owns and, since z is binary, walks only
+// the weight rows of the set bits of the point's packed code word. Every
+// update keeps its expression and summation order, and the terms the
+// decoder skips are exact zeros (see decoderSub.step for when that holds),
+// so a visit is bit for bit the one over Point copies of the dataset's rows
+// that visit_test.go keeps as the reference.
 
-// Shard is one machine's portion of the data — rows of a dataset, read in
-// place — and its auxiliary coordinates. The codes never leave the shard;
-// only submodels move (§4.1).
+// Shard is one machine's portion of the data — rows idx of a dataset — and
+// its auxiliary coordinates. The codes never leave the shard; only
+// submodels move (§4.1). The rows are gathered on the shard's first read
+// (rows), not when the problem is built: a process holding every machine's
+// problem pays only for the shards it trains on.
 type Shard struct {
 	ds  *dataset.Dataset
 	idx []int // shard point k is row idx[k] of ds
 	Z   *retrieval.Codes
 
+	gather sync.Once
+	local  *dataset.Dataset // rows idx of ds in shard order, once gathered
+
 	eq, eba float64 // the shard's objectives after its last Z step
 }
 
-// NumPoints implements core.Shard.
+// rows returns the shard's own copy of its rows, point k at row k, gathering
+// it on the first call. Every read of the data goes through it; the Z step
+// calls it from concurrent goroutines.
+func (s *Shard) rows() *dataset.Dataset {
+	s.gather.Do(func() { s.local = s.ds.Subset(s.idx) })
+	return s.local
+}
+
+// NumPoints implements core.Shard. It never gathers the rows.
 func (s *Shard) NumPoints() int { return len(s.idx) }
 
 // Objectives implements core.ObjectiveShard: E_Q and E_BA over the shard's
@@ -51,7 +67,7 @@ func (s *Shard) Objectives() (eq, eba float64) { return s.eq, s.eba }
 
 // Point writes shard point i into dst (sgd.Points, for the Z step, which
 // also scores the shard).
-func (s *Shard) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[i], dst) }
+func (s *Shard) Point(i int, dst []float64) []float64 { return s.rows().Point(i, dst) }
 
 // visitDims calls f(z, x) for each shard point i of order, in order: z is
 // the point's packed code word (bit l = z_l; checkCodeLength keeps L ≤ 64)
@@ -61,9 +77,10 @@ func (s *Shard) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[
 // reused between calls of f.
 func (s *Shard) visitDims(order, dims []int, f func(z uint64, x []float64)) {
 	x := make([]float64, len(dims))
-	if deq := s.ds.Dequant(); deq != nil {
+	rows := s.rows()
+	if deq := rows.Dequant(); deq != nil {
 		for _, i := range order {
-			row := s.ds.ByteRow(s.idx[i])
+			row := rows.ByteRow(i)
 			for j, dim := range dims {
 				x[j] = deq[row[dim]]
 			}
@@ -72,7 +89,7 @@ func (s *Shard) visitDims(order, dims []int, f func(z uint64, x []float64)) {
 		return
 	}
 	for _, i := range order {
-		row := s.ds.Point(s.idx[i], nil)
+		row := rows.Point(i, nil)
 		for j, dim := range dims {
 			x[j] = row[dim]
 		}
@@ -283,9 +300,10 @@ func (e *encoderSub) TrainOn(shard core.Shard, order []int) {
 }
 
 // encoderRows is a shard as one encoder's svm.Samples: the shard's rows
-// labelled ±1 by bit `bit` of its codes. Quantised rows are read in place by
-// StepBytes/MarginBytes through the dataset's dequantisation table, float
-// rows are aliased for StepFused/Margin; each call tests the storage once.
+// labelled ±1 by bit `bit` of its codes. The shard's quantised rows are read
+// in place by StepBytes/MarginBytes through the dataset's dequantisation
+// table, its float rows are aliased for StepFused/Margin; each call tests the
+// storage once.
 type encoderRows struct {
 	sh  *Shard
 	bit int
@@ -303,35 +321,35 @@ func (r encoderRows) label(i int) float64 {
 
 // Pass implements svm.Samples.
 func (r encoderRows) Pass(m *svm.Linear, order []int) {
-	ds, idx := r.sh.ds, r.sh.idx
-	if deq := ds.Dequant(); deq != nil {
+	rows := r.sh.rows()
+	if deq := rows.Dequant(); deq != nil {
 		for _, i := range order {
-			m.StepBytes(ds.ByteRow(idx[i]), deq, r.label(i), m.Sched.Next())
+			m.StepBytes(rows.ByteRow(i), deq, r.label(i), m.Sched.Next())
 		}
 		return
 	}
 	for _, i := range order {
-		m.StepFused(ds.Point(idx[i], nil), r.label(i), m.Sched.Next())
+		m.StepFused(rows.Point(i, nil), r.label(i), m.Sched.Next())
 	}
 }
 
 // Hinge implements svm.Samples.
 func (r encoderRows) Hinge(m *svm.Linear, sample []int) float64 {
-	ds, idx := r.sh.ds, r.sh.idx
+	rows := r.sh.rows()
 	var sum float64
 	add := func(i int, margin float64) {
 		if h := 1 - r.label(i)*margin; h > 0 {
 			sum += h
 		}
 	}
-	if deq := ds.Dequant(); deq != nil {
+	if deq := rows.Dequant(); deq != nil {
 		for _, i := range sample {
-			add(i, m.MarginBytes(ds.ByteRow(idx[i]), deq))
+			add(i, m.MarginBytes(rows.ByteRow(i), deq))
 		}
 		return sum
 	}
 	for _, i := range sample {
-		add(i, m.Margin(ds.Point(idx[i], nil)))
+		add(i, m.Margin(rows.Point(i, nil)))
 	}
 	return sum
 }

@@ -52,10 +52,17 @@ func (r pointRows) Hinge(m *svm.Linear, idx []int) float64 {
 	return loss
 }
 
+// source is the reference visits' view of a shard: point k is read from row
+// idx[k] of the dataset, never from the shard's gathered rows, so a visit
+// that matches the reference also checks the gather.
+type source struct{ *Shard }
+
+func (s source) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[i], dst) }
+
 // trainOnPoints is the reference encoder visit: svm.AutoTune and one pass
-// over Point copies of the shard.
+// over Point copies of the shard's source rows.
 func (e *encoderSub) trainOnPoints(sh *Shard, order []int) {
-	rows := pointRows{sh, sh.Z, e.bit}
+	rows := pointRows{source{sh}, sh.Z, e.bit}
 	if !e.tuned {
 		e.svm.AutoTune(rows)
 		e.tuned = true
@@ -130,7 +137,7 @@ func (d *decoderSub) lossAt(sh *Shard, idx []int) float64 {
 	var total float64
 	for _, i := range idx {
 		CodesPoints{sh.Z}.Point(i, z)
-		x := sh.Point(i, xbuf)
+		x := source{sh}.Point(i, xbuf)
 		for j, dim := range d.dims {
 			pred := d.c[j]
 			for row := 0; row < l; row++ {
@@ -147,8 +154,8 @@ func (d *decoderSub) lossAt(sh *Shard, idx []int) float64 {
 }
 
 // trainOnPoints is the reference decoder visit: η0 calibration on the
-// leading sample of order, then one pass, all through full Point copies,
-// stepAt and lossAt.
+// leading sample of order, then one pass, all through full Point copies of
+// the shard's source rows, stepAt and lossAt.
 func (d *decoderSub) trainOnPoints(sh *Shard, order []int) {
 	z := make([]float64, d.w.Rows)
 	xbuf := make([]float64, sh.ds.D)
@@ -160,7 +167,7 @@ func (d *decoderSub) trainOnPoints(sh *Shard, order []int) {
 			trial.sched = sgd.NewSchedule(eta0, d.lambda)
 			for _, i := range sample {
 				CodesPoints{sh.Z}.Point(i, z)
-				trial.stepAt(z, sh.Point(i, xbuf), trial.sched.Next())
+				trial.stepAt(z, source{sh}.Point(i, xbuf), trial.sched.Next())
 			}
 			return trial.lossAt(sh, sample)
 		})
@@ -171,7 +178,7 @@ func (d *decoderSub) trainOnPoints(sh *Shard, order []int) {
 	d.tuned = true
 	for _, i := range order {
 		CodesPoints{sh.Z}.Point(i, z)
-		x := sh.Point(i, xbuf)
+		x := source{sh}.Point(i, xbuf)
 		eta := d.sched.Next()
 		d.stepAt(z, x, eta)
 	}
@@ -209,13 +216,14 @@ func visitShard(n, d, l int, byteBacked bool, seed int64) *Shard {
 }
 
 // TestParMACVisitMatchesReference: an encoder and a decoder visit that read
-// the shard in place must leave W, b or c, η0 and the schedule's step count
-// bit for bit where the reference visits over Point copies leave them — on
-// byte- and float-backed shards, with the visit order shuffled or not, from
-// a tuned and an untuned start, over two consecutive visits. D = 22 leaves a
-// tail past the four-wide kernels; of 3 000 points the tuning sample is the
-// first third. The decoder runs with λ = 1e-3, where every weight row decays,
-// and with training's λ = 0, where only the rows of a code's set bits move.
+// the shard's gathered rows in place must leave W, b or c, η0 and the
+// schedule's step count bit for bit where the reference visits over Point
+// copies of the dataset's rows leave them — on byte- and float-backed
+// shards, with the visit order shuffled or not, from a tuned and an untuned
+// start, over two consecutive visits. D = 22 leaves a tail past the
+// four-wide kernels; of 3 000 points the tuning sample is the first third.
+// The decoder runs with λ = 1e-3, where every weight row decays, and with
+// training's λ = 0, where only the rows of a code's set bits move.
 func TestParMACVisitMatchesReference(t *testing.T) {
 	const n, d, l = 3000, 22, 6
 	for _, byteBacked := range []bool{false, true} {
@@ -259,6 +267,67 @@ func TestParMACVisitMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestShardRowsMatchSource: a shard gathers its scattered rows on its first
+// read, and from then on Point (and, byte-backed, ByteRow) returns row idx[k]
+// of the dataset bit for bit, with the dataset's own Dequant table. NumPoints
+// must not gather.
+func TestShardRowsMatchSource(t *testing.T) {
+	const n, d = 500, 22
+	for _, byteBacked := range []bool{false, true} {
+		sh := visitShard(n, d, 4, byteBacked, 7)
+		if sh.NumPoints() != n || sh.local != nil {
+			t.Fatalf("bytes=%v: NumPoints = %d and gathered %v; want %d, not gathered", byteBacked, sh.NumPoints(), sh.local != nil, n)
+		}
+		for k, i := range sh.idx {
+			if !bitsEqual(sh.Point(k, nil), sh.ds.Point(i, nil)) {
+				t.Fatalf("bytes=%v: point %d differs from row %d", byteBacked, k, i)
+			}
+		}
+		rows := sh.rows()
+		if rows.N != n || rows.Dequant() != sh.ds.Dequant() {
+			t.Fatalf("bytes=%v: gathered %d rows with table %p; want %d with the dataset's %p", byteBacked, rows.N, rows.Dequant(), n, sh.ds.Dequant())
+		}
+		if !byteBacked {
+			continue
+		}
+		for k, i := range sh.idx {
+			if string(rows.ByteRow(k)) != string(sh.ds.ByteRow(i)) {
+				t.Fatalf("byte row %d differs from row %d", k, i)
+			}
+		}
+	}
+}
+
+// TestZStepGathersOnce: a fresh shard whose first read is a Z step with four
+// goroutines gathers its rows once (under -race, without a data race) and
+// leaves the codes, change count, E_Q and E_BA of a one-goroutine Z step,
+// bit for bit.
+func TestZStepGathersOnce(t *testing.T) {
+	ds := dataset.SIFTLike(1200, 16, 4, 5)
+	shards := dataset.ShuffledShardIndices(ds.N, 2, nil, 6)
+	var codes []*retrieval.Codes
+	var sums [][3]float64
+	for _, parallel := range []int{1, 4} {
+		p := NewParMACProblem(ds, shards, ParMACConfig{L: 8, Seed: 5, Parallel: parallel})
+		sh := p.shards[1]
+		if sh.local != nil {
+			t.Fatal("NewParMACProblem gathered the rows")
+		}
+		changed := p.ZStep(1, p.Submodels())
+		eq, eba := sh.Objectives()
+		codes = append(codes, sh.Z)
+		sums = append(sums, [3]float64{float64(changed), eq, eba})
+	}
+	if !equalCodes(codes[0], codes[1]) {
+		t.Fatal("Parallel 4: codes differ from Parallel 1")
+	}
+	for j, what := range []string{"changed", "E_Q", "E_BA"} {
+		if math.Float64bits(sums[0][j]) != math.Float64bits(sums[1][j]) {
+			t.Fatalf("Parallel 4: %s %v, Parallel 1 %v", what, sums[1][j], sums[0][j])
 		}
 	}
 }
@@ -339,15 +408,23 @@ func allFinite(vs ...[]float64) bool {
 }
 
 // BenchmarkParMACVisit times one W-step visit of a circulating submodel over
-// train_wstep's shape: a 20 000-point, D=128 byte-backed shard with L=16
-// tPCA codes, an encoder (one bit SVM) and a decoder group (8 of the 128
-// dimensions). "untuned" visits include the per-iteration η0 calibration
-// (§8.1), "tuned" ones are the training pass alone. ns/pt is per shard point
-// per visit. The shard is built once for all sub-benchmarks.
+// train_wstep's shape: shard 0 of a 2-machine ShuffledShardIndices split of a
+// 40 000-point, D=128 byte-backed set (so 20 000 points on rows scattered as
+// in training) with L=16 tPCA codes, an encoder (one bit SVM) and a decoder
+// group (8 of the 128 dimensions). "untuned" visits include the
+// per-iteration η0 calibration (§8.1), "tuned" ones are the training pass
+// alone. ns/pt is per shard point per visit. The shard is built, and its rows
+// gathered by the warm-up visits, once for all sub-benchmarks.
 func BenchmarkParMACVisit(b *testing.B) {
 	const n, d, l = 20000, 128, 16
-	ds := dataset.SIFTLike(n, d, 16, 1)
-	sh := &Shard{ds: ds, idx: sgd.Order(n, false, nil), Z: initCodesTPCA(ds, l, 1)}
+	ds := dataset.SIFTLike(2*n, d, 16, 1)
+	idx := dataset.ShuffledShardIndices(2*n, 2, nil, 1)[0]
+	z := retrieval.NewCodes(n, l)
+	initZ := initCodesTPCA(ds, l, 1)
+	for k, i := range idx {
+		z.CopyCode(k, initZ, i)
+	}
+	sh := &Shard{ds: ds, idx: idx, Z: z}
 	order := sgd.Order(n, false, nil)
 	var dims []int
 	for j := 0; j < d; j += l {

@@ -144,8 +144,19 @@ func (ds *Dataset) QuantizeRange(lo, hi float64) *Dataset {
 	return FromBytes(ds.N, ds.D, b, lo, hi)
 }
 
-// Subset returns a new float-backed dataset with the given rows (copied).
+// Subset returns a new dataset holding copies of the given rows, in the
+// order listed, in the source's storage: a byte-backed subset keeps the bytes
+// and shares the source's Dequant table, a float-backed one copies the
+// floats. Point, ByteRow and Matrix read the same values from it as from the
+// source.
 func (ds *Dataset) Subset(idx []int) *Dataset {
+	if ds.deq != nil {
+		b := make([]uint8, 0, len(idx)*ds.D)
+		for _, i := range idx {
+			b = append(b, ds.ByteRow(i)...)
+		}
+		return &Dataset{N: len(idx), D: ds.D, bytes: b, deq: ds.deq}
+	}
 	m := vec.NewMatrix(len(idx), ds.D)
 	for k, i := range idx {
 		ds.Point(i, m.Row(k))

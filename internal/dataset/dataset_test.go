@@ -124,6 +124,25 @@ func TestSubset(t *testing.T) {
 			t.Fatal("subset content wrong")
 		}
 	}
+
+	// A byte-backed subset keeps the bytes and the source's table.
+	q := ds.Quantize()
+	idx := []int{9, 2, 17, 2}
+	qs := q.Subset(idx)
+	if qs.N != len(idx) || qs.D != q.D || qs.Dequant() != q.Dequant() {
+		t.Fatal("byte-backed subset: wrong shape or not sharing the source's Dequant table")
+	}
+	for k, i := range idx {
+		if string(qs.ByteRow(k)) != string(q.ByteRow(i)) {
+			t.Fatalf("byte-backed subset: ByteRow(%d) differs from source row %d", k, i)
+		}
+		want, got := q.Point(i, nil), qs.Point(k, nil)
+		for j := range want {
+			if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
+				t.Fatalf("byte-backed subset: Point(%d)[%d] differs from source row %d", k, j, i)
+			}
+		}
+	}
 }
 
 func TestShardIndicesEqual(t *testing.T) {
