@@ -127,14 +127,7 @@ func main() {
 		fatalIf(closeErr)
 		fmt.Printf("loaded model: L=%d D=%d\n", model.L(), model.D())
 	} else {
-		switch o.transport {
-		case "inproc":
-			model = trainInProcess(o, ds)
-		case "tcp":
-			model = trainTCP(o, ds)
-		default:
-			fatalIf(fmt.Errorf("unknown -transport %q", o.transport))
-		}
+		model = trainModel(o, ds)
 	}
 
 	base := model.Encode(ds, o.cores)
@@ -201,13 +194,6 @@ func buildProblem(o *options, ds *dataset.Dataset) *binauto.ParMACProblem {
 	})
 }
 
-func engineConfig(o *options) core.Config {
-	return core.Config{
-		P: o.p, Epochs: o.epochs, Shuffle: o.shuffle, Seed: o.seed,
-		RescueTimeout: o.rescueTimeout,
-	}
-}
-
 // reportFailures surfaces machine deaths from an iteration's run report.
 // Every death the engine knows is transport-detected, hence "unannounced".
 func reportFailures(res core.IterationResult) {
@@ -242,54 +228,65 @@ func train(eng *core.Engine, iters int) {
 	}
 }
 
-func trainInProcess(o *options, ds *dataset.Dataset) *binauto.Model {
+// trainModel is the one driver: a coordinator on the fabric's last rank
+// and P machines, each running core.RunWorker on its own problem.Machine.
+// The transport decides only how the fabric is made and how the machines
+// launch: as goroutines of this process (inproc), or as P worker processes
+// that dial this one's rendezvous hub (tcp).
+func trainModel(o *options, ds *dataset.Dataset) *binauto.Model {
 	prob := buildProblem(o, ds)
-	eng := core.New(prob, engineConfig(o))
-	defer eng.Shutdown()
-	train(eng, o.iters)
-	return prob.AssembleModel()
-}
-
-// trainTCP runs the coordinator over the TCP fabric: P worker processes (one
-// per machine) plus this process as the coordinator rank.
-func trainTCP(o *options, ds *dataset.Dataset) *binauto.Model {
-	hub, err := tcp.NewHub(o.listen, o.p+1)
-	fatalIf(err)
-	defer hub.Close()
-	fmt.Printf("coordinator: rendezvous at %s, waiting for %d workers\n", hub.Addr(), o.p)
-
-	var children []*exec.Cmd
-	if o.spawn && !o.coordinator {
-		children = spawnWorkers(o, hub.Addr())
+	var comm *cluster.Comm
+	var stats func() cluster.Stats
+	switch o.transport {
+	case "inproc":
+		fab := cluster.NewNetwork(o.p + 1)
+		for r := 0; r < o.p; r++ {
+			go core.RunWorker(fab.Comm(r), prob.Machine(r), r, core.WorkerOptions{Seed: core.WorkerSeed(o.seed, r)})
+		}
+		comm, stats = fab.Comm(o.p), fab.Stats
+	case "tcp":
+		hub, err := tcp.NewHub(o.listen, o.p+1)
+		fatalIf(err)
+		defer hub.Close()
+		fmt.Printf("coordinator: rendezvous at %s, waiting for %d workers\n", hub.Addr(), o.p)
+		var children []*exec.Cmd
+		if o.spawn && !o.coordinator {
+			children = spawnWorkers(o, hub.Addr())
+		}
+		comm, err = tcp.Connect(hub.Addr(), o.p)
+		fatalIf(err)
+		// The hub sits outside the coordinator's Comm, so frames dropped
+		// toward departed workers are counted there, not in comm.Stats().
+		stats = func() cluster.Stats {
+			s := comm.Stats()
+			s.Dropped = hub.DroppedFrames()
+			return s
+		}
+		// Runs after the engine's Shutdown, before the hub closes.
+		defer func() {
+			if err := comm.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "warning: close transport:", err)
+			}
+			// Workers say bye once they have drained the shutdown; only then
+			// may the hub die with the coordinator process.
+			if err := hub.Wait(30 * time.Second); err != nil {
+				fmt.Fprintln(os.Stderr, "warning:", err)
+			}
+			for _, c := range children {
+				if err := c.Wait(); err != nil {
+					fmt.Fprintf(os.Stderr, "worker %v exited: %v\n", c.Args, err)
+				}
+			}
+		}()
+	default:
+		fatalIf(fmt.Errorf("unknown -transport %q", o.transport))
 	}
-
-	comm, err := tcp.Connect(hub.Addr(), o.p)
-	fatalIf(err)
-	prob := buildProblem(o, ds)
-	eng := core.NewDistributed(prob, engineConfig(o), comm)
-	// The hub sits outside the coordinator's Comm, so frames dropped toward
-	// departed workers are counted there, not in comm.Stats().
-	eng.SetStatsSource(func() cluster.Stats {
-		s := comm.Stats()
-		s.Dropped = hub.DroppedFrames()
-		return s
-	})
-
+	eng := core.NewDistributed(prob, core.Config{
+		P: o.p, Epochs: o.epochs, Shuffle: o.shuffle, Seed: o.seed, RescueTimeout: o.rescueTimeout,
+	}, comm)
+	eng.SetStatsSource(stats)
 	train(eng, o.iters)
 	eng.Shutdown()
-	if err := comm.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "warning: close transport:", err)
-	}
-	// Workers say bye once they have drained the shutdown; only then may the
-	// hub die with the coordinator process.
-	if err := hub.Wait(30 * time.Second); err != nil {
-		fmt.Fprintln(os.Stderr, "warning:", err)
-	}
-	for _, c := range children {
-		if err := c.Wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "worker %v exited: %v\n", c.Args, err)
-		}
-	}
 	return prob.AssembleModel()
 }
 
@@ -324,8 +321,8 @@ func spawnWorkers(o *options, addr string) []*exec.Cmd {
 }
 
 // runWorker is one ParMAC machine as an OS process: rebuild the identical
-// problem, attach to the fabric at the assigned rank, and serve the engine's
-// protocol until shutdown.
+// problem, keep this rank's machine of it, attach to the fabric at the
+// assigned rank, and serve the engine's protocol until shutdown.
 func runWorker(o *options) {
 	if o.connect == "" || o.rank < 0 || o.rank >= o.p {
 		fatalIf(fmt.Errorf("worker mode needs -connect and -rank in [0,%d)", o.p))
@@ -340,7 +337,7 @@ func runWorker(o *options) {
 		fatalIf(fmt.Errorf("worker built %d shards (-p %d) but the cluster has %d machines; pass the coordinator's flags to every worker",
 			o.p, o.p, comm.Size()-1))
 	}
-	core.RunWorker(comm, prob, o.rank, core.WorkerOptions{
+	core.RunWorker(comm, prob.Machine(o.rank), o.rank, core.WorkerOptions{
 		Seed: core.WorkerSeed(o.seed, o.rank),
 	})
 	if err := comm.Close(); err != nil {

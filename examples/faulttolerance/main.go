@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer fab.Close()
-	eng := core.NewOn(prob, core.Config{P: machines, Epochs: 2, Seed: 5}, fab)
+	eng := core.NewOn(prob, core.Config{P: machines, Epochs: 2, Seed: 5}, fab, prob.Machine)
 	defer eng.Shutdown()
 
 	var died, recovered bool

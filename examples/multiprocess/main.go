@@ -18,7 +18,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"strconv"
@@ -60,9 +59,10 @@ func main() {
 		return
 	}
 
-	// Reference run: the classic single-process engine.
+	// Reference run: one process, each machine a goroutine on its own
+	// Problem.
 	ds, prob := buildProblem()
-	eng := core.New(prob, engineConfig())
+	eng := core.New(prob, engineConfig(), prob.Machine)
 	curve := eng.Run(iters)
 	eng.Shutdown()
 	inprocEBA := prob.AssembleModel().EBA(ds)
@@ -104,8 +104,8 @@ func main() {
 	fmt.Printf("model traffic over the wire: %d bytes in the final iteration\n",
 		results[len(results)-1].ModelBytes)
 
-	if math.Abs(inprocEBA-tcpEBA) > 1e-9 {
-		fmt.Fprintf(os.Stderr, "TRANSPORTS DIVERGED: %.9f vs %.9f\n", inprocEBA, tcpEBA)
+	if inprocEBA != tcpEBA {
+		fmt.Fprintf(os.Stderr, "TRANSPORTS DIVERGED: %v vs %v\n", inprocEBA, tcpEBA)
 		os.Exit(1)
 	}
 	// The learning curve is the machines' own Z-step sums, added in rank
@@ -128,7 +128,7 @@ func workerMain(addr, rankStr string) {
 	_, prob := buildProblem() // same seed ⇒ same shards everywhere
 	comm, err := tcp.Connect(addr, rank)
 	fatalIf(err)
-	core.RunWorker(comm, prob, rank, core.WorkerOptions{Seed: core.WorkerSeed(seed, rank)})
+	core.RunWorker(comm, prob.Machine(rank), rank, core.WorkerOptions{Seed: core.WorkerSeed(seed, rank)})
 	comm.Close()
 }
 

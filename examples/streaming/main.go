@@ -28,7 +28,7 @@ func main() {
 	// for the one streamed in later, and the coordinator's rank last.
 	net := cluster.NewNetwork(5)
 	defer net.Close()
-	eng := core.NewOn(prob, core.Config{P: 3, Epochs: 1, Seed: 3}, net)
+	eng := core.NewOn(prob, core.Config{P: 3, Epochs: 1, Seed: 3}, net, prob.Machine)
 	defer eng.Shutdown()
 
 	var machines []int // per iteration

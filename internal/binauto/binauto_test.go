@@ -339,7 +339,7 @@ func TestMACPrecisionBeatsInitTPCA(t *testing.T) {
 	prob := NewParMACProblem(ds, dataset.ShardIndices(ds.N, 1, nil), ParMACConfig{
 		L: 10, Mu0: 1e-4, MuFactor: 2, Seed: 1201,
 	})
-	eng := core.New(prob, core.Config{P: 1, Epochs: 3, Seed: 1201})
+	eng := core.New(prob, core.Config{P: 1, Epochs: 3, Seed: 1201}, prob.Machine)
 	defer eng.Shutdown()
 	eng.Run(12)
 	val := &Validation{Base: ds, Queries: queries, Truth: truth, K: 50}

@@ -150,3 +150,21 @@ func (m *Model) EBA(pts sgd.Points) float64 {
 	}
 	return total
 }
+
+// Validation bundles what is needed to measure retrieval precision during
+// training, the score the learning curves of Figs. 7–9 report.
+type Validation struct {
+	Base    sgd.Points // points to index (their codes form the database)
+	Queries sgd.Points
+	Truth   [][]int // exact Euclidean neighbours per query
+	K       int     // retrieved set size k
+}
+
+// Score computes the precision@K of the model's hash, with the base/query
+// encoding and the Hamming scans on workers goroutines (core.Cores
+// semantics). The score is identical for any worker count.
+func (v *Validation) Score(m *Model, workers int) float64 {
+	base := m.Encode(v.Base, workers)
+	qc := m.Encode(v.Queries, workers)
+	return retrieval.Precision(v.Truth, retrieval.AllTopKHamming(base, qc, v.K, workers))
+}

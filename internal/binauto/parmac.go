@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/pca"
 	"repro/internal/retrieval"
 	"repro/internal/sgd"
 	"repro/internal/svm"
@@ -135,8 +136,8 @@ type ParMACProblem struct {
 
 // NewParMACProblem builds the distributed BA problem over the given dataset
 // and shard index lists (e.g. from dataset.ShardIndices). Codes are
-// initialised with truncated PCA on a subsample unless cfg.InitZ is given
-// (indexed like ds).
+// initialised with truncated PCA fit on a 2000-point subsample
+// (pca.InitialCodes) unless cfg.InitZ is given (indexed like ds).
 func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *ParMACProblem {
 	if cfg.L <= 0 {
 		panic("binauto: ParMACConfig.L required")
@@ -161,7 +162,7 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 
 	initZ := cfg.InitZ
 	if initZ == nil {
-		initZ = initCodesTPCA(ds, cfg.L, cfg.Seed)
+		initZ, _ = pca.InitialCodes(ds, cfg.L, 2000, cfg.Seed)
 	}
 
 	p := &ParMACProblem{cfg: cfg, d: ds.D}
@@ -203,6 +204,19 @@ func (p *ParMACProblem) AddShard(ds *dataset.Dataset, idx []int) int {
 	sh.Z = p.AssembleModel().Encode(sh, 1)
 	p.shards = append(p.shards, sh)
 	return len(p.shards) - 1
+}
+
+// Machine builds the Problem of the machine serving shard i (core.New's
+// per-machine factory): the shared dataset, a copy of the shard's current
+// codes (after AddShard, those the current model gave the new points) and no
+// submodels, which the engine sends. The shard gathers its rows on first read.
+func (p *ParMACProblem) Machine(i int) core.Problem {
+	sh, z := p.shards[i], *p.shards[i].Z
+	z.Data = append([]uint64(nil), z.Data...)
+	m := &ParMACProblem{Adapter: core.NewAdapter(nil, p.cfg.Mu0, p.cfg.MuFactor), cfg: p.cfg, d: p.d}
+	m.shards = make([]*Shard, len(p.shards))
+	m.shards[i] = &Shard{ds: sh.ds, idx: sh.idx, Z: &z}
+	return m
 }
 
 // NumShards implements core.Problem.

@@ -21,19 +21,47 @@ func buildProblem(n, d, l, p int, seed int64) (*ParMACProblem, *dataset.Dataset)
 	return prob, ds
 }
 
-// objectives evaluates E_Q (at the problem's μ) and E_BA directly with the
-// assembled model over the given shards, all of them when none are given:
-// the oracle for the curve the Z steps report in IterationResult.
-func objectives(p *ParMACProblem, shards ...int) (eq, eba float64) {
+// fleet is a coordinator Problem and the Problems of the machines an engine
+// launched for it, by shard: the trained codes live on the machines.
+type fleet struct {
+	prob     *ParMACProblem
+	machines map[int]*ParMACProblem
+}
+
+func newFleet(p *ParMACProblem) *fleet {
+	return &fleet{prob: p, machines: make(map[int]*ParMACProblem)}
+}
+
+// machine is the engine's per-machine factory: prob.Machine, recorded.
+func (f *fleet) machine(i int) core.Problem {
+	m := f.prob.Machine(i).(*ParMACProblem)
+	f.machines[i] = m
+	return m
+}
+
+// shards lists every shard as its machine holds it, in shard order.
+func (f *fleet) shards() []*Shard {
+	out := make([]*Shard, len(f.prob.shards))
+	for i := range out {
+		out[i] = f.machines[i].shards[i]
+	}
+	return out
+}
+
+// objectives evaluates E_Q (at the coordinator's μ) and E_BA directly with
+// the coordinator's assembled model over the machines' given shards, all of
+// them when none are given: the oracle for the curve the Z steps report in
+// IterationResult.
+func objectives(f *fleet, shards ...int) (eq, eba float64) {
 	if len(shards) == 0 {
-		for i := range p.shards {
+		for i := range f.prob.shards {
 			shards = append(shards, i)
 		}
 	}
-	m := p.AssembleModel()
+	m := f.prob.AssembleModel()
 	for _, i := range shards {
-		sh := p.shards[i]
-		eq += modelEQ(m, sh, sh.Z, p.Mu())
+		sh := f.machines[i].shards[i]
+		eq += modelEQ(m, sh, sh.Z, f.prob.Mu())
 		eba += m.EBA(sh)
 	}
 	return eq, eba
@@ -45,15 +73,15 @@ func within(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-9*(1+math.Abs(want))
 }
 
-// gatherCodes concatenates all shard codes into one set, shard by shard.
-func gatherCodes(p *ParMACProblem) *retrieval.Codes {
+// gatherCodes concatenates the shards' codes into one set, shard by shard.
+func gatherCodes(shards []*Shard) *retrieval.Codes {
 	total := 0
-	for _, sh := range p.shards {
+	for _, sh := range shards {
 		total += sh.Z.N
 	}
-	out := retrieval.NewCodes(total, p.cfg.L)
+	out := retrieval.NewCodes(total, shards[0].Z.L)
 	at := 0
-	for _, sh := range p.shards {
+	for _, sh := range shards {
 		for i := 0; i < sh.Z.N; i++ {
 			out.CopyCode(at, sh.Z, i)
 			at++
@@ -153,7 +181,7 @@ func TestAssembleModelRoundTrip(t *testing.T) {
 // built with.
 func TestIterationStartRearmsSyncedSubmodels(t *testing.T) {
 	prob, _ := buildProblem(120, 6, 4, 2, 4)
-	eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 4})
+	eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 4}, prob.Machine)
 	defer eng.Shutdown()
 	built := prob.Submodels()
 	eng.Iterate()
@@ -178,13 +206,14 @@ func TestIterationStartRearmsSyncedSubmodels(t *testing.T) {
 
 func TestParMACRunImprovesEQ(t *testing.T) {
 	prob, _ := buildProblem(300, 8, 6, 4, 5)
-	eng := core.New(prob, core.Config{P: 4, Epochs: 1, Seed: 5})
+	f := newFleet(prob)
+	eng := core.New(prob, core.Config{P: 4, Epochs: 1, Seed: 5}, f.machine)
 	defer eng.Shutdown()
 
 	prob.OnIterationStart(0)
-	eq0, eba0 := objectives(prob)
+	eq0, eba0 := objectives(f)
 	eng.Run(6)
-	_, eba1 := objectives(prob)
+	_, eba1 := objectives(f)
 	if eba1 > eba0 {
 		t.Fatalf("ParMAC did not reduce E_BA: %v -> %v", eba0, eba1)
 	}
@@ -222,7 +251,8 @@ func TestIterationCurveMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := core.NewOn(prob, core.Config{P: tc.p, Epochs: 2, Seed: 21}, fab)
+				f := newFleet(prob)
+				eng := core.NewOn(prob, core.Config{P: tc.p, Epochs: 2, Seed: 21}, fab, f.machine)
 				scored := []int{0, 1, 2, 3}[:tc.p]
 				for it := 0; it < 4; it++ {
 					if tc.kill && it == 1 {
@@ -230,7 +260,7 @@ func TestIterationCurveMatchesOracle(t *testing.T) {
 						scored = []int{0, 1, 3}
 					}
 					res := eng.Iterate()
-					eq, eba := objectives(prob, scored...)
+					eq, eba := objectives(f, scored...)
 					if !within(res.EQ, eq) || !within(res.EBA, eba) {
 						t.Fatalf("parallel=%d iter %d: curve E_Q %v, E_BA %v; oracle over shards %v: %v, %v",
 							parallel, it, res.EQ, res.EBA, scored, eq, eba)
@@ -257,10 +287,11 @@ func TestIterationCurveMatchesOracle(t *testing.T) {
 func TestParMACDeterministicNoShuffle(t *testing.T) {
 	run := func() *retrieval.Codes {
 		prob, _ := buildProblem(150, 6, 4, 3, 6)
-		eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 6})
+		f := newFleet(prob)
+		eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 6}, f.machine)
 		defer eng.Shutdown()
 		eng.Run(3)
-		return gatherCodes(prob)
+		return gatherCodes(f.shards())
 	}
 	if !equalCodes(run(), run()) {
 		t.Fatal("ParMAC with fixed seed and no shuffle must be deterministic")
@@ -270,10 +301,11 @@ func TestParMACDeterministicNoShuffle(t *testing.T) {
 func TestParMACSingleMachineDeterministicWithShuffle(t *testing.T) {
 	run := func() *retrieval.Codes {
 		prob, _ := buildProblem(100, 6, 4, 1, 7)
-		eng := core.New(prob, core.Config{P: 1, Epochs: 2, Shuffle: true, Seed: 7})
+		f := newFleet(prob)
+		eng := core.New(prob, core.Config{P: 1, Epochs: 2, Shuffle: true, Seed: 7}, f.machine)
 		defer eng.Shutdown()
 		eng.Run(2)
-		return gatherCodes(prob)
+		return gatherCodes(f.shards())
 	}
 	if !equalCodes(run(), run()) {
 		t.Fatal("P=1 shuffled runs with one seed must be identical")
@@ -287,10 +319,11 @@ func TestParMACQualityComparableToSerialMAC(t *testing.T) {
 	// seed.
 	finalEBA := func(p int) float64 {
 		prob, _ := buildProblem(400, 8, 6, p, 8)
-		eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 8})
+		f := newFleet(prob)
+		eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 8}, f.machine)
 		defer eng.Shutdown()
 		eng.Run(8)
-		_, eba := objectives(prob)
+		_, eba := objectives(f)
 		return eba
 	}
 	serialEBA, parmacEBA := finalEBA(1), finalEBA(4)
@@ -320,10 +353,11 @@ func TestParMACMoreEpochsNotWorse(t *testing.T) {
 	// should land close).
 	finalEBA := func(epochs int) float64 {
 		prob, _ := buildProblem(300, 8, 4, 4, 9)
-		eng := core.New(prob, core.Config{P: 4, Epochs: epochs, Seed: 9})
+		f := newFleet(prob)
+		eng := core.New(prob, core.Config{P: 4, Epochs: epochs, Seed: 9}, f.machine)
 		defer eng.Shutdown()
 		eng.Run(6)
-		_, eba := objectives(prob)
+		_, eba := objectives(f)
 		return eba
 	}
 	e1, e4 := finalEBA(1), finalEBA(4)
@@ -341,7 +375,7 @@ func TestParMACWithFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewOn(prob, core.Config{P: 4, Epochs: 2, Seed: 10}, fab)
+	eng := core.NewOn(prob, core.Config{P: 4, Epochs: 2, Seed: 10}, fab, prob.Machine)
 	defer eng.Shutdown()
 	res := eng.Run(1)
 	fab.Arm(chaos.KillSpec{Rank: 2, Tag: chaos.AnyTag, AfterSends: 5})
@@ -366,7 +400,8 @@ func TestParMACStreamingAddShard(t *testing.T) {
 	prob := NewParMACProblem(ds, shards, ParMACConfig{L: 4, Mu0: 1e-3, Seed: 11})
 	net := cluster.NewNetwork(4) // 2 machines, a spare rank, the coordinator
 	defer net.Close()
-	eng := core.NewOn(prob, core.Config{P: 2, Epochs: 1, Seed: 11}, net)
+	f := newFleet(prob)
+	eng := core.NewOn(prob, core.Config{P: 2, Epochs: 1, Seed: 11}, net, f.machine)
 	defer eng.Shutdown()
 	eng.Run(2)
 
@@ -381,8 +416,8 @@ func TestParMACStreamingAddShard(t *testing.T) {
 	if res.AliveMachines != 3 {
 		t.Fatalf("alive = %d", res.AliveMachines)
 	}
-	if gatherCodes(prob).N != 200 {
-		t.Fatalf("codes = %d, want 200", gatherCodes(prob).N)
+	if n := gatherCodes(f.shards()).N; n != 200 {
+		t.Fatalf("codes = %d, want 200", n)
 	}
 }
 
@@ -394,7 +429,7 @@ func TestGatherCodesOrdering(t *testing.T) {
 		initZ.SetBit(i, i%4, true)
 	}
 	prob := NewParMACProblem(ds, shards, ParMACConfig{L: 4, InitZ: initZ, Seed: 12})
-	got := gatherCodes(prob)
+	got := gatherCodes(prob.shards)
 	// Contiguous shards preserve the original order.
 	for i := 0; i < 30; i++ {
 		for b := 0; b < 4; b++ {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/pca"
 	"repro/internal/retrieval"
 	"repro/internal/sgd"
 	"repro/internal/svm"
@@ -420,7 +421,7 @@ func BenchmarkParMACVisit(b *testing.B) {
 	ds := dataset.SIFTLike(2*n, d, 16, 1)
 	idx := dataset.ShuffledShardIndices(2*n, 2, nil, 1)[0]
 	z := retrieval.NewCodes(n, l)
-	initZ := initCodesTPCA(ds, l, 1)
+	initZ, _ := pca.InitialCodes(ds, l, 2000, 1)
 	for k, i := range idx {
 		z.CopyCode(k, initZ, i)
 	}

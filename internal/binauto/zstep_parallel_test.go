@@ -149,7 +149,7 @@ func TestParMACParallelMatchesSerial(t *testing.T) {
 				p.ZStep(sh, model)
 			}
 		}
-		return gatherCodes(p)
+		return gatherCodes(p.shards)
 	}
 	serial := run(build(0))
 	parallel := run(build(4))

@@ -167,7 +167,7 @@ func TestZEnumerateAgreesWithGrayWalk(t *testing.T) {
 	prob := NewParMACProblem(ds, dataset.ShardIndices(n, 1, nil), ParMACConfig{
 		L: l, Mu0: 1e-4, MuFactor: 2, ZMethod: ZEnumerate, Seed: 1,
 	})
-	eng := core.New(prob, core.Config{P: 1, Epochs: 1, Seed: 1})
+	eng := core.New(prob, core.Config{P: 1, Epochs: 1, Seed: 1}, prob.Machine)
 	defer eng.Shutdown()
 	eng.Run(2)
 	m, mu := prob.AssembleModel(), prob.Mu()

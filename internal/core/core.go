@@ -15,9 +15,11 @@
 // the coordinator on its fabric's last rank, machines run RunWorker
 // (worker.go) on the ranks before it, and the two sides speak exclusively
 // through the pluggable fabric of internal/cluster (Go channels, a chaos
-// wrapper, TCP with submodels in the cluster wire codec). The shapes differ
-// only in who launches the machines: New and NewOn run them as goroutines,
-// NewDistributed drives workers launched elsewhere, such as OS processes.
+// wrapper, TCP with submodels in the cluster wire codec). Every machine runs
+// on a Problem of its own, holding its shard, and the shapes differ only in
+// who launches the machines: New and NewOn run them as goroutines on
+// Problems from a per-machine factory, NewDistributed drives machines
+// launched elsewhere, such as OS processes.
 // The engine supports the ParMAC extensions of §4.3: per-epoch ring
 // shuffling, load balancing via unequal shards, streaming (machines can be
 // added and retired between iterations) and fault tolerance (a machine can
@@ -65,8 +67,8 @@ type Shard interface {
 // the learning curve (IterationResult.EQ, EBA) is computed where the data
 // lie (§4.1). Shards that do not implement it contribute 0.
 type ObjectiveShard interface {
-	// Objectives returns E_Q and E_BA summed over the shard's points, as
-	// its last Z step left them.
+	// Objectives returns E_Q and the nested error E_BA summed over the
+	// shard's points, as its last Z step left them.
 	Objectives() (eq, eba float64)
 }
 
@@ -110,10 +112,9 @@ type Problem interface {
 
 // IterationHook is implemented by problems that advance per-iteration state
 // (e.g. the μ schedule of the BA). The coordinator calls it on its Problem
-// before each iteration's W step, and every worker calls it on its own
+// before each iteration's W step, and every machine calls it on its own
 // Problem when the W step opens, so shard-local state (the μ used by the Z
-// step) advances everywhere. In-process machines are handed the
-// coordinator's Problem without its hooks, so there it runs once.
+// step) advances everywhere.
 type IterationHook interface {
 	OnIterationStart(iter int)
 }
@@ -269,24 +270,22 @@ type Engine struct {
 }
 
 // New creates an in-process engine for the problem over the channel
-// backend, one rank per machine: machine i runs as a goroutine attached to
-// prob.Shard(i). An engine that streams machines in needs spare ranks: use
-// NewOn over a larger fabric.
-func New(prob Problem, cfg Config) *Engine {
+// backend, one rank per machine: machine i runs as a goroutine on
+// machine(i), its own Problem holding shard i. An engine that streams
+// machines in needs spare ranks: use NewOn over a larger fabric.
+func New(prob Problem, cfg Config, machine func(shard int) Problem) *Engine {
 	cfg.fillDefaults()
-	return NewOn(prob, cfg, cluster.NewNetwork(cfg.P+1))
+	return NewOn(prob, cfg, cluster.NewNetwork(cfg.P+1), machine)
 }
 
 // NewOn is New over a fabric the caller built (and closes): machines are
-// still goroutines of this process sharing prob, but their messages cross
-// fab — a chaos wrapper that kills ranks, a loopback TCP fabric. The
-// coordinator takes fab's last rank and the others are machine slots: cfg.P
-// are filled at once, the rest are left for AddMachine.
-func NewOn(prob Problem, cfg Config, fab cluster.Fabric) *Engine {
+// still goroutines running on machine(shard), but their messages cross fab —
+// a chaos wrapper that kills ranks, a loopback TCP fabric. The coordinator
+// takes fab's last rank and the others are machine slots: cfg.P are filled
+// at once, the rest are left for AddMachine.
+func NewOn(prob Problem, cfg Config, fab cluster.Fabric, machine func(shard int) Problem) *Engine {
 	e := start(prob, cfg, fab.Comm(fab.Size()-1), func(rank, shard int) {
-		// The machine shares the coordinator's Problem, narrowed to Problem so
-		// the per-iteration hooks stay the coordinator's to call.
-		go RunWorker(fab.Comm(rank), struct{ Problem }{prob}, shard, WorkerOptions{
+		go RunWorker(fab.Comm(rank), machine(shard), shard, WorkerOptions{
 			Seed: WorkerSeed(cfg.Seed, rank),
 		})
 	})
@@ -296,8 +295,8 @@ func NewOn(prob Problem, cfg Config, fab cluster.Fabric) *Engine {
 
 // NewDistributed creates a coordinator over an external fabric (e.g. a TCP
 // cluster): comm must be the last rank of a cfg.P+1-rank fabric, and cfg.P
-// workers — launched separately with RunWorker, each owning its Problem
-// instance — occupy ranks 0..P-1. Fault recovery works in this shape;
+// workers — launched separately with RunWorker, each on its own Problem —
+// occupy ranks 0..P-1. Fault recovery works in this shape;
 // streaming (AddMachine) needs an engine that launches its machines.
 func NewDistributed(prob Problem, cfg Config, comm *cluster.Comm) *Engine {
 	cfg.fillDefaults()
@@ -343,8 +342,8 @@ func start(prob Problem, cfg Config, coord *cluster.Comm, launch func(rank, shar
 	return e
 }
 
-// attach puts a machine serving shard on a free rank, launching it when the
-// engine launches its machines.
+// attach puts a machine serving shard on a free rank, launching it (on a
+// Problem of its own) when the engine launches its machines.
 func (e *Engine) attach(rank, shard int) {
 	if e.launch != nil {
 		if shard < 0 || shard >= e.prob.NumShards() {
@@ -372,10 +371,10 @@ func (e *Engine) AliveRanks() []int {
 	return out
 }
 
-// AddMachine attaches a new machine serving prob.Shard(shard) on the lowest
-// free rank and returns that rank. It implements the streaming extension:
-// "adding it to the circular topology simply requires connecting it between
-// any two machines" (§4.3). Call between iterations, on an engine that
+// AddMachine launches a machine serving shard, on the Problem the engine's
+// factory builds for it, on the lowest free rank and returns that rank. It
+// implements the streaming extension: "adding it to the circular topology
+// simply requires connecting it between any two machines" (§4.3). Call between iterations, on an engine that
 // launches its machines (New, NewOn) over a fabric with a spare rank.
 func (e *Engine) AddMachine(shard int) int {
 	if e.launch == nil {

@@ -52,8 +52,9 @@ func (t *toySub) Bytes() int { return 16 }
 
 type toyProblem struct {
 	Adapter
-	shards []*toyShard
-	iters  []int // OnIterationStart log
+	shards   []*toyShard
+	iters    []int               // OnIterationStart log
+	machines map[int]*toyProblem // by shard: the last Problem machine built for it
 }
 
 func newToyProblem(nShards, pointsPerShard, m int) *toyProblem {
@@ -83,6 +84,23 @@ func (p *toyProblem) toys() []*toySub {
 	}
 	return out
 }
+
+// machine is the toy's per-machine factory: a Problem holding a copy of
+// shard i only, kept on p so tests can read what the machine did.
+func (p *toyProblem) machine(i int) Problem {
+	sh := *p.shards[i]
+	sh.z = slices.Clone(sh.z)
+	m := &toyProblem{shards: make([]*toyShard, len(p.shards))}
+	m.shards[i] = &sh
+	if p.machines == nil {
+		p.machines = make(map[int]*toyProblem)
+	}
+	p.machines[i] = m
+	return m
+}
+
+// machineZ is shard i's coordinates as its machine holds them.
+func (p *toyProblem) machineZ(i int) []float64 { return p.machines[i].shards[i].z }
 
 func (p *toyProblem) NumShards() int         { return len(p.shards) }
 func (p *toyProblem) Shard(i int) Shard      { return p.shards[i] }
@@ -125,7 +143,7 @@ func (p *toyProblem) totalSum() float64 {
 
 func TestSingleMachineExactCounts(t *testing.T) {
 	p := newToyProblem(1, 10, 4)
-	e := New(p, Config{P: 1, Epochs: 2, Seed: 1})
+	e := New(p, Config{P: 1, Epochs: 2, Seed: 1}, p.machine)
 	defer e.Shutdown()
 	res := e.Iterate()
 	for _, sub := range p.toys() {
@@ -147,7 +165,7 @@ func TestSingleMachineExactCounts(t *testing.T) {
 func TestEverySubmodelVisitsEveryMachinePerEpoch(t *testing.T) {
 	const P, E, M = 4, 3, 6
 	p := newToyProblem(P, 5, M)
-	e := New(p, Config{P: P, Epochs: E, Seed: 2})
+	e := New(p, Config{P: P, Epochs: E, Seed: 2}, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
 	for _, sub := range p.toys() {
@@ -176,7 +194,7 @@ func TestEverySubmodelVisitsEveryMachinePerEpoch(t *testing.T) {
 func TestShuffledRingStillCoversAllMachines(t *testing.T) {
 	const P, E, M = 5, 2, 7
 	p := newToyProblem(P, 3, M)
-	e := New(p, Config{P: P, Epochs: E, Shuffle: true, Seed: 3})
+	e := New(p, Config{P: P, Epochs: E, Shuffle: true, Seed: 3}, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
 	for _, sub := range p.toys() {
@@ -195,7 +213,7 @@ func TestShuffledRingStillCoversAllMachines(t *testing.T) {
 func TestWithinMachinePasses(t *testing.T) {
 	// §4.2: e within-machine passes with a single circulation epoch.
 	p := newToyProblem(3, 4, 2)
-	e := New(p, Config{P: 3, Epochs: 1, Within: 4, Seed: 4})
+	e := New(p, Config{P: 3, Epochs: 1, Within: 4, Seed: 4}, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
 	for _, sub := range p.toys() {
@@ -208,7 +226,7 @@ func TestWithinMachinePasses(t *testing.T) {
 func TestCommunicationAccounting(t *testing.T) {
 	const P, E, M = 4, 2, 6
 	p := newToyProblem(P, 2, M)
-	e := New(p, Config{P: P, Epochs: E, Seed: 5})
+	e := New(p, Config{P: P, Epochs: E, Seed: 5}, p.machine)
 	defer e.Shutdown()
 	res := e.Iterate()
 	// Each token has (E+1)P−1 itinerary positions; the first is free
@@ -225,7 +243,7 @@ func TestCommunicationAccounting(t *testing.T) {
 func TestDeterministicAcrossRunsNoShuffle(t *testing.T) {
 	run := func() []float64 {
 		p := newToyProblem(3, 7, 5)
-		e := New(p, Config{P: 3, Epochs: 2, Seed: 7})
+		e := New(p, Config{P: 3, Epochs: 2, Seed: 7}, p.machine)
 		defer e.Shutdown()
 		e.Run(3)
 		out := make([]float64, 0, 5)
@@ -244,7 +262,7 @@ func TestDeterministicAcrossRunsNoShuffle(t *testing.T) {
 
 func TestIterationHookCalledInOrder(t *testing.T) {
 	p := newToyProblem(2, 3, 2)
-	e := New(p, Config{P: 2, Epochs: 1, Seed: 8})
+	e := New(p, Config{P: 2, Epochs: 1, Seed: 8}, p.machine)
 	defer e.Shutdown()
 	e.Run(3)
 	if len(p.iters) != 3 || p.iters[0] != 0 || p.iters[2] != 2 {
@@ -254,19 +272,65 @@ func TestIterationHookCalledInOrder(t *testing.T) {
 
 func TestZStepRunsOnAllShards(t *testing.T) {
 	p := newToyProblem(4, 6, 3)
-	e := New(p, Config{P: 4, Epochs: 1, Seed: 9})
+	e := New(p, Config{P: 4, Epochs: 1, Seed: 9}, p.machine)
 	defer e.Shutdown()
 	res := e.Iterate()
 	if res.ZChanged != 4*6 {
 		t.Fatalf("ZChanged = %d, want 24", res.ZChanged)
 	}
-	want := p.shards[0].z[0]
-	for _, sh := range p.shards {
-		for _, z := range sh.z {
+	want := p.machineZ(0)[0]
+	for i := range p.shards {
+		for _, z := range p.machineZ(i) {
 			if z != want {
 				t.Fatal("Z values inconsistent across shards; machines saw different models")
 			}
 		}
+	}
+}
+
+// TestMachinesOwnTheirProblems: an in-process machine runs on the Problem
+// the engine's factory built for it, never on the coordinator's. Each
+// machine's own IterationHook sees every iteration once, in order, and the
+// Z step writes the machine's copy of its shard, leaving the coordinator's
+// shards as they were built.
+func TestMachinesOwnTheirProblems(t *testing.T) {
+	const P, iters = 3, 4
+	for _, shape := range []struct {
+		name  string
+		build func(p *toyProblem) *Engine
+	}{
+		{"New", func(p *toyProblem) *Engine { return New(p, Config{P: P, Epochs: 1, Seed: 27}, p.machine) }},
+		{"NewOn", func(p *toyProblem) *Engine {
+			return NewOn(p, Config{P: P, Epochs: 1, Seed: 27}, cluster.NewNetwork(P+2), p.machine)
+		}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			p := newToyProblem(P, 4, 2)
+			e := shape.build(p)
+			defer e.Shutdown()
+			e.Run(iters)
+			want := []int{0, 1, 2, 3}
+			if !slices.Equal(p.iters, want) {
+				t.Errorf("coordinator hook calls = %v, want %v", p.iters, want)
+			}
+			for i, sh := range p.shards {
+				m := p.machines[i]
+				if m == nil || m == p {
+					t.Fatalf("machine %d has no Problem of its own", i)
+				}
+				if !slices.Equal(m.iters, want) {
+					t.Errorf("machine %d hook calls = %v, want %v", i, m.iters, want)
+				}
+				if m.shards[i] == sh || p.machineZ(i)[0] == 0 {
+					t.Errorf("machine %d did not run its Z step on its own copy of shard %d", i, i)
+				}
+				for _, z := range sh.z {
+					if z != 0 {
+						t.Fatalf("coordinator's shard %d written by a machine: z = %v", i, sh.z)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -276,7 +340,7 @@ func TestZStepRunsOnAllShards(t *testing.T) {
 // is made of the returned tokens.
 func TestIterateKeepsPreIterationModel(t *testing.T) {
 	p := newToyProblem(2, 3, 2)
-	e := New(p, Config{P: 2, Epochs: 1, Seed: 10})
+	e := New(p, Config{P: 2, Epochs: 1, Seed: 10}, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
 	before := slices.Clone(e.submodels)
@@ -309,7 +373,7 @@ func TestIterateKeepsPreIterationModel(t *testing.T) {
 
 func TestRoutesStructure(t *testing.T) {
 	p := newToyProblem(4, 2, 5)
-	e := New(p, Config{P: 4, Epochs: 2, Seed: 11})
+	e := New(p, Config{P: 4, Epochs: 2, Seed: 11}, p.machine)
 	defer e.Shutdown()
 	routes := e.buildRoutes([]int{0, 1, 2, 3}, 8)
 	for id, r := range routes {
@@ -355,7 +419,7 @@ func TestLoadBalancedShards(t *testing.T) {
 		p.shards = append(p.shards, sh)
 	}
 	p.Adapter = NewAdapter([]Submodel{&toySub{id: 0}}, 1, 2)
-	e := New(p, Config{P: 2, Epochs: 1, Seed: 14})
+	e := New(p, Config{P: 2, Epochs: 1, Seed: 14}, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
 	if p.toys()[0].count != 8 {
@@ -371,7 +435,7 @@ func TestConfigValidation(t *testing.T) {
 		build      func()
 	}{
 		{"fabric without a rank for the coordinator", "at least 3 ranks", func() {
-			NewOn(p, Config{P: 2}, cluster.NewNetwork(2))
+			NewOn(p, Config{P: 2}, cluster.NewNetwork(2), p.machine)
 		}},
 		{"distributed coordinator not on the last rank", "last rank 2, got rank 0", func() {
 			NewDistributed(p, Config{P: 2}, cluster.NewNetwork(3).Comm(0))
@@ -402,12 +466,12 @@ func TestTooFewShardsPanics(t *testing.T) {
 			t.Fatalf("recovered %v, want a panic: more machines than shards", r)
 		}
 	}()
-	New(p, Config{P: 3})
+	New(p, Config{P: 3}, p.machine)
 }
 
 func TestAddMachineRejectsBadShard(t *testing.T) {
 	p := newToyProblem(2, 3, 2)
-	e := NewOn(p, Config{P: 2, Seed: 22}, cluster.NewNetwork(4)) // one spare rank
+	e := NewOn(p, Config{P: 2, Seed: 22}, cluster.NewNetwork(4), p.machine) // one spare rank
 	defer e.Shutdown()
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard 99 out of range") {
@@ -419,7 +483,7 @@ func TestAddMachineRejectsBadShard(t *testing.T) {
 
 func TestAddMachineExhaustsRanks(t *testing.T) {
 	p := newToyProblem(3, 2, 2)
-	e := New(p, Config{P: 2, Seed: 23}) // New's fabric has no spare rank
+	e := New(p, Config{P: 2, Seed: 23}, p.machine) // New's fabric has no spare rank
 	defer e.Shutdown()
 	defer func() {
 		if recover() == nil {
@@ -431,7 +495,7 @@ func TestAddMachineExhaustsRanks(t *testing.T) {
 
 func TestRetireTwicePanics(t *testing.T) {
 	p := newToyProblem(3, 2, 2)
-	e := New(p, Config{P: 3, Seed: 24})
+	e := New(p, Config{P: 3, Seed: 24}, p.machine)
 	defer e.Shutdown()
 	e.Retire(1)
 	defer func() {
@@ -444,7 +508,7 @@ func TestRetireTwicePanics(t *testing.T) {
 
 func TestShutdownIsIdempotent(t *testing.T) {
 	p := newToyProblem(2, 2, 2)
-	e := New(p, Config{P: 2, Seed: 25})
+	e := New(p, Config{P: 2, Seed: 25}, p.machine)
 	e.Iterate()
 	e.Shutdown()
 	e.Shutdown() // must not panic or deadlock
@@ -452,7 +516,7 @@ func TestShutdownIsIdempotent(t *testing.T) {
 
 func TestManyIterationsStayConsistent(t *testing.T) {
 	p := newToyProblem(4, 5, 6)
-	e := New(p, Config{P: 4, Epochs: 2, Shuffle: true, Seed: 26})
+	e := New(p, Config{P: 4, Epochs: 2, Shuffle: true, Seed: 26}, p.machine)
 	defer e.Shutdown()
 	results := e.Run(10)
 	for i, r := range results {
@@ -482,7 +546,7 @@ func TestQuickProtocolInvariants(t *testing.T) {
 		E := int(eRaw)%3 + 1
 		W := int(wRaw)%2 + 1
 		prob := newToyProblem(P, 3, M)
-		e := New(prob, Config{P: P, Epochs: E, Within: W, Shuffle: shuffle, Seed: seed})
+		e := New(prob, Config{P: P, Epochs: E, Within: W, Shuffle: shuffle, Seed: seed}, prob.machine)
 		defer e.Shutdown()
 		res := e.Iterate()
 		if res.FixMessages != 0 || len(res.Failures) != 0 {

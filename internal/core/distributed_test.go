@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,8 +71,9 @@ func (s *wireShard) NumPoints() int { return len(s.vals) }
 
 type wireProblem struct {
 	core.Adapter
-	shards []*wireShard
-	mu     float64 // per-iteration state driven by OnIterationStart
+	shards   []*wireShard
+	mu       float64              // per-iteration state driven by OnIterationStart
+	machines map[int]*wireProblem // by shard: the last Problem machine built for it
 }
 
 func newWireProblem(nShards, pointsPerShard, m int) *wireProblem {
@@ -100,6 +102,20 @@ func (p *wireProblem) wires() []*WireSub {
 		out = append(out, sm.(*WireSub))
 	}
 	return out
+}
+
+// machine is the per-machine factory of an in-process engine: a Problem
+// holding a copy of shard i only, kept on p so tests can read its Z state.
+func (p *wireProblem) machine(i int) core.Problem {
+	sh := *p.shards[i]
+	sh.z = slices.Clone(sh.z)
+	m := &wireProblem{shards: make([]*wireShard, len(p.shards))}
+	m.shards[i] = &sh
+	if p.machines == nil {
+		p.machines = make(map[int]*wireProblem)
+	}
+	p.machines[i] = m
+	return m
 }
 
 func (p *wireProblem) NumShards() int         { return len(p.shards) }
@@ -175,7 +191,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	cfg := core.Config{P: P, Epochs: 2, Seed: 42}
 
 	inproc := newWireProblem(shards, points, M)
-	eng := core.New(inproc, cfg)
+	eng := core.New(inproc, cfg, inproc.machine)
 	inprocRes := eng.Run(iters)
 	eng.Shutdown()
 
@@ -198,11 +214,11 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 				}
 			}
 			// Every worker's shard-local Z state must match the in-process
-			// shards: the Z step saw the same complete model and the same μ.
+			// machines': the Z step saw the same complete model and the same μ.
 			survivorZ := make([]float64, P)
 			for r, wp := range workerProbs {
 				survivorZ[r] = wp.shards[r].z[0]
-				if got, want := survivorZ[r], inproc.shards[r].z[0]; got != want {
+				if got, want := survivorZ[r], inproc.machines[r].shards[r].z[0]; got != want {
 					t.Fatalf("worker %d Z state %v, in-process %v", r, got, want)
 				}
 			}

@@ -165,24 +165,25 @@ func toyLogs(p *toyProblem) []subLog {
 	return out
 }
 
+// toyZ is one Z value per surviving shard, as the shard's machine holds it.
 func toyZ(p *toyProblem, survivors ...int) []float64 {
 	var out []float64
 	for _, s := range survivors {
-		out = append(out, p.shards[s].z[0])
+		out = append(out, p.machineZ(s)[0])
 	}
 	return out
 }
 
 // chaosEngine runs the in-process engine on a chaos-wrapped channel fabric
 // with the given kills scheduled and short rescue waits.
-func chaosEngine(t *testing.T, prob Problem, cfg Config, o chaos.Options) (*Engine, *chaos.Fabric) {
+func chaosEngine(t *testing.T, prob *toyProblem, cfg Config, o chaos.Options) (*Engine, *chaos.Fabric) {
 	t.Helper()
 	cfg.RescueTimeout = fastRescue
 	fab, err := chaos.New(cluster.NewNetwork(cfg.P+1), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewOn(prob, cfg, fab)
+	e := NewOn(prob, cfg, fab, prob.machine)
 	t.Cleanup(e.Shutdown)
 	return e, fab
 }
@@ -329,7 +330,7 @@ func TestRescuerDiesDuringRescue(t *testing.T) {
 func TestDeathBetweenIterations(t *testing.T) {
 	p := newToyProblem(3, 4, 4)
 	net := cluster.NewNetwork(4)
-	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net, p.machine)
 	defer e.Shutdown()
 	r0 := e.Iterate()
 	net.Kill(1)
@@ -372,8 +373,8 @@ func TestEngineUnderChaosKill(t *testing.T) {
 	})
 }
 
-// stallZ holds one shard's Z step until release is closed: a live machine
-// that is merely slow.
+// stallZ wraps a machine's Problem and holds shard `shard`'s Z step until
+// release is closed: a live machine that is merely slow.
 type stallZ struct {
 	*toyProblem
 	shard   int
@@ -392,11 +393,14 @@ func (p stallZ) ZStep(shard int, model []Submodel) int {
 // already waiting when the next iteration opens and must be dropped as stale;
 // that iteration finishes on {0, 1}.
 func TestStragglerDeclaredDeadDoesNotCrashNextIteration(t *testing.T) {
-	p := stallZ{toyProblem: newToyProblem(3, 4, 3), shard: 2, release: make(chan struct{})}
-	release := sync.OnceFunc(func() { close(p.release) })
+	p, stall := newToyProblem(3, 4, 3), make(chan struct{})
+	release := sync.OnceFunc(func() { close(stall) })
 	defer release()
+	machine := func(i int) Problem {
+		return stallZ{toyProblem: p.machine(i).(*toyProblem), shard: 2, release: stall}
+	}
 	net := cluster.NewNetwork(4)
-	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: 20 * time.Millisecond}, net)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: 20 * time.Millisecond}, net, machine)
 	defer e.Shutdown()
 	r0 := e.Iterate()
 	if r0.AliveMachines != 2 || !hasEvent(r0.Failures, func(ev FailureEvent) bool { return ev.Rank == 2 && ev.LostToken == -1 }) {
@@ -422,7 +426,7 @@ func TestStragglerDeclaredDeadDoesNotCrashNextIteration(t *testing.T) {
 func TestRetireOfDeadMachineReturns(t *testing.T) {
 	p := newToyProblem(3, 4, 3)
 	net := cluster.NewNetwork(4)
-	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net)
+	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
 	net.Kill(1)

@@ -21,7 +21,7 @@ func TestStreamingAddAndRetire(t *testing.T) {
 			}
 			defer fab.Close()
 			p := newWireProblem(3, points, 4) // 3 shards, 2 machines at the start
-			e := core.NewOn(p, core.Config{P: 2, Epochs: 1, Seed: 13}, fab)
+			e := core.NewOn(p, core.Config{P: 2, Epochs: 1, Seed: 13}, fab, p.machine)
 			defer e.Shutdown()
 
 			seen := 0

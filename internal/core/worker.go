@@ -9,14 +9,15 @@ import (
 	"repro/internal/cluster"
 )
 
-// The machine side of the ParMAC protocol. A worker talks to the coordinator
-// and its ring neighbours exclusively through its communicator, so the same
-// loop serves both deployment shapes: a goroutine of the coordinator's
-// process on any fabric (New and NewOn launch these, AddMachine too) and a
-// worker launched elsewhere for NewDistributed, such as one OS process per
-// machine over TCP (cmd/parmac-train -worker runs this as its main loop). It shares no submodel with anyone: what it sends is a Clone of what
-// it keeps, so the same ownership holds whether the fabric passes pointers
-// or bytes.
+// The machine side of the ParMAC protocol. A worker runs on a Problem of its
+// own and talks only through its communicator, so one loop serves every
+// machine: a goroutine on any fabric (New, NewOn and AddMachine launch
+// these) or a worker launched elsewhere for NewDistributed, such as an OS
+// process over TCP (cmd/parmac-train -worker).
+//
+// It shares no submodel with anyone: what it sends is a Clone of what it
+// keeps, so the same ownership holds whether the fabric passes pointers or
+// bytes.
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {

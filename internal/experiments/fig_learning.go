@@ -62,7 +62,7 @@ func runCurve(w learnWorkload, p, epochs int, shuffle bool, seed int64) []curveR
 	prob := binauto.NewParMACProblem(ds, shards, binauto.ParMACConfig{
 		L: w.l, Mu0: w.mu0, MuFactor: w.muFactor, SVMLambda: 1e-4, Seed: seed,
 	})
-	eng := core.New(prob, core.Config{P: p, Epochs: epochs, Shuffle: shuffle, Seed: seed})
+	eng := core.New(prob, core.Config{P: p, Epochs: epochs, Shuffle: shuffle, Seed: seed}, prob.Machine)
 	defer eng.Shutdown()
 
 	val := &binauto.Validation{Base: ds, Queries: queries, Truth: truth, K: w.kRet}

@@ -76,7 +76,7 @@ func (s *sift1bSetup) train(kernel bool, cfg RunConfig) sift1bRun {
 		L: s.l, Mu0: 1e-4, MuFactor: 2, SVMLambda: 1e-4,
 		ZMethod: binauto.ZAlternate, Seed: cfg.Seed + 45,
 	})
-	eng := core.New(prob, core.Config{P: p, Epochs: 2, Shuffle: true, Seed: cfg.Seed + 46})
+	eng := core.New(prob, core.Config{P: p, Epochs: 2, Shuffle: true, Seed: cfg.Seed + 46}, prob.Machine)
 	defer eng.Shutdown()
 
 	run := sift1bRun{name: name}

@@ -105,10 +105,16 @@ func (n *Net) NestedError(xs, ys *vec.Matrix) float64 {
 	var total float64
 	out := make([]float64, n.Dims[len(n.Dims)-1])
 	for i := 0; i < xs.Rows; i++ {
-		n.Forward(xs.Row(i), out)
-		total += 0.5 * vec.SqDist(ys.Row(i), out)
+		total += n.pointNested(xs.Row(i), ys.Row(i), out)
 	}
 	return total
+}
+
+// pointNested is one point's term of eq. (4), ½‖y − f(x)‖²; out is scratch
+// of the output width.
+func (n *Net) pointNested(x, y, out []float64) float64 {
+	n.Forward(x, out)
+	return 0.5 * vec.SqDist(y, out)
 }
 
 // Coords holds the auxiliary coordinates z_{k,n} for a set of points: one
@@ -135,17 +141,9 @@ func NewCoordsFromForward(n *Net, xs *vec.Matrix) *Coords {
 	return c
 }
 
-// PenaltyError is the quadratic-penalty objective of eq. (6):
-// ½ Σ_n ‖y_n − f_{K+1}(z_{K,n})‖² + μ/2 Σ_n Σ_k ‖z_{k,n} − f_k(z_{k−1,n})‖².
-func PenaltyError(n *Net, xs, ys *vec.Matrix, c *Coords, mu float64) float64 {
-	var total float64
-	for i := 0; i < xs.Rows; i++ {
-		total += pointPenalty(n, xs.Row(i), ys.Row(i), c, i, mu)
-	}
-	return total
-}
-
-// pointPenalty evaluates one point's terms of eq. (6).
+// pointPenalty evaluates one point's terms of the quadratic-penalty
+// objective of eq. (6):
+// ½‖y − f_{K+1}(z_K)‖² + μ/2 Σ_k ‖z_k − f_k(z_{k−1})‖².
 func pointPenalty(n *Net, x, y []float64, c *Coords, i int, mu float64) float64 {
 	k := n.K()
 	var total float64

@@ -63,7 +63,7 @@ func TestPenaltyEqualsNestedAtForwardCoords(t *testing.T) {
 	c := NewCoordsFromForward(n, xs)
 	nested := n.NestedError(xs, ys)
 	for _, mu := range []float64{0.1, 1, 100} {
-		eq := PenaltyError(n, xs, ys, c, mu)
+		eq := penaltyError(n, xs, ys, c, mu)
 		if math.Abs(eq-nested) > 1e-9 {
 			t.Fatalf("mu=%v: EQ %v != nested %v", mu, eq, nested)
 		}
@@ -198,14 +198,61 @@ func referenceMAC(n *Net, xs, ys *vec.Matrix, cfg ParMACConfig, iters, wEpochs i
 	return coords
 }
 
+// penaltyError is the quadratic-penalty objective of eq. (6) over a set of
+// points, summed in point order: the oracle for the E_Q a Z step reports.
+func penaltyError(n *Net, xs, ys *vec.Matrix, c *Coords, mu float64) float64 {
+	var total float64
+	for i := 0; i < xs.Rows; i++ {
+		total += pointPenalty(n, xs.Row(i), ys.Row(i), c, i, mu)
+	}
+	return total
+}
+
+// fleet is a coordinator Problem and the Problems of the machines an engine
+// launched for it, by shard: the trained coordinates live on the machines.
+type fleet struct {
+	prob     *ParMACProblem
+	machines map[int]*ParMACProblem
+}
+
+func newFleet(p *ParMACProblem) *fleet {
+	return &fleet{prob: p, machines: make(map[int]*ParMACProblem)}
+}
+
+// machine is the engine's per-machine factory: prob.Machine, recorded.
+func (f *fleet) machine(i int) core.Problem {
+	m := f.prob.Machine(i).(*ParMACProblem)
+	f.machines[i] = m
+	return m
+}
+
+// shard is shard i as its machine holds it.
+func (f *fleet) shard(i int) *NetShard { return f.machines[i].shards[i] }
+
+// assembledNet is the net of the coordinator's synced submodels.
+func (f *fleet) assembledNet() *Net { return assembleNet(f.prob.dims, f.prob.Submodels()) }
+
+// penaltyAndNested evaluates E_Q (at the coordinator's μ) and the nested
+// error of the coordinator's net over the machines' shards, summed in shard
+// order: the oracle for the curve the machines' Z steps report.
+func (f *fleet) penaltyAndNested() (eq, nested float64) {
+	net := f.assembledNet()
+	for i := range f.prob.shards {
+		sh := f.shard(i)
+		eq += penaltyError(net, sh.X, sh.Y, sh.C, f.prob.Mu())
+		nested += net.NestedError(sh.X, sh.Y)
+	}
+	return eq, nested
+}
+
 // runOneMachine trains start with ParMAC on a single machine without
-// shuffling and returns the problem.
-func runOneMachine(start *Net, xs, ys *vec.Matrix, cfg ParMACConfig, iters, epochs int, seed int64) *ParMACProblem {
-	prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(xs.Rows, 1, nil), cfg)
-	eng := core.New(prob, core.Config{P: 1, Epochs: epochs, Seed: seed})
+// shuffling and returns the problem with its machine.
+func runOneMachine(start *Net, xs, ys *vec.Matrix, cfg ParMACConfig, iters, epochs int, seed int64) *fleet {
+	f := newFleet(NewParMACProblem(start, xs, ys, dataset.ShardIndices(xs.Rows, 1, nil), cfg))
+	eng := core.New(f.prob, core.Config{P: 1, Epochs: epochs, Seed: seed}, f.machine)
 	defer eng.Shutdown()
 	eng.Run(iters)
-	return prob
+	return f
 }
 
 // TestParMACOneMachineIsMAC: ParMAC on one machine is MAC — the same unit
@@ -226,7 +273,7 @@ func TestParMACOneMachineIsMAC(t *testing.T) {
 		xs, ys := toyRegression(tc.n, tc.dataSeed)
 		start := NewNet(tc.dims)
 		start.InitRandom(rand.New(rand.NewSource(tc.seed)), 0.3)
-		prob := runOneMachine(start, xs, ys, cfg, tc.iters, tc.e, tc.seed)
+		f := runOneMachine(start, xs, ys, cfg, tc.iters, tc.e, tc.seed)
 
 		ref := NewNet(tc.dims)
 		for k, w := range start.Ws {
@@ -234,7 +281,7 @@ func TestParMACOneMachineIsMAC(t *testing.T) {
 		}
 		coords := referenceMAC(ref, xs, ys, cfg, tc.iters, tc.e)
 
-		got := prob.AssembleNet()
+		got := f.assembledNet()
 		for k := range ref.Ws {
 			if sameBits(got.Ws[k], start.Ws[k]) {
 				t.Fatalf("dims %v layer %d: training left the weights unchanged", tc.dims, k)
@@ -244,7 +291,7 @@ func TestParMACOneMachineIsMAC(t *testing.T) {
 			}
 		}
 		for layer, z := range coords.Z {
-			if !sameBits(prob.shards[0].C.Z[layer], z) {
+			if !sameBits(f.shard(0).C.Z[layer], z) {
 				t.Fatalf("dims %v layer %d: P=1 ParMAC coordinates differ from serial MAC", tc.dims, layer)
 			}
 		}
@@ -256,8 +303,8 @@ func TestParMACOneMachineReducesNestedError(t *testing.T) {
 	start := NewNet([]int{2, 6, 1})
 	start.InitRandom(rand.New(rand.NewSource(11)), 0.3)
 	before := start.NestedError(xs, ys)
-	prob := runOneMachine(start, xs, ys, ParMACConfig{Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 10}, 8, 3, 11)
-	_, after := prob.PenaltyAndNested()
+	f := runOneMachine(start, xs, ys, ParMACConfig{Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 10}, 8, 3, 11)
+	_, after := f.penaltyAndNested()
 	t.Logf("nested error %v -> %v", before, after)
 	if after >= before {
 		t.Fatalf("MAC did not reduce the nested error: %v -> %v", before, after)
@@ -278,10 +325,11 @@ func TestParMACNetProblem(t *testing.T) {
 	if len(prob.Submodels()) != 7 { // 6 hidden + 1 output unit
 		t.Fatalf("submodels = %d, want 7", len(prob.Submodels()))
 	}
-	eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 15})
+	f := newFleet(prob)
+	eng := core.New(prob, core.Config{P: 3, Epochs: 2, Seed: 15}, f.machine)
 	defer eng.Shutdown()
 	eng.Run(8)
-	_, nestedAfter := prob.PenaltyAndNested()
+	_, nestedAfter := f.penaltyAndNested()
 	t.Logf("ParMAC nested error %v -> %v", nestedBefore, nestedAfter)
 	if nestedAfter >= nestedBefore {
 		t.Fatalf("ParMAC did not reduce the nested error: %v -> %v", nestedBefore, nestedAfter)
@@ -295,14 +343,43 @@ func TestParMACNetDeterministic(t *testing.T) {
 		start.InitRandom(rand.New(rand.NewSource(17)), 0.3)
 		shards := dataset.ShardIndices(90, 2, nil)
 		prob := NewParMACProblem(start, xs, ys, shards, ParMACConfig{Mu0: 1, Eta: 1})
-		eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 17})
+		f := newFleet(prob)
+		eng := core.New(prob, core.Config{P: 2, Epochs: 1, Seed: 17}, f.machine)
 		defer eng.Shutdown()
 		eng.Run(3)
-		_, nested := prob.PenaltyAndNested()
+		_, nested := f.penaltyAndNested()
 		return nested
 	}
 	if run() != run() {
 		t.Fatal("ParMAC net training must be deterministic without shuffle")
+	}
+}
+
+// TestIterationCurveMatchesOracle: the learning curve the machines' Z steps
+// report (IterationResult.EQ, EBA: E_Q and the nested error) equals the
+// penaltyAndNested oracle over the machines' shards bit for bit, every
+// iteration, on one and three machines and for Z-step parallelism 1 and 4.
+func TestIterationCurveMatchesOracle(t *testing.T) {
+	xs, ys := toyRegression(150, 23)
+	for _, p := range []int{1, 3} {
+		for _, parallel := range []int{1, 4} {
+			start := NewNet([]int{2, 5, 3, 1})
+			start.InitRandom(rand.New(rand.NewSource(24)), 0.3)
+			prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(xs.Rows, p, nil), ParMACConfig{
+				Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 6, Parallel: parallel,
+			})
+			f := newFleet(prob)
+			eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 24}, f.machine)
+			for it := 0; it < 4; it++ {
+				res := eng.Iterate()
+				eq, nested := f.penaltyAndNested()
+				if math.Float64bits(res.EQ) != math.Float64bits(eq) || math.Float64bits(res.EBA) != math.Float64bits(nested) {
+					t.Fatalf("P=%d parallel=%d iter %d: curve (%v, %v), oracle (%v, %v)",
+						p, parallel, it, res.EQ, res.EBA, eq, nested)
+				}
+			}
+			eng.Shutdown()
+		}
 	}
 }
 
@@ -311,7 +388,7 @@ func TestAssembleNetRoundTrip(t *testing.T) {
 	start := NewNet([]int{2, 3, 1})
 	start.InitRandom(rand.New(rand.NewSource(19)), 0.5)
 	prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(20, 1, nil), ParMACConfig{})
-	back := prob.AssembleNet()
+	back := newFleet(prob).assembledNet()
 	for k := range start.Ws {
 		if !sameBits(start.Ws[k], back.Ws[k]) {
 			t.Fatalf("layer %d weights lost in round trip", k)

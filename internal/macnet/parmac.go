@@ -15,10 +15,16 @@ import (
 type NetShard struct {
 	X, Y *vec.Matrix
 	C    *Coords
+
+	eq, nested float64 // the shard's objectives after its last Z step
 }
 
 // NumPoints implements core.Shard.
 func (s *NetShard) NumPoints() int { return s.X.Rows }
+
+// Objectives implements core.ObjectiveShard: E_Q of eq. (6) and the nested
+// error of eq. (4) over the shard's points, as its last Z step left them.
+func (s *NetShard) Objectives() (eq, nested float64) { return s.eq, s.nested }
 
 // unitSub is one unit's weight vector circulating through the ring.
 type unitSub struct {
@@ -138,6 +144,20 @@ func NewParMACProblem(start *Net, xs, ys *vec.Matrix, shardIdx [][]int, cfg ParM
 	return p
 }
 
+// Machine builds the Problem of the machine serving shard i (the per-machine
+// factory of core.New and NewOn): the shard's inputs and targets, shared, a
+// copy of its current coordinates, and no submodels, which the engine sends.
+func (p *ParMACProblem) Machine(i int) core.Problem {
+	sh, c := p.shards[i], &Coords{}
+	for _, z := range sh.C.Z {
+		c.Z = append(c.Z, z.Clone())
+	}
+	m := &ParMACProblem{Adapter: core.NewAdapter(nil, p.cfg.Mu0, p.cfg.MuFactor), dims: p.dims, cfg: p.cfg}
+	m.shards = make([]*NetShard, len(p.shards))
+	m.shards[i] = &NetShard{X: sh.X, Y: sh.Y, C: c}
+	return m
+}
+
 // NumShards implements core.Problem.
 func (p *ParMACProblem) NumShards() int { return len(p.shards) }
 
@@ -147,38 +167,33 @@ func (p *ParMACProblem) Shard(i int) core.Shard { return p.shards[i] }
 // ZStep implements core.Problem: assemble the machine-local net and run the
 // per-point generalised proximal operator, chunked over cfg.Parallel
 // goroutines. Unlike the binary autoencoder there is no Gram shortcut here —
-// the sigmoid layers make the per-point objective nonlinear in z — so the
-// win is purely the multicore fan-out.
+// the sigmoid layers make the per-point objective nonlinear in z — so the win
+// is purely the multicore fan-out. Each point's E_Q and nested error go to
+// slots summed in point order (NetShard.Objectives), the same bits for every
+// cfg.Parallel.
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
 	net := assembleNet(p.dims, model)
 	sh := p.shards[shard]
 	mu := p.Mu()
-	return core.CountChunks(sh.X.Rows, p.cfg.Parallel, func(lo, hi int) int {
+	eq, nested := make([]float64, sh.X.Rows), make([]float64, sh.X.Rows)
+	changed := core.CountChunks(sh.X.Rows, p.cfg.Parallel, func(lo, hi int) int {
 		changed := 0
+		out := make([]float64, p.dims[len(p.dims)-1])
 		for i := lo; i < hi; i++ {
-			if _, moved := ZStepPoint(net, sh.X.Row(i), sh.Y.Row(i), sh.C, i, mu, p.cfg.ZIters); moved {
+			obj, moved := ZStepPoint(net, sh.X.Row(i), sh.Y.Row(i), sh.C, i, mu, p.cfg.ZIters)
+			if moved {
 				changed++
 			}
+			eq[i], nested[i] = obj, net.pointNested(sh.X.Row(i), sh.Y.Row(i), out)
 		}
 		return changed
 	})
-}
-
-// AssembleNet builds a Net from the problem's authoritative submodels
-// (between iterations), for evaluation.
-func (p *ParMACProblem) AssembleNet() *Net {
-	return assembleNet(p.dims, p.Submodels())
-}
-
-// PenaltyAndNested evaluates E_Q (current μ) and the nested error over all
-// shards.
-func (p *ParMACProblem) PenaltyAndNested() (eq, nested float64) {
-	net := p.AssembleNet()
-	for _, sh := range p.shards {
-		eq += PenaltyError(net, sh.X, sh.Y, sh.C, p.Mu())
-		nested += net.NestedError(sh.X, sh.Y)
+	sh.eq, sh.nested = 0, 0
+	for i := range eq {
+		sh.eq += eq[i]
+		sh.nested += nested[i]
 	}
-	return eq, nested
+	return changed
 }
 
 func assembleNet(dims []int, model []core.Submodel) *Net {
@@ -193,4 +208,7 @@ func assembleNet(dims []int, model []core.Submodel) *Net {
 	return net
 }
 
-var _ core.Problem = (*ParMACProblem)(nil)
+var (
+	_ core.Problem        = (*ParMACProblem)(nil)
+	_ core.ObjectiveShard = (*NetShard)(nil)
+)

@@ -48,8 +48,11 @@ type (
 	IterationResult = core.IterationResult
 )
 
-// New creates a ParMAC engine for the problem, one fabric rank per machine.
-func New(prob Problem, cfg Config) *Engine { return core.New(prob, cfg) }
+// New creates a ParMAC engine for the problem, one fabric rank per machine:
+// machine i is a goroutine on machine(i), e.g. a model family's Machine.
+func New(prob Problem, cfg Config, machine func(shard int) Problem) *Engine {
+	return core.New(prob, cfg, machine)
+}
 
 // BAOptions configures TrainBinaryAutoencoder.
 type BAOptions struct {
@@ -81,7 +84,6 @@ type BAResult struct {
 	Model   *binauto.Model
 	Codes   *retrieval.Codes  // h(X): row i is Model's code of point i of ds, as -save-codes writes
 	History []IterationResult // one per iteration; EQ and EBA are the learning curve
-	Problem *binauto.ParMACProblem
 }
 
 // TrainBinaryAutoencoder trains a binary autoencoder with ParMAC on the
@@ -109,7 +111,7 @@ func TrainBinaryAutoencoder(ds *dataset.Dataset, opt BAOptions) *BAResult {
 	})
 	eng := New(prob, Config{
 		P: opt.Machines, Epochs: opt.Epochs, Shuffle: opt.Shuffle, Seed: opt.Seed,
-	})
+	}, prob.Machine)
 	defer eng.Shutdown()
 	hist := eng.Run(opt.Iterations)
 	model := prob.AssembleModel()
@@ -117,7 +119,6 @@ func TrainBinaryAutoencoder(ds *dataset.Dataset, opt BAOptions) *BAResult {
 		Model:   model,
 		Codes:   model.Encode(ds, opt.Cores),
 		History: hist,
-		Problem: prob,
 	}
 }
 
