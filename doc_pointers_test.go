@@ -90,8 +90,9 @@ func TestNoTwinsInProductionCode(t *testing.T) {
 }
 
 // orphanAllowlist names the exported functions under internal/ that no
-// non-test code names, each with the reason it stays. TestNoOrphanedFuncs
-// fails if it grows past one entry.
+// non-test code names, and the exported fields there that no non-test code
+// sets, each with the reason it stays. TestNoOrphanedFuncs fails if it grows
+// past one entry.
 var orphanAllowlist = map[string]string{
 	"cluster.WithInboxCapacity": "the in-process fabric's inbox bound, set by the backpressure conformance scenario",
 }
@@ -104,6 +105,12 @@ var orphanAllowlist = map[string]string{
 // receiver implements an interface with a method of that name: one declared
 // in either module or in a package they import, error, or the Unwrap method
 // errors.Is and errors.As look for.
+//
+// It fails, too, on an exported field of an exported struct type declared in
+// non-test code under internal/ that no non-test code sets: a knob only
+// tests turn is a configuration no workload runs. A field is set by a
+// composite-literal element (keyed or positional), an assignment, ++ or --,
+// or by taking its address.
 func TestNoOrphanedFuncs(t *testing.T) {
 	var pkgs []*analysis.Package
 	for _, dir := range []string{".", "bench"} {
@@ -114,16 +121,29 @@ func TestNoOrphanedFuncs(t *testing.T) {
 		pkgs = append(pkgs, loaded...)
 	}
 	// Each package is checked on its own and sees the others through export
-	// data, so functions are matched by full name and signatures by their
-	// path-qualified text, never by types.Object identity. Uses also holds
-	// the method or field each selector picks.
-	used := map[string]bool{}
+	// data, so functions are matched by full name, fields by fieldName and
+	// signatures by their path-qualified text, never by types.Object
+	// identity. Uses also holds the method or field each selector picks.
+	used, set := map[string]bool{}, map[string]bool{}
 	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
 			fn, ok := obj.(*types.Func)
 			if ok && !strings.HasSuffix(p.Fset.Position(id.Pos()).Filename, "_test.go") {
 				used[fn.FullName()] = true
 			}
+		}
+		for _, f := range p.Files {
+			for _, field := range setFields(p.Info, f) {
+				set[fieldName(field)] = true
+			}
+		}
+	}
+	orphan := func(name string, live bool, verb string) {
+		switch {
+		case live && orphanAllowlist[name] != "":
+			t.Errorf("%s is allowlisted but %s by non-test code: drop it from orphanAllowlist", name, verb)
+		case !live && orphanAllowlist[name] == "":
+			t.Errorf("%s is %s only by tests, if at all: delete it, move it into a _test.go file, or allowlist it with a reason", name, verb)
 		}
 	}
 	ifaces := declaredInterfaces(pkgs)
@@ -133,27 +153,105 @@ func TestNoOrphanedFuncs(t *testing.T) {
 		}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := p.Info.Defs[fd.Name].(*types.Func)
-				name := shortName(fn)
-				if used[fn.FullName()] {
-					if orphanAllowlist[name] != "" {
-						t.Errorf("%s is allowlisted but has a non-test caller: drop it from orphanAllowlist", name)
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if !decl.Name.IsExported() {
+						continue
 					}
-					continue
-				}
-				if orphanAllowlist[name] == "" && !satisfiesInterface(fn, ifaces) {
-					t.Errorf("%s is called only by tests, if at all: delete it, move it into a _test.go file, or allowlist it with a reason", name)
+					fn := p.Info.Defs[decl.Name].(*types.Func)
+					if !used[fn.FullName()] && satisfiesInterface(fn, ifaces) {
+						continue
+					}
+					orphan(shortName(fn), used[fn.FullName()], "called")
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || !ts.Name.IsExported() {
+							continue
+						}
+						st, ok := p.Info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+						if !ok {
+							continue
+						}
+						for field := range st.Fields() {
+							if field.Exported() {
+								orphan(fieldName(field), set[fieldName(field)], "set")
+							}
+						}
+					}
 				}
 			}
 		}
 	}
 	if len(orphanAllowlist) > 1 {
-		t.Errorf("orphanAllowlist has %d entries, at most 1 allowed: delete the functions or move them into _test.go files", len(orphanAllowlist))
+		t.Errorf("orphanAllowlist has %d entries, at most 1 allowed: delete the functions and fields or move them into _test.go files", len(orphanAllowlist))
 	}
+}
+
+// setFields returns the struct fields f's code sets: each element of a
+// struct composite literal, the operand of an assignment, ++ or --, and the
+// operand of &, when that is a field selector.
+func setFields(info *types.Info, f *ast.File) []*types.Var {
+	var out []*types.Var
+	selected := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				out = append(out, v)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			typ := info.TypeOf(n)
+			if ptr, ok := typ.(*types.Pointer); ok { // an elided &T in a literal of *T
+				typ = ptr.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					out = append(out, info.Uses[kv.Key.(*ast.Ident)].(*types.Var))
+				} else {
+					out = append(out, st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				selected(lhs)
+			}
+		case *ast.IncDecStmt:
+			selected(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				selected(n.X)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// fieldName renders a field as pkg.T.Field after the package-level struct
+// type that declares it, or as pkg.Field when none does (a field of an
+// anonymous struct). Both type checks of a package give it the same name.
+func fieldName(v *types.Var) string {
+	v = v.Origin()
+	scope := v.Pkg().Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for field := range st.Fields() {
+					if field == v {
+						return v.Pkg().Name() + "." + tn.Name() + "." + v.Name()
+					}
+				}
+			}
+		}
+	}
+	return v.Pkg().Name() + "." + v.Name()
 }
 
 // declaredInterfaces returns error, errors' Unwrap convention and every

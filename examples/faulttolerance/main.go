@@ -29,7 +29,7 @@ func main() {
 	})
 	// The machines' messages cross a chaos fabric, so a death can be placed
 	// at an exact protocol point. The last rank is the coordinator's.
-	fab, err := chaos.New(cluster.NewNetwork(machines+1), chaos.Options{Seed: 5})
+	fab, err := chaos.New(cluster.NewNetwork(machines + 1))
 	if err != nil {
 		log.Fatal(err)
 	}

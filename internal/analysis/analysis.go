@@ -2,7 +2,7 @@
 // analyzers that mechanically enforce the invariants the parallel
 // training/serving stack rests on — worker counts clamped through
 // core.ClampWorkers/core.Cores, worker-count-invariant float reductions,
-// atomic fields never accessed plainly, decode-sized allocations bounded by a
+// shared fields as typed atomics, decode-sized allocations bounded by a
 // budget, injected seeded randomness in deterministic kernels, and
 // golden-tested wire codecs.
 //

@@ -6,26 +6,21 @@ import (
 	"go/types"
 )
 
-// AtomicFieldAnalyzer enforces the hot-swap invariant from PR 6: once any
-// code path accesses a struct field through sync/atomic
-// (atomic.AddInt64(&s.n, 1) and friends), every other access to that field
-// must be atomic too — a plain read can observe a torn or stale value, and a
-// plain write can be lost. This is the pitfall the serve package avoids with
-// typed atomics (atomic.Pointer, atomic.Int64), whose fields cannot be read
-// plainly at all; the analyzer covers the residual address-based style,
-// where the compiler offers no such protection.
+// AtomicFieldAnalyzer enforces the hot-swap server's invariant: a struct
+// field shared between goroutines is a typed atomic (atomic.Int64,
+// atomic.Pointer, …), never a plain field handed to sync/atomic by address
+// (atomic.AddInt64(&s.n, 1)). A typed atomic cannot be read or written
+// plainly at all, so the torn read or lost write of mixing atomic and plain
+// access to one field is unrepresentable; an address-based call is the only
+// way to write that mix, so forbidding it catches every instance.
 var AtomicFieldAnalyzer = &Analyzer{
 	Name: "atomicfield",
-	Doc: "a struct field accessed via sync/atomic functions anywhere must " +
-		"never also be read or written plainly",
+	Doc: "no sync/atomic function may take the address of a struct field; " +
+		"use a typed atomic",
 	Run: runAtomicField,
 }
 
 func runAtomicField(pass *Pass) error {
-	// Pass 1: collect fields whose address feeds a sync/atomic call, and the
-	// selector positions already under atomic protection.
-	atomicFields := map[*types.Var]bool{}
-	blessed := map[token.Pos]bool{}
 	for _, file := range pass.AllTyped() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -41,29 +36,11 @@ func runAtomicField(pass *Pass) error {
 				if !ok {
 					continue
 				}
-				if f := selectedField(pass, sel); f != nil {
-					atomicFields[f] = true
-					blessed[sel.Sel.Pos()] = true
+				if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+					pass.Reportf(un.Pos(),
+						"sync/atomic call on the address of field %s; make the field a typed atomic",
+						types.ExprString(sel))
 				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return nil
-	}
-	// Pass 2: any other selector resolving to one of those fields is a plain
-	// access.
-	for _, file := range pass.AllTyped() {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || blessed[sel.Sel.Pos()] {
-				return true
-			}
-			if f := selectedField(pass, sel); f != nil && atomicFields[f] {
-				pass.Reportf(sel.Pos(),
-					"plain access to field %s.%s, which is accessed via sync/atomic elsewhere; use the atomic API for every access",
-					fieldOwner(f), f.Name())
 			}
 			return true
 		})
@@ -77,41 +54,4 @@ func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
 	f := calleeFunc(pass.Info, call)
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == "sync/atomic" &&
 		f.Type().(*types.Signature).Recv() == nil
-}
-
-// selectedField returns the struct field a selector expression denotes, or
-// nil when it selects a method, package member, or unresolved name.
-func selectedField(pass *Pass, sel *ast.SelectorExpr) *types.Var {
-	s, ok := pass.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
-}
-
-// fieldOwner renders the declaring struct's type name for diagnostics.
-func fieldOwner(f *types.Var) string {
-	if f.Pkg() == nil {
-		return "?"
-	}
-	// Walk the package scope for a named type whose underlying struct holds
-	// this exact field object.
-	scope := f.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == f {
-				return tn.Name()
-			}
-		}
-	}
-	return f.Pkg().Name()
 }

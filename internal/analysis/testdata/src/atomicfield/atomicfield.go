@@ -1,32 +1,21 @@
 // Package atomicfield is the parmac-vet fixture for the atomicfield
-// analyzer: once any code path accesses a struct field through sync/atomic,
-// every access to that field must be atomic.
+// analyzer: a struct field is a typed atomic, never a plain field passed to
+// sync/atomic by address.
 package atomicfield
 
 import "sync/atomic"
 
 type stats struct {
-	hits  int64 // accessed via sync/atomic below
-	plain int64 // never touched atomically
+	hits  int64        // pre-fix: a plain field under address-based atomics
+	typed atomic.Int64 // the sanctioned rewrite
 }
 
 func (s *stats) bump() {
-	atomic.AddInt64(&s.hits, 1)
+	atomic.AddInt64(&s.hits, 1) // want `sync/atomic call on the address of field s.hits`
+	s.typed.Add(1)
 }
 
-func (s *stats) snapshot() int64 {
-	return atomic.LoadInt64(&s.hits)
-}
-
-func (s *stats) torn() int64 {
-	return s.hits // want `plain access to field stats.hits`
-}
-
-func (s *stats) lost() {
-	s.hits = 0 // want `plain access to field stats.hits`
-}
-
-func (s *stats) unrelated() int64 {
-	s.plain++
-	return s.plain
+// slots are slice elements, not fields: address-based atomics stay legal.
+func slots(seen []int32, i int) {
+	atomic.AddInt32(&seen[i], 1)
 }

@@ -105,7 +105,6 @@ type ParMACConfig struct {
 	MuFactor float64
 
 	SVMLambda float64
-	DecLambda float64
 
 	// DecoderGroups is the number of circulating decoder submodels the D
 	// output dimensions are grouped into; 0 means L (§5.4's equal-size
@@ -189,7 +188,7 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 		groups[g] = append(groups[g], d)
 	}
 	for g, dims := range groups {
-		subs = append(subs, newDecoderSub(cfg.L+g, cfg.L, dims, cfg.DecLambda))
+		subs = append(subs, newDecoderSub(cfg.L+g, cfg.L, dims))
 	}
 	p.Adapter = core.NewAdapter(subs, cfg.Mu0, cfg.MuFactor)
 	return p
@@ -381,24 +380,19 @@ func (e *encoderSub) Bytes() int { return e.svm.Bytes() }
 // ---------------------------------------------------------------------------
 
 type decoderSub struct {
-	id     int
-	dims   []int       // global output dimensions owned by this group
-	w      *vec.Matrix // L×len(dims): column j = weights of dimension dims[j]
-	c      []float64
-	lambda float64
-	sched  *sgd.Schedule
-	tuned  bool
+	id    int
+	dims  []int       // global output dimensions owned by this group
+	w     *vec.Matrix // L×len(dims): column j = weights of dimension dims[j]
+	c     []float64
+	eta   float64 // η0 of the last auto-tune: plain SGD (λ = 0) steps at η0 throughout
+	tuned bool
 }
 
-func newDecoderSub(id, l int, dims []int, lambda float64) *decoderSub {
-	if lambda < 0 {
-		lambda = 0
-	}
+func newDecoderSub(id, l int, dims []int) *decoderSub {
 	return &decoderSub{
 		id: id, dims: dims,
 		w: vec.NewMatrix(l, len(dims)), c: make([]float64, len(dims)),
-		lambda: lambda,
-		sched:  sgd.NewSchedule(1e-2, lambda),
+		eta: 1e-2,
 	}
 }
 
@@ -415,7 +409,7 @@ func (d *decoderSub) TrainOn(shard core.Shard, order []int) {
 		d.tuned = true
 	}
 	pred := make([]float64, len(d.dims))
-	sh.visitDims(order, d.dims, func(z uint64, x []float64) { d.step(z, x, d.sched.Next(), pred) })
+	sh.visitDims(order, d.dims, func(z uint64, x []float64) { d.step(z, x, d.eta, pred) })
 }
 
 // predict writes c + Wᵀz for the owned dimensions of packed code z into
@@ -434,29 +428,22 @@ func (d *decoderSub) predict(z uint64, pred []float64) {
 
 // step performs one SGD update on every owned dimension from packed code z
 // and the owned features x (x[j] is dimension dims[j]):
-// w_lj ← w_lj·(1−ηλ) − η·err_j·z_l and c_j ← c_j − η·err_j. Every row is
-// scaled by 1−ηλ unless that is exactly 1 (training's λ = 0); only the rows
-// of z's set bits take the error. pred is scratch.
+// w_lj ← w_lj − η·err_j·z_l and c_j ← c_j − η·err_j, so only the rows of
+// z's set bits move. pred is scratch.
 //
 // This is bit for bit the dense update that multiplies every row by its 0/1
 // z_l (visit_test.go's stepAt). A skipped term is 0·w = ±0, and adding ±0
-// leaves a sum unchanged unless the sum is −0. c starts at +0, and a − b is
-// −0 only when a is −0, so c, every prediction and every weight stay ≠ −0,
-// provided ηλ < 0.5: above that a negative denormal times 1−ηλ can round to
-// −0. Once an error is not finite the dense update writes NaN into the 0-bit
-// rows and this one leaves them alone; the model has diverged either way,
-// and a diverging η0 trial scores a non-finite loss under both. Exactness
-// also needs multiply-adds left unfused, which holds on amd64; on arm64,
-// ppc64 and s390x Go may fuse them.
+// leaves a sum unchanged unless the sum is −0. c and w start at +0, and
+// a − b is −0 only when a is −0, so c, every prediction and every weight
+// stay ≠ −0. Once an error is not finite the dense update writes NaN into
+// the 0-bit rows and this one leaves them alone; the model has diverged
+// either way, and a diverging η0 trial scores a non-finite loss under both.
+// Exactness also needs multiply-adds left unfused, which holds on amd64; on
+// arm64, ppc64 and s390x Go may fuse them.
 func (d *decoderSub) step(z uint64, x []float64, eta float64, pred []float64) {
 	d.predict(z, pred)
 	for j := range pred {
 		pred[j] = eta * (pred[j] - x[j])
-	}
-	if shrink := 1 - eta*d.lambda; shrink != 1 {
-		for i := range d.w.Data {
-			d.w.Data[i] *= shrink
-		}
 	}
 	g := len(pred)
 	for ; z != 0; z &= z - 1 {
@@ -482,10 +469,9 @@ func (d *decoderSub) autoTune(sh *Shard, order []int) {
 	sample := make([]int, n)
 	copy(sample, order)
 	pred := make([]float64, len(d.dims))
-	best := sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
+	d.eta = sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
 		trial := d.Clone().(*decoderSub)
-		trial.sched = sgd.NewSchedule(eta0, d.lambda)
-		sh.visitDims(sample, d.dims, func(z uint64, x []float64) { trial.step(z, x, trial.sched.Next(), pred) })
+		sh.visitDims(sample, d.dims, func(z uint64, x []float64) { trial.step(z, x, eta0, pred) })
 		var total float64
 		sh.visitDims(sample, d.dims, func(z uint64, x []float64) {
 			trial.predict(z, pred)
@@ -496,18 +482,14 @@ func (d *decoderSub) autoTune(sh *Shard, order []int) {
 		})
 		return total / float64(n)
 	})
-	d.sched.Eta0 = best
-	d.sched.Lambda = d.lambda
-	d.sched.SetSteps(0)
 }
 
 // Clone implements core.Submodel.
 func (d *decoderSub) Clone() core.Submodel {
-	s := *d.sched
 	return &decoderSub{
 		id: d.id, dims: append([]int(nil), d.dims...),
 		w: d.w.Clone(), c: vec.Clone(d.c),
-		lambda: d.lambda, sched: &s, tuned: d.tuned,
+		eta: d.eta, tuned: d.tuned,
 	}
 }
 

@@ -247,7 +247,7 @@ func TestIterationCurveMatchesOracle(t *testing.T) {
 				prob := NewParMACProblem(ds, dataset.ShuffledShardIndices(ds.N, tc.p, nil, 21), ParMACConfig{
 					L: 6, Mu0: 1e-3, SVMLambda: 1e-4, ZMethod: tc.method, Parallel: parallel, Seed: 21,
 				})
-				fab, err := chaos.New(cluster.NewNetwork(tc.p+1), chaos.Options{Seed: 21})
+				fab, err := chaos.New(cluster.NewNetwork(tc.p + 1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -371,7 +371,7 @@ func TestParMACWithFaultInjection(t *testing.T) {
 	prob, _ := buildProblem(200, 6, 4, 4, 10)
 	// Machine 2 is killed by the transport at its sixth token forward of
 	// iteration 1: nothing announces the death, as with a SIGKILL.
-	fab, err := chaos.New(cluster.NewNetwork(5), chaos.Options{Seed: 10})
+	fab, err := chaos.New(cluster.NewNetwork(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,8 @@ func TestModelJSONGolden(t *testing.T) {
 }
 
 // fixedEncoderSub/fixedDecoderSub are deterministic circulating submodels
-// with non-trivial optimiser state (schedule mid-decay, auto-tune armed).
+// with non-trivial optimiser state (an encoder schedule mid-decay, a tuned
+// decoder step size, auto-tune armed).
 func fixedEncoderSub() *encoderSub {
 	lin := svm.NewLinear(3, 1e-5)
 	lin.W = []float64{0.5, -1.25, 2}
@@ -105,13 +106,12 @@ func fixedEncoderSub() *encoderSub {
 }
 
 func fixedDecoderSub() *decoderSub {
-	d := newDecoderSub(3, 2, []int{0, 2}, 1e-4)
+	d := newDecoderSub(3, 2, []int{0, 2})
 	for i := range d.w.Data {
 		d.w.Data[i] = float64(i) - 1.5
 	}
 	d.c = []float64{0.25, -0.75}
-	d.sched = sgd.NewSchedule(0.005, 1e-4)
-	d.sched.SetSteps(42)
+	d.eta = 0.005
 	d.tuned = true
 	return d
 }

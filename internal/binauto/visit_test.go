@@ -122,9 +122,8 @@ func (d *decoderSub) stepAt(z, x []float64, eta float64) {
 			pred += z[row] * d.w.At(row, j)
 		}
 		err := pred - x[dim]
-		shrink := 1 - eta*d.lambda
 		for row := 0; row < l; row++ {
-			d.w.Set(row, j, d.w.At(row, j)*shrink-eta*err*z[row])
+			d.w.Set(row, j, d.w.At(row, j)-eta*err*z[row])
 		}
 		d.c[j] -= eta * err
 	}
@@ -163,25 +162,19 @@ func (d *decoderSub) trainOnPoints(sh *Shard, order []int) {
 	if n := sgd.TuningSampleSize(sh.NumPoints()); !d.tuned && n > 0 {
 		sample := make([]int, n)
 		copy(sample, order[:min(n, len(order))])
-		best := sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
+		d.eta = sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
 			trial := d.Clone().(*decoderSub)
-			trial.sched = sgd.NewSchedule(eta0, d.lambda)
 			for _, i := range sample {
 				CodesPoints{sh.Z}.Point(i, z)
-				trial.stepAt(z, source{sh}.Point(i, xbuf), trial.sched.Next())
+				trial.stepAt(z, source{sh}.Point(i, xbuf), eta0)
 			}
 			return trial.lossAt(sh, sample)
 		})
-		d.sched.Eta0 = best
-		d.sched.Lambda = d.lambda
-		d.sched.SetSteps(0)
 	}
 	d.tuned = true
 	for _, i := range order {
 		CodesPoints{sh.Z}.Point(i, z)
-		x := source{sh}.Point(i, xbuf)
-		eta := d.sched.Next()
-		d.stepAt(z, x, eta)
+		d.stepAt(z, source{sh}.Point(i, xbuf), d.eta)
 	}
 }
 
@@ -217,14 +210,12 @@ func visitShard(n, d, l int, byteBacked bool, seed int64) *Shard {
 }
 
 // TestParMACVisitMatchesReference: an encoder and a decoder visit that read
-// the shard's gathered rows in place must leave W, b or c, η0 and the
-// schedule's step count bit for bit where the reference visits over Point
-// copies of the dataset's rows leave them — on byte- and float-backed
+// the shard's gathered rows in place must leave W, b or c and η0 (with the
+// encoder's schedule step count) bit for bit where the reference visits over
+// Point copies of the dataset's rows leave them — on byte- and float-backed
 // shards, with the visit order shuffled or not, from a tuned and an untuned
 // start, over two consecutive visits. D = 22 leaves a tail past the
 // four-wide kernels; of 3 000 points the tuning sample is the first third.
-// The decoder runs with λ = 1e-3, where every weight row decays, and with
-// training's λ = 0, where only the rows of a code's set bits move.
 func TestParMACVisitMatchesReference(t *testing.T) {
 	const n, d, l = 3000, 22, 6
 	for _, byteBacked := range []bool{false, true} {
@@ -237,17 +228,12 @@ func TestParMACVisitMatchesReference(t *testing.T) {
 				for j := range enc.svm.W {
 					enc.svm.W[j] = 0.1 * rng.NormFloat64()
 				}
-				var decs, decRefs []*decoderSub
-				for _, lambda := range []float64{1e-3, 0} {
-					dec := newDecoderSub(l, l, []int{1, 4, 9, 21, 16}, lambda)
-					for j := range dec.w.Data {
-						dec.w.Data[j] = rng.NormFloat64()
-					}
-					dec.tuned = tuned
-					decs = append(decs, dec)
-					decRefs = append(decRefs, dec.Clone().(*decoderSub))
+				dec := newDecoderSub(l, l, []int{1, 4, 9, 21, 16})
+				for j := range dec.w.Data {
+					dec.w.Data[j] = rng.NormFloat64()
 				}
-				encRef := enc.Clone().(*encoderSub)
+				dec.tuned = tuned
+				encRef, decRef := enc.Clone().(*encoderSub), dec.Clone().(*decoderSub)
 				for visit := 0; visit < 2; visit++ {
 					order := sgd.Order(n, shuffle, rng)
 					enc.TrainOn(sh, order)
@@ -257,14 +243,10 @@ func TestParMACVisitMatchesReference(t *testing.T) {
 						a.Sched.Eta0 != b.Sched.Eta0 || a.Sched.Steps() != b.Sched.Steps() {
 						t.Fatalf("%s visit %d: encoder differs from the reference", name, visit)
 					}
-					for k, dec := range decs {
-						decRef := decRefs[k]
-						dec.TrainOn(sh, order)
-						decRef.trainOnPoints(sh, order)
-						if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) ||
-							dec.sched.Eta0 != decRef.sched.Eta0 || dec.sched.Steps() != decRef.sched.Steps() {
-							t.Fatalf("%s visit %d: decoder (λ=%g) differs from the reference", name, visit, dec.lambda)
-						}
+					dec.TrainOn(sh, order)
+					decRef.trainOnPoints(sh, order)
+					if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) || dec.eta != decRef.eta {
+						t.Fatalf("%s visit %d: decoder differs from the reference", name, visit)
 					}
 				}
 			}
@@ -335,16 +317,16 @@ func TestZStepGathersOnce(t *testing.T) {
 
 // FuzzDecoderStep pins the exactness argument on decoderSub.step: for any
 // code word of L ≤ 64 bits, g ≤ 16 owned dimensions, finite weights, c and x
-// that are not −0, and η, λ ≥ 0 with ηλ < 0.5, one set-bit step leaves w and
-// c bit for bit where the dense reference step (stepAt) leaves them, and
-// neither holds a −0, whenever the reference's outputs are all finite.
+// that are not −0, and finite η ≥ 0, one set-bit step leaves w and c bit for
+// bit where the dense reference step (stepAt) leaves them, and neither holds
+// a −0, whenever the reference's outputs are all finite.
 func FuzzDecoderStep(f *testing.F) {
-	f.Add(int64(1), uint64(0xb5), uint8(7), uint8(5), 1.0, 1.0, 0.01, 1e-3)
-	f.Add(int64(2), uint64(0), uint8(63), uint8(15), 1e-300, 1e300, 1.0, 0.0)
-	f.Add(int64(3), ^uint64(0), uint8(63), uint8(0), 5e-324, 0.0, 0.4, 1.0)
-	f.Add(int64(4), uint64(0x8000000000000001), uint8(63), uint8(3), 1e3, -2.0, 1e-2, 49.0)
-	f.Fuzz(func(t *testing.T, seed int64, z uint64, lb, gb uint8, wScale, xScale, eta, lambda float64) {
-		if !(eta >= 0 && lambda >= 0 && eta*lambda < 0.5) || math.IsInf(eta, 0) || math.IsInf(lambda, 0) {
+	f.Add(int64(1), uint64(0xb5), uint8(7), uint8(5), 1.0, 1.0, 0.01)
+	f.Add(int64(2), uint64(0), uint8(63), uint8(15), 1e-300, 1e300, 1.0)
+	f.Add(int64(3), ^uint64(0), uint8(63), uint8(0), 5e-324, 0.0, 0.4)
+	f.Add(int64(4), uint64(0x8000000000000001), uint8(63), uint8(3), 1e3, -2.0, 1e-2)
+	f.Fuzz(func(t *testing.T, seed int64, z uint64, lb, gb uint8, wScale, xScale, eta float64) {
+		if !(eta >= 0) || math.IsInf(eta, 0) {
 			return
 		}
 		l, g := 1+int(lb)%64, 1+int(gb)%16
@@ -361,7 +343,7 @@ func FuzzDecoderStep(f *testing.F) {
 		for j := range dims {
 			dims[j] = j
 		}
-		dec := newDecoderSub(0, l, dims, lambda)
+		dec := newDecoderSub(0, l, dims)
 		for i := range dec.w.Data {
 			dec.w.Data[i] = draw(wScale)
 		}
@@ -384,12 +366,12 @@ func FuzzDecoderStep(f *testing.F) {
 			return
 		}
 		if !bitsEqual(dec.w.Data, ref.w.Data) || !bitsEqual(dec.c, ref.c) {
-			t.Fatalf("L=%d g=%d z=%#x η=%g λ=%g: set-bit step differs from the dense reference", l, g, z, eta, lambda)
+			t.Fatalf("L=%d g=%d z=%#x η=%g: set-bit step differs from the dense reference", l, g, z, eta)
 		}
 		for _, vs := range [][]float64{dec.w.Data, dec.c} {
 			for _, v := range vs {
 				if v == 0 && math.Signbit(v) {
-					t.Fatalf("L=%d g=%d z=%#x η=%g λ=%g: step wrote −0", l, g, z, eta, lambda)
+					t.Fatalf("L=%d g=%d z=%#x η=%g: step wrote −0", l, g, z, eta)
 				}
 			}
 		}
@@ -434,7 +416,7 @@ func BenchmarkParMACVisit(b *testing.B) {
 	// Warm both submodels by one visit, so weights are off zero.
 	enc := &encoderSub{svm: svm.NewLinear(d, 1e-5)}
 	enc.TrainOn(sh, order)
-	dec := newDecoderSub(l, l, dims, 0)
+	dec := newDecoderSub(l, l, dims)
 	dec.TrainOn(sh, order)
 	visits := []struct {
 		name  string

@@ -11,11 +11,11 @@ import (
 // across OS processes (cluster/tcp): instead of passing pointers, the fabric
 // encodes tokens in the cluster wire codec, and the submodels inside them
 // nest as payloads of the kinds below. The encoding must carry the full
-// training state — parameters AND optimiser state (SGD schedule position,
-// the per-iteration auto-tune flag) — so a submodel resumes on the next
-// machine exactly where it left off, byte-for-byte equal to the in-process
-// run. Changing a layout breaks the byte-exact golden tests in
-// serialize_test.go, which is the point.
+// training state — parameters AND optimiser state (an encoder's SGD schedule
+// position, a decoder's tuned step size, the per-iteration auto-tune flag) —
+// so a submodel resumes on the next machine exactly where it left off,
+// byte-for-byte equal to the in-process run. Changing a layout breaks the
+// byte-exact golden tests in serialize_test.go, which is the point.
 
 // Wire kinds (cluster reserves 32–47 for binauto).
 const (
@@ -52,25 +52,20 @@ func decodeEncoderSub(r *cluster.WireReader) any {
 }
 
 // AppendWire appends the submodel's wire body: ID, Dims, L (rows of the
-// weight matrix), W, C, Lambda, Eta0, SchedLambda, Steps, Tuned.
+// weight matrix), W, C, Eta, Tuned.
 func (d *decoderSub) AppendWire(b []byte) []byte {
 	b = cluster.AppendInt(b, d.id)
 	b = cluster.AppendInts(b, d.dims)
 	b = cluster.AppendInt(b, d.w.Rows)
 	b = cluster.AppendFloat64s(b, d.w.Data)
 	b = cluster.AppendFloat64s(b, d.c)
-	b = cluster.AppendFloat64(b, d.lambda)
-	b = cluster.AppendFloat64(b, d.sched.Eta0)
-	b = cluster.AppendFloat64(b, d.sched.Lambda)
-	b = cluster.AppendFloat64(b, d.sched.Steps())
+	b = cluster.AppendFloat64(b, d.eta)
 	return cluster.AppendBool(b, d.tuned)
 }
 
 func decodeDecoderSub(r *cluster.WireReader) any {
 	id, dims, l := r.Int(), r.Ints(), r.Int()
-	w, c, lambda := r.Float64s(), r.Float64s(), r.Float64()
-	eta0, schedLambda, steps := r.Float64(), r.Float64(), r.Float64()
-	tuned := r.Bool()
+	w, c, eta, tuned := r.Float64s(), r.Float64s(), r.Float64(), r.Bool()
 	// len(w) == l·len(dims), checked by division so a huge l cannot wrap.
 	shaped := len(dims) == 0 && len(w) == 0 || len(dims) > 0 && len(w)%len(dims) == 0 && len(w)/len(dims) == l
 	if l <= 0 || !shaped || len(c) != len(dims) {
@@ -78,16 +73,14 @@ func decodeDecoderSub(r *cluster.WireReader) any {
 			id, l, len(dims), len(w), len(c))
 		return nil
 	}
-	if !(eta0 > 0) {
-		r.Failf("binauto: decoder submodel %d has invalid schedule eta0 %v", id, eta0)
+	if !(eta > 0) {
+		r.Failf("binauto: decoder submodel %d has invalid step size %v", id, eta)
 		return nil
 	}
-	sched := sgd.NewSchedule(eta0, schedLambda)
-	sched.SetSteps(steps)
 	return &decoderSub{
 		id: id, dims: dims,
 		w: &vec.Matrix{Rows: l, Cols: len(dims), Data: w},
-		c: c, lambda: lambda, sched: sched, tuned: tuned,
+		c: c, eta: eta, tuned: tuned,
 	}
 }
 

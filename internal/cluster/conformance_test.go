@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	_ "repro/internal/cluster/chaos" // register the chaos wrapper (zero faults)
+	_ "repro/internal/cluster/chaos" // register the chaos wrapper (no kill armed)
 	_ "repro/internal/cluster/tcp"   // register the TCP backend
 )
 

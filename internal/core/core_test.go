@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/cluster"
 )
@@ -28,12 +30,16 @@ type toySub struct {
 	id     int
 	sum    float64
 	count  int
-	visits []int // shard ids in visit order
+	visits []int         // shard ids in visit order
+	jitter time.Duration // TrainOn first sleeps a random time below it
 }
 
 func (t *toySub) ID() int { return t.id }
 
 func (t *toySub) TrainOn(shard Shard, order []int) {
+	if t.jitter > 0 {
+		time.Sleep(time.Duration(rand.Int63n(int64(t.jitter))))
+	}
 	ts := shard.(*toyShard)
 	for _, i := range order {
 		t.sum += ts.vals[i]

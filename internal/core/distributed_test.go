@@ -158,9 +158,14 @@ func runDistributed(t *testing.T, fabric string, cfg core.Config, iters, shards,
 		t.Fatalf("%s fabric: %v", fabric, err)
 	}
 	if len(kills) > 0 {
-		if fab, err = chaos.New(fab, chaos.Options{Seed: 7, Kills: kills}); err != nil {
+		cf, err := chaos.New(fab)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, k := range kills {
+			cf.Arm(k)
+		}
+		fab = cf
 	}
 	defer fab.Close()
 

@@ -175,21 +175,24 @@ func toyZ(p *toyProblem, survivors ...int) []float64 {
 }
 
 // chaosEngine runs the in-process engine on a chaos-wrapped channel fabric
-// with the given kills scheduled and short rescue waits.
-func chaosEngine(t *testing.T, prob *toyProblem, cfg Config, o chaos.Options) (*Engine, *chaos.Fabric) {
+// with the given kills armed before it starts and short rescue waits.
+func chaosEngine(t *testing.T, prob *toyProblem, cfg Config, kills ...chaos.KillSpec) (*Engine, *chaos.Fabric) {
 	t.Helper()
 	cfg.RescueTimeout = fastRescue
-	fab, err := chaos.New(cluster.NewNetwork(cfg.P+1), o)
+	fab, err := chaos.New(cluster.NewNetwork(cfg.P + 1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, k := range kills {
+		fab.Arm(k)
 	}
 	e := NewOn(prob, cfg, fab, prob.machine)
 	t.Cleanup(e.Shutdown)
 	return e, fab
 }
 
-func killAt(rank, tag, afterSends int) chaos.Options {
-	return chaos.Options{Seed: 7, Kills: []chaos.KillSpec{{Rank: rank, Tag: tag, AfterSends: afterSends}}}
+func killAt(rank, tag, afterSends int) chaos.KillSpec {
+	return chaos.KillSpec{Rank: rank, Tag: tag, AfterSends: afterSends}
 }
 
 func hasEvent(evs []FailureEvent, match func(FailureEvent) bool) bool {
@@ -279,10 +282,7 @@ func TestDeathAtEveryForward(t *testing.T) {
 // the survivors with both deaths recorded, and the engine keeps iterating.
 func TestTwoUnannouncedDeathsSameWStep(t *testing.T) {
 	p := newToyProblem(4, 3, 5)
-	e, _ := chaosEngine(t, p, Config{P: 4, Epochs: 2, Seed: 33}, chaos.Options{Seed: 7, Kills: []chaos.KillSpec{
-		{Rank: 1, Tag: tagToken, AfterSends: 2},
-		{Rank: 3, Tag: tagToken, AfterSends: 2},
-	}})
+	e, _ := chaosEngine(t, p, Config{P: 4, Epochs: 2, Seed: 33}, killAt(1, tagToken, 2), killAt(3, tagToken, 2))
 	res := e.Iterate()
 	if res.AliveMachines != 2 {
 		t.Fatalf("alive = %d, want 2 (failures: %+v)", res.AliveMachines, res.Failures)
@@ -309,10 +309,7 @@ func TestTwoUnannouncedDeathsSameWStep(t *testing.T) {
 // over to an older copy and finish on the lone survivor.
 func TestRescuerDiesDuringRescue(t *testing.T) {
 	p := newToyProblem(3, 4, 2)
-	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 12}, chaos.Options{Seed: 7, Kills: []chaos.KillSpec{
-		{Rank: 2, Tag: tagToken, AfterSends: 1},
-		{Rank: 1, Tag: tagRescueReply, AfterSends: 0},
-	}})
+	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 12}, killAt(2, tagToken, 1), killAt(1, tagRescueReply, 0))
 	res := e.Run(2)
 	if !hasEvent(res[0].Failures, func(ev FailureEvent) bool { return ev.Rank == 2 && ev.LostToken >= 0 }) {
 		t.Errorf("no lost token recorded: %+v", res[0].Failures)
@@ -348,9 +345,9 @@ func TestDeathBetweenIterations(t *testing.T) {
 // healthy iterations, then machine 1 dies at its second forward of the third.
 func TestFailureOnLaterIterationOnly(t *testing.T) {
 	p := newToyProblem(2, 3, 2)
-	e, fab := chaosEngine(t, p, Config{P: 2, Epochs: 1, Seed: 21}, chaos.Options{Seed: 7})
+	e, fab := chaosEngine(t, p, Config{P: 2, Epochs: 1, Seed: 21})
 	res := e.Run(2)
-	fab.Arm(chaos.KillSpec{Rank: 1, Tag: tagToken, AfterSends: 1})
+	fab.Arm(killAt(1, tagToken, 1))
 	res = append(res, e.Iterate())
 	checkVisitLogs(t, drill{
 		Epochs: 1, Points: 3, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0),
@@ -358,14 +355,15 @@ func TestFailureOnLaterIterationOnly(t *testing.T) {
 	})
 }
 
-// TestEngineUnderChaosKill adds schedule noise to the kill: every message is
-// delayed at random, so tokens reach the dying machine in orders the other
-// drills never see.
+// TestEngineUnderChaosKill adds schedule noise to the kill: every visit, and
+// so every token forward, is delayed at random, so tokens reach the dying
+// machine in orders the other drills never see.
 func TestEngineUnderChaosKill(t *testing.T) {
 	p := newToyProblem(3, 4, 5)
-	o := killAt(1, tagToken, 2)
-	o.DelayProb, o.MaxDelay = 0.5, 200*time.Microsecond
-	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 99}, o)
+	for _, sub := range p.toys() {
+		sub.jitter = 200 * time.Microsecond
+	}
+	e, _ := chaosEngine(t, p, Config{P: 3, Epochs: 2, Seed: 99}, killAt(1, tagToken, 2))
 	res := e.Run(2)
 	checkVisitLogs(t, drill{
 		Epochs: 2, Points: 4, Results: res, Subs: toyLogs(p), SurvivorZ: toyZ(p, 0, 2),

@@ -358,28 +358,25 @@ func TestParMACNetDeterministic(t *testing.T) {
 // TestIterationCurveMatchesOracle: the learning curve the machines' Z steps
 // report (IterationResult.EQ, EBA: E_Q and the nested error) equals the
 // penaltyAndNested oracle over the machines' shards bit for bit, every
-// iteration, on one and three machines and for Z-step parallelism 1 and 4.
+// iteration, on one and three machines.
 func TestIterationCurveMatchesOracle(t *testing.T) {
 	xs, ys := toyRegression(150, 23)
 	for _, p := range []int{1, 3} {
-		for _, parallel := range []int{1, 4} {
-			start := NewNet([]int{2, 5, 3, 1})
-			start.InitRandom(rand.New(rand.NewSource(24)), 0.3)
-			prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(xs.Rows, p, nil), ParMACConfig{
-				Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 6, Parallel: parallel,
-			})
-			f := newFleet(prob)
-			eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 24}, f.machine)
-			for it := 0; it < 4; it++ {
-				res := eng.Iterate()
-				eq, nested := f.penaltyAndNested()
-				if math.Float64bits(res.EQ) != math.Float64bits(eq) || math.Float64bits(res.EBA) != math.Float64bits(nested) {
-					t.Fatalf("P=%d parallel=%d iter %d: curve (%v, %v), oracle (%v, %v)",
-						p, parallel, it, res.EQ, res.EBA, eq, nested)
-				}
+		start := NewNet([]int{2, 5, 3, 1})
+		start.InitRandom(rand.New(rand.NewSource(24)), 0.3)
+		prob := NewParMACProblem(start, xs, ys, dataset.ShardIndices(xs.Rows, p, nil), ParMACConfig{
+			Mu0: 1, MuFactor: 2, Eta: 1, ZIters: 6,
+		})
+		f := newFleet(prob)
+		eng := core.New(prob, core.Config{P: p, Epochs: 2, Seed: 24}, f.machine)
+		for it := 0; it < 4; it++ {
+			res := eng.Iterate()
+			eq, nested := f.penaltyAndNested()
+			if math.Float64bits(res.EQ) != math.Float64bits(eq) || math.Float64bits(res.EBA) != math.Float64bits(nested) {
+				t.Fatalf("P=%d iter %d: curve (%v, %v), oracle (%v, %v)", p, it, res.EQ, res.EBA, eq, nested)
 			}
-			eng.Shutdown()
 		}
+		eng.Shutdown()
 	}
 }
 
@@ -392,40 +389,6 @@ func TestAssembleNetRoundTrip(t *testing.T) {
 	for k := range start.Ws {
 		if !sameBits(start.Ws[k], back.Ws[k]) {
 			t.Fatalf("layer %d weights lost in round trip", k)
-		}
-	}
-}
-
-func TestNetZStepParallelMatchesSerial(t *testing.T) {
-	// The shard-local Z step fanned out over a goroutine pool must produce
-	// coordinates bitwise identical to the serial pass, for several worker
-	// counts (run under -race this also proves the workers share nothing).
-	xs, ys := toyRegression(300, 21)
-	build := func(parallel int) *ParMACProblem {
-		start := NewNet([]int{2, 5, 3, 1})
-		start.InitRandom(rand.New(rand.NewSource(22)), 0.3)
-		shards := dataset.ShardIndices(300, 2, nil)
-		return NewParMACProblem(start, xs, ys, shards, ParMACConfig{
-			Mu0: 1, Eta: 1, ZIters: 8, Parallel: parallel,
-		})
-	}
-	serial := build(0)
-	model := serial.Submodels()
-	wantChanged := make([]int, serial.NumShards())
-	for sh := range wantChanged {
-		wantChanged[sh] = serial.ZStep(sh, model)
-	}
-	for _, workers := range []int{2, 5, -1} {
-		par := build(workers)
-		for sh := 0; sh < par.NumShards(); sh++ {
-			if changed := par.ZStep(sh, par.Submodels()); changed != wantChanged[sh] {
-				t.Fatalf("workers=%d shard %d: changed %d, serial %d", workers, sh, changed, wantChanged[sh])
-			}
-			for layer := range par.shards[sh].C.Z {
-				if !sameBits(par.shards[sh].C.Z[layer], serial.shards[sh].C.Z[layer]) {
-					t.Fatalf("workers=%d shard %d layer %d: coordinates differ from serial", workers, sh, layer)
-				}
-			}
 		}
 	}
 }

@@ -91,12 +91,6 @@ type ParMACConfig struct {
 	MuFactor float64
 	Eta      float64
 	ZIters   int
-
-	// Parallel is the number of goroutines each machine uses for its
-	// shard-local Z step: 0 or 1 serial, < 0 every core. Each point's
-	// coordinates are an independent subproblem, so the result is identical
-	// for any value.
-	Parallel int
 }
 
 // ParMACProblem implements core.Problem for the K-layer net; its
@@ -165,33 +159,25 @@ func (p *ParMACProblem) NumShards() int { return len(p.shards) }
 func (p *ParMACProblem) Shard(i int) core.Shard { return p.shards[i] }
 
 // ZStep implements core.Problem: assemble the machine-local net and run the
-// per-point generalised proximal operator, chunked over cfg.Parallel
-// goroutines. Unlike the binary autoencoder there is no Gram shortcut here —
-// the sigmoid layers make the per-point objective nonlinear in z — so the win
-// is purely the multicore fan-out. Each point's E_Q and nested error go to
-// slots summed in point order (NetShard.Objectives), the same bits for every
-// cfg.Parallel.
+// per-point generalised proximal operator over the shard, point by point.
+// Unlike the binary autoencoder there is no Gram shortcut here — the sigmoid
+// layers make the per-point objective nonlinear in z. Each point's E_Q and
+// nested error are added to the shard's sums in point order
+// (NetShard.Objectives).
 func (p *ParMACProblem) ZStep(shard int, model []core.Submodel) int {
 	net := assembleNet(p.dims, model)
 	sh := p.shards[shard]
 	mu := p.Mu()
-	eq, nested := make([]float64, sh.X.Rows), make([]float64, sh.X.Rows)
-	changed := core.CountChunks(sh.X.Rows, p.cfg.Parallel, func(lo, hi int) int {
-		changed := 0
-		out := make([]float64, p.dims[len(p.dims)-1])
-		for i := lo; i < hi; i++ {
-			obj, moved := ZStepPoint(net, sh.X.Row(i), sh.Y.Row(i), sh.C, i, mu, p.cfg.ZIters)
-			if moved {
-				changed++
-			}
-			eq[i], nested[i] = obj, net.pointNested(sh.X.Row(i), sh.Y.Row(i), out)
-		}
-		return changed
-	})
+	out := make([]float64, p.dims[len(p.dims)-1])
+	changed := 0
 	sh.eq, sh.nested = 0, 0
-	for i := range eq {
-		sh.eq += eq[i]
-		sh.nested += nested[i]
+	for i := 0; i < sh.X.Rows; i++ {
+		obj, moved := ZStepPoint(net, sh.X.Row(i), sh.Y.Row(i), sh.C, i, mu, p.cfg.ZIters)
+		if moved {
+			changed++
+		}
+		sh.eq += obj
+		sh.nested += net.pointNested(sh.X.Row(i), sh.Y.Row(i), out)
 	}
 	return changed
 }
