@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os/exec"
@@ -201,7 +202,9 @@ func TestFlagEdgeCases(t *testing.T) {
 // TestTransportsPrintOneCurve: without ring shuffling, one seed trains the
 // same model on both transports, and the learning curve is the machines'
 // own Z-step sums added in rank order, so the inproc and tcp runs must print
-// byte-identical E_Q and E_BA columns (and the same precision line).
+// byte-identical E_Q and E_BA columns (and the same precision line). Each
+// run must also shut down cleanly: exit within its deadline and write
+// nothing to stderr, so no worker was left attached and none exited badly.
 func TestTransportsPrintOneCurve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real processes")
@@ -209,12 +212,20 @@ func TestTransportsPrintOneCurve(t *testing.T) {
 	bin := buildBinary(t)
 	args := []string{"-n", "1200", "-d", "16", "-bits", "8", "-p", "3", "-iters", "4", "-shuffle=false", "-seed", "1"}
 	curve := func(transport string) (rows []string, precision string) {
-		cmd := exec.Command(bin, append(args, "-transport", transport)...)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, append(args, "-transport", transport)...)
+		// Spawned workers share the coordinator's stderr; once it is killed,
+		// stop waiting for them to close it.
+		cmd.WaitDelay = 5 * time.Second
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("-transport %s: %v\n%s%s", transport, err, out, stderr.String())
+		if ctx.Err() != nil {
+			t.Fatalf("-transport %s: still running after 60s\n%s%s", transport, out, stderr.String())
+		}
+		if err != nil || stderr.Len() > 0 {
+			t.Fatalf("-transport %s: error %v, want none and an empty stderr\nstdout:\n%s\nstderr:\n%s", transport, err, out, stderr.String())
 		}
 		header := false
 		for _, ln := range strings.Split(string(out), "\n") {

@@ -262,16 +262,18 @@ func trainModel(o *options, ds *dataset.Dataset) *binauto.Model {
 			s.Dropped = hub.DroppedFrames()
 			return s
 		}
-		// Runs after the engine's Shutdown, before the hub closes.
+		// Runs after the engine's Shutdown.
 		defer func() {
 			if err := comm.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "warning: close transport:", err)
 			}
 			// Workers say bye once they have drained the shutdown; only then
-			// may the hub die with the coordinator process.
+			// may the hub close. Closing it cuts any worker still attached,
+			// which then leaves instead of keeping c.Wait waiting.
 			if err := hub.Wait(30 * time.Second); err != nil {
 				fmt.Fprintln(os.Stderr, "warning:", err)
 			}
+			hub.Close()
 			for _, c := range children {
 				if err := c.Wait(); err != nil {
 					fmt.Fprintf(os.Stderr, "worker %v exited: %v\n", c.Args, err)

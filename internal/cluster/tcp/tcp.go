@@ -60,6 +60,7 @@ type hubPeer struct {
 
 	wmu  sync.Mutex
 	gone bool
+	left bool // departure recorded by peerGone; guarded by hub.mu
 }
 
 // send writes one encoded frame to this peer, preserving the caller's order.
@@ -112,6 +113,7 @@ func (p *hubPeer) markGone(graceful bool) {
 // per peer (guarded by p.gone).
 func (h *Hub) peerGone(p *hubPeer, graceful bool) {
 	h.mu.Lock()
+	p.left = true
 	h.gone++
 	if h.gone == h.size && h.allGone != nil {
 		close(h.allGone)
@@ -167,14 +169,29 @@ func (h *Hub) Wait(timeout time.Duration) error {
 	case <-ch:
 		return nil
 	case <-time.After(timeout):
-		return fmt.Errorf("tcp: %d of %d ranks still attached after %v", h.size-h.goneCount(), h.size, timeout)
+	}
+	switch ranks := h.attached(); len(ranks) {
+	case 0:
+		return nil
+	case 1:
+		return fmt.Errorf("tcp: rank %d still attached after %v", ranks[0], timeout)
+	default:
+		return fmt.Errorf("tcp: ranks %v still attached after %v", ranks, timeout)
 	}
 }
 
-func (h *Hub) goneCount() int {
+// attached lists the ranks whose departure the hub has not seen, including
+// any that never joined.
+func (h *Hub) attached() []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.gone
+	var ranks []int
+	for r, p := range h.peers {
+		if p == nil || !p.left {
+			ranks = append(ranks, r)
+		}
+	}
+	return ranks
 }
 
 // Addr returns the hub's listen address, to hand to Dial/Connect.

@@ -107,3 +107,41 @@ func TestFrameDownRoundTrip(t *testing.T) {
 func TestFrameDownGolden(t *testing.T) {
 	checkFrameGolden(t, "down_frame.golden.hex", &frame{Kind: frameDown, Rank: 2})
 }
+
+// TestHubWaitNamesAttachedRanks: a shutdown that times out says which ranks
+// never left, not only how many.
+func TestHubWaitNamesAttachedRanks(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if err := hub.Wait(time.Millisecond); err == nil || err.Error() != "tcp: ranks [0 1 2] still attached after 1ms" {
+		t.Fatalf("empty hub: Wait = %v", err)
+	}
+	comms := make([]*cluster.Comm, 3)
+	errs := make(chan error, 3)
+	for r := range comms {
+		go func(r int) {
+			var err error
+			comms[r], err = Connect(hub.Addr(), r)
+			errs <- err
+		}(r)
+	}
+	for range comms {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer comms[1].Close()
+	comms[0].Close()
+	comms[2].Close()
+	// The hub reads the byes asynchronously.
+	const want = "tcp: rank 1 still attached after 10ms"
+	deadline := time.Now().Add(10 * time.Second)
+	for err := hub.Wait(10 * time.Millisecond); err == nil || err.Error() != want; err = hub.Wait(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Wait = %v, want %q", err, want)
+		}
+	}
+}

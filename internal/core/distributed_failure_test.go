@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/cluster/chaos"
 	"repro/internal/core"
 )
@@ -59,6 +61,41 @@ func TestDistributedDeathAcrossWStep(t *testing.T) {
 				if t.Failed() {
 					t.Fatalf("kill before send %d broke the invariant", k)
 				}
+			}
+		})
+	}
+}
+
+// TestWorkersLeaveWhenCoordinatorDies: once the coordinator's link is gone
+// no shutdown can reach the machines, so each must take the coordinator's
+// peer-down as its cue to return rather than wait for it forever.
+func TestWorkersLeaveWhenCoordinatorDies(t *testing.T) {
+	const P, M, points = 3, 6, 4
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			fab, err := cluster.NewFabric(fabric, P+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fab.Close()
+			var wg sync.WaitGroup
+			for r := 0; r < P; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					core.RunWorker(fab.Comm(r), newWireProblem(P, points, M), r, core.WorkerOptions{Seed: core.WorkerSeed(12, r)})
+				}(r)
+			}
+			eng := core.NewDistributed(newWireProblem(P, points, M), core.Config{P: P, Epochs: 1, Seed: 12}, fab.Comm(P))
+			eng.Iterate()
+			fab.(cluster.Killer).Kill(P)
+
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("workers still running 10s after the coordinator died")
 			}
 		})
 	}

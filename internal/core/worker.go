@@ -72,10 +72,10 @@ type worker struct {
 	bytes int64
 }
 
-// recv is the worker's failure-aware receive. Peer-down events observed on
-// the transport feed the dead-rank set (so forwards reroute) and the wait
-// continues; ok is false when this worker's own fabric attachment is gone,
-// which is the worker's cue to exit quietly — never to panic.
+// recv is the worker's failure-aware receive. A machine's peer-down feeds
+// the dead-rank set (so forwards reroute) and the wait continues; ok is
+// false when the coordinator is down or this worker's own fabric attachment
+// is gone, which is the worker's cue to exit quietly — never to panic.
 func (w *worker) recv() (cluster.Message, bool) {
 	for {
 		msg, err := w.comm.RecvEvent(cluster.AnySource, cluster.AnyTag, -1)
@@ -83,11 +83,10 @@ func (w *worker) recv() (cluster.Message, bool) {
 			return msg, true
 		}
 		var pd *cluster.PeerDownError
-		if errors.As(err, &pd) {
-			w.deadRanks[pd.Rank] = true
-			continue
+		if !errors.As(err, &pd) || pd.Rank == w.coordRank {
+			return cluster.Message{}, false
 		}
-		return cluster.Message{}, false
+		w.deadRanks[pd.Rank] = true
 	}
 }
 
