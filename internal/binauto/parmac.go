@@ -29,8 +29,9 @@ import (
 // and SGD pass run svm.StepBytes/MarginBytes over a byte-backed shard's
 // stored rows through the dataset's dequantisation table, and a decoder
 // group reads only the dimensions it owns and, since z is binary, walks only
-// the weight rows of the set bits of the point's packed code word. Every
-// update keeps its expression and summation order, and the terms the
+// the weight rows of the set bits of the point's packed code word, once per
+// block of up to eight owned dimensions held in registers. Every update
+// keeps its expression and per-element summation order, and the terms the
 // decoder skips are exact zeros (see decoderSub.step for when that holds),
 // so a visit is bit for bit the one over Point copies of the dataset's rows
 // that visit_test.go keeps as the reference.
@@ -413,23 +414,49 @@ func (d *decoderSub) TrainOn(shard core.Shard, order []int) {
 }
 
 // predict writes c + Wᵀz for the owned dimensions of packed code z into
-// pred: it adds the weight row of each set bit, lowest first, so pred[j]
-// sums w_lj in bit order l = 0, 1, … as Model.EBA does.
+// pred. It takes the dimensions in blocks of eight, then four, then one:
+// per block it walks z's set bits, lowest first, adding the block's slice of
+// each set bit's weight row into locals that start at c, so pred[j] sums
+// w_lj in bit order l = 0, 1, … as Model.EBA does.
 func (d *decoderSub) predict(z uint64, pred []float64) {
-	g := len(pred)
-	copy(pred, d.c)
-	for ; z != 0; z &= z - 1 {
-		l := bits.TrailingZeros64(z)
-		for j, w := range d.w.Data[l*g : (l+1)*g] {
-			pred[j] += w
+	g, w, c := len(d.c), d.w.Data, d.c
+	j := 0
+	for ; j+8 <= g; j += 8 {
+		p0, p1, p2, p3, p4, p5, p6, p7 := c[j], c[j+1], c[j+2], c[j+3], c[j+4], c[j+5], c[j+6], c[j+7]
+		for b := z; b != 0; b &= b - 1 {
+			r := w[bits.TrailingZeros64(b)*g+j:]
+			r = r[:8]
+			p0, p1, p2, p3 = p0+r[0], p1+r[1], p2+r[2], p3+r[3]
+			p4, p5, p6, p7 = p4+r[4], p5+r[5], p6+r[6], p7+r[7]
 		}
+		p := pred[j : j+8]
+		p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = p0, p1, p2, p3, p4, p5, p6, p7
+	}
+	for ; j+4 <= g; j += 4 {
+		p0, p1, p2, p3 := c[j], c[j+1], c[j+2], c[j+3]
+		for b := z; b != 0; b &= b - 1 {
+			r := w[bits.TrailingZeros64(b)*g+j:]
+			r = r[:4]
+			p0, p1, p2, p3 = p0+r[0], p1+r[1], p2+r[2], p3+r[3]
+		}
+		p := pred[j : j+4]
+		p[0], p[1], p[2], p[3] = p0, p1, p2, p3
+	}
+	for ; j < g; j++ {
+		p := c[j]
+		for b := z; b != 0; b &= b - 1 {
+			p += w[bits.TrailingZeros64(b)*g+j]
+		}
+		pred[j] = p
 	}
 }
 
 // step performs one SGD update on every owned dimension from packed code z
 // and the owned features x (x[j] is dimension dims[j]):
 // w_lj ← w_lj − η·err_j·z_l and c_j ← c_j − η·err_j, so only the rows of
-// z's set bits move. pred is scratch.
+// z's set bits move. It predicts into pred (scratch), then, per block of
+// predict's, holds the block's errors η·err_j in locals and walks z's set
+// bits once more, subtracting them from the block's slice of each row.
 //
 // This is bit for bit the dense update that multiplies every row by its 0/1
 // z_l (visit_test.go's stepAt). A skipped term is 0·w = ±0, and adding ±0
@@ -439,22 +466,45 @@ func (d *decoderSub) predict(z uint64, pred []float64) {
 // the 0-bit rows and this one leaves them alone; the model has diverged
 // either way, and a diverging η0 trial scores a non-finite loss under both.
 // Exactness also needs multiply-adds left unfused, which holds on amd64; on
-// arm64, ppc64 and s390x Go may fuse them.
+// arm64, ppc64 and s390x Go may fuse them. The blocks change none of this:
+// each element sees the same operations in the same order as in the dense
+// update, only the order across elements differs, and no element's update
+// reads another's.
 func (d *decoderSub) step(z uint64, x []float64, eta float64, pred []float64) {
 	d.predict(z, pred)
-	for j := range pred {
-		pred[j] = eta * (pred[j] - x[j])
-	}
-	g := len(pred)
-	for ; z != 0; z &= z - 1 {
-		l := bits.TrailingZeros64(z)
-		row := d.w.Data[l*g : (l+1)*g]
-		for j := range row {
-			row[j] -= pred[j]
+	g, w, c := len(d.c), d.w.Data, d.c
+	j := 0
+	for ; j+8 <= g; j += 8 {
+		p, xs := pred[j:j+8], x[j:j+8]
+		e0, e1, e2, e3 := eta*(p[0]-xs[0]), eta*(p[1]-xs[1]), eta*(p[2]-xs[2]), eta*(p[3]-xs[3])
+		e4, e5, e6, e7 := eta*(p[4]-xs[4]), eta*(p[5]-xs[5]), eta*(p[6]-xs[6]), eta*(p[7]-xs[7])
+		for b := z; b != 0; b &= b - 1 {
+			r := w[bits.TrailingZeros64(b)*g+j:]
+			r = r[:8]
+			r[0], r[1], r[2], r[3] = r[0]-e0, r[1]-e1, r[2]-e2, r[3]-e3
+			r[4], r[5], r[6], r[7] = r[4]-e4, r[5]-e5, r[6]-e6, r[7]-e7
 		}
+		cs := c[j : j+8]
+		cs[0], cs[1], cs[2], cs[3] = cs[0]-e0, cs[1]-e1, cs[2]-e2, cs[3]-e3
+		cs[4], cs[5], cs[6], cs[7] = cs[4]-e4, cs[5]-e5, cs[6]-e6, cs[7]-e7
 	}
-	for j := range d.c {
-		d.c[j] -= pred[j]
+	for ; j+4 <= g; j += 4 {
+		p, xs := pred[j:j+4], x[j:j+4]
+		e0, e1, e2, e3 := eta*(p[0]-xs[0]), eta*(p[1]-xs[1]), eta*(p[2]-xs[2]), eta*(p[3]-xs[3])
+		for b := z; b != 0; b &= b - 1 {
+			r := w[bits.TrailingZeros64(b)*g+j:]
+			r = r[:4]
+			r[0], r[1], r[2], r[3] = r[0]-e0, r[1]-e1, r[2]-e2, r[3]-e3
+		}
+		cs := c[j : j+4]
+		cs[0], cs[1], cs[2], cs[3] = cs[0]-e0, cs[1]-e1, cs[2]-e2, cs[3]-e3
+	}
+	for ; j < g; j++ {
+		e := eta * (pred[j] - x[j])
+		for b := z; b != 0; b &= b - 1 {
+			w[bits.TrailingZeros64(b)*g+j] -= e
+		}
+		c[j] -= e
 	}
 }
 

@@ -215,9 +215,12 @@ func visitShard(n, d, l int, byteBacked bool, seed int64) *Shard {
 // Point copies of the dataset's rows leave them — on byte- and float-backed
 // shards, with the visit order shuffled or not, from a tuned and an untuned
 // start, over two consecutive visits. D = 22 leaves a tail past the
-// four-wide kernels; of 3 000 points the tuning sample is the first third.
+// encoder's four-wide kernels. The decoder group of 5 dimensions runs
+// predict's four-wide block and its one-wide tail, the group of 13 the
+// eight-wide block too. Of 3 000 points the tuning sample is the first third.
 func TestParMACVisitMatchesReference(t *testing.T) {
 	const n, d, l = 3000, 22, 6
+	groups := [][]int{{1, 4, 9, 21, 16}, {20, 0, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 17}}
 	for _, byteBacked := range []bool{false, true} {
 		sh := visitShard(n, d, l, byteBacked, 41)
 		for _, shuffle := range []bool{false, true} {
@@ -228,12 +231,16 @@ func TestParMACVisitMatchesReference(t *testing.T) {
 				for j := range enc.svm.W {
 					enc.svm.W[j] = 0.1 * rng.NormFloat64()
 				}
-				dec := newDecoderSub(l, l, []int{1, 4, 9, 21, 16})
-				for j := range dec.w.Data {
-					dec.w.Data[j] = rng.NormFloat64()
+				var decs, decRefs []*decoderSub
+				for k, dims := range groups {
+					dec := newDecoderSub(l+k, l, dims)
+					for j := range dec.w.Data {
+						dec.w.Data[j] = rng.NormFloat64()
+					}
+					dec.tuned = tuned
+					decs, decRefs = append(decs, dec), append(decRefs, dec.Clone().(*decoderSub))
 				}
-				dec.tuned = tuned
-				encRef, decRef := enc.Clone().(*encoderSub), dec.Clone().(*decoderSub)
+				encRef := enc.Clone().(*encoderSub)
 				for visit := 0; visit < 2; visit++ {
 					order := sgd.Order(n, shuffle, rng)
 					enc.TrainOn(sh, order)
@@ -243,10 +250,13 @@ func TestParMACVisitMatchesReference(t *testing.T) {
 						a.Sched.Eta0 != b.Sched.Eta0 || a.Sched.Steps() != b.Sched.Steps() {
 						t.Fatalf("%s visit %d: encoder differs from the reference", name, visit)
 					}
-					dec.TrainOn(sh, order)
-					decRef.trainOnPoints(sh, order)
-					if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) || dec.eta != decRef.eta {
-						t.Fatalf("%s visit %d: decoder differs from the reference", name, visit)
+					for k, dec := range decs {
+						decRef := decRefs[k]
+						dec.TrainOn(sh, order)
+						decRef.trainOnPoints(sh, order)
+						if !bitsEqual(dec.w.Data, decRef.w.Data) || !bitsEqual(dec.c, decRef.c) || dec.eta != decRef.eta {
+							t.Fatalf("%s visit %d: decoder of %d dimensions differs from the reference", name, visit, len(dec.dims))
+						}
 					}
 				}
 			}
@@ -315,16 +325,22 @@ func TestZStepGathersOnce(t *testing.T) {
 	}
 }
 
-// FuzzDecoderStep pins the exactness argument on decoderSub.step: for any
-// code word of L ≤ 64 bits, g ≤ 16 owned dimensions, finite weights, c and x
-// that are not −0, and finite η ≥ 0, one set-bit step leaves w and c bit for
-// bit where the dense reference step (stepAt) leaves them, and neither holds
-// a −0, whenever the reference's outputs are all finite.
+// FuzzDecoderStep pins the exactness argument on decoderSub.predict and
+// decoderSub.step: for any code word of L ≤ 64 bits, g ≤ 16 owned
+// dimensions, finite weights, c and x that are not −0, and finite η ≥ 0,
+// predict writes the dense prediction c + Σ_l z_l·w_l summed in bit order,
+// and one set-bit step leaves w and c bit for bit where the dense reference
+// step (stepAt) leaves them, and neither holds a −0, whenever the
+// reference's outputs are all finite. The seeds' g (1, 4, 6, 8, 12, 13 and
+// 16) reach predict's blocks of eight, four and one alone and together.
 func FuzzDecoderStep(f *testing.F) {
 	f.Add(int64(1), uint64(0xb5), uint8(7), uint8(5), 1.0, 1.0, 0.01)
 	f.Add(int64(2), uint64(0), uint8(63), uint8(15), 1e-300, 1e300, 1.0)
 	f.Add(int64(3), ^uint64(0), uint8(63), uint8(0), 5e-324, 0.0, 0.4)
 	f.Add(int64(4), uint64(0x8000000000000001), uint8(63), uint8(3), 1e3, -2.0, 1e-2)
+	f.Add(int64(5), uint64(0xdeadbeef), uint8(31), uint8(7), 0.5, 3.0, 0.05)
+	f.Add(int64(6), uint64(0x5a5a), uint8(15), uint8(11), 2.0, -1.0, 0.1)
+	f.Add(int64(7), uint64(0x0ff0f00f), uint8(47), uint8(12), 1e-2, 10.0, 0.2)
 	f.Fuzz(func(t *testing.T, seed int64, z uint64, lb, gb uint8, wScale, xScale, eta float64) {
 		if !(eta >= 0) || math.IsInf(eta, 0) {
 			return
@@ -360,8 +376,20 @@ func FuzzDecoderStep(f *testing.F) {
 		ref := dec.Clone().(*decoderSub)
 		codes := retrieval.NewCodes(1, l)
 		codes.SetWord64(0, z)
-		ref.stepAt(CodesPoints{codes}.Point(0, nil), x, eta)
-		dec.step(z, x, eta, make([]float64, g))
+		zf := CodesPoints{codes}.Point(0, nil)
+		pred, refPred := make([]float64, g), make([]float64, g)
+		dec.predict(z, pred)
+		for j := range refPred {
+			refPred[j] = dec.c[j]
+			for row := 0; row < l; row++ {
+				refPred[j] += zf[row] * dec.w.At(row, j)
+			}
+		}
+		if allFinite(refPred) && !bitsEqual(pred, refPred) {
+			t.Fatalf("L=%d g=%d z=%#x: set-bit prediction differs from the dense one", l, g, z)
+		}
+		ref.stepAt(zf, x, eta)
+		dec.step(z, x, eta, pred)
 		if !allFinite(ref.w.Data, ref.c) {
 			return
 		}
@@ -393,8 +421,10 @@ func allFinite(vs ...[]float64) bool {
 // BenchmarkParMACVisit times one W-step visit of a circulating submodel over
 // train_wstep's shape: shard 0 of a 2-machine ShuffledShardIndices split of a
 // 40 000-point, D=128 byte-backed set (so 20 000 points on rows scattered as
-// in training) with L=16 tPCA codes, an encoder (one bit SVM) and a decoder
-// group (8 of the 128 dimensions). "untuned" visits include the
+// in training) with L=16 tPCA codes, an encoder (one bit SVM) and decoder
+// groups of g = 4, 8 and 11 of the 128 dimensions, dealt round-robin as
+// NewParMACProblem deals them at L = 32, 16 and 12: the group widths of
+// train_comm, train_wstep and train_zstep. "untuned" visits include the
 // per-iteration η0 calibration (§8.1), "tuned" ones are the training pass
 // alone. ns/pt is per shard point per visit. The shard is built, and its rows
 // gathered by the warm-up visits, once for all sub-benchmarks.
@@ -409,27 +439,30 @@ func BenchmarkParMACVisit(b *testing.B) {
 	}
 	sh := &Shard{ds: ds, idx: idx, Z: z}
 	order := sgd.Order(n, false, nil)
-	var dims []int
-	for j := 0; j < d; j += l {
-		dims = append(dims, j)
-	}
-	// Warm both submodels by one visit, so weights are off zero.
+	// Warm every submodel by one visit, so weights are off zero.
 	enc := &encoderSub{svm: svm.NewLinear(d, 1e-5)}
 	enc.TrainOn(sh, order)
-	dec := newDecoderSub(l, l, dims)
-	dec.TrainOn(sh, order)
-	visits := []struct {
+	type visit struct {
 		name  string
 		visit func(tuned bool) func()
-	}{
+	}
+	visits := []visit{
 		{"encoder", func(tuned bool) func() {
 			e := enc.Clone().(*encoderSub)
 			return func() { e.tuned = tuned; e.TrainOn(sh, order) }
 		}},
-		{"decoder", func(tuned bool) func() {
+	}
+	for _, stride := range []int{32, 16, 12} {
+		var dims []int
+		for j := 0; j < d; j += stride {
+			dims = append(dims, j)
+		}
+		dec := newDecoderSub(l, l, dims)
+		dec.TrainOn(sh, order)
+		visits = append(visits, visit{fmt.Sprintf("decoder/g=%d", len(dims)), func(tuned bool) func() {
 			dd := dec.Clone().(*decoderSub)
 			return func() { dd.tuned = tuned; dd.TrainOn(sh, order) }
-		}},
+		}})
 	}
 	for _, v := range visits {
 		for _, tuned := range []bool{false, true} {
