@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/serve"
@@ -38,7 +39,7 @@ func main() {
 		indexPath  = flag.String("index", "", "packed-code index file (retrieval.Codes.Save format, required)")
 		modelPath  = flag.String("model", "", "model JSON (optional; without it only raw-code queries are served)")
 		version    = flag.String("version", "v1", "label for the initial deployment")
-		shards     = flag.Int("shards", 1, "linear-index shards for per-query fan-out")
+		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "linear-index shards; one query's scan fans out over min(shards, workers) cores")
 		indexKind  = flag.String("index-kind", "linear", "index structure: linear (sharded scan) or mih (multi-index hashing)")
 		mihBlocks  = flag.Int("mih-blocks", 0, "substring tables for -index-kind=mih (0 = auto from N and L)")
 		workers    = flag.Int("workers", -1, "goroutines per batch scan (-1 = every core)")

@@ -153,3 +153,26 @@ func BenchmarkTopKHamming(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMergeTopK times the merge of S sorted shard lists of k neighbours
+// each, S ∈ {2, 8} and k ∈ {50, 1000}: the step after a sharded scan's join,
+// so it sits on a query's critical path. The lists come from real scans of
+// random 64-bit codes, so ties interleave the shards as they do in serving.
+func BenchmarkMergeTopK(b *testing.B) {
+	for _, s := range []int{2, 8} {
+		for _, k := range []int{50, 1000} {
+			rows := 4 * k
+			base, q := randomCodes(s*rows, 64, 81), randomCodes(1, 64, 82).Code(0)
+			parts := make([][]Neighbor, s)
+			for p := range parts {
+				shard := &Codes{N: rows, L: 64, Words: 1, Data: base.Data[p*rows : (p+1)*rows]}
+				parts[p] = OffsetNeighbors(TopKHammingDist(shard, q, k), p*rows)
+			}
+			b.Run(fmt.Sprintf("parts=%d/k=%d", s, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					scanSink = MergeTopK(parts, k)
+				}
+			})
+		}
+	}
+}

@@ -142,25 +142,35 @@ func candIndices(buf []Neighbor) []int {
 	return out
 }
 
-// MergeTopK merges per-part top-k candidate lists (each sorted by
-// (Dist, Index)) into one global top-k in the same order. This is the exact
-// tie rule the serial scan maintains, so a sharded scan (serve.ShardedIndex),
-// with each part's indices already offset into the global id space, merges
-// without changing any result. k < 0 keeps everything.
+// MergeTopK merges per-part top-k candidate lists, each sorted by
+// (Dist, Index) and over disjoint index ranges, into one global top-k in the
+// same order. It walks the part heads, taking the least each step, so it
+// costs O(k·len(parts)) and never re-sorts. This is the exact tie rule the
+// serial scan maintains, so a sharded scan (serve.ShardedIndex), with each
+// part's indices already offset into the global id space, merges without
+// changing any result. k < 0 keeps everything.
 func MergeTopK(parts [][]Neighbor, k int) []Neighbor {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
-	all := make([]Neighbor, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
+	if k < 0 || k > total {
+		k = total
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
-	if k >= 0 && len(all) > k {
-		all = all[:k]
+	out := make([]Neighbor, k)
+	heads := make([]int, len(parts))
+	for i := range out {
+		best := -1
+		var b Neighbor
+		for j, p := range parts {
+			if h := heads[j]; h < len(p) && (best < 0 || p[h].before(b)) {
+				best, b = j, p[h]
+			}
+		}
+		out[i] = b
+		heads[best]++
 	}
-	return all
+	return out
 }
 
 // OffsetNeighbors shifts every index by off, mapping shard-local results into

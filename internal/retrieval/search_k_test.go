@@ -199,4 +199,11 @@ func TestMergeTopKTieOrderAcrossShards(t *testing.T) {
 	if got := MergeTopK([][]Neighbor{shard0, nil, {}}, 0); len(got) != 0 {
 		t.Fatalf("k=0 merged %d results", len(got))
 	}
+
+	// An empty part first, and a part longer than k: the walk skips the
+	// empty head and stops at k, leaving the long part's tail unread.
+	got = MergeTopK([][]Neighbor{{}, shard2, shard1}, 2)
+	if wantShort := []Neighbor{{Index: 11, Dist: 1}, {Index: 20, Dist: 1}}; !slices.Equal(got, wantShort) {
+		t.Fatalf("empty-first k=2: %+v, want %+v", got, wantShort)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,11 +45,13 @@ type Index interface {
 	Kind() string
 }
 
-// ShardedIndex splits a packed code set into row ranges so one query fans
-// out over shards and merges with retrieval.MergeTopK — the same tie-exact
-// merge the chunked scans use, so a sharded search equals the unsharded scan
-// for any shard count. Shards alias the original backing array (no copy) and
-// are immutable once built; swapping in new codes means building a new index.
+// ShardedIndex splits a packed code set into row ranges that SearchBatch
+// scans concurrently: one task per (query, shard) on the worker pool, so a
+// lone query fans out over min(shards, workers) cores. Each query's shard
+// lists merge with retrieval.MergeTopK, the serial scan's tie rule, so a
+// sharded search equals the unsharded scan for any shard and worker count.
+// Shards alias the original backing array (no copy) and are immutable once
+// built; swapping in new codes means building a new index.
 type ShardedIndex struct {
 	l, n   int
 	shards []*retrieval.Codes
@@ -83,7 +86,7 @@ func NewShardedIndex(codes *retrieval.Codes, shards int) *ShardedIndex {
 	return ix
 }
 
-// Shards reports the fan-out width.
+// Shards reports the shard count, the most cores one query's scan spans.
 func (ix *ShardedIndex) Shards() int { return len(ix.shards) }
 
 // L reports the code length in bits.
@@ -98,26 +101,34 @@ func (ix *ShardedIndex) Words() int { return (ix.l + 63) / 64 }
 // Kind names the engine.
 func (ix *ShardedIndex) Kind() string { return "linear" }
 
-// Search runs one query against every shard and merges to a global top-k.
+// Search answers one query on the calling goroutine, scanning the shards in
+// turn: SearchBatch's body over a one-row batch and one worker.
 func (ix *ShardedIndex) Search(query []uint64, k int) []retrieval.Neighbor {
-	parts := make([][]retrieval.Neighbor, len(ix.shards))
-	for s, sh := range ix.shards {
-		parts[s] = retrieval.OffsetNeighbors(retrieval.TopKHammingDist(sh, query, k), ix.offs[s])
-	}
-	return retrieval.MergeTopK(parts, k)
+	one := &retrieval.Codes{N: 1, L: ix.l, Words: len(query), Data: query}
+	return ix.SearchBatch(one, k, 1)[0]
 }
 
-// SearchBatch coalesces a batch of queries into one pass: the query loop
-// fans out over workers goroutines (the AllTopKHamming shape), each query
-// scanning every shard and merging shard results tie-exactly. Output row q
-// is identical to Search(queries.Code(q), k) for any worker count.
+// SearchBatch answers a batch in one pass over workers goroutines
+// (core.Cores semantics). Task t scans shard t mod S for query t / S into a
+// slot of its own, so a batch of one query fans out over the shards, while a
+// full batch hands each worker a run of consecutive tasks, mostly whole
+// queries. After the join, each query's S lists merge tie-exactly. Row q
+// equals retrieval.TopKHammingDist over the whole code set for any shard and
+// worker count.
 func (ix *ShardedIndex) SearchBatch(queries *retrieval.Codes, k, workers int) [][]retrieval.Neighbor {
-	out := make([][]retrieval.Neighbor, queries.N)
-	core.ParallelChunks(queries.N, core.Cores(workers), func(_, lo, hi int) {
-		for q := lo; q < hi; q++ {
-			out[q] = ix.Search(queries.Code(q), k)
+	s := len(ix.shards)
+	parts := make([][]retrieval.Neighbor, queries.N*s)
+	core.ParallelChunks(len(parts), core.Cores(workers), func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			sh := t % s
+			parts[t] = retrieval.OffsetNeighbors(
+				retrieval.TopKHammingDist(ix.shards[sh], queries.Code(t/s), k), ix.offs[sh])
 		}
 	})
+	out := make([][]retrieval.Neighbor, queries.N)
+	for q := range out {
+		out[q] = retrieval.MergeTopK(parts[q*s:(q+1)*s], k)
+	}
 	return out
 }
 
@@ -190,7 +201,9 @@ type IndexConfig struct {
 	// Kind is "linear" (sharded exact scan, the default) or "mih"
 	// (multi-index hashing, sublinear at production N).
 	Kind string
-	// Shards is the linear engine's per-query fan-out width.
+	// Shards is the number of row ranges the linear engine cuts the codes
+	// into: SearchBatch scans a query's shards concurrently, so a lone query
+	// uses min(Shards, workers) cores (< 1 means 1).
 	Shards int
 	// MIHBlocks is the substring table count for the mih engine (0 = pick
 	// from N and L).
@@ -265,8 +278,9 @@ func LoadDeployment(version, indexPath, modelPath string, cfg IndexConfig, maxIn
 
 // Options tune the server. Zero values mean the documented defaults.
 type Options struct {
-	// Shards is the fan-out width used when the server itself builds
-	// linear indexes (swap endpoint, LoadDeployment callers). Default 1.
+	// Shards is the per-query fan-out width used when the server itself
+	// builds linear indexes (swap and shadow endpoints). Default
+	// runtime.GOMAXPROCS(0), so a lone query's scan spans every core.
 	Shards int
 	// IndexKind selects the engine the admin endpoints build when loading
 	// index files: "linear" (default) or "mih".
@@ -304,7 +318,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
-		o.Shards = 1
+		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	if o.IndexKind == "" {
 		o.IndexKind = "linear"
@@ -380,7 +394,8 @@ type Stats struct {
 	ShadowVersion string `json:"shadow_version,omitempty"`
 	IndexN        int    `json:"index_n"`
 	// IndexKind names the live engine; IndexShards is the linear engine's
-	// fan-out (0 for other kinds), MIH the mih engine's occupancy summary —
+	// shard count, which bounds how many cores one query's scan spans (0 for
+	// other kinds); MIH is the mih engine's occupancy summary —
 	// posting-list skew is what degrades its pruning, so operators watch the
 	// max/mean list lengths here.
 	IndexKind       string                  `json:"index_kind,omitempty"`

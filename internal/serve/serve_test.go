@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,35 +51,69 @@ func quietOpts(o Options) Options {
 }
 
 func TestShardedIndexMatchesSerialScan(t *testing.T) {
+	// 500 16-bit codes: distances tie often, so any slip in the merge's
+	// (Dist, Index) order shows. At 16 shards a shard holds 32 rows, below
+	// k = 40, so some shards return every row they have.
 	_, codes, _ := testDeployment("v", 500, 16, 16, 1, 1)
 	queries := retrieval.NewCodes(30, 16)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < queries.N; i++ {
 		queries.SetWord64(i, rng.Uint64()&0xFFFF)
 	}
-	for _, shards := range []int{1, 3, 7, 16} {
+	same := func(what string, got, want []retrieval.Neighbor) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %+v, want %+v", what, got, want)
+		}
+	}
+	for _, shards := range []int{1, 2, 3, 7, 16} {
 		ix := NewShardedIndex(codes, shards)
-		for qi := 0; qi < queries.N; qi++ {
-			q := queries.Code(qi)
-			want := retrieval.TopKHammingDist(codes, q, 25)
-			got := ix.Search(q, 25)
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d query %d: %d results, want %d", shards, qi, len(got), len(want))
+		for _, k := range []int{0, 25, 40} {
+			for qi := 0; qi < queries.N; qi++ {
+				q := queries.Code(qi)
+				same(fmt.Sprintf("Search shards=%d k=%d query %d", shards, k, qi),
+					ix.Search(q, k), retrieval.TopKHammingDist(codes, q, k))
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d query %d rank %d: %+v != %+v", shards, qi, i, got[i], want[i])
+			for _, batch := range []int{1, 2, 30} {
+				view := &retrieval.Codes{N: batch, L: queries.L, Words: queries.Words, Data: queries.Data[:batch*queries.Words]}
+				for _, workers := range []int{1, 2, 4, -1} {
+					rows := ix.SearchBatch(view, k, workers)
+					if len(rows) != batch {
+						t.Fatalf("shards=%d batch=%d: %d rows", shards, batch, len(rows))
+					}
+					for qi, got := range rows {
+						same(fmt.Sprintf("SearchBatch shards=%d k=%d batch=%d workers=%d query %d", shards, k, batch, workers, qi),
+							got, retrieval.TopKHammingDist(codes, queries.Code(qi), k))
+					}
 				}
 			}
 		}
-		batch := ix.SearchBatch(queries, 25, 4)
-		for qi := 0; qi < queries.N; qi++ {
-			want := ix.Search(queries.Code(qi), 25)
-			for i := range want {
-				if batch[qi][i] != want[i] {
-					t.Fatalf("SearchBatch shards=%d query %d differs", shards, qi)
+	}
+}
+
+// BenchmarkShardedSearchBatch times SearchBatch at serve_scan's shape
+// (400 000 random one-word codes, k = 50) on every core: a batch of one
+// fans out over the shards, so shards=2 batch=1 shows the fan-out's gain
+// over shards=1 batch=1.
+func BenchmarkShardedSearchBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	codes := retrieval.NewCodes(400_000, 64)
+	for i := range codes.Data {
+		codes.Data[i] = rng.Uint64()
+	}
+	queries := retrieval.NewCodes(2, 64)
+	for i := range queries.Data {
+		queries.Data[i] = rng.Uint64()
+	}
+	for _, shards := range []int{1, 2} {
+		ix := NewShardedIndex(codes, shards)
+		for _, batch := range []int{1, 2} {
+			view := &retrieval.Codes{N: batch, L: 64, Words: 1, Data: queries.Data[:batch]}
+			b.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ix.SearchBatch(view, 50, -1)
 				}
-			}
+			})
 		}
 	}
 }
