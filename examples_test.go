@@ -14,14 +14,10 @@ import (
 // exampleClaims holds, per example, the output lines that state its claim.
 // Each pattern must match the example's output; a pattern's capture group,
 // if it has one, is a precision and must parse to a value in [0, 1]. The
-// examples that check their own claim (deepnet, faulttolerance, streaming)
-// also exit 1 when it fails. Schedule-dependent lines, such as which
-// submodels faulttolerance recovers, and shuffled numbers are not matched.
+// examples that check their own claim (faulttolerance, streaming) also exit
+// 1 when it fails. Schedule-dependent lines, such as which submodels
+// faulttolerance recovers, and shuffled numbers are not matched.
 var exampleClaims = map[string][]string{
-	"deepnet": {
-		`(?m)^ParMAC \(P=1\) final: `,
-		`(?m)^ParMAC \(P=4\) final: `,
-	},
 	"faulttolerance": {
 		`(?m)^    machine 2 DIED$`,
 		`(?m)^iter=7 machines=3 `,
@@ -34,9 +30,6 @@ var exampleClaims = map[string][]string{
 		`(?m)^promoted: live is now v2$`,
 		`(?m)^query 0 served by v2,`,
 		`(?m)^shadow "v2" observed 50 queries`,
-	},
-	"quickstart": {
-		`(?m)^retrieval precision \(K=k=50\): (\S+)$`,
 	},
 	"retrieval": {
 		`(?m)^tPCA precision: +(\S+)$`,

@@ -15,7 +15,7 @@ import (
 // sgd.Order, core.WorkerSeed); rand.New/rand.NewSource are therefore fine.
 //
 // The check applies to the deterministic-kernel packages only, matched by
-// package base name: binauto, macnet, svm, sgd.
+// package base name: binauto, svm, sgd.
 var DetRandAnalyzer = &Analyzer{
 	Name: "detrand",
 	Doc: "deterministic kernel packages must not call global math/rand " +
@@ -26,7 +26,7 @@ var DetRandAnalyzer = &Analyzer{
 // detRandPackages are the package base names with a bit-reproducibility
 // contract.
 var detRandPackages = map[string]bool{
-	"binauto": true, "macnet": true, "svm": true, "sgd": true,
+	"binauto": true, "svm": true, "sgd": true,
 }
 
 // globalRandFuncs are the math/rand package-level functions that consume the

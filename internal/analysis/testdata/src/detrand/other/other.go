@@ -1,5 +1,5 @@
 // Package other shows detrand's scope: the determinism contract applies only
-// to the kernel packages (binauto, macnet, svm, sgd), so global randomness
+// to the kernel packages (binauto, svm, sgd), so global randomness
 // and wall-clock reads here are legal — and the fixture asserts no
 // diagnostics fire.
 package other

@@ -22,8 +22,7 @@ import (
 // and the golden tests pin each type's bytes exactly.
 //
 // Kinds are allocated per package: below 16 the builtins here, 16–31
-// internal/core, 32–47 internal/binauto, 48–63 internal/macnet; tests use
-// 1000 and up.
+// internal/core, 32–47 internal/binauto; tests use 1000 and up.
 
 const (
 	kindNil uint16 = iota

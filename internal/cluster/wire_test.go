@@ -13,7 +13,6 @@ import (
 	_ "repro/internal/binauto" // register the submodel codecs the fuzzer decodes
 	"repro/internal/cluster"
 	"repro/internal/core"
-	_ "repro/internal/macnet"
 )
 
 func TestBuiltinPayloadRoundTrip(t *testing.T) {
@@ -76,7 +75,7 @@ func TestAppendPayloadPanicsWithoutCodec(t *testing.T) {
 func FuzzDecodePayload(f *testing.F) {
 	var seeds [][]byte
 	var subs []core.Submodel
-	for _, dir := range []string{"../core", "../binauto", "../macnet"} {
+	for _, dir := range []string{"../core", "../binauto"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "testdata", "*.golden.hex"))
 		if err != nil {
 			f.Fatal(err)

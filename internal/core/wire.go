@@ -8,7 +8,7 @@ import "repro/internal/cluster"
 // (AppendWire, fields in declaration order) and registers a decoder under
 // the kind below. Submodels inside them nest through the same registry: each
 // Problem's concrete submodel types register their own codecs (see
-// binauto/wire.go, macnet/wire.go).
+// binauto/wire.go).
 
 // Wire kinds of the protocol messages (cluster reserves 16–31 for core).
 const (

@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedWireMessages returns one deterministic instance per protocol message
 // type. Submodels are the test's WireSub — core defines only the interface;
-// the concrete carriers pin their own formats (binauto, macnet golden tests).
+// the concrete carriers pin their own formats (binauto's golden tests).
 func fixedWireMessages() []struct {
 	file string
 	msg  any

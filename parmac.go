@@ -9,12 +9,11 @@
 // they visit; the Z step updates each machine's coordinates with no
 // communication at all.
 //
-// The package re-exports the generic engine (internal/core) and the two
-// model families adapted to it — binary autoencoders (internal/binauto) and
-// K-layer sigmoid nets (internal/macnet) — plus a one-call helper for the
-// paper's flagship application, learning binary hash functions:
+// The package is a one-call helper for the paper's flagship application,
+// learning binary hash functions, over the binary autoencoder
+// (internal/binauto) and the generic engine it runs on (internal/core):
 //
-//	ds := parmac.SyntheticSIFT(10000, 128, 32, 1)
+//	ds, _ := parmac.SyntheticBenchmark(10000, 100, 128, 32, 1)
 //	result := parmac.TrainBinaryAutoencoder(ds, parmac.BAOptions{
 //	    Bits: 16, Machines: 8, Epochs: 1, Iterations: 12, Seed: 1,
 //	})
@@ -31,28 +30,8 @@ import (
 	"repro/internal/retrieval"
 )
 
-// Re-exported engine types. See internal/core for full documentation.
-type (
-	// Engine runs ParMAC iterations over a Problem.
-	Engine = core.Engine
-	// Config parameterises the engine (machines, epochs, shuffling,
-	// rescue deadlines).
-	Config = core.Config
-	// Problem adapts a MAC algorithm to the engine.
-	Problem = core.Problem
-	// Submodel is one circulating unit of the W step.
-	Submodel = core.Submodel
-	// Shard is one machine's data portion.
-	Shard = core.Shard
-	// IterationResult summarises one W+Z iteration.
-	IterationResult = core.IterationResult
-)
-
-// New creates a ParMAC engine for the problem, one fabric rank per machine:
-// machine i is a goroutine on machine(i), e.g. a model family's Machine.
-func New(prob Problem, cfg Config, machine func(shard int) Problem) *Engine {
-	return core.New(prob, cfg, machine)
-}
+// IterationResult summarises one W+Z iteration. See internal/core.
+type IterationResult = core.IterationResult
 
 // BAOptions configures TrainBinaryAutoencoder.
 type BAOptions struct {
@@ -61,15 +40,8 @@ type BAOptions struct {
 	Epochs     int // e per W step
 	Iterations int // MAC iterations (μ stages)
 
-	Mu0      float64 // first penalty value (default 1e-4)
-	MuFactor float64 // μ growth factor a (default 2)
-	Shuffle  bool
-	Seed     int64
-
-	// Cores is the number of goroutines each machine uses for its Z step:
-	// 0 or 1 serial, < 0 every core (GOMAXPROCS). The codes are independent
-	// per point, so the trained model is bit-identical for any value.
-	Cores int
+	Shuffle bool
+	Seed    int64
 
 	// ApproxZ forces the alternating-optimisation Z step instead of exact
 	// enumeration, which ZAuto uses up to L=16 as the paper does. On one core
@@ -106,10 +78,9 @@ func TrainBinaryAutoencoder(ds *dataset.Dataset, opt BAOptions) *BAResult {
 	}
 	shards := dataset.ShuffledShardIndices(ds.N, opt.Machines, nil, opt.Seed)
 	prob := binauto.NewParMACProblem(ds, shards, binauto.ParMACConfig{
-		L: opt.Bits, Mu0: opt.Mu0, MuFactor: opt.MuFactor, ZMethod: zm, Seed: opt.Seed,
-		Parallel: opt.Cores,
+		L: opt.Bits, ZMethod: zm, Seed: opt.Seed,
 	})
-	eng := New(prob, Config{
+	eng := core.New(prob, core.Config{
 		P: opt.Machines, Epochs: opt.Epochs, Shuffle: opt.Shuffle, Seed: opt.Seed,
 	}, prob.Machine)
 	defer eng.Shutdown()
@@ -117,15 +88,9 @@ func TrainBinaryAutoencoder(ds *dataset.Dataset, opt BAOptions) *BAResult {
 	model := prob.AssembleModel()
 	return &BAResult{
 		Model:   model,
-		Codes:   model.Encode(ds, opt.Cores),
+		Codes:   model.Encode(ds, 1),
 		History: hist,
 	}
-}
-
-// SyntheticSIFT generates a byte-quantised SIFT-like benchmark dataset
-// (clustered descriptors), the stand-in for the paper's image sets.
-func SyntheticSIFT(n, d, clusters int, seed int64) *dataset.Dataset {
-	return dataset.SIFTLike(n, d, clusters, seed)
 }
 
 // SyntheticGIST generates a float GIST-like dataset (the CIFAR analogue).
