@@ -33,10 +33,9 @@ func TestFlagEdgeCases(t *testing.T) {
 	// would report the missing file instead.
 	missing := filepath.Join(dir, "missing.pmac")
 	for _, bad := range [][]string{
-		{"-shards", "0"}, {"-shards", "-3"}, {"-max-batch", "0"}, {"-max-batch", "-1"},
-		{"-max-k", "0"}, {"-max-k", "-5"}, {"-shadow-rate", "-1"}, {"-shadow-rate", "2"},
-		{"-shadow-rate", "NaN"}, {"-max-delay", "-1s"}, {"-mih-blocks", "-2"},
-		{"-max-index-bytes", "-1"}, {"extra", "-shards", "0"},
+		{"-shards", "0"}, {"-shards", "-3"}, {"-max-k", "0"}, {"-max-k", "-5"},
+		{"-shadow-rate", "-1"}, {"-shadow-rate", "2"}, {"-shadow-rate", "NaN"},
+		{"-mih-blocks", "-2"}, {"-max-index-bytes", "-1"}, {"extra", "-shards", "0"},
 	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

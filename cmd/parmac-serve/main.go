@@ -1,7 +1,8 @@
 // parmac-serve is the online retrieval service over a trained binary
 // autoencoder: it keeps a packed-code index in RAM and answers top-k Hamming
-// queries over a JSON HTTP API, micro-batching concurrent requests into one
-// multicore scan. The (model, index) pair hot-swaps atomically via an admin
+// queries over a JSON HTTP API. Each request scans on its own goroutine,
+// fanning out over the index's shards, so concurrent requests scan on every
+// core. The (model, index) pair hot-swaps atomically via an admin
 // endpoint, and a candidate pair can run in shadow mode against a sample of
 // live traffic before being promoted.
 //
@@ -42,9 +43,7 @@ func main() {
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "linear-index shards; one query's scan fans out over min(shards, workers) cores")
 		indexKind  = flag.String("index-kind", "linear", "index structure: linear (sharded scan) or mih (multi-index hashing)")
 		mihBlocks  = flag.Int("mih-blocks", 0, "substring tables for -index-kind=mih (0 = auto from N and L)")
-		workers    = flag.Int("workers", -1, "goroutines per batch scan (-1 = every core)")
-		maxBatch   = flag.Int("max-batch", 64, "max requests coalesced into one scan")
-		maxDelay   = flag.Duration("max-delay", 0, "how long to hold an under-filled batch (0 = flush when idle)")
+		workers    = flag.Int("workers", -1, "goroutines per query's scan (-1 = every core)")
 		maxK       = flag.Int("max-k", 1000, "largest k a request may ask for")
 		shadowRate = flag.Float64("shadow-rate", 0.1, "fraction of queries mirrored to the shadow deployment (0 = none)")
 		maxBytes   = flag.Int64("max-index-bytes", 0, "index payload budget for loads (0 = 1 GiB default)")
@@ -58,8 +57,6 @@ func main() {
 		{flag.NArg() > 0, fmt.Sprintf("unexpected argument %q", flag.Arg(0))},
 		{*shards < 1, "-shards must be at least 1"},
 		{*mihBlocks < 0, "-mih-blocks must not be negative"},
-		{*maxBatch < 1, "-max-batch must be at least 1"},
-		{*maxDelay < 0, "-max-delay must not be negative"},
 		{*maxK < 1, "-max-k must be at least 1"},
 		{!(*shadowRate >= 0 && *shadowRate <= 1), "-shadow-rate must be in [0, 1]"},
 		{*maxBytes < 0, "-max-index-bytes must not be negative"},
@@ -86,8 +83,6 @@ func main() {
 		IndexKind:     *indexKind,
 		MIHBlocks:     *mihBlocks,
 		Workers:       *workers,
-		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
 		MaxK:          *maxK,
 		ShadowRate:    *shadowRate,
 		MaxIndexBytes: *maxBytes,

@@ -58,8 +58,9 @@ func main() {
 	idx2, mdl2 := export("v2", v2)
 
 	// Stand up the serving stack: MIH index (what -index-kind=mih gives the
-	// parmac-serve binary), micro-batcher, HTTP API. Swap Kind to "linear" to
-	// compare against the brute-force sharded scan — results are identical.
+	// parmac-serve binary), one scan per request, HTTP API. Swap Kind to
+	// "linear" to compare against the brute-force sharded scan — results are
+	// identical.
 	cfg := serve.IndexConfig{Kind: "mih"}
 	dep, err := serve.LoadDeployment("v1", idx1, mdl1, cfg, 0)
 	check(err)
@@ -110,8 +111,7 @@ func main() {
 	fmt.Printf("query 0 served by %v, top-5: %v\n", out["model"], out["neighbors"])
 
 	st = srv.Stats()
-	fmt.Printf("served %d queries in %d batches (mean batch %.1f)\n",
-		st.Queries, st.Batches, st.MeanBatch)
+	fmt.Printf("served %d queries, %d rejected\n", st.Queries, st.Errors)
 }
 
 func check(err error) {

@@ -452,3 +452,39 @@ func TestRetireOfDeadMachineReturns(t *testing.T) {
 	}()
 	e.AddMachine(1)
 }
+
+// TestDuplicateFinishIsDropped hands the coordinator both duplicate finishes
+// a recovery can leave behind — a token from an incarnation a resurrection
+// has superseded, and a second finish for a submodel already done — and
+// checks that neither touches the engine's model or the iteration's finish
+// record. A finish of the current incarnation then lands, so the drops are
+// not the handler ignoring every token.
+func TestDuplicateFinishIsDropped(t *testing.T) {
+	p := newToyProblem(1, 2, 2)
+	e := New(p, Config{P: 1, Seed: 27}, p.machine)
+	defer e.Shutdown()
+	st := &wState{final: make([]int, 2), done: make([]bool, 2), sent: make([]coordSend, 2)}
+	finish := func(id, incarnation int) {
+		tok := &Token{SM: &toySub{id: id, count: 99}, ID: id, Version: 7, Incarnation: incarnation}
+		e.superviseMsg(cluster.Message{Tag: tagFinished, Payload: tok}, st)
+	}
+	model := slices.Clone(e.submodels)
+
+	e.incarnation[0] = 1
+	finish(0, 0) // stale incarnation
+	st.done[1], st.final[1], st.finished = true, 3, 1
+	finish(1, 0) // current incarnation, but already done
+	if !slices.Equal(e.submodels, model) {
+		t.Fatal("a dropped duplicate replaced a submodel")
+	}
+	if st.finished != 1 || st.done[0] || st.final[0] != 0 || st.final[1] != 3 {
+		t.Fatalf("a dropped duplicate changed the finish record: finished=%d done=%v final=%v",
+			st.finished, st.done, st.final)
+	}
+
+	finish(0, 1)
+	if e.submodels[0] == model[0] || st.finished != 2 || !st.done[0] || st.final[0] != 7 {
+		t.Fatalf("the current finish did not land: finished=%d done=%v final=%v",
+			st.finished, st.done, st.final)
+	}
+}

@@ -1,11 +1,11 @@
 // Package serve is the online retrieval tier over the paper's packed binary
-// codes: an in-memory sharded Hamming index behind a JSON HTTP API, with
-// deadline-aware micro-batching that coalesces concurrent requests into one
-// batched scan, atomic hot swap of (model, index) pairs, and a shadow mode
-// that mirrors a sample of live queries to a candidate deployment and tracks
-// agreement — the serving patterns (batching, shadow/canary rollout) the
-// production-ML literature prescribes, applied to the paper's "serve Hamming
-// search to millions of users" pitch.
+// codes: an in-memory sharded Hamming index behind a JSON HTTP API. Each
+// request scans on its own goroutine, fanning out over the index's shards,
+// so concurrent requests scan concurrently on every core. The (model, index)
+// pair hot-swaps atomically, and a shadow mode mirrors a sample of live
+// queries to a candidate deployment and tracks agreement — the shadow/canary
+// rollout the production-ML literature prescribes, applied to the paper's
+// "serve Hamming search to millions of users" pitch.
 package serve
 
 import (
@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/binauto"
 	"repro/internal/core"
@@ -224,7 +223,7 @@ func BuildIndex(codes *retrieval.Codes, cfg IndexConfig) (Index, error) {
 
 // Deployment is one immutable (model, index) pair. Model may be nil, in
 // which case only raw-code queries can be served. Deployments are swapped
-// atomically: in-flight batches keep the snapshot they started with, so a
+// atomically: in-flight searches keep the snapshot they started with, so a
 // swap never tears a request across two versions.
 type Deployment struct {
 	Version string
@@ -288,17 +287,9 @@ type Options struct {
 	// MIHBlocks sizes the mih engine's substring tables (0 = pick from N
 	// and L).
 	MIHBlocks int
-	// Workers bounds the goroutines one batch scan uses (< 0 every core,
+	// Workers bounds the goroutines one query's scan uses (< 0 every core,
 	// which is the default).
 	Workers int
-	// MaxBatch caps how many requests one scan coalesces. Default 64.
-	MaxBatch int
-	// MaxDelay is how long the batcher holds an under-filled batch waiting
-	// for stragglers. 0 (the default) is work-conserving: the batcher
-	// flushes as soon as the queue is idle, so a lone request never waits —
-	// batches still form naturally whenever requests arrive faster than
-	// scans finish.
-	MaxDelay time.Duration
 	// MaxK bounds the per-request k. Default 1000.
 	MaxK int
 	// DefaultK is used when a request omits k. Default 10.
@@ -325,9 +316,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = -1
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
 	}
 	if o.MaxK <= 0 {
 		o.MaxK = 1000
@@ -371,22 +359,13 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: 400, msg: fmt.Sprintf(format, args...)}
 }
 
-// ErrClosed is returned by Search once Close has been called.
-var ErrClosed = errors.New("serve: server closed")
+// ErrClosed is returned by Search once Close has been called; over HTTP it
+// is a 503, since the server is going away rather than failing.
+var ErrClosed error = &apiError{status: 503, msg: "serve: server closed"}
 
 // shadowLogEvery throttles shadow-agreement log lines: one line each time the
-// cumulative mirrored-query count crosses a multiple of this.
+// cumulative mirrored-query count reaches a multiple of this.
 const shadowLogEvery = 100
-
-type pending struct {
-	q    Query
-	resp chan response
-}
-
-type response struct {
-	rs  *ResultSet
-	err error
-}
 
 // Stats is a snapshot of the server counters.
 type Stats struct {
@@ -398,32 +377,35 @@ type Stats struct {
 	// other kinds); MIH is the mih engine's occupancy summary —
 	// posting-list skew is what degrades its pruning, so operators watch the
 	// max/mean list lengths here.
-	IndexKind       string                  `json:"index_kind,omitempty"`
-	IndexShards     int                     `json:"index_shards,omitempty"`
-	MIH             *retrieval.MIHOccupancy `json:"mih_occupancy,omitempty"`
-	Queries         int64                   `json:"queries"`
-	Errors          int64                   `json:"errors"`
-	Batches         int64                   `json:"batches"`
-	MeanBatch       float64                 `json:"mean_batch"`
-	ShadowQueries   int64                   `json:"shadow_queries"`
-	ShadowAgreement float64                 `json:"shadow_agreement"` // mean overlap@k in [0,1]
+	IndexKind   string                  `json:"index_kind,omitempty"`
+	IndexShards int                     `json:"index_shards,omitempty"`
+	MIH         *retrieval.MIHOccupancy `json:"mih_occupancy,omitempty"`
+	Queries     int64                   `json:"queries"`
+	Errors      int64                   `json:"errors"`
+	// Batches counts index scans and MeanBatch the queries per scan. Every
+	// search scans on its own, so Batches equals Queries and MeanBatch is 1
+	// once a query has been served; both keep their place in /v1/stats.
+	Batches         int64   `json:"batches"`
+	MeanBatch       float64 `json:"mean_batch"`
+	ShadowQueries   int64   `json:"shadow_queries"`
+	ShadowAgreement float64 `json:"shadow_agreement"` // mean overlap@k in [0,1]
 }
 
-// Server owns the live and shadow deployments, the request queue and the
-// batcher goroutine. All public methods are safe for concurrent use.
+// Server owns the live and shadow deployments. Each search runs on its
+// caller's goroutine, so concurrent requests scan concurrently. All public
+// methods are safe for concurrent use.
 type Server struct {
 	opts   Options
 	live   atomic.Pointer[Deployment]
 	shadow atomic.Pointer[Deployment]
 
-	queue chan *pending
-	quit  chan struct{}
-	done  chan struct{}
+	// Searches hold mu shared from admission to return; Close takes it
+	// exclusively to set closed, so it waits out every in-flight search.
+	mu     sync.RWMutex
+	closed bool
 
 	queries atomic.Int64
 	errs    atomic.Int64
-	batches atomic.Int64
-	batched atomic.Int64 // total requests across all batches
 
 	shadowQueries atomic.Int64
 	shadowOverlap atomic.Int64 // sum of per-query overlap in millionths
@@ -431,30 +413,25 @@ type Server struct {
 	shadowMu  sync.Mutex
 	shadowRng *rand.Rand
 	shadowWG  sync.WaitGroup
-
-	closeOnce sync.Once
 }
 
-// New starts a server over the given live deployment.
+// New returns a server over the given live deployment.
 func New(dep *Deployment, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:      opts,
-		queue:     make(chan *pending, 4*opts.MaxBatch),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
 		shadowRng: rand.New(rand.NewSource(opts.ShadowSeed)),
 	}
 	s.live.Store(dep)
-	go s.run()
 	return s
 }
 
-// Close stops the batcher after draining queued requests and waits for any
-// in-flight shadow mirroring. Searches after Close fail with ErrClosed.
+// Close waits for in-flight searches and their shadow mirroring. Searches
+// after Close fail with ErrClosed; a second Close is a no-op.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
-	<-s.done
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.shadowWG.Wait()
 }
 
@@ -467,7 +444,7 @@ func (s *Server) WaitShadow() { s.shadowWG.Wait() }
 func (s *Server) Live() *Deployment { return s.live.Load() }
 
 // Swap atomically replaces the live deployment and returns the previous one.
-// In-flight batches finish on the snapshot they loaded, so no request is
+// In-flight searches finish on the snapshot they loaded, so no request is
 // dropped or served by a torn (model, index) pair.
 func (s *Server) Swap(dep *Deployment) *Deployment {
 	old := s.live.Swap(dep)
@@ -517,9 +494,9 @@ func (s *Server) Stats() Stats {
 		ShadowVersion: version(s.shadow.Load()),
 		Queries:       s.queries.Load(),
 		Errors:        s.errs.Load(),
-		Batches:       s.batches.Load(),
 		ShadowQueries: s.shadowQueries.Load(),
 	}
+	st.Batches = st.Queries
 	if live != nil {
 		st.IndexN = live.Index.N()
 		st.IndexKind = live.Index.Kind()
@@ -532,7 +509,7 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	if st.Batches > 0 {
-		st.MeanBatch = float64(s.batched.Load()) / float64(st.Batches)
+		st.MeanBatch = 1
 	}
 	if st.ShadowQueries > 0 {
 		st.ShadowAgreement = float64(s.shadowOverlap.Load()) / 1e6 / float64(st.ShadowQueries)
@@ -540,10 +517,8 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// validate checks a query against a deployment, resolving K defaults. It is
-// run once at enqueue (fast 400s against the then-live deployment) and again
-// at flush against the batch's snapshot, so a hot swap between the two can
-// only produce an explicit error, never a malformed scan.
+// validate checks a query against the deployment snapshot that will serve
+// it, resolving K defaults.
 func (s *Server) validate(q *Query, dep *Deployment) error {
 	if dep == nil {
 		return &apiError{status: 503, msg: "no deployment loaded"}
@@ -581,232 +556,87 @@ func (s *Server) validate(q *Query, dep *Deployment) error {
 	return nil
 }
 
-// Search runs one query through the full serving path — validation, the
-// micro-batch queue, the batched sharded scan — and blocks until its result
-// is ready. This is the method the HTTP handler, the perf scenarios and the
-// example all call, so every measurement exercises the real pipeline.
+// Search runs one query through the full serving path on the calling
+// goroutine: load the live deployment once, validate against it, encode a
+// vector query with its model, and scan its index as a one-row batch over
+// Workers goroutines, so a lone query still fans out over the shards. One
+// snapshot serves both the validation and the scan, so a hot swap can never
+// tear a request. This is the method the HTTP handler, the perf scenarios
+// and the example all call, so every measurement exercises the real path.
 func (s *Server) Search(q Query) (*ResultSet, error) {
-	if err := s.validate(&q, s.live.Load()); err != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	dep := s.live.Load()
+	if err := s.validate(&q, dep); err != nil {
 		s.errs.Add(1)
 		return nil, err
 	}
-	p := &pending{q: q, resp: make(chan response, 1)}
-	select {
-	case s.queue <- p:
-	case <-s.quit:
-		return nil, ErrClosed
+	s.queries.Add(1)
+	query := &retrieval.Codes{N: 1, L: dep.Index.L(), Words: len(q.Code), Data: q.Code}
+	if len(q.Vector) > 0 {
+		query = encode(dep.Model, q.Vector)
 	}
-	select {
-	case r := <-p.resp:
-		return r.rs, r.err
-	case <-s.done:
-		// The batcher exited; it drained the queue first, so a response is
-		// either already buffered or will never come.
-		select {
-		case r := <-p.resp:
-			return r.rs, r.err
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
-
-// run is the batcher loop: take one request, coalesce more up to MaxBatch —
-// waiting at most MaxDelay, or not at all when MaxDelay is 0 and the queue
-// goes idle — then flush the whole batch through one scan.
-func (s *Server) run() {
-	defer close(s.done)
-	for {
-		var first *pending
-		select {
-		case first = <-s.queue:
-		case <-s.quit:
-			s.drain()
-			return
-		}
-		batch := s.collect(first)
-		s.flush(batch)
-	}
-}
-
-// collect gathers a batch starting from first.
-func (s *Server) collect(first *pending) []*pending {
-	batch := []*pending{first}
-	if s.opts.MaxDelay <= 0 {
-		// Work-conserving: take whatever is already queued, never wait.
-		for len(batch) < s.opts.MaxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(s.opts.MaxDelay)
-	defer timer.Stop()
-	for len(batch) < s.opts.MaxBatch {
-		select {
-		case p := <-s.queue:
-			batch = append(batch, p)
-		case <-timer.C:
-			return batch
-		case <-s.quit:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drain serves everything still queued at shutdown so no accepted request is
-// dropped.
-func (s *Server) drain() {
-	for {
-		select {
-		case p := <-s.queue:
-			s.flush(s.collect(p))
-		default:
-			return
-		}
-	}
-}
-
-// flush answers one batch from a single deployment snapshot: encode vector
-// queries with the snapshot's model, run one batched sharded scan at the
-// batch's largest k, then slice each request's prefix (the top-k order is a
-// prefix of the top-kmax order, so this is exact).
-func (s *Server) flush(batch []*pending) {
-	dep := s.live.Load()
-	s.batches.Add(1)
-	s.batched.Add(int64(len(batch)))
-	s.queries.Add(int64(len(batch)))
-
-	jobs := make([]flushJob, 0, len(batch))
-	queries := retrieval.NewCodes(len(batch), liveL(dep))
-	kmax := 0
-	for _, p := range batch {
-		// Re-validate against the snapshot: a swap between enqueue and flush
-		// may have changed L or D.
-		if err := s.validate(&p.q, dep); err != nil {
-			s.errs.Add(1)
-			p.resp <- response{err: err}
-			continue
-		}
-		row := len(jobs)
-		if len(p.q.Vector) > 0 {
-			encodeInto(dep.Model, p.q.Vector, queries, row)
-		} else {
-			copy(queries.Code(row), p.q.Code)
-		}
-		jobs = append(jobs, flushJob{p, row})
-		kmax = max(kmax, p.q.K)
-	}
-	if len(jobs) == 0 {
-		return
-	}
-	queries.N = len(jobs)
-	results := dep.Index.SearchBatch(queries, kmax, s.opts.Workers)
+	ns := dep.Index.SearchBatch(query, q.K, s.opts.Workers)[0]
 	// Sample for the shadow before replying: the cheap synchronous part of
 	// mirror (sampling, registering the background search) finishing first
 	// means a client that got its answer can rely on the shadow counters
 	// eventually covering its query — no window where neither is visible.
-	s.mirror(dep, jobs, results)
-	for _, j := range jobs {
-		ns := results[j.row]
-		if len(ns) > j.p.q.K {
-			ns = ns[:j.p.q.K]
-		}
-		j.p.resp <- response{rs: &ResultSet{Version: dep.Version, Neighbors: ns}}
-	}
+	s.mirror(dep, q, ns)
+	return &ResultSet{Version: dep.Version, Neighbors: ns}, nil
 }
 
-// flushJob maps a batched request to its row in the coalesced query set.
-type flushJob struct {
-	p   *pending
-	row int
-}
-
-// liveL returns the live code length (NewCodes needs L ≥ 1 even for a batch
-// that turns out to be all-error).
-func liveL(dep *Deployment) int {
-	if dep != nil && dep.Index.L() > 0 {
-		return dep.Index.L()
-	}
-	return 1
-}
-
-// encodeInto hashes x with the deployment model into row i of dst.
-func encodeInto(m *binauto.Model, x []float64, dst *retrieval.Codes, i int) {
+// encode hashes x with model m into a one-row code set.
+func encode(m *binauto.Model, x []float64) *retrieval.Codes {
+	dst := retrieval.NewCodes(1, m.L())
 	if m.L() <= 64 {
-		dst.SetWord64(i, m.EncodePointWord(x))
-		return
+		dst.SetWord64(0, m.EncodePointWord(x))
+		return dst
 	}
 	for l := 0; l < m.L(); l++ {
-		dst.SetBit(i, l, m.EncodeBit(l, x))
+		dst.SetBit(0, l, m.EncodeBit(l, x))
 	}
+	return dst
 }
 
-// mirror sends a ShadowRate sample of the batch to the shadow deployment on
-// a background goroutine and accumulates agreement (overlap between the live
-// and shadow top-k id sets). Vector queries are re-encoded by the candidate
-// model — the whole point of shadowing a new model; raw-code queries are
-// mirrored only when the code lengths agree.
-func (s *Server) mirror(live *Deployment, flushed []flushJob, results [][]retrieval.Neighbor) {
+// mirror sends a ShadowRate sample of the served queries to the shadow
+// deployment on a background goroutine and accumulates agreement (overlap
+// between the live and shadow top-k id sets). Vector queries are re-encoded
+// by the candidate model — the whole point of shadowing a new model;
+// raw-code queries are mirrored only when the code lengths agree.
+func (s *Server) mirror(live *Deployment, q Query, liveNs []retrieval.Neighbor) {
 	sh := s.shadow.Load()
 	if sh == nil || s.opts.ShadowRate <= 0 {
 		return
 	}
-	type mjob struct {
-		q       Query
-		liveIDs []retrieval.Neighbor
-	}
-	var jobs []mjob
 	s.shadowMu.Lock()
-	for _, fj := range flushed {
-		if s.shadowRng.Float64() >= s.opts.ShadowRate {
-			continue
-		}
-		q := fj.p.q
-		if len(q.Vector) == 0 && len(q.Code) != sh.Index.Words() {
-			continue
-		}
-		if len(q.Vector) > 0 && (sh.Model == nil || len(q.Vector) != sh.Model.D()) {
-			continue
-		}
-		r := results[fj.row]
-		if len(r) > q.K {
-			r = r[:q.K]
-		}
-		jobs = append(jobs, mjob{q: q, liveIDs: r})
-	}
+	sampled := s.shadowRng.Float64() < s.opts.ShadowRate
 	s.shadowMu.Unlock()
-	if len(jobs) == 0 {
+	if !sampled {
+		return
+	}
+	if len(q.Vector) == 0 && len(q.Code) != sh.Index.Words() {
+		return
+	}
+	if len(q.Vector) > 0 && (sh.Model == nil || len(q.Vector) != sh.Model.D()) {
 		return
 	}
 	s.shadowWG.Add(1)
 	go func() {
 		defer s.shadowWG.Done()
-		before := s.shadowQueries.Load()
-		for _, j := range jobs {
-			code := j.q.Code
-			if len(j.q.Vector) > 0 {
-				tmp := retrieval.NewCodes(1, sh.Index.L())
-				encodeInto(sh.Model, j.q.Vector, tmp, 0)
-				code = tmp.Code(0)
-			}
-			got := sh.Index.Search(code, j.q.K)
-			ov := overlap(j.liveIDs, got)
-			s.shadowQueries.Add(1)
-			s.shadowOverlap.Add(int64(ov * 1e6))
+		code := q.Code
+		if len(q.Vector) > 0 {
+			code = encode(sh.Model, q.Vector).Code(0)
 		}
+		s.shadowOverlap.Add(int64(overlap(liveNs, sh.Index.Search(code, q.K)) * 1e6))
 		// Log cumulative agreement, throttled to every shadowLogEvery mirrored
-		// queries — one line per batch would swamp the log at production QPS.
-		after := s.shadowQueries.Load()
-		if before/shadowLogEvery != after/shadowLogEvery {
-			agree := float64(s.shadowOverlap.Load()) / 1e6 / float64(after)
+		// queries — one line per query would swamp the log at production QPS.
+		if n := s.shadowQueries.Add(1); n%shadowLogEvery == 0 {
+			agree := float64(s.shadowOverlap.Load()) / 1e6 / float64(n)
 			s.opts.Logf("serve: shadow %q vs live %q: %d queries mirrored, cumulative agreement %.3f",
-				sh.Version, live.Version, after, agree)
+				sh.Version, live.Version, n, agree)
 		}
 	}()
 }

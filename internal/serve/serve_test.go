@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -91,20 +92,24 @@ func TestShardedIndexMatchesSerialScan(t *testing.T) {
 	}
 }
 
+// randomCodes draws n random one-word codes from rng: serve_scan's index
+// shape at n = 400 000.
+func randomCodes(rng *rand.Rand, n int) *retrieval.Codes {
+	codes := retrieval.NewCodes(n, 64)
+	for i := range codes.Data {
+		codes.Data[i] = rng.Uint64()
+	}
+	return codes
+}
+
 // BenchmarkShardedSearchBatch times SearchBatch at serve_scan's shape
 // (400 000 random one-word codes, k = 50) on every core: a batch of one
 // fans out over the shards, so shards=2 batch=1 shows the fan-out's gain
 // over shards=1 batch=1.
 func BenchmarkShardedSearchBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	codes := retrieval.NewCodes(400_000, 64)
-	for i := range codes.Data {
-		codes.Data[i] = rng.Uint64()
-	}
-	queries := retrieval.NewCodes(2, 64)
-	for i := range queries.Data {
-		queries.Data[i] = rng.Uint64()
-	}
+	codes := randomCodes(rng, 400_000)
+	queries := randomCodes(rng, 2)
 	for _, shards := range []int{1, 2} {
 		ix := NewShardedIndex(codes, shards)
 		for _, batch := range []int{1, 2} {
@@ -116,6 +121,31 @@ func BenchmarkShardedSearchBatch(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkServerSearch drives Server.Search at serve_scan's shape (400 000
+// random one-word codes, k = 50, one shard per core) from GOMAXPROCS
+// goroutines at once, so it shows whether concurrent searches scan
+// concurrently. It reports served queries per second.
+func BenchmarkServerSearch(b *testing.B) {
+	dep, err := NewDeployment("bench", nil, NewShardedIndex(randomCodes(rand.New(rand.NewSource(1)), 400_000), runtime.GOMAXPROCS(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(dep, quietOpts(Options{}))
+	defer s.Close()
+	var seed atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		for pb.Next() {
+			if _, err := s.Search(Query{Code: []uint64{rng.Uint64()}, K: 50}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
 func TestServerEndToEndHTTP(t *testing.T) {
@@ -317,42 +347,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-func TestMicroBatchCoalescing(t *testing.T) {
-	dep, _, _ := testDeployment("v1", 2000, 8, 16, 2, 7)
-	s := New(dep, quietOpts(Options{MaxBatch: 8, MaxDelay: 500 * time.Millisecond, ShadowRate: -1}))
-	defer s.Close()
-
-	// 8 concurrent requests with a generous hold window must coalesce into
-	// one batch: the batcher waits for stragglers and flushes at MaxBatch.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.Search(Query{Code: []uint64{uint64(i)}, K: 3}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.Batches != 1 || st.Queries != 8 {
-		t.Fatalf("expected one batch of 8, got %d batches / %d queries", st.Batches, st.Queries)
-	}
-
-	// An under-filled batch must flush at the deadline, not hang.
-	start := time.Now()
-	if _, err := s.Search(Query{Code: []uint64{1}, K: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("lone request took %v; deadline flush broken", elapsed)
-	}
-}
-
 func TestWorkConservingFlushDoesNotWait(t *testing.T) {
 	dep, _, _ := testDeployment("v1", 2000, 8, 16, 2, 8)
-	s := New(dep, quietOpts(Options{MaxDelay: 0, ShadowRate: -1}))
+	s := New(dep, quietOpts(Options{ShadowRate: -1}))
 	defer s.Close()
 	start := time.Now()
 	for i := 0; i < 20; i++ {
@@ -360,11 +357,11 @@ func TestWorkConservingFlushDoesNotWait(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 20 sequential single-stream queries over 2000 codes: with a
-	// work-conserving batcher this is well under a second; any per-request
-	// hold would show up immediately.
+	// 20 sequential single-stream queries over 2000 codes: each scans on
+	// its caller, so this is well under a second; any per-request hold
+	// would show up immediately.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("single-stream latency suggests the batcher is holding: %v", elapsed)
+		t.Fatalf("single-stream latency suggests a lone query is held: %v", elapsed)
 	}
 }
 
@@ -504,11 +501,84 @@ func TestDeploymentModelIndexMismatch(t *testing.T) {
 func TestSearchAfterClose(t *testing.T) {
 	dep, _, _ := testDeployment("v1", 100, 8, 16, 1, 14)
 	s := New(dep, quietOpts(Options{}))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	s.Close()
 	if _, err := s.Search(Query{Code: []uint64{1}, K: 3}); err != ErrClosed {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
+	// Over HTTP a closed server is unavailable (503), not failing (500).
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewBufferString(`{"code":["0x1"],"k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 503 || body.Error != ErrClosed.Error() {
+		t.Fatalf("closed server answered %d %q, want 503 %q", resp.StatusCode, body.Error, ErrClosed.Error())
+	}
 	s.Close() // second Close must be a no-op, not a panic
+}
+
+func TestCloseDuringConcurrentSearches(t *testing.T) {
+	dep, codes, _ := testDeployment("v1", 1000, 8, 16, 2, 21)
+	s := New(dep, quietOpts(Options{ShadowRate: 1}))
+	twin, err := NewDeployment("twin", nil, dep.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetShadow(twin)
+
+	// Every call returns the oracle's answer or ErrClosed, and a call that
+	// starts after Close has returned never succeeds.
+	var closeReturned atomic.Bool
+	var served, wrong, late atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for {
+				q := []uint64{rng.Uint64() & 0xFFFF}
+				after := closeReturned.Load()
+				rs, err := s.Search(Query{Code: q, K: 5})
+				if err == ErrClosed {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				served.Add(1)
+				if after {
+					late.Add(1)
+				}
+				if !slices.Equal(rs.Neighbors, retrieval.TopKHammingDist(codes, q, 5)) {
+					wrong.Add(1)
+				}
+			}
+		}(c)
+	}
+	time.Sleep(10 * time.Millisecond)
+	s.Close()
+	closeReturned.Store(true)
+	// Close waited for every in-flight search and its mirroring, so the
+	// shadow has already seen every query that was served.
+	mirrored := s.Stats().ShadowQueries
+	wg.Wait()
+	if late.Load() != 0 {
+		t.Fatalf("%d searches succeeded after Close returned", late.Load())
+	}
+	if wrong.Load() != 0 {
+		t.Fatalf("%d responses differ from the oracle scan", wrong.Load())
+	}
+	if mirrored != served.Load() {
+		t.Fatalf("shadow saw %d queries by the time Close returned, %d were served", mirrored, served.Load())
+	}
 }
 
 func TestRawCodeOnlyDeployment(t *testing.T) {
