@@ -40,10 +40,9 @@ func main() {
 		indexPath  = flag.String("index", "", "packed-code index file (retrieval.Codes.Save format, required)")
 		modelPath  = flag.String("model", "", "model JSON (optional; without it only raw-code queries are served)")
 		version    = flag.String("version", "v1", "label for the initial deployment")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "linear-index shards; one query's scan fans out over min(shards, workers) cores")
+		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "linear-index shards; one query's scan fans out over min(shards, GOMAXPROCS) cores")
 		indexKind  = flag.String("index-kind", "linear", "index structure: linear (sharded scan) or mih (multi-index hashing)")
 		mihBlocks  = flag.Int("mih-blocks", 0, "substring tables for -index-kind=mih (0 = auto from N and L)")
-		workers    = flag.Int("workers", -1, "goroutines per query's scan (-1 = every core)")
 		maxK       = flag.Int("max-k", 1000, "largest k a request may ask for")
 		shadowRate = flag.Float64("shadow-rate", 0.1, "fraction of queries mirrored to the shadow deployment (0 = none)")
 		maxBytes   = flag.Int64("max-index-bytes", 0, "index payload budget for loads (0 = 1 GiB default)")
@@ -82,7 +81,6 @@ func main() {
 		Shards:        *shards,
 		IndexKind:     *indexKind,
 		MIHBlocks:     *mihBlocks,
-		Workers:       *workers,
 		MaxK:          *maxK,
 		ShadowRate:    *shadowRate,
 		MaxIndexBytes: *maxBytes,

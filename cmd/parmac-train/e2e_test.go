@@ -185,7 +185,10 @@ func TestFlagEdgeCases(t *testing.T) {
 			t.Fatalf("exit %d, want 0 and a precision line:\n%s", code, out)
 		}
 	})
-	for _, bad := range [][]string{{"-p", "0"}, {"-bits", "0"}, {"-iters", "-1"}, {"extra", "-p", "0"}} {
+	for _, bad := range [][]string{
+		{"-p", "0"}, {"-bits", "0"}, {"-iters", "-1"}, {"extra", "-p", "0"},
+		{"-n", "0"}, {"-d", "0"}, {"-queries", "-1"}, {"-bits", "7"},
+	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
 			out, code := run(t, bad...)
 			want := "error: " + bad[0]

@@ -91,6 +91,12 @@ func parseFlags() *options {
 	switch {
 	case flag.NArg() > 0:
 		fatalIf(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	case o.n < 1:
+		fatalIf(fmt.Errorf("-n must be at least 1, got %d", o.n))
+	case o.d < 1:
+		fatalIf(fmt.Errorf("-d must be at least 1, got %d", o.d))
+	case o.queries < 0:
+		fatalIf(fmt.Errorf("-queries must not be negative, got %d", o.queries))
 	case o.p < 1:
 		fatalIf(fmt.Errorf("-p must be at least 1, got %d", o.p))
 	case o.bits < 1:
@@ -175,9 +181,15 @@ func buildDatasets(o *options) (ds, qs *dataset.Dataset) {
 		}
 		ds, qs = full.Subset(baseIdx), full.Subset(qIdx)
 		o.n, o.d = ds.N, ds.D
-		return ds, qs
+	} else {
+		ds, qs = dataset.WithQueries(o.n, o.queries, o.d, o.clusters, o.seed, true)
 	}
-	return dataset.WithQueries(o.n, o.queries, o.d, o.clusters, o.seed, true)
+	// A binary autoencoder needs L ≤ D (paper §3.1), and the Z step packs a
+	// code into one word. A loaded model brings its own L.
+	if o.load == "" && o.bits > min(o.d, 64) {
+		fatalIf(fmt.Errorf("-bits must be at most the feature dimension %d and 64, got %d", o.d, o.bits))
+	}
+	return ds, qs
 }
 
 // buildProblem constructs the sharded BA problem, identically in every

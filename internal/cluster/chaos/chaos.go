@@ -1,10 +1,10 @@
 // Package chaos is a fault-injecting transport wrapper for internal/cluster.
 // It interposes on another fabric's raw endpoints and kills ranks
 // unannounced: at a protocol point armed with Arm (the Nth send of a given
-// tag), or on demand via Kill. Unarmed it is a transparent proxy, which is
-// exactly how it registers in the transport registry ("chaos", over inproc):
-// the cross-backend conformance suite then holds the wrapper to the same
-// delivery contract as every real backend.
+// tag), or on demand via Endpoint(rank).Abort(). Unarmed it is a transparent
+// proxy, which is exactly how it registers in the transport registry
+// ("chaos", over inproc): the cross-backend conformance suite then holds the
+// wrapper to the same delivery contract as every real backend.
 //
 // An armed kill fires at a count of the rank's own sends, so a given
 // schedule dies at the same protocol point on every run — the property that
@@ -40,7 +40,7 @@ type KillSpec struct {
 }
 
 // Fabric wraps an inner fabric's endpoints with kill injection. It
-// implements cluster.Fabric, cluster.Killer and cluster.EndpointFabric.
+// implements cluster.Fabric and cluster.EndpointFabric.
 type Fabric struct {
 	inner cluster.Fabric
 	eps   []*endpoint
@@ -86,15 +86,6 @@ func (f *Fabric) Comm(rank int) *cluster.Comm { return f.comms[rank] }
 
 // Endpoint implements cluster.EndpointFabric.
 func (f *Fabric) Endpoint(rank int) cluster.Endpoint { return f.eps[rank] }
-
-// Kill severs rank unannounced right now (cluster.Killer).
-func (f *Fabric) Kill(rank int) {
-	if k, ok := f.inner.(cluster.Killer); ok {
-		k.Kill(rank)
-		return
-	}
-	f.eps[rank].inner.Abort()
-}
 
 // Stats implements cluster.Fabric: traffic is counted at this fabric's Comms
 // (the inner Comms are unused); drops come from the inner transport.

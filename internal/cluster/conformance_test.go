@@ -294,16 +294,23 @@ func scenarioRecvEventTimeout(t *testing.T, fab cluster.Fabric) {
 	}
 }
 
+// kill severs rank unannounced through its raw endpoint, as a process death
+// would. Every registered transport exposes its endpoints.
+func kill(t *testing.T, fab cluster.Fabric, rank int) {
+	t.Helper()
+	ef, ok := fab.(cluster.EndpointFabric)
+	if !ok {
+		t.Fatalf("transport %T does not expose its endpoints", fab)
+	}
+	ef.Endpoint(rank).Abort()
+}
+
 // scenarioKillPeerDownFIFO: killing a rank surfaces as a PeerDownError on
 // every survivor's RecvEvent — after the dead rank's final sends, so nothing
 // it managed to forward is lost or reordered.
 func scenarioKillPeerDownFIFO(t *testing.T, fab cluster.Fabric) {
-	killer, ok := fab.(cluster.Killer)
-	if !ok {
-		t.Skipf("transport %T does not support Kill", fab)
-	}
 	fab.Comm(0).Send(2, 7, "final-forward", 0)
-	killer.Kill(0)
+	kill(t, fab, 0)
 
 	var pd *cluster.PeerDownError
 	// Rank 2 must see the final message before the death.
@@ -326,11 +333,7 @@ func scenarioKillPeerDownFIFO(t *testing.T, fab cluster.Fabric) {
 // scenarioSendToDeadRankDrops: sending to a dead rank must neither panic nor
 // block — the frame is dropped and counted in the fabric's stats.
 func scenarioSendToDeadRankDrops(t *testing.T, fab cluster.Fabric) {
-	killer, ok := fab.(cluster.Killer)
-	if !ok {
-		t.Skipf("transport %T does not support Kill", fab)
-	}
-	killer.Kill(1)
+	kill(t, fab, 1)
 	var pd *cluster.PeerDownError
 	if _, err := fab.Comm(0).RecvEvent(cluster.AnySource, cluster.AnyTag, 10*time.Second); !errors.As(err, &pd) || pd.Rank != 1 {
 		t.Fatalf("death not observed: %v", err)
@@ -350,17 +353,13 @@ func scenarioSendToDeadRankDrops(t *testing.T, fab cluster.Fabric) {
 // arrived ahead of a death for the next receive, and reports each death
 // exactly once across PollDown and RecvEvent.
 func scenarioPollDown(t *testing.T, fab cluster.Fabric) {
-	killer, ok := fab.(cluster.Killer)
-	if !ok {
-		t.Skipf("transport %T does not support Kill", fab)
-	}
 	c := fab.Comm(2)
 	if got := c.PollDown(); got != nil {
 		t.Fatalf("PollDown on an empty inbox = %v, want nil", got)
 	}
 	fab.Comm(0).Send(2, 7, "final-forward", 0)
-	killer.Kill(0)
-	killer.Kill(1)
+	kill(t, fab, 0)
+	kill(t, fab, 1)
 	reported := map[int]int{}
 	for deadline := time.Now().Add(10 * time.Second); len(reported) < 2; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {

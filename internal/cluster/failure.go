@@ -49,16 +49,12 @@ func (e *LinkError) Error() string {
 
 func (e *LinkError) Unwrap() error { return e.Cause }
 
-// Killer is implemented by fabrics that can sever one rank's attachment
-// unannounced, simulating process death: the killed rank's receives fail
-// with a LinkError, frames addressed to it are dropped (and counted in
-// Stats.Dropped), and every surviving rank observes a PeerDownError.
-type Killer interface {
-	Kill(rank int)
-}
-
 // EndpointFabric is implemented by fabrics that expose their raw transport
-// endpoints, so wrappers (the chaos fabric) can interpose on delivery.
+// endpoints, so wrappers (the chaos fabric) can interpose on delivery and
+// fault drills can kill a rank with Endpoint(rank).Abort(): the killed
+// rank's receives fail with a LinkError, frames addressed to it are dropped
+// (and counted in Stats.Dropped), and every surviving rank observes a
+// PeerDownError.
 type EndpointFabric interface {
 	Endpoint(rank int) Endpoint
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Failure-signaling semantics of the in-process transport: Kill severs a
+// Failure-signaling semantics of the in-process transport: Abort severs a
 // rank, survivors observe it as a PeerDownError from RecvEvent (after the
 // dead rank's earlier sends, preserving per-sender FIFO), and frames
 // addressed to the dead rank are dropped and counted, never delivered and
@@ -34,7 +34,7 @@ func TestKillSurfacesPeerDownAfterFinalSends(t *testing.T) {
 	n := NewNetwork(3)
 	// Rank 0 sends its last words, then dies.
 	n.Comm(0).Send(1, 7, "last", 0)
-	n.Kill(0)
+	n.Endpoint(0).Abort()
 
 	c1 := n.Comm(1)
 	// FIFO: the message outruns the death event.
@@ -59,7 +59,7 @@ func TestKillSurfacesPeerDownAfterFinalSends(t *testing.T) {
 
 func TestPeerDownReportedOncePerPeer(t *testing.T) {
 	n := NewNetwork(2)
-	n.Kill(1)
+	n.Endpoint(1).Abort()
 	c := n.Comm(0)
 	var pd *PeerDownError
 	if _, err := c.RecvEvent(AnySource, AnyTag, time.Second); !errors.As(err, &pd) {
@@ -76,8 +76,8 @@ func TestPeerDownReportedOncePerPeer(t *testing.T) {
 
 func TestPollDownDrainsPendingDeaths(t *testing.T) {
 	n := NewNetwork(3)
-	n.Kill(1)
-	n.Kill(2)
+	n.Endpoint(1).Abort()
+	n.Endpoint(2).Abort()
 	got := map[int]bool{}
 	for _, r := range n.Comm(0).PollDown() {
 		got[r] = true
@@ -95,7 +95,7 @@ func TestPollDownDrainsPendingDeaths(t *testing.T) {
 
 func TestDeliverToKilledRankDropsAndCounts(t *testing.T) {
 	n := NewNetwork(2)
-	n.Kill(1)
+	n.Endpoint(1).Abort()
 	before := n.Stats().Dropped
 	// Must neither panic nor block, even repeated.
 	for i := 0; i < 3; i++ {
@@ -108,7 +108,7 @@ func TestDeliverToKilledRankDropsAndCounts(t *testing.T) {
 
 func TestKilledRankNextReturnsLinkError(t *testing.T) {
 	n := NewNetwork(2)
-	n.Kill(0)
+	n.Endpoint(0).Abort()
 	_, err := n.Comm(0).RecvEvent(AnySource, AnyTag, time.Second)
 	if err == nil || errors.Is(err, ErrRecvTimeout) {
 		t.Fatalf("dead rank's own wait = %v, want a link error", err)
@@ -138,7 +138,7 @@ func TestKillDuringBlockedDeliverUnblocksSender(t *testing.T) {
 		c0.Send(1, 1, "blocked until the kill", 0)
 	}()
 	time.Sleep(20 * time.Millisecond) // let the send block on the full inbox
-	n.Kill(1)
+	n.Endpoint(1).Abort()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

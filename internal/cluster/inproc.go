@@ -9,10 +9,10 @@ import (
 
 // The in-process transport backend: every rank is a goroutine in one
 // process, inboxes are buffered Go channels. This is the zero-overhead
-// fabric the paper's single-host experiments run on. It also implements
-// Killer: Kill(rank) simulates unannounced process death for fault tests —
-// the killed rank's receives fail, frames to it are dropped and counted,
-// and every other rank observes a PeerDownMessage.
+// fabric the paper's single-host experiments run on. An endpoint's Abort
+// simulates unannounced process death for fault tests — the killed rank's
+// receives fail, frames to it are dropped and counted, and every other rank
+// observes a PeerDownMessage.
 
 // DefaultInboxCapacity bounds in-flight messages per rank unless overridden
 // with WithInboxCapacity. ParMAC keeps at most M submodels + P final-round
@@ -83,17 +83,17 @@ func (n *Network) Stats() Stats {
 	return out
 }
 
-// Kill severs rank's attachment unannounced (Killer): its receives fail with
-// a LinkError, deliveries to it are dropped and counted, and every other
-// live rank gets a PeerDownMessage in its inbox. Idempotent.
-func (n *Network) Kill(rank int) {
+// kill severs rank's attachment unannounced: its receives fail with a
+// LinkError, deliveries to it are dropped and counted, and every other live
+// rank gets a PeerDownMessage in its inbox. Idempotent.
+func (n *Network) kill(rank int) {
 	if rank < 0 || rank >= n.size {
-		panic(fmt.Sprintf("cluster: Kill of invalid rank %d", rank))
+		panic(fmt.Sprintf("cluster: kill of invalid rank %d", rank))
 	}
 	if !n.killed[rank].CompareAndSwap(false, true) {
 		return
 	}
-	// killMu serializes the close with concurrent Kill calls for other
+	// killMu serializes the close with concurrent kill calls for other
 	// ranks; the CAS above already makes each rank's close happen once.
 	n.killMu.Lock()
 	close(n.killedCh[rank])
@@ -177,8 +177,8 @@ func (e *inprocEndpoint) TryNext() (Message, bool) {
 	}
 }
 
-// Abort simulates this rank's own unannounced death: Kill(self).
-func (e *inprocEndpoint) Abort() { e.net.Kill(e.rank) }
+// Abort simulates this rank's own unannounced death.
+func (e *inprocEndpoint) Abort() { e.net.kill(e.rank) }
 
 func (e *inprocEndpoint) Close() error { return nil }
 

@@ -586,10 +586,6 @@ func (f *fabric) Comm(rank int) *cluster.Comm { return f.comms[rank] }
 // Endpoint exposes rank's raw endpoint (cluster.EndpointFabric).
 func (f *fabric) Endpoint(rank int) cluster.Endpoint { return f.eps[rank] }
 
-// Kill severs rank's connection without a bye (cluster.Killer): the hub
-// broadcasts the death to the survivors.
-func (f *fabric) Kill(rank int) { f.eps[rank].Abort() }
-
 func (f *fabric) Stats() cluster.Stats {
 	var out cluster.Stats
 	for _, c := range f.comms {

@@ -23,7 +23,7 @@ func TestConnectionLossBecomesPeerDown(t *testing.T) {
 	// Rank 0 forwards a message, then its process "dies": the connection is
 	// severed with no bye frame.
 	fab.Comm(0).Send(2, 7, "forwarded", 0)
-	fab.(cluster.Killer).Kill(0)
+	fab.(cluster.EndpointFabric).Endpoint(0).Abort()
 
 	// Per-sender FIFO: rank 2 sees the forward before the death.
 	m, err := fab.Comm(2).RecvEvent(cluster.AnySource, cluster.AnyTag, 10*time.Second)
@@ -48,11 +48,7 @@ func TestSendToDepartedPeerNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fab.Close()
-	f := fab.(interface {
-		cluster.Killer
-		Stats() cluster.Stats
-	})
-	f.Kill(1)
+	fab.(cluster.EndpointFabric).Endpoint(1).Abort()
 	var pd *cluster.PeerDownError
 	if _, err := fab.Comm(0).RecvEvent(cluster.AnySource, cluster.AnyTag, 10*time.Second); !errors.As(err, &pd) || pd.Rank != 1 {
 		t.Fatalf("death not observed: %v", err)
@@ -62,9 +58,9 @@ func TestSendToDepartedPeerNeverPanics(t *testing.T) {
 		fab.Comm(0).Send(1, 3, i, 8) // must neither panic nor block
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for f.Stats().Dropped < n {
+	for fab.Stats().Dropped < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("hub counted %d dropped frames, want %d", f.Stats().Dropped, n)
+			t.Fatalf("hub counted %d dropped frames, want %d", fab.Stats().Dropped, n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

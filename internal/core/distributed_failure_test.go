@@ -88,7 +88,7 @@ func TestWorkersLeaveWhenCoordinatorDies(t *testing.T) {
 			}
 			eng := core.NewDistributed(newWireProblem(P, points, M), core.Config{P: P, Epochs: 1, Seed: 12}, fab.Comm(P))
 			eng.Iterate()
-			fab.(cluster.Killer).Kill(P)
+			fab.(cluster.EndpointFabric).Endpoint(P).Abort()
 
 			done := make(chan struct{})
 			go func() { wg.Wait(); close(done) }()

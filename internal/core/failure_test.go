@@ -15,7 +15,7 @@ import (
 
 // Fault drills. The engine knows one kind of death — a machine's fabric link
 // severs with whatever it held, like a SIGKILL — so every drill kills through
-// the chaos transport (or the fabric's Kill) and the coordinator must detect
+// the chaos transport (or an endpoint's Abort) and the coordinator must detect
 // the death via the transport, reconstruct the lost tokens from the
 // survivors' records and finish on the survivors.
 //
@@ -330,7 +330,7 @@ func TestDeathBetweenIterations(t *testing.T) {
 	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net, p.machine)
 	defer e.Shutdown()
 	r0 := e.Iterate()
-	net.Kill(1)
+	net.Endpoint(1).Abort()
 	r1 := e.Iterate()
 	if len(r1.Failures) != 1 {
 		t.Errorf("failures = %+v, want one clean death", r1.Failures)
@@ -427,7 +427,7 @@ func TestRetireOfDeadMachineReturns(t *testing.T) {
 	e := NewOn(p, Config{P: 3, Epochs: 1, Seed: 5, RescueTimeout: fastRescue}, net, p.machine)
 	defer e.Shutdown()
 	e.Iterate()
-	net.Kill(1)
+	net.Endpoint(1).Abort()
 	done := make(chan struct{})
 	go func() {
 		e.Retire(1)

@@ -3,8 +3,6 @@ package retrieval
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/core"
 )
 
 // Multi-index hashing (Norouzi, Punjani & Fleet): split every L-bit code into
@@ -297,24 +295,7 @@ func (s *MIHSearcher) rank(list []int32, k int, query []uint64, out []Neighbor) 
 }
 
 // Search is the convenience single-shot form: it allocates a searcher per
-// call. Batch or repeated callers should hold a MIHSearcher (or use
-// SearchBatch, which pools one per worker).
+// call. Repeated callers on one goroutine should hold a MIHSearcher.
 func (ix *MIHIndex) Search(query []uint64, k int) []Neighbor {
 	return ix.NewSearcher().Search(query, k)
-}
-
-// SearchBatch answers every query row, fanned out over workers goroutines
-// (0/1 serial, < 0 every core) with one searcher per worker. Queries are
-// independent, so output row q equals Search(queries.Code(q), k) for any
-// worker count.
-func (ix *MIHIndex) SearchBatch(queries *Codes, k, workers int) [][]Neighbor {
-	out := make([][]Neighbor, queries.N)
-	workers = core.ClampWorkers(queries.N, core.Cores(workers))
-	core.ParallelChunks(queries.N, workers, func(_, lo, hi int) {
-		s := ix.NewSearcher()
-		for q := lo; q < hi; q++ {
-			out[q] = s.Search(queries.Code(q), k)
-		}
-	})
-	return out
 }

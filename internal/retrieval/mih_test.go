@@ -101,24 +101,6 @@ func TestMIHPropertyRandomShapes(t *testing.T) {
 	}
 }
 
-// TestMIHSearchBatchMatchesSearch pins worker-count invariance: one searcher
-// per worker, identical rows for any pool size.
-func TestMIHSearchBatchMatchesSearch(t *testing.T) {
-	base := randomCodes(1200, 32, 21)
-	queries := randomCodes(40, 32, 22)
-	ix, err := NewMIHIndex(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, -1} {
-		rows := ix.SearchBatch(queries, 15, workers)
-		for qi := range rows {
-			want := TopKHammingDist(base, queries.Code(qi), 15)
-			assertNeighborsEqual(t, "batch", rows[qi], want)
-		}
-	}
-}
-
 // TestMIHWithAppended checks the copy-on-write snapshot step: the child index
 // equals a fresh build over the concatenated codes, and the parent snapshot
 // keeps answering for exactly its own points — the immutability the serving

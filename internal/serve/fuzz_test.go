@@ -53,24 +53,22 @@ func joinHex(words []uint64) string {
 	return FormatCode(words[:1])[0]
 }
 
-// FuzzShardedSearchBatch checks the sharded batch scan against the linear
-// oracle: random codes of 1 to 128 bits (one or two words), 1–9 shards, a
-// batch of 1–5 queries, workers −1…4 and k from −1 to above N. Every row must
-// equal retrieval.TopKHammingDist, tie order included — the (query, shard)
-// tasks and the k-way merge may not move a single result.
-func FuzzShardedSearchBatch(f *testing.F) {
-	// seed, n, bits, shards, batch, workers, k
-	f.Add(int64(1), uint16(200), uint8(63), uint8(3), uint8(0), uint8(3), uint16(20)) // one query over 4 shards
-	f.Add(int64(2), uint16(40), uint8(7), uint8(7), uint8(0), uint8(5), uint16(30))   // k above a shard's 5 rows
-	f.Add(int64(3), uint16(90), uint8(99), uint8(8), uint8(4), uint8(0), uint16(92))  // two words, k above N
-	f.Add(int64(4), uint16(0), uint8(15), uint8(2), uint8(1), uint8(2), uint16(0))    // empty index
-	f.Add(int64(5), uint16(17), uint8(3), uint8(5), uint8(2), uint8(1), uint16(5))    // 4-bit codes: ties everywhere
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, bitsRaw, shardsRaw, batchRaw, workersRaw uint8, kRaw uint16) {
+// FuzzShardedSearch checks the sharded scan against the linear oracle:
+// random codes of 1 to 128 bits (one or two words), 1–9 shards and k from −1
+// to above N. The result must equal retrieval.TopKHammingDist, tie order
+// included — the concurrent shard scans and the k-way merge may not move a
+// single result.
+func FuzzShardedSearch(f *testing.F) {
+	// seed, n, bits, shards, k
+	f.Add(int64(1), uint16(200), uint8(63), uint8(3), uint16(20)) // 4 shards
+	f.Add(int64(2), uint16(40), uint8(7), uint8(7), uint16(30))   // k above a shard's 5 rows
+	f.Add(int64(3), uint16(90), uint8(99), uint8(8), uint16(92))  // two words, k above N
+	f.Add(int64(4), uint16(0), uint8(15), uint8(2), uint16(0))    // empty index
+	f.Add(int64(5), uint16(17), uint8(3), uint8(5), uint16(5))    // 4-bit codes: ties everywhere
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, bitsRaw, shardsRaw uint8, kRaw uint16) {
 		n := int(nRaw) % 300
 		l := 1 + int(bitsRaw)%128
 		shards := 1 + int(shardsRaw)%9
-		batch := 1 + int(batchRaw)%5
-		workers := int(workersRaw)%6 - 1
 		k := int(kRaw)%(n+3) - 1
 		rng := rand.New(rand.NewSource(seed))
 		random := func(rows int) *retrieval.Codes {
@@ -85,16 +83,10 @@ func FuzzShardedSearchBatch(f *testing.F) {
 			}
 			return c
 		}
-		codes, queries := random(n), random(batch)
-		rows := NewShardedIndex(codes, shards).SearchBatch(queries, k, workers)
-		if len(rows) != batch {
-			t.Fatalf("%d rows for a batch of %d", len(rows), batch)
-		}
-		for q, got := range rows {
-			if want := retrieval.TopKHammingDist(codes, queries.Code(q), k); !slices.Equal(got, want) {
-				t.Fatalf("query %d (n=%d l=%d shards=%d workers=%d k=%d): %v, want %v",
-					q, n, l, shards, workers, k, got, want)
-			}
+		codes, query := random(n), random(1).Code(0)
+		got := NewShardedIndex(codes, shards).Search(query, k)
+		if want := retrieval.TopKHammingDist(codes, query, k); !slices.Equal(got, want) {
+			t.Fatalf("n=%d l=%d shards=%d k=%d: %v, want %v", n, l, shards, k, got, want)
 		}
 	})
 }

@@ -1,11 +1,12 @@
 // Package serve is the online retrieval tier over the paper's packed binary
 // codes: an in-memory sharded Hamming index behind a JSON HTTP API. Each
-// request scans on its own goroutine, fanning out over the index's shards,
-// so concurrent requests scan concurrently on every core. The (model, index)
-// pair hot-swaps atomically, and a shadow mode mirrors a sample of live
-// queries to a candidate deployment and tracks agreement — the shadow/canary
-// rollout the production-ML literature prescribes, applied to the paper's
-// "serve Hamming search to millions of users" pitch.
+// request is one Index.Search on its own goroutine, and a linear index fans
+// that lone query out over its shards, so concurrent requests scan
+// concurrently on every core. The (model, index) pair hot-swaps atomically,
+// and a shadow mode mirrors a sample of live queries to a candidate
+// deployment and tracks agreement — the shadow/canary rollout the
+// production-ML literature prescribes, applied to the paper's "serve Hamming
+// search to millions of users" pitch.
 package serve
 
 import (
@@ -31,9 +32,6 @@ import (
 type Index interface {
 	// Search answers one query with the exact (Dist, Index)-ordered top-k.
 	Search(query []uint64, k int) []retrieval.Neighbor
-	// SearchBatch answers every query row over a worker pool; row q equals
-	// Search(queries.Code(q), k) for any worker count.
-	SearchBatch(queries *retrieval.Codes, k, workers int) [][]retrieval.Neighbor
 	// L reports the code length in bits.
 	L() int
 	// N reports the number of indexed codes.
@@ -44,11 +42,10 @@ type Index interface {
 	Kind() string
 }
 
-// ShardedIndex splits a packed code set into row ranges that SearchBatch
-// scans concurrently: one task per (query, shard) on the worker pool, so a
-// lone query fans out over min(shards, workers) cores. Each query's shard
-// lists merge with retrieval.MergeTopK, the serial scan's tie rule, so a
-// sharded search equals the unsharded scan for any shard and worker count.
+// ShardedIndex splits a packed code set into row ranges that Search scans
+// concurrently, so a lone query fans out over min(shards, GOMAXPROCS) cores.
+// The shard lists merge with retrieval.MergeTopK, the serial scan's tie
+// rule, so a sharded search equals the unsharded scan for any shard count.
 // Shards alias the original backing array (no copy) and are immutable once
 // built; swapping in new codes means building a new index.
 type ShardedIndex struct {
@@ -100,35 +97,19 @@ func (ix *ShardedIndex) Words() int { return (ix.l + 63) / 64 }
 // Kind names the engine.
 func (ix *ShardedIndex) Kind() string { return "linear" }
 
-// Search answers one query on the calling goroutine, scanning the shards in
-// turn: SearchBatch's body over a one-row batch and one worker.
+// Search answers one query, scanning the shards concurrently over
+// min(shards, GOMAXPROCS) goroutines, each into a slot of its own; after the
+// join the shard lists merge tie-exactly. The result equals
+// retrieval.TopKHammingDist over the whole code set for any shard count.
 func (ix *ShardedIndex) Search(query []uint64, k int) []retrieval.Neighbor {
-	one := &retrieval.Codes{N: 1, L: ix.l, Words: len(query), Data: query}
-	return ix.SearchBatch(one, k, 1)[0]
-}
-
-// SearchBatch answers a batch in one pass over workers goroutines
-// (core.Cores semantics). Task t scans shard t mod S for query t / S into a
-// slot of its own, so a batch of one query fans out over the shards, while a
-// full batch hands each worker a run of consecutive tasks, mostly whole
-// queries. After the join, each query's S lists merge tie-exactly. Row q
-// equals retrieval.TopKHammingDist over the whole code set for any shard and
-// worker count.
-func (ix *ShardedIndex) SearchBatch(queries *retrieval.Codes, k, workers int) [][]retrieval.Neighbor {
-	s := len(ix.shards)
-	parts := make([][]retrieval.Neighbor, queries.N*s)
-	core.ParallelChunks(len(parts), core.Cores(workers), func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			sh := t % s
-			parts[t] = retrieval.OffsetNeighbors(
-				retrieval.TopKHammingDist(ix.shards[sh], queries.Code(t/s), k), ix.offs[sh])
+	parts := make([][]retrieval.Neighbor, len(ix.shards))
+	core.ParallelChunks(len(parts), core.Cores(-1), func(_, lo, hi int) {
+		for sh := lo; sh < hi; sh++ {
+			parts[sh] = retrieval.OffsetNeighbors(
+				retrieval.TopKHammingDist(ix.shards[sh], query, k), ix.offs[sh])
 		}
 	})
-	out := make([][]retrieval.Neighbor, queries.N)
-	for q := range out {
-		out[q] = retrieval.MergeTopK(parts[q*s:(q+1)*s], k)
-	}
-	return out
+	return retrieval.MergeTopK(parts, k)
 }
 
 // StreamingMIH is the sublinear engine: a multi-index hashing table set
@@ -189,20 +170,14 @@ func (s *StreamingMIH) Search(query []uint64, k int) []retrieval.Neighbor {
 	return s.snap.Load().Search(query, k)
 }
 
-// SearchBatch answers a batch against one snapshot — every row of a batch
-// sees the same point set even if Add lands mid-scan.
-func (s *StreamingMIH) SearchBatch(queries *retrieval.Codes, k, workers int) [][]retrieval.Neighbor {
-	return s.snap.Load().SearchBatch(queries, k, workers)
-}
-
 // IndexConfig selects and sizes the engine BuildIndex constructs.
 type IndexConfig struct {
 	// Kind is "linear" (sharded exact scan, the default) or "mih"
 	// (multi-index hashing, sublinear at production N).
 	Kind string
 	// Shards is the number of row ranges the linear engine cuts the codes
-	// into: SearchBatch scans a query's shards concurrently, so a lone query
-	// uses min(Shards, workers) cores (< 1 means 1).
+	// into: Search scans a query's shards concurrently, so a lone query uses
+	// min(Shards, GOMAXPROCS) cores (< 1 means 1).
 	Shards int
 	// MIHBlocks is the substring table count for the mih engine (0 = pick
 	// from N and L).
@@ -287,9 +262,6 @@ type Options struct {
 	// MIHBlocks sizes the mih engine's substring tables (0 = pick from N
 	// and L).
 	MIHBlocks int
-	// Workers bounds the goroutines one query's scan uses (< 0 every core,
-	// which is the default).
-	Workers int
 	// MaxK bounds the per-request k. Default 1000.
 	MaxK int
 	// DefaultK is used when a request omits k. Default 10.
@@ -313,9 +285,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IndexKind == "" {
 		o.IndexKind = "linear"
-	}
-	if o.Workers == 0 {
-		o.Workers = -1
 	}
 	if o.MaxK <= 0 {
 		o.MaxK = 1000
@@ -558,11 +527,11 @@ func (s *Server) validate(q *Query, dep *Deployment) error {
 
 // Search runs one query through the full serving path on the calling
 // goroutine: load the live deployment once, validate against it, encode a
-// vector query with its model, and scan its index as a one-row batch over
-// Workers goroutines, so a lone query still fans out over the shards. One
-// snapshot serves both the validation and the scan, so a hot swap can never
-// tear a request. This is the method the HTTP handler, the perf scenarios
-// and the example all call, so every measurement exercises the real path.
+// vector query with its model, and search its index, which fans a linear
+// scan out over the shards. One snapshot serves both the validation and the
+// scan, so a hot swap can never tear a request. This is the method the HTTP
+// handler, the perf scenarios and the example all call, so every
+// measurement exercises the real path.
 func (s *Server) Search(q Query) (*ResultSet, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -575,11 +544,11 @@ func (s *Server) Search(q Query) (*ResultSet, error) {
 		return nil, err
 	}
 	s.queries.Add(1)
-	query := &retrieval.Codes{N: 1, L: dep.Index.L(), Words: len(q.Code), Data: q.Code}
+	code := q.Code
 	if len(q.Vector) > 0 {
-		query = encode(dep.Model, q.Vector)
+		code = encode(dep.Model, q.Vector)
 	}
-	ns := dep.Index.SearchBatch(query, q.K, s.opts.Workers)[0]
+	ns := dep.Index.Search(code, q.K)
 	// Sample for the shadow before replying: the cheap synchronous part of
 	// mirror (sampling, registering the background search) finishing first
 	// means a client that got its answer can rely on the shadow counters
@@ -588,17 +557,17 @@ func (s *Server) Search(q Query) (*ResultSet, error) {
 	return &ResultSet{Version: dep.Version, Neighbors: ns}, nil
 }
 
-// encode hashes x with model m into a one-row code set.
-func encode(m *binauto.Model, x []float64) *retrieval.Codes {
+// encode hashes x with model m into one packed code.
+func encode(m *binauto.Model, x []float64) []uint64 {
 	dst := retrieval.NewCodes(1, m.L())
 	if m.L() <= 64 {
 		dst.SetWord64(0, m.EncodePointWord(x))
-		return dst
+		return dst.Code(0)
 	}
 	for l := 0; l < m.L(); l++ {
 		dst.SetBit(0, l, m.EncodeBit(l, x))
 	}
-	return dst
+	return dst.Code(0)
 }
 
 // mirror sends a ShadowRate sample of the served queries to the shadow
@@ -628,7 +597,7 @@ func (s *Server) mirror(live *Deployment, q Query, liveNs []retrieval.Neighbor) 
 		defer s.shadowWG.Done()
 		code := q.Code
 		if len(q.Vector) > 0 {
-			code = encode(sh.Model, q.Vector).Code(0)
+			code = encode(sh.Model, q.Vector)
 		}
 		s.shadowOverlap.Add(int64(overlap(liveNs, sh.Index.Search(code, q.K)) * 1e6))
 		// Log cumulative agreement, throttled to every shadowLogEvery mirrored

@@ -61,31 +61,13 @@ func TestShardedIndexMatchesSerialScan(t *testing.T) {
 	for i := 0; i < queries.N; i++ {
 		queries.SetWord64(i, rng.Uint64()&0xFFFF)
 	}
-	same := func(what string, got, want []retrieval.Neighbor) {
-		t.Helper()
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: %+v, want %+v", what, got, want)
-		}
-	}
 	for _, shards := range []int{1, 2, 3, 7, 16} {
 		ix := NewShardedIndex(codes, shards)
 		for _, k := range []int{0, 25, 40} {
 			for qi := 0; qi < queries.N; qi++ {
 				q := queries.Code(qi)
-				same(fmt.Sprintf("Search shards=%d k=%d query %d", shards, k, qi),
-					ix.Search(q, k), retrieval.TopKHammingDist(codes, q, k))
-			}
-			for _, batch := range []int{1, 2, 30} {
-				view := &retrieval.Codes{N: batch, L: queries.L, Words: queries.Words, Data: queries.Data[:batch*queries.Words]}
-				for _, workers := range []int{1, 2, 4, -1} {
-					rows := ix.SearchBatch(view, k, workers)
-					if len(rows) != batch {
-						t.Fatalf("shards=%d batch=%d: %d rows", shards, batch, len(rows))
-					}
-					for qi, got := range rows {
-						same(fmt.Sprintf("SearchBatch shards=%d k=%d batch=%d workers=%d query %d", shards, k, batch, workers, qi),
-							got, retrieval.TopKHammingDist(codes, queries.Code(qi), k))
-					}
+				if got, want := ix.Search(q, k), retrieval.TopKHammingDist(codes, q, k); !slices.Equal(got, want) {
+					t.Fatalf("shards=%d k=%d query %d: %+v, want %+v", shards, k, qi, got, want)
 				}
 			}
 		}
@@ -102,24 +84,20 @@ func randomCodes(rng *rand.Rand, n int) *retrieval.Codes {
 	return codes
 }
 
-// BenchmarkShardedSearchBatch times SearchBatch at serve_scan's shape
-// (400 000 random one-word codes, k = 50) on every core: a batch of one
-// fans out over the shards, so shards=2 batch=1 shows the fan-out's gain
-// over shards=1 batch=1.
-func BenchmarkShardedSearchBatch(b *testing.B) {
+// BenchmarkShardedSearch times Search at serve_scan's shape (400 000 random
+// one-word codes, k = 50): a query fans out over the shards, so shards=2
+// shows the fan-out's gain over shards=1.
+func BenchmarkShardedSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	codes := randomCodes(rng, 400_000)
-	queries := randomCodes(rng, 2)
+	query := randomCodes(rng, 1).Code(0)
 	for _, shards := range []int{1, 2} {
 		ix := NewShardedIndex(codes, shards)
-		for _, batch := range []int{1, 2} {
-			view := &retrieval.Codes{N: batch, L: 64, Words: 1, Data: queries.Data[:batch]}
-			b.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					ix.SearchBatch(view, 50, -1)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ix.Search(query, 50)
+			}
+		})
 	}
 }
 
@@ -598,6 +576,31 @@ func TestRawCodeOnlyDeployment(t *testing.T) {
 	}
 }
 
+// TestServerSearchAllocs pins the allocations of a raw-code Server.Search:
+// the code reaches Index.Search as it came, with no one-row code set or
+// per-batch result slice around it. A second shard adds the fan-out's
+// goroutine.
+func TestServerSearchAllocs(t *testing.T) {
+	_, codes, _ := testDeployment("v", 500, 8, 16, 1, 20)
+	for _, c := range []struct{ shards, max int }{{1, 6}, {2, 7}} {
+		dep, err := NewDeployment("v", nil, NewShardedIndex(codes, c.shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(dep, quietOpts(Options{}))
+		q := Query{Code: []uint64{0xABCD}, K: 10}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.Search(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s.Close()
+		if allocs > float64(c.max) {
+			t.Errorf("shards=%d: %.1f allocs per Search, want at most %d", c.shards, allocs, c.max)
+		}
+	}
+}
+
 func TestMIHDeploymentMatchesLinear(t *testing.T) {
 	_, codes, ds := testDeployment("v", 600, 16, 32, 1, 16)
 	mih, err := BuildIndex(codes, IndexConfig{Kind: "mih"})
@@ -619,15 +622,6 @@ func TestMIHDeploymentMatchesLinear(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("query %d rank %d: %+v != %+v", qi, i, got[i], want[i])
-			}
-		}
-	}
-	batch := mih.SearchBatch(queries, 10, 4)
-	for qi := 0; qi < queries.N; qi++ {
-		want := lin.Search(queries.Code(qi), 10)
-		for i := range want {
-			if batch[qi][i] != want[i] {
-				t.Fatalf("SearchBatch query %d differs from linear", qi)
 			}
 		}
 	}
