@@ -42,7 +42,7 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 	// needs hundreds of them to be still training when the kill lands, even
 	// on a loaded machine.
 	coordArgs := append([]string{
-		"-coordinator", "-spawn=false", "-listen", "127.0.0.1:0",
+		"-coordinator", "-listen", "127.0.0.1:0",
 		"-iters", "500", "-rescue-timeout", "5s",
 	}, shared...)
 	coord := exec.Command(bin, coordArgs...)
@@ -187,7 +187,7 @@ func TestFlagEdgeCases(t *testing.T) {
 	})
 	for _, bad := range [][]string{
 		{"-p", "0"}, {"-bits", "0"}, {"-iters", "-1"}, {"extra", "-p", "0"},
-		{"-n", "0"}, {"-d", "0"}, {"-queries", "-1"}, {"-bits", "7"},
+		{"-n", "0"}, {"-d", "0"}, {"-queries", "-1"}, {"-queries", "0"}, {"-bits", "7"},
 	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
 			out, code := run(t, bad...)

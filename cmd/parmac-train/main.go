@@ -13,7 +13,7 @@
 // same data/model flags (-p -n -d -bits -seed ...) as the coordinator —
 // the worker aborts if -p disagrees with the cluster size:
 //
-//	parmac-train -coordinator -listen 127.0.0.1:9377 -p 2 -spawn=false &
+//	parmac-train -coordinator -listen 127.0.0.1:9377 -p 2 &
 //	parmac-train -worker -connect 127.0.0.1:9377 -rank 0 -p 2 &
 //	parmac-train -worker -connect 127.0.0.1:9377 -rank 1 -p 2 &
 //
@@ -54,7 +54,6 @@ type options struct {
 	listen      string
 	connect     string
 	rank        int
-	spawn       bool
 }
 
 func parseFlags() *options {
@@ -86,7 +85,6 @@ func parseFlags() *options {
 	flag.StringVar(&o.listen, "listen", "127.0.0.1:0", "coordinator rendezvous address")
 	flag.StringVar(&o.connect, "connect", "", "worker: coordinator rendezvous address")
 	flag.IntVar(&o.rank, "rank", -1, "worker: machine rank in [0, p)")
-	flag.BoolVar(&o.spawn, "spawn", true, "tcp coordinator: auto-spawn the worker processes")
 	flag.Parse()
 	switch {
 	case flag.NArg() > 0:
@@ -95,8 +93,8 @@ func parseFlags() *options {
 		fatalIf(fmt.Errorf("-n must be at least 1, got %d", o.n))
 	case o.d < 1:
 		fatalIf(fmt.Errorf("-d must be at least 1, got %d", o.d))
-	case o.queries < 0:
-		fatalIf(fmt.Errorf("-queries must not be negative, got %d", o.queries))
+	case o.queries < 1:
+		fatalIf(fmt.Errorf("-queries must be at least 1, got %d", o.queries))
 	case o.p < 1:
 		fatalIf(fmt.Errorf("-p must be at least 1, got %d", o.p))
 	case o.bits < 1:
@@ -182,7 +180,7 @@ func buildDatasets(o *options) (ds, qs *dataset.Dataset) {
 		ds, qs = full.Subset(baseIdx), full.Subset(qIdx)
 		o.n, o.d = ds.N, ds.D
 	} else {
-		ds, qs = dataset.WithQueries(o.n, o.queries, o.d, o.clusters, o.seed, true)
+		ds, qs = dataset.WithQueries(o.n, o.queries, o.d, o.clusters, o.seed)
 	}
 	// A binary autoencoder needs L ≤ D (paper §3.1), and the Z step packs a
 	// code into one word. A loaded model brings its own L.
@@ -262,7 +260,7 @@ func trainModel(o *options, ds *dataset.Dataset) *binauto.Model {
 		defer hub.Close()
 		fmt.Printf("coordinator: rendezvous at %s, waiting for %d workers\n", hub.Addr(), o.p)
 		var children []*exec.Cmd
-		if o.spawn && !o.coordinator {
+		if !o.coordinator {
 			children = spawnWorkers(o, hub.Addr())
 		}
 		comm, err = tcp.Connect(hub.Addr(), o.p)

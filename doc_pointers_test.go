@@ -190,10 +190,16 @@ func TestNoOrphanedFuncs(t *testing.T) {
 
 // setFields returns the struct fields f's code sets: each element of a
 // struct composite literal, the operand of an assignment, ++ or --, and the
-// operand of &, when that is a field selector.
+// operand of &, when that is a field selector. A default fill or clamp is not
+// a set: an assignment to a field of the enclosing function's own parameter
+// or receiver, placed directly in an if whose condition reads that field.
 func setFields(info *types.Info, f *ast.File) []*types.Var {
 	var out []*types.Var
+	fills := defaultFills(info, f)
 	selected := func(e ast.Expr) {
+		if fills[e] {
+			return
+		}
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
 				out = append(out, v)
@@ -232,6 +238,78 @@ func setFields(info *types.Info, f *ast.File) []*types.Var {
 		return true
 	})
 	return out
+}
+
+// defaultFills returns the assignment operands in f that setFields does not
+// count: p.F in "if cond { p.F = … }", where p is a parameter or receiver of
+// the function the if is in and cond reads p.F.
+func defaultFills(info *types.Info, f *ast.File) map[ast.Expr]bool {
+	fills := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		var lists []*ast.FieldList
+		var body *ast.BlockStmt
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			lists, body = []*ast.FieldList{n.Recv, n.Type.Params}, n.Body
+		case *ast.FuncLit:
+			lists, body = []*ast.FieldList{n.Type.Params}, n.Body
+		}
+		if body == nil {
+			return true
+		}
+		params := map[types.Object]bool{}
+		for _, list := range lists {
+			if list == nil {
+				continue
+			}
+			for _, field := range list.List {
+				for _, name := range field.Names {
+					params[info.Defs[name]] = true
+				}
+			}
+		}
+		// paramField keys e by (p, F) when it is p.F for a parameter p.
+		paramField := func(e ast.Expr) (key [2]types.Object, ok bool) {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return key, false
+			}
+			x, ok := ast.Unparen(sel.X).(*ast.Ident)
+			if !ok || !params[info.Uses[x]] {
+				return key, false
+			}
+			v, ok := info.Uses[sel.Sel].(*types.Var)
+			return [2]types.Object{info.Uses[x], v}, ok && v.IsField()
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // the outer walk visits it with its own parameters
+			case *ast.IfStmt:
+				read := map[[2]types.Object]bool{}
+				ast.Inspect(n.Cond, func(c ast.Node) bool {
+					if e, ok := c.(ast.Expr); ok {
+						if key, ok := paramField(e); ok {
+							read[key] = true
+						}
+					}
+					return true
+				})
+				for _, stmt := range n.Body.List {
+					if as, ok := stmt.(*ast.AssignStmt); ok {
+						for _, lhs := range as.Lhs {
+							if key, ok := paramField(lhs); ok && read[key] {
+								fills[lhs] = true
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+		return true
+	})
+	return fills
 }
 
 // fieldName renders a field as pkg.T.Field after the package-level struct

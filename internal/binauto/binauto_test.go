@@ -289,25 +289,6 @@ func TestZStepDecreasesEQ(t *testing.T) {
 	}
 }
 
-// TestValidationScoreParallelMatchesSerial: the scoring pool must not change
-// the precision score.
-func TestValidationScoreParallelMatchesSerial(t *testing.T) {
-	base := dataset.GISTLike(300, 10, 3, 95)
-	queries := dataset.GISTLike(40, 10, 3, 96)
-	truth := retrieval.GroundTruth(base, queries, 10, 1)
-	m := randomModel(10, 8, 97)
-	v := &Validation{Base: base, Queries: queries, Truth: truth, K: 10}
-	serial := v.Score(m, 1)
-	if math.IsNaN(serial) {
-		t.Fatal("NaN score")
-	}
-	for _, workers := range sweepWorkers {
-		if got := v.Score(m, workers); got != serial {
-			t.Fatalf("workers=%d: score %v != serial %v", workers, got, serial)
-		}
-	}
-}
-
 // TestEncodeParallelBitIdentical: the pooled encoder must match the
 // per-point EncodePointWord loop for any worker count, and EncodeParallel
 // must be Encode.
@@ -343,7 +324,7 @@ func TestMACPrecisionBeatsInitTPCA(t *testing.T) {
 	defer eng.Shutdown()
 	eng.Run(12)
 	val := &Validation{Base: ds, Queries: queries, Truth: truth, K: 50}
-	macScore := val.Score(prob.AssembleModel(), 1)
+	macScore := val.Score(prob.AssembleModel())
 
 	tp := pca.FitTPCA(ds, 10)
 	tpcaScore := retrieval.Precision(truth, retrieval.AllTopKHamming(tp.Encode(ds), tp.Encode(queries), 50, 1))

@@ -160,11 +160,9 @@ type Validation struct {
 	K       int     // retrieved set size k
 }
 
-// Score computes the precision@K of the model's hash, with the base/query
-// encoding and the Hamming scans on workers goroutines (core.Cores
-// semantics). The score is identical for any worker count.
-func (v *Validation) Score(m *Model, workers int) float64 {
-	base := m.Encode(v.Base, workers)
-	qc := m.Encode(v.Queries, workers)
-	return retrieval.Precision(v.Truth, retrieval.AllTopKHamming(base, qc, v.K, workers))
+// Score computes the precision@K of the model's hash on one goroutine.
+func (v *Validation) Score(m *Model) float64 {
+	base := m.Encode(v.Base, 1)
+	qc := m.Encode(v.Queries, 1)
+	return retrieval.Precision(v.Truth, retrieval.AllTopKHamming(base, qc, v.K, 1))
 }

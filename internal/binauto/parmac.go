@@ -17,10 +17,9 @@ import (
 // per-bit SVMs and the decoder become circulating core.Submodels, each data
 // shard keeps its own auxiliary codes, and the Z step runs shard-locally.
 //
-// The decoder's D single-dimension regressors are grouped into DecoderGroups
-// circulating units. With the default of L groups of ≈D/L dimensions each,
-// the effective number of equal-size submodels is M = 2L, the figure §5.4
-// uses in the speedup model.
+// The decoder's D single-dimension regressors are grouped into L circulating
+// units of ≈D/L dimensions each, so the effective number of equal-size
+// submodels is M = 2L, the figure §5.4 uses in the speedup model.
 //
 // A shard owns its rows: on its first read it copies them out of the
 // dataset, contiguous and in shard order, so a visit streams through one
@@ -99,18 +98,15 @@ func (s *Shard) visitDims(order, dims []int, f func(z uint64, x []float64)) {
 	}
 }
 
-// ParMACConfig parameterises the distributed BA problem.
+// ParMACConfig parameterises the distributed BA problem. The decoder always
+// circulates as L groups of ≈D/L output dimensions (§5.4's equal-size
+// grouping), so the problem has 2L submodels.
 type ParMACConfig struct {
 	L        int
 	Mu0      float64
 	MuFactor float64
 
 	SVMLambda float64
-
-	// DecoderGroups is the number of circulating decoder submodels the D
-	// output dimensions are grouped into; 0 means L (§5.4's equal-size
-	// grouping).
-	DecoderGroups int
 
 	// Parallel is the number of goroutines each machine uses for its
 	// shard-local Z step: 0 or 1 runs serially, < 0 uses every core
@@ -153,12 +149,6 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	if cfg.SVMLambda <= 0 {
 		cfg.SVMLambda = 1e-5
 	}
-	if cfg.DecoderGroups <= 0 {
-		cfg.DecoderGroups = cfg.L
-	}
-	if cfg.DecoderGroups > ds.D {
-		cfg.DecoderGroups = ds.D
-	}
 
 	initZ := cfg.InitZ
 	if initZ == nil {
@@ -181,12 +171,11 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 			id: l, bit: l, svm: svm.NewLinear(ds.D, cfg.SVMLambda),
 		})
 	}
-	// Decoder group submodels: IDs L..L+G-1, dimensions dealt round-robin so
+	// Decoder group submodels: IDs L..2L-1, dimensions dealt round-robin so
 	// groups are equal-sized.
-	groups := make([][]int, cfg.DecoderGroups)
+	groups := make([][]int, cfg.L)
 	for d := 0; d < ds.D; d++ {
-		g := d % cfg.DecoderGroups
-		groups[g] = append(groups[g], d)
+		groups[d%cfg.L] = append(groups[d%cfg.L], d)
 	}
 	for g, dims := range groups {
 		subs = append(subs, newDecoderSub(cfg.L+g, cfg.L, dims))

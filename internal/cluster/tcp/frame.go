@@ -28,7 +28,7 @@ import (
 // frames themselves must keep their layout in every version, or the check
 // cannot be made. Version 1 was the gob format, which predates the
 // handshake.
-const wireVersion = 5
+const wireVersion = 6
 
 // maxFrameBytes caps a single frame's payload (64 MiB) so a corrupted length
 // prefix cannot make a reader allocate unboundedly.

@@ -40,7 +40,7 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 	huge := append([]byte(nil), ints[:2]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff) // 4G elements, no bytes behind them
 	badBool := cluster.AppendPayload(nil, core.WStartMsg{Shuffle: true})
-	badBool[2+3*8] = 2
+	badBool[2+2*8] = 2
 	cases := map[string][]byte{
 		"empty":        {},
 		"short kind":   {0},

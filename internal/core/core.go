@@ -134,7 +134,6 @@ type ModelSyncHook interface {
 type Config struct {
 	P       int  // initial number of machines
 	Epochs  int  // e: circulation epochs per W step
-	Within  int  // within-machine passes per visit (§4.2); default 1
 	Shuffle bool // shuffle the ring per epoch and within-machine order (§4.3)
 	Seed    int64
 
@@ -162,9 +161,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 1
-	}
-	if c.Within <= 0 {
-		c.Within = 1
 	}
 	if c.RescueTimeout <= 0 {
 		c.RescueTimeout = DefaultRescueTimeout

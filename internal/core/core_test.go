@@ -216,19 +216,6 @@ func TestShuffledRingStillCoversAllMachines(t *testing.T) {
 	}
 }
 
-func TestWithinMachinePasses(t *testing.T) {
-	// §4.2: e within-machine passes with a single circulation epoch.
-	p := newToyProblem(3, 4, 2)
-	e := New(p, Config{P: 3, Epochs: 1, Within: 4, Seed: 4}, p.machine)
-	defer e.Shutdown()
-	e.Iterate()
-	for _, sub := range p.toys() {
-		if sub.count != 4*3*4 {
-			t.Fatalf("submodel %d count %d, want 48", sub.id, sub.count)
-		}
-	}
-}
-
 func TestCommunicationAccounting(t *testing.T) {
 	const P, E, M = 4, 2, 6
 	p := newToyProblem(P, 2, M)
@@ -542,17 +529,16 @@ func TestManyIterationsStayConsistent(t *testing.T) {
 }
 
 func TestQuickProtocolInvariants(t *testing.T) {
-	// Property: for random (P, M, e, shuffle, within), one iteration
-	// satisfies the ParMAC protocol invariants: every submodel trains on
-	// every shard exactly e·within times, the Z step touches every shard,
-	// and no repair traffic is needed in failure-free runs.
-	f := func(pRaw, mRaw, eRaw, wRaw uint8, shuffle bool, seed int64) bool {
+	// Property: for random (P, M, e, shuffle), one iteration satisfies the
+	// ParMAC protocol invariants: every submodel trains on every shard
+	// exactly e times, the Z step touches every shard, and no repair traffic
+	// is needed in failure-free runs.
+	f := func(pRaw, mRaw, eRaw uint8, shuffle bool, seed int64) bool {
 		P := int(pRaw)%5 + 1
 		M := int(mRaw)%9 + 1
 		E := int(eRaw)%3 + 1
-		W := int(wRaw)%2 + 1
 		prob := newToyProblem(P, 3, M)
-		e := New(prob, Config{P: P, Epochs: E, Within: W, Shuffle: shuffle, Seed: seed}, prob.machine)
+		e := New(prob, Config{P: P, Epochs: E, Shuffle: shuffle, Seed: seed}, prob.machine)
 		defer e.Shutdown()
 		res := e.Iterate()
 		if res.FixMessages != 0 || len(res.Failures) != 0 {
@@ -562,11 +548,9 @@ func TestQuickProtocolInvariants(t *testing.T) {
 			return false
 		}
 		for _, sub := range prob.toys() {
-			if sub.count != E*W*P*3 {
+			if sub.count != E*P*3 {
 				return false
 			}
-			// Visits: E·W per shard... W passes happen inside one visit, so
-			// the visit log records E entries per shard.
 			perShard := map[int]int{}
 			for _, v := range sub.visits {
 				perShard[v]++
@@ -575,7 +559,7 @@ func TestQuickProtocolInvariants(t *testing.T) {
 				return false
 			}
 			for _, c := range perShard {
-				if c != E*W {
+				if c != E {
 					return false
 				}
 			}

@@ -65,10 +65,7 @@ func (e *Engine) Iterate() IterationResult {
 
 	// Start the W step on all alive machines.
 	for _, r := range aliveList {
-		e.coord.Send(r, tagWStart, WStartMsg{
-			Iter: e.iter, Train: trainVisits, Within: e.cfg.Within,
-			Shuffle: e.cfg.Shuffle, M: m,
-		}, 0)
+		e.coord.Send(r, tagWStart, WStartMsg{Iter: e.iter, Train: trainVisits, Shuffle: e.cfg.Shuffle, M: m}, 0)
 	}
 	// Inject the initial tokens at their home machines. Each carries a
 	// clone: the coordinator keeps the pre-iteration model until the tokens

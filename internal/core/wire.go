@@ -44,7 +44,6 @@ type Token struct {
 type WStartMsg struct {
 	Iter    int
 	Train   int // training visit count e·P_alive
-	Within  int
 	Shuffle bool
 	M       int // total submodel count (for the machine's Z-step assembly)
 }
@@ -145,14 +144,12 @@ func decodeToken(r *cluster.WireReader) any {
 func (m WStartMsg) AppendWire(b []byte) []byte {
 	b = cluster.AppendInt(b, m.Iter)
 	b = cluster.AppendInt(b, m.Train)
-	b = cluster.AppendInt(b, m.Within)
 	b = cluster.AppendBool(b, m.Shuffle)
 	return cluster.AppendInt(b, m.M)
 }
 
 func decodeWStart(r *cluster.WireReader) any {
-	return WStartMsg{Iter: r.Int(), Train: r.Int(), Within: r.Int(),
-		Shuffle: r.Bool(), M: r.Int()}
+	return WStartMsg{Iter: r.Int(), Train: r.Int(), Shuffle: r.Bool(), M: r.Int()}
 }
 
 // AppendWire appends the message's wire body.

@@ -29,7 +29,7 @@ func fixedWireMessages() []struct {
 		msg  any
 	}{
 		{"token.golden.hex", &core.Token{SM: sub, ID: 3, Step: 2, Version: 1, Route: []int{0, 2, 1, 0}, Train: 3, Incarnation: 1}},
-		{"wstart.golden.hex", core.WStartMsg{Iter: 4, Train: 6, Within: 2, Shuffle: true, M: 8}},
+		{"wstart.golden.hex", core.WStartMsg{Iter: 4, Train: 6, Shuffle: true, M: 8}},
 		// Version -1 is just a negative int here, pinning the sign encoding.
 		{"wack.golden.hex", core.WAckMsg{Entries: []core.AckEntry{{ID: 0, Version: 2}, {ID: 3, Version: -1}}, Hops: 9, Bytes: 1024}},
 		{"zdone.golden.hex", core.ZDoneMsg{Changed: 17, EQ: 1234.5, EBA: 98.75}},

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/sgd"
 )
 
 // The machine side of the ParMAC protocol. A worker runs on a Problem of its
@@ -189,10 +190,7 @@ func (w *worker) openWStep(cfg WStartMsg) Shard {
 
 func (w *worker) processToken(tok *Token, shard Shard) {
 	if tok.Step < tok.Train {
-		for pass := 0; pass < w.cfg.Within; pass++ {
-			order := trainOrder(shard.NumPoints(), w.cfg.Shuffle, w.rng)
-			tok.SM.TrainOn(shard, order)
-		}
+		tok.SM.TrainOn(shard, sgd.Order(shard.NumPoints(), w.cfg.Shuffle, w.rng))
 		tok.Version++
 	}
 	tok.Step++
@@ -244,17 +242,4 @@ func (w *worker) runZStep() {
 		done.EQ, done.EBA = sh.Objectives()
 	}
 	w.comm.Send(w.coordRank, tagZDone, done, 0)
-}
-
-// trainOrder mirrors sgd.Order without importing it (the engine stays
-// decoupled from the trainers).
-func trainOrder(n int, shuffle bool, rng *rand.Rand) []int {
-	if !shuffle {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	return rng.Perm(n)
 }

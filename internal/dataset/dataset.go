@@ -222,10 +222,13 @@ func GISTLike(n, d int, clusters int, seed int64) *Dataset {
 // ManifoldConfig parameterises the nonlinear-manifold generator.
 type ManifoldConfig struct {
 	N, D   int
-	Latent int     // intrinsic dimensionality (default 3)
-	Noise  float64 // additive feature noise (default 0.05)
+	Latent int // intrinsic dimensionality (default 3)
 	Seed   int64
 }
+
+// manifoldNoise is the standard deviation of the Gaussian noise Manifold adds
+// to every feature.
+const manifoldNoise = 0.05
 
 // Manifold draws points from a smooth low-dimensional manifold embedded by
 // random sinusoids, x_j = sin(f_j·u + φ_j) + ε. Real image descriptors
@@ -235,9 +238,6 @@ type ManifoldConfig struct {
 func Manifold(cfg ManifoldConfig) *Dataset {
 	if cfg.Latent <= 0 {
 		cfg.Latent = 3
-	}
-	if cfg.Noise <= 0 {
-		cfg.Noise = 0.05
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	freqs := vec.NewMatrix(cfg.D, cfg.Latent)
@@ -253,7 +253,7 @@ func Manifold(cfg ManifoldConfig) *Dataset {
 			u[k] = rng.NormFloat64()
 		}
 		for j := 0; j < cfg.D; j++ {
-			x.Set(i, j, math.Sin(vec.Dot(freqs.Row(j), u)+phase[j])+rng.NormFloat64()*cfg.Noise)
+			x.Set(i, j, math.Sin(vec.Dot(freqs.Row(j), u)+phase[j])+rng.NormFloat64()*manifoldNoise)
 		}
 	}
 	return FromMatrix(x)
@@ -275,9 +275,9 @@ func ManifoldWithQueries(n, q, d, latent int, seed int64) (base, queries *Datase
 
 // WithQueries draws base and query sets from one mixture (same cluster
 // centres), the correct protocol for retrieval benchmarks: queries must come
-// from the distribution of the indexed data. quantize stores both sets one
-// byte per feature on a shared grid (the SIFT storage convention).
-func WithQueries(n, q, d, clusters int, seed int64, quantize bool) (base, queries *Dataset) {
+// from the distribution of the indexed data. Both sets are stored one byte
+// per feature on a shared grid (the SIFT storage convention, §8.4).
+func WithQueries(n, q, d, clusters int, seed int64) (base, queries *Dataset) {
 	all, _ := Clusters(ClusterConfig{N: n + q, D: d, Clusters: clusters, Spread: 0.25, Radius: 1, Seed: seed})
 	baseIdx := make([]int, n)
 	queryIdx := make([]int, q)
@@ -287,24 +287,18 @@ func WithQueries(n, q, d, clusters int, seed int64, quantize bool) (base, querie
 	for i := range queryIdx {
 		queryIdx[i] = n + i
 	}
-	base = all.Subset(baseIdx)
-	queries = all.Subset(queryIdx)
-	if quantize {
-		m := all.Matrix()
-		lo, hi := m.Data[0], m.Data[0]
-		for _, v := range m.Data {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
+	m := all.Matrix()
+	lo, hi := m.Data[0], m.Data[0]
+	for _, v := range m.Data {
+		if v < lo {
+			lo = v
 		}
-		if hi == lo {
-			hi = lo + 1
+		if v > hi {
+			hi = v
 		}
-		base = base.QuantizeRange(lo, hi)
-		queries = queries.QuantizeRange(lo, hi)
 	}
-	return base, queries
+	if hi == lo {
+		hi = lo + 1
+	}
+	return all.Subset(baseIdx).QuantizeRange(lo, hi), all.Subset(queryIdx).QuantizeRange(lo, hi)
 }

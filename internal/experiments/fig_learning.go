@@ -55,7 +55,7 @@ type curveRow struct {
 // runCurve trains a ParMAC BA with the given parallelism settings and
 // records the per-iteration learning curve, the content of Figs. 7–9.
 func runCurve(w learnWorkload, p, epochs int, shuffle bool, seed int64) []curveRow {
-	ds, queries := dataset.WithQueries(w.n, w.queries, w.d, w.clusters, seed, true)
+	ds, queries := dataset.WithQueries(w.n, w.queries, w.d, w.clusters, seed)
 	truth := retrieval.GroundTruth(ds, queries, w.kTrue, 1)
 
 	shards := dataset.ShuffledShardIndices(w.n, p, nil, seed+1)
@@ -71,7 +71,7 @@ func runCurve(w learnWorkload, p, epochs int, shuffle bool, seed int64) []curveR
 		res := eng.Iterate()
 		rows = append(rows, curveRow{
 			iter: it, eq: res.EQ, eba: res.EBA,
-			precision: val.Score(prob.AssembleModel(), 1),
+			precision: val.Score(prob.AssembleModel()),
 		})
 	}
 	return rows

@@ -67,8 +67,8 @@ func (s *sift1bSetup) train(kernel bool, cfg RunConfig) sift1bRun {
 		// Bandwidth widened over the median heuristic; tuned on trial runs
 		// exactly as the paper tuned its σ=160 (§8.4).
 		km.Sigma *= 2
-		feats = km.Transform(s.ds, true) // byte-quantised kernel values (§8.4)
-		qfeats = km.Transform(s.queriesDS, true)
+		feats = km.Transform(s.ds) // byte-quantised kernel values (§8.4)
+		qfeats = km.Transform(s.queriesDS)
 	}
 	p := 8
 	shards := dataset.ShuffledShardIndices(s.n, p, nil, cfg.Seed+44)
@@ -85,7 +85,7 @@ func (s *sift1bSetup) train(kernel bool, cfg RunConfig) sift1bRun {
 		model := prob.AssembleModel()
 		base := model.Encode(feats, 1)
 		qc := model.Encode(qfeats, 1)
-		rec := retrieval.RecallAtR(base, qc, s.trueNN, []int{s.rq}, 1)[0]
+		rec := retrieval.RecallAtR(base, qc, s.trueNN, []int{s.rq})[0]
 		run.recallCurve = append(run.recallCurve, rec)
 		run.ebaCurve = append(run.ebaCurve, res.EBA)
 		if rec >= run.bestRecall {
@@ -169,9 +169,9 @@ func init() {
 			t := &Table{ID: "fig12",
 				Title:   "recall@R (scaled SIFT-1B analogue)",
 				Columns: []string{"R", "tPCA", "linear BA", "RBF BA"}}
-			tpRec := retrieval.RecallAtR(tpBase, tpQ, s.trueNN, rs, 1)
-			linRec := retrieval.RecallAtR(lin.finalBase, lin.finalQuery, s.trueNN, rs, 1)
-			rbfRec := retrieval.RecallAtR(rbf.finalBase, rbf.finalQuery, s.trueNN, rs, 1)
+			tpRec := retrieval.RecallAtR(tpBase, tpQ, s.trueNN, rs)
+			linRec := retrieval.RecallAtR(lin.finalBase, lin.finalQuery, s.trueNN, rs)
+			rbfRec := retrieval.RecallAtR(rbf.finalBase, rbf.finalQuery, s.trueNN, rs)
 			for i, r := range rs {
 				t.AddRow(d(r), f3(tpRec[i]), f3(linRec[i]), f3(rbfRec[i]))
 			}

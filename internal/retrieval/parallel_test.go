@@ -61,8 +61,8 @@ func TestGroundTruthParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRankAndRecallParallelMatchSerial: the query-parallel recall must equal
-// recall counted from serial per-query ranks, ties included.
+// TestRankAndRecallParallelMatchSerial: recall@R must equal recall counted
+// from per-query ranks, ties included.
 func TestRankAndRecallParallelMatchSerial(t *testing.T) {
 	base := tieHeavyCodes(500, 12, 7)
 	queries := tieHeavyCodes(31, 12, 8)
@@ -84,10 +84,8 @@ func TestRankAndRecallParallelMatchSerial(t *testing.T) {
 	for ri := range want {
 		want[ri] /= float64(queries.N)
 	}
-	for _, workers := range sweepWorkers {
-		if got := RecallAtR(base, queries, trueNN, rs, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: recall@R %v differs from serial %v", workers, got, want)
-		}
+	if got := RecallAtR(base, queries, trueNN, rs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recall@R %v differs from the per-query ranks' %v", got, want)
 	}
 }
 

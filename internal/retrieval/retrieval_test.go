@@ -240,7 +240,7 @@ func TestRecallAtRMonotoneInR(t *testing.T) {
 		trueNN[q] = rng.Intn(60)
 	}
 	rs := []int{1, 5, 10, 30, 60}
-	rec := RecallAtR(base, queries, trueNN, rs, 1)
+	rec := RecallAtR(base, queries, trueNN, rs)
 	for i := 1; i < len(rec); i++ {
 		if rec[i] < rec[i-1] {
 			t.Fatalf("recall not monotone: %v", rec)
@@ -266,7 +266,7 @@ func TestRecallPerfectCodesGivePerfectRecall(t *testing.T) {
 		trueNN[q] = q * 3
 		copy(queries.Code(q), base.Code(q*3))
 	}
-	rec := RecallAtR(base, queries, trueNN, []int{1}, 1)
+	rec := RecallAtR(base, queries, trueNN, []int{1})
 	if rec[0] != 1 {
 		t.Fatalf("recall@1 = %v, want 1", rec[0])
 	}

@@ -333,18 +333,15 @@ func RankOfTrueNN(base *Codes, query []uint64, trueIdx int) int {
 // whose true nearest neighbour (trueNN[q], an index into base) is ranked
 // within the top R positions by Hamming distance. R ≤ 0 entries yield 0
 // (every rank is ≥ 1), so callers forwarding request parameters need no
-// special casing. The per-query rank scans fan out over workers goroutines
-// (core.Cores semantics); the output is identical for any worker count.
-func RecallAtR(base *Codes, queries *Codes, trueNN []int, rs []int, workers int) []float64 {
+// special casing.
+func RecallAtR(base *Codes, queries *Codes, trueNN []int, rs []int) []float64 {
 	if queries.N != len(trueNN) {
 		panic("retrieval: RecallAtR needs one true NN per query")
 	}
 	ranks := make([]int, queries.N)
-	core.ParallelChunks(queries.N, core.Cores(workers), func(_, lo, hi int) {
-		for q := lo; q < hi; q++ {
-			ranks[q] = RankOfTrueNN(base, queries.Code(q), trueNN[q])
-		}
-	})
+	for q := range ranks {
+		ranks[q] = RankOfTrueNN(base, queries.Code(q), trueNN[q])
+	}
 	out := make([]float64, len(rs))
 	for ri, r := range rs {
 		hit := 0

@@ -118,7 +118,7 @@ func TestRecallAtRToleratesNonPositiveR(t *testing.T) {
 	base := randomCodes(50, 32, 3)
 	queries := randomCodes(5, 32, 4)
 	trueNN := []int{0, 1, 2, 3, 4}
-	got := RecallAtR(base, queries, trueNN, []int{-1, 0, 50}, 1)
+	got := RecallAtR(base, queries, trueNN, []int{-1, 0, 50})
 	if got[0] != 0 || got[1] != 0 {
 		t.Fatalf("recall at R<=0 should be 0, got %v", got[:2])
 	}

@@ -250,7 +250,10 @@ func LoadDeployment(version, indexPath, modelPath string, cfg IndexConfig, maxIn
 	return NewDeployment(version, model, index)
 }
 
-// Options tune the server. Zero values mean the documented defaults.
+// Options tune the server. Zero values mean the documented defaults. Two
+// settings are fixed: a request that omits k gets 10 results (defaultK), and
+// the sampling of mirrored queries is seeded with 1 (shadowSeed), so a run
+// mirrors the same queries every time.
 type Options struct {
 	// Shards is the per-query fan-out width used when the server itself
 	// builds linear indexes (swap and shadow endpoints). Default
@@ -264,20 +267,22 @@ type Options struct {
 	MIHBlocks int
 	// MaxK bounds the per-request k. Default 1000.
 	MaxK int
-	// DefaultK is used when a request omits k. Default 10.
-	DefaultK int
 	// ShadowRate is the fraction of live queries mirrored to the shadow
 	// deployment, if one is set. Zero mirrors nothing; clamped to [0, 1].
 	ShadowRate float64
-	// ShadowSeed seeds the sampling of mirrored queries (deterministic for
-	// tests). 0 means 1.
-	ShadowSeed int64
 	// MaxIndexBytes is the budget the swap/shadow admin endpoints enforce
 	// when loading index files. ≤ 0 means retrieval.DefaultMaxIndexBytes.
 	MaxIndexBytes int64
 	// Logf receives shadow-agreement and swap log lines. Default log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// defaultK is the k of a request that omits it, and shadowSeed seeds the
+// sampling of mirrored queries.
+const (
+	defaultK   = 10
+	shadowSeed = 1
+)
 
 func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
@@ -289,13 +294,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxK <= 0 {
 		o.MaxK = 1000
 	}
-	if o.DefaultK <= 0 {
-		o.DefaultK = 10
-	}
 	o.ShadowRate = min(max(o.ShadowRate, 0), 1)
-	if o.ShadowSeed == 0 {
-		o.ShadowSeed = 1
-	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
@@ -389,7 +388,7 @@ func New(dep *Deployment, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:      opts,
-		shadowRng: rand.New(rand.NewSource(opts.ShadowSeed)),
+		shadowRng: rand.New(rand.NewSource(shadowSeed)),
 	}
 	s.live.Store(dep)
 	return s
@@ -496,7 +495,7 @@ func (s *Server) validate(q *Query, dep *Deployment) error {
 		return badRequest("exactly one of vector and code must be set")
 	}
 	if q.K == 0 {
-		q.K = s.opts.DefaultK
+		q.K = defaultK
 	}
 	if q.K < 0 {
 		return badRequest("k must be positive, got %d", q.K)

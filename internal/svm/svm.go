@@ -274,20 +274,16 @@ func (k *KernelMap) Apply(x, dst []float64) []float64 {
 	return dst
 }
 
-// Transform maps a whole dataset through the kernel expansion. With quantize
-// set, features are stored one byte each in [0,1], exactly the paper's
-// memory-saving representation (§8.4).
-func (k *KernelMap) Transform(ds *dataset.Dataset, quantize bool) *dataset.Dataset {
+// Transform maps a whole dataset through the kernel expansion and stores the
+// features one byte each in [0,1], exactly the paper's memory-saving
+// representation (§8.4).
+func (k *KernelMap) Transform(ds *dataset.Dataset) *dataset.Dataset {
 	out := vec.NewMatrix(ds.N, k.Centres.Rows)
 	buf := make([]float64, ds.D)
 	for i := 0; i < ds.N; i++ {
 		k.Apply(ds.Point(i, buf), out.Row(i))
 	}
-	f := dataset.FromMatrix(out)
-	if quantize {
-		// Kernel values live in (0,1]; quantising against that fixed range
-		// keeps base and query sets on one grid.
-		return f.QuantizeRange(0, 1)
-	}
-	return f
+	// Kernel values live in (0,1]; quantising against that fixed range keeps
+	// base and query sets on one grid.
+	return dataset.FromMatrix(out).QuantizeRange(0, 1)
 }

@@ -191,18 +191,17 @@ func TestKernelMapSelfCentreIsOne(t *testing.T) {
 func TestKernelTransformQuantised(t *testing.T) {
 	ds := dataset.GISTLike(60, 5, 3, 8)
 	k := NewKernelMap(ds, 8, 9)
-	q := k.Transform(ds, true)
+	q := k.Transform(ds)
 	if q.Dequant() == nil {
 		t.Fatal("quantised transform must be byte-backed")
 	}
 	if q.N != 60 || q.D != 8 {
 		t.Fatalf("transform shape %dx%d", q.N, q.D)
 	}
-	f := k.Transform(ds, false)
 	// Quantisation error small relative to the [0,1] range.
 	for i := 0; i < q.N; i++ {
 		a := q.Point(i, nil)
-		b := f.Point(i, nil)
+		b := k.Apply(ds.Point(i, nil), nil)
 		for j := range a {
 			if math.Abs(a[j]-b[j]) > 1.0/128 {
 				t.Fatalf("quantisation error %v too large", math.Abs(a[j]-b[j]))
@@ -241,7 +240,11 @@ func TestKernelisedSVMSolvesNonlinearProblem(t *testing.T) {
 	linAcc := ls.accuracy(lin)
 
 	k := NewKernelMap(ds, 64, 11)
-	ks := pointSamples{k.Transform(ds, false), labels}
+	feats := vec.NewMatrix(n, 64)
+	for i := 0; i < n; i++ {
+		k.Apply(ds.Point(i, nil), feats.Row(i))
+	}
+	ks := pointSamples{dataset.FromMatrix(feats), labels}
 	km := NewLinear(64, 1e-5)
 	km.AutoTune(ks)
 	for e := 0; e < 10; e++ {

@@ -102,7 +102,7 @@ func SyntheticGIST(n, d, clusters int, seed int64) *dataset.Dataset {
 // mixture (the correct retrieval-benchmark protocol), byte-quantised on a
 // shared grid.
 func SyntheticBenchmark(n, q, d, clusters int, seed int64) (base, queries *dataset.Dataset) {
-	return dataset.WithQueries(n, q, d, clusters, seed, true)
+	return dataset.WithQueries(n, q, d, clusters, seed)
 }
 
 // ManifoldBenchmark generates a base set plus queries on a smooth nonlinear
